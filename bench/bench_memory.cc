@@ -118,11 +118,13 @@ BM_TraceContended(benchmark::State &state)
     config.capacity = 16;
     config.mem_banks = static_cast<unsigned>(state.range(0));
     config.mem_ports = config.mem_banks;
+    const trace::PreparedWorkload prepared(workload, config.latency,
+                                           {config.blocks});
     const auto params = iontrap::Params::future();
     std::uint64_t conflicts = 0;
     for (auto _ : state) {
         const auto result =
-            trace::runTrace(workload, config, params);
+            trace::runTrace(prepared, config, params);
         benchmark::DoNotOptimize(result.makespan_s);
         conflicts = result.bank_conflicts;
     }

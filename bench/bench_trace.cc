@@ -57,7 +57,10 @@ printTraceTable()
                 "parallelism (paper Fig. 2 / Fig. 7 / Table 5).\n\n");
 }
 
-/** One end-to-end trace run (engine cost without the sweep layer). */
+/**
+ * One trace run over a prepared workload: the per-point engine cost
+ * without the sweep layer or the once-per-circuit preparation.
+ */
 void
 BM_TraceRun(benchmark::State &state)
 {
@@ -70,10 +73,12 @@ BM_TraceRun(benchmark::State &state)
     config.blocks = 49;
     config.transfers = 10;
     config.capacity = 2 * workload.pe_qubits;
+    const trace::PreparedWorkload prepared(workload, config.latency,
+                                           {config.blocks});
     const auto params = iontrap::Params::future();
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            trace::runTrace(workload, config, params));
+            trace::runTrace(prepared, config, params));
     state.counters["gates"] =
         static_cast<double>(workload.program.size());
 }

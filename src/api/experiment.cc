@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/prepared.hh"
 #include "api/session.hh"
 #include "api/workload.hh"
 #include "common/logging.hh"
@@ -22,6 +23,15 @@ checkRange(std::vector<std::string> &errors, bool ok,
 {
     if (!ok)
         errors.emplace_back(message);
+}
+
+/** The workload generator's own preconditions, prefixed by @p kind. */
+void
+checkWorkload(std::vector<std::string> &errors,
+              const ExperimentSpec &spec, const char *kind)
+{
+    for (const auto &diagnostic : workloadDiagnostics(spec))
+        errors.push_back(std::string(kind) + ": " + diagnostic);
 }
 
 /**
@@ -154,11 +164,11 @@ class HierarchyExperiment final : public Experiment
 };
 
 /** Quantum cache simulation over a registry workload (Fig. 7). */
-class CacheExperiment final : public Experiment
+class CacheExperiment final : public WorkloadExperiment
 {
   public:
     explicit CacheExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
+        : WorkloadExperiment(std::move(spec))
     {
     }
 
@@ -167,11 +177,7 @@ class CacheExperiment final : public Experiment
     std::vector<std::string> validate() const override
     {
         std::vector<std::string> errors;
-        if (!findWorkload(_spec.workload))
-            errors.push_back(
-                "cache: " + unknownNameDiagnostic("workload",
-                                                  _spec.workload,
-                                                  workloadNames()));
+        checkWorkload(errors, _spec, "cache");
         checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
                    "cache: n must be in [2, 4096]");
         checkRange(errors, _spec.capacity_x > 0.0,
@@ -190,11 +196,21 @@ class CacheExperiment final : public Experiment
 
     std::vector<sweep::Cell> run(Random &rng) const override
     {
-        const auto workload = buildWorkload(_spec, rng);
+        if (const auto slot = takeSlot()) {
+            const auto &prepared = slot->get(_spec, rng);
+            return row(prepared.workload(), &prepared.dag());
+        }
+        return row(buildWorkload(_spec, rng), nullptr);
+    }
+
+  private:
+    std::vector<sweep::Cell> row(const Workload &workload,
+                                 const circuit::DependencyGraph *dag) const
+    {
         const auto capacity = resolveCapacity(_spec, workload);
         const auto result = cache::simulateCache(
             workload.program, static_cast<std::size_t>(capacity),
-            _spec.policy, _spec.warm, workload.cacheable);
+            _spec.policy, _spec.warm, workload.cacheable, dag);
         return {printSpec(_spec),
                 _spec.workload,
                 _spec.n,
@@ -316,11 +332,11 @@ class MonteCarloExperiment final : public Experiment
  * level-1 blocks with per-instruction cache residency and transfer-
  * channel charging (trace/engine.hh).
  */
-class TraceExperiment final : public Experiment
+class TraceExperiment final : public WorkloadExperiment
 {
   public:
     explicit TraceExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
+        : WorkloadExperiment(std::move(spec))
     {
     }
 
@@ -329,11 +345,7 @@ class TraceExperiment final : public Experiment
     std::vector<std::string> validate() const override
     {
         std::vector<std::string> errors;
-        if (!findWorkload(_spec.workload))
-            errors.push_back(
-                "trace: " + unknownNameDiagnostic("workload",
-                                                  _spec.workload,
-                                                  workloadNames()));
+        checkWorkload(errors, _spec, "trace");
         checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
                    "trace: n must be in [2, 4096]");
         // The spec parser bounds transfers to [1, 100000], but a spec
@@ -370,8 +382,12 @@ class TraceExperiment final : public Experiment
 
     std::vector<sweep::Cell> run(Random &rng) const override
     {
-        const auto workload = buildWorkload(_spec, rng);
-        const auto capacity = resolveCapacity(_spec, workload);
+        const auto slot = takeSlot();
+        std::optional<trace::PreparedWorkload> own;
+        const auto &prepared =
+            slot ? slot->get(_spec, rng)
+                 : own.emplace(prepareWorkload(_spec, rng, {_spec.blocks}));
+        const auto capacity = resolveCapacity(_spec, prepared.workload());
         trace::TraceConfig config;
         config.code = _spec.code;
         config.blocks = _spec.blocks;
@@ -382,8 +398,9 @@ class TraceExperiment final : public Experiment
         config.mem_buffer =
             static_cast<std::size_t>(_spec.mem_buffer);
         config.cycles_per_line = _spec.cycles_per_line;
+        config.latency = prepared.plan().latencyModel();
         const auto result =
-            trace::runTrace(workload, config, _spec.params());
+            trace::runTrace(prepared, config, _spec.params());
         return {printSpec(_spec),
                 _spec.workload,
                 _spec.n,
@@ -472,6 +489,7 @@ validateExperiments(const std::vector<ExperimentSpec> &specs)
         experiments.push_back(makeExperiment(spec));
     if (auto error = checkExperimentBatch(experiments))
         return std::move(*error);
+    sharePreparedWorkloads(experiments);
     return experiments;
 }
 

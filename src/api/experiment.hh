@@ -86,6 +86,8 @@ std::optional<Error> checkExperimentBatch(
  * (makeExperiment per spec, then checkExperimentBatch). Shared by
  * Session::submit, runSpecSweep and the opt:: cached/adaptive
  * runners so their notion of "runnable batch" cannot drift apart.
+ * A runnable batch's trace and cache points that share a circuit also
+ * share one job-scoped prepared workload (api/prepared.hh).
  */
 [[nodiscard]] Outcome<std::vector<std::unique_ptr<Experiment>>>
 validateExperiments(const std::vector<ExperimentSpec> &specs);

@@ -1,8 +1,8 @@
 #include "workload.hh"
 
 #include <cmath>
+#include <stdexcept>
 
-#include "common/logging.hh"
 #include "gen/draper.hh"
 #include "gen/qft.hh"
 #include "gen/random_circuit.hh"
@@ -24,6 +24,30 @@ adderDataMask(const gen::AdderLayout &layout, bool mask_data)
     for (int i = 0; i < 2 * layout.bits; ++i)
         mask[static_cast<std::size_t>(i)] = true;
     return mask;
+}
+
+/** Adders and the QFT need a register of at least one qubit. */
+std::vector<std::string>
+needsWidth(const ExperimentSpec &spec)
+{
+    if (spec.n >= 1)
+        return {};
+    return {"workload " + spec.workload + " needs n >= 1 (got " +
+            std::to_string(spec.n) + ")"};
+}
+
+/** gen::randomMixed picks up to three distinct operands per gate. */
+std::vector<std::string>
+randomPreconditions(const ExperimentSpec &spec)
+{
+    std::vector<std::string> errors;
+    if (spec.n < 3)
+        errors.push_back("workload random needs n >= 3 (got " +
+                         std::to_string(spec.n) + ")");
+    if (spec.gates < 0)
+        errors.push_back("workload random needs gates >= 0 (got " +
+                         std::to_string(spec.gates) + ")");
+    return errors;
 }
 
 Workload
@@ -91,15 +115,15 @@ buildRandom(const ExperimentSpec &spec, Random &rng)
 
 const std::vector<WorkloadGenerator> registry = {
     {"draper", "logarithmic-depth carry-lookahead adder (paper core)",
-     buildDraper},
+     needsWidth, buildDraper},
     {"ripple", "linear-depth ripple-carry adder (baseline)",
-     buildRipple},
+     needsWidth, buildRipple},
     {"modexp", "repeated Draper additions (steady-state mod-exp)",
-     buildModExp},
+     needsWidth, buildModExp},
     {"qft", "quantum Fourier transform with bit-reversal swaps",
-     buildQft},
+     needsWidth, buildQft},
     {"random", "random mixed logical circuit (seeded per point)",
-     buildRandom},
+     randomPreconditions, buildRandom, true},
 };
 
 } // namespace
@@ -131,15 +155,23 @@ findWorkload(std::string_view name)
     return nullptr;
 }
 
-Workload
-buildWorkload(const ExperimentSpec &spec, Random &rng)
+std::vector<std::string>
+workloadDiagnostics(const ExperimentSpec &spec)
 {
     const auto *generator = findWorkload(spec.workload);
     if (!generator)
-        // qmh-lint: allow(typed-errors): unreachable post-validation — every request path rejects unknown workloads with InvalidSpec first
-        qmh_panic("buildWorkload: unknown workload '", spec.workload,
-                  "'");
-    return generator->build(spec, rng);
+        return {unknownNameDiagnostic("workload", spec.workload,
+                                      workloadNames())};
+    return generator->preconditions(spec);
+}
+
+Workload
+buildWorkload(const ExperimentSpec &spec, Random &rng)
+{
+    if (const auto errors = workloadDiagnostics(spec); !errors.empty())
+        // qmh-lint: allow(typed-errors): unreachable post-validation — validate() reports the same diagnostics as InvalidSpec; a Session turns this throw into ExecutionFailed, never an exit
+        throw std::invalid_argument("buildWorkload: " + errors.front());
+    return findWorkload(spec.workload)->build(spec, rng);
 }
 
 unsigned

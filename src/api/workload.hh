@@ -35,7 +35,19 @@ struct WorkloadGenerator
 {
     std::string name;
     std::string description;
+    /**
+     * The generator's preconditions on the spec: one diagnostic per
+     * violated one, empty when build() can run. The single source of
+     * truth for both validate() and every build.
+     */
+    std::vector<std::string> (*preconditions)(const ExperimentSpec &spec);
     Workload (*build)(const ExperimentSpec &spec, Random &rng);
+    /**
+     * True when build() draws from the point's rng, so two points
+     * with equal generator inputs still get different circuits; such
+     * workloads are never shared between points.
+     */
+    bool seeded = false;
 };
 
 /** All registered generators, in registration order. */
@@ -48,8 +60,18 @@ const std::vector<std::string> &workloadNames();
 const WorkloadGenerator *findWorkload(std::string_view name);
 
 /**
- * Build the workload named by @p spec.workload (panics on unknown
- * name; validate the spec first for a recoverable diagnostic).
+ * Diagnostics for building @p spec's workload: an unknown generator
+ * name, or the named generator's violated preconditions. Empty =
+ * buildable.
+ */
+std::vector<std::string> workloadDiagnostics(const ExperimentSpec &spec);
+
+/**
+ * Build the workload named by @p spec.workload. Checks
+ * workloadDiagnostics() first and throws std::invalid_argument on a
+ * violation, so an unvalidated spec fails its point (a Session reports
+ * ExecutionFailed) instead of reaching a generator's fatal check;
+ * validate the spec first for the typed InvalidSpec diagnostic.
  */
 Workload buildWorkload(const ExperimentSpec &spec, Random &rng);
 

@@ -1,5 +1,7 @@
 #include "cache_sim.hh"
 
+#include <optional>
+
 #include "common/logging.hh"
 
 namespace qmh {
@@ -17,7 +19,8 @@ fetchPolicyName(FetchPolicy policy)
     qmh_panic("unknown FetchPolicy");
 }
 
-QubitCache::QubitCache(std::size_t capacity) : _capacity(capacity)
+QubitCache::QubitCache(std::size_t capacity, std::size_t qubit_ids)
+    : _capacity(capacity), _where(qubit_ids, npos)
 {
     if (capacity == 0)
         qmh_fatal("QubitCache: capacity must be nonzero");
@@ -102,8 +105,9 @@ QubitCache::residents() const
 }
 
 CacheState::CacheState(std::size_t capacity,
-                       std::vector<bool> cacheable)
-    : _cache(capacity), _cacheable(std::move(cacheable))
+                       std::vector<bool> cacheable,
+                       std::size_t qubit_ids)
+    : _cache(capacity, qubit_ids), _cacheable(std::move(cacheable))
 {
 }
 
@@ -179,11 +183,11 @@ runInOrder(const circuit::Program &program, CacheState &state,
 }
 
 void
-runOptimized(const circuit::Program &program, CacheState &state,
+runOptimized(const circuit::Program &program,
+             const circuit::DependencyGraph &dag, CacheState &state,
              CacheSimResult &result)
 {
     const auto &insts = program.instructions();
-    const circuit::DependencyGraph dag(program);
     const auto m = static_cast<std::uint32_t>(insts.size());
 
     std::vector<int> remaining(m);
@@ -244,13 +248,18 @@ runOptimized(const circuit::Program &program, CacheState &state,
 CacheSimResult
 simulateCache(const circuit::Program &program, std::size_t capacity,
               FetchPolicy policy, bool warm_start,
-              const std::vector<bool> &cacheable)
+              const std::vector<bool> &cacheable,
+              const circuit::DependencyGraph *dag)
 {
     if (!cacheable.empty() &&
         cacheable.size() != static_cast<std::size_t>(program.qubitCount()))
         qmh_fatal("simulateCache: cacheable mask size ", cacheable.size(),
                   " != qubit count ", program.qubitCount());
-    CacheState state(capacity, cacheable);
+    CacheState state(capacity, cacheable,
+                     static_cast<std::size_t>(program.qubitCount()));
+    std::optional<circuit::DependencyGraph> own_dag;
+    if (policy == FetchPolicy::OptimizedLookahead && dag == nullptr)
+        dag = &own_dag.emplace(program);
     CacheSimResult result;
     result.policy = policy;
     result.capacity = capacity;
@@ -261,7 +270,7 @@ simulateCache(const circuit::Program &program, std::size_t capacity,
         if (policy == FetchPolicy::InOrder)
             runInOrder(program, state, result);
         else
-            runOptimized(program, state, result);
+            runOptimized(program, *dag, state, result);
     }
     result.accesses = state.accesses();
     result.hits = state.hits();

@@ -48,7 +48,9 @@ const char *fetchPolicyName(FetchPolicy policy);
 class QubitCache
 {
   public:
-    explicit QubitCache(std::size_t capacity);
+    /** @p qubit_ids sizes the id index up front (ids beyond it still
+     *  work, growing the index on first touch). */
+    explicit QubitCache(std::size_t capacity, std::size_t qubit_ids = 0);
 
     /**
      * Access @p qubit: returns true on hit. On miss the qubit is
@@ -114,8 +116,11 @@ class CacheState
      * @param cacheable per-qubit mask: qubits outside the mask are
      *        compute-block-local scratch that never crosses the
      *        memory hierarchy; empty means every qubit is cacheable
+     * @param qubit_ids the program's qubit count, when known, so the
+     *        residency index is sized once instead of per new id
      */
-    CacheState(std::size_t capacity, std::vector<bool> cacheable);
+    CacheState(std::size_t capacity, std::vector<bool> cacheable,
+               std::size_t qubit_ids = 0);
 
     /** True when @p qubit participates in the memory hierarchy. */
     bool
@@ -212,11 +217,14 @@ struct CacheSimResult
  *        are compute-block-local scratch (Toffoli workspace, carry
  *        ancilla) that never crosses the memory hierarchy; empty means
  *        every qubit is cacheable
+ * @param dag the program's dependency DAG when the caller already has
+ *        one; the lookahead policy builds its own otherwise
  */
 CacheSimResult simulateCache(const circuit::Program &program,
                              std::size_t capacity, FetchPolicy policy,
                              bool warm_start = false,
-                             const std::vector<bool> &cacheable = {});
+                             const std::vector<bool> &cacheable = {},
+                             const circuit::DependencyGraph *dag = nullptr);
 
 } // namespace cache
 } // namespace qmh

@@ -43,6 +43,8 @@ struct LatencyModel
           default:                return single;
         }
     }
+
+    bool operator==(const LatencyModel &) const = default;
 };
 
 } // namespace sched

@@ -149,11 +149,10 @@ ScheduleResult::utilization() const
            (static_cast<double>(blocks) * static_cast<double>(makespan));
 }
 
-IncrementalScheduler::IncrementalScheduler(
-    const circuit::Program &program,
-    const circuit::DependencyGraph &dag, const LatencyModel &latency,
-    unsigned blocks)
-    : _blocks(blocks), _capped(blocks != unlimited_blocks)
+SchedulePlan::SchedulePlan(const circuit::Program &program,
+                           const circuit::DependencyGraph &dag,
+                           const LatencyModel &latency)
+    : _model(latency)
 {
     const auto &insts = program.instructions();
     _total = static_cast<std::uint32_t>(insts.size());
@@ -163,19 +162,16 @@ IncrementalScheduler::IncrementalScheduler(
         _busy_block_steps += _latency[i];
     }
 
-    // The DAG already stores successor adjacency in CSR form; take a
-    // flat copy so every later claim/complete walks contiguous memory
-    // the scheduler owns outright.
     _succ_offset = dag.succOffsets();
     _succ = dag.succEdges();
 
     // Critical-path priority: longest weighted path to any sink.
-    _priority.assign(_total, 0);
+    std::vector<std::uint64_t> priority(_total, 0);
     for (std::uint32_t i = _total; i-- > 0;) {
         std::uint64_t best = 0;
         for (auto e = _succ_offset[i]; e < _succ_offset[i + 1]; ++e)
-            best = std::max(best, _priority[_succ[e]]);
-        _priority[i] = best + _latency[i];
+            best = std::max(best, priority[_succ[e]]);
+        priority[i] = best + _latency[i];
     }
 
     // The ready-set key only needs a monotone priority-descending
@@ -187,26 +183,36 @@ IncrementalScheduler::IncrementalScheduler(
     _rank.resize(_total);
     if (_busy_block_steps <= 0xffffffffull) {
         for (std::uint32_t i = 0; i < _total; ++i)
-            _rank[i] = ~static_cast<std::uint32_t>(_priority[i]);
+            _rank[i] = ~static_cast<std::uint32_t>(priority[i]);
     } else {
-        std::vector<std::uint64_t> distinct(_priority);
+        std::vector<std::uint64_t> distinct(priority);
         std::sort(distinct.begin(), distinct.end(), std::greater<>{});
         distinct.erase(std::unique(distinct.begin(), distinct.end()),
                        distinct.end());
         for (std::uint32_t i = 0; i < _total; ++i)
             _rank[i] = static_cast<std::uint32_t>(
                 std::lower_bound(distinct.begin(), distinct.end(),
-                                 _priority[i], std::greater<>{}) -
+                                 priority[i], std::greater<>{}) -
                 distinct.begin());
     }
 
-    _remaining.resize(_total);
+    // Ready-set keys pop in the strict (rank, index) order, so the
+    // pop sequence is the same however the heap was built.
+    _in_degree.resize(_total);
     for (std::uint32_t i = 0; i < _total; ++i) {
-        _remaining[i] = dag.inDegree(i);
-        if (_remaining[i] == 0)
-            pushReady(i);
+        _in_degree[i] = dag.inDegree(i);
+        if (_in_degree[i] == 0)
+            _sources.push_back(
+                (static_cast<std::uint64_t>(_rank[i]) << 32) | i);
     }
+    std::make_heap(_sources.begin(), _sources.end(), std::greater<>{});
+}
 
+IncrementalScheduler::IncrementalScheduler(const SchedulePlan &plan,
+                                           unsigned blocks)
+    : _plan(plan), _blocks(blocks), _capped(blocks != unlimited_blocks),
+      _remaining(plan._in_degree), _ready(plan._sources)
+{
     if (_capped) {
         _free_words.assign((blocks + 63) / 64, 0);
         for (std::uint32_t b = 0; b < blocks; ++b)
@@ -218,8 +224,8 @@ IncrementalScheduler::IncrementalScheduler(
 void
 IncrementalScheduler::pushReady(std::uint32_t index)
 {
-    _ready.push_back((static_cast<std::uint64_t>(_rank[index]) << 32) |
-                     index);
+    _ready.push_back(
+        (static_cast<std::uint64_t>(_plan._rank[index]) << 32) | index);
     std::push_heap(_ready.begin(), _ready.end(), std::greater<>{});
 }
 
@@ -272,7 +278,7 @@ IncrementalScheduler::claim()
     ++_claimed;
     ++_in_flight;
     _peak_in_flight = std::max(_peak_in_flight, _in_flight);
-    return IssueClaim{index, allocBlock(), _latency[index]};
+    return IssueClaim{index, allocBlock(), _plan._latency[index]};
 }
 
 std::uint32_t
@@ -285,7 +291,7 @@ IncrementalScheduler::claimBatch(std::vector<IssueClaim> &out)
         ++_in_flight;
         _peak_in_flight = std::max(_peak_in_flight, _in_flight);
         out.push_back(IssueClaim{index, allocBlock(),
-                                 _latency[index]});
+                                 _plan._latency[index]});
         ++issued;
     }
     return issued;
@@ -300,9 +306,9 @@ IncrementalScheduler::complete(const IssueClaim &done)
     --_in_flight;
     ++_completed;
     freeBlock(done.block);
-    for (auto e = _succ_offset[done.index];
-         e < _succ_offset[done.index + 1]; ++e) {
-        const auto s = _succ[e];
+    const auto &offset = _plan._succ_offset;
+    for (auto e = offset[done.index]; e < offset[done.index + 1]; ++e) {
+        const auto s = _plan._succ[e];
         if (--_remaining[s] == 0)
             pushReady(s);
     }
@@ -321,18 +327,23 @@ listSchedule(const circuit::Program &program,
              const circuit::DependencyGraph &dag,
              const LatencyModel &latency, unsigned blocks)
 {
-    const auto m =
-        static_cast<std::uint32_t>(program.instructions().size());
+    return listSchedule(SchedulePlan(program, dag, latency), blocks);
+}
+
+ScheduleResult
+listSchedule(const SchedulePlan &plan, unsigned blocks)
+{
+    const auto m = plan.size();
 
     ScheduleResult result;
     result.blocks_requested = blocks;
     result.start.assign(m, 0);
     result.block.assign(m, 0);
-    IncrementalScheduler scheduler(program, dag, latency, blocks);
+    IncrementalScheduler scheduler(plan, blocks);
     result._latency.resize(m);
     for (std::uint32_t i = 0; i < m; ++i)
-        result._latency[i] = scheduler.latencyOf(i);
-    result.busy_block_steps = scheduler.busyBlockSteps();
+        result._latency[i] = plan.latencyOf(i);
+    result.busy_block_steps = plan.busyBlockSteps();
     if (m == 0)
         return result;
 

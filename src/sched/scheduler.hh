@@ -38,6 +38,8 @@ namespace sched {
 /** Unlimited-resources marker for listSchedule(). */
 constexpr unsigned unlimited_blocks = 0;
 
+class SchedulePlan;
+
 /**
  * One maximal run of constant parallelism: @p in_flight gates are
  * executing over [begin, end). Segments tile the schedule span
@@ -118,9 +120,7 @@ struct ScheduleResult
     double utilization() const;
 
   private:
-    friend ScheduleResult listSchedule(const circuit::Program &,
-                                       const circuit::DependencyGraph &,
-                                       const LatencyModel &, unsigned);
+    friend ScheduleResult listSchedule(const SchedulePlan &, unsigned);
     friend ScheduleResult roundSchedule(const circuit::Program &,
                                         const circuit::DependencyGraph &,
                                         const LatencyModel &, unsigned);
@@ -136,6 +136,61 @@ struct IssueClaim
 };
 
 /**
+ * The read-only half of the list scheduler: everything the issue
+ * policy derives from (program, DAG, latency model) alone — per-gate
+ * latency, the ready-set rank of each gate's critical-path priority,
+ * in-degrees, the source front and the CSR successor arrays. Build it
+ * once per workload; every IncrementalScheduler and listSchedule()
+ * over that workload borrows it, at any block count, and pays only
+ * its own per-run state. Immutable after construction, so any number
+ * of threads may share one plan.
+ */
+class SchedulePlan
+{
+  public:
+    SchedulePlan(const circuit::Program &program,
+                 const circuit::DependencyGraph &dag,
+                 const LatencyModel &latency);
+
+    /** Instructions in the program. */
+    std::uint32_t size() const { return _total; }
+
+    /** The latency model the plan was built under. */
+    const LatencyModel &latencyModel() const { return _model; }
+
+    /** Gate-step latency of instruction @p index. */
+    std::uint32_t latencyOf(std::uint32_t index) const
+    {
+        return _latency[index];
+    }
+
+    /** Sum over all instructions of their latency. */
+    std::uint64_t busyBlockSteps() const { return _busy_block_steps; }
+
+  private:
+    friend class IncrementalScheduler;
+
+    std::uint32_t _total = 0;
+    LatencyModel _model;
+    std::uint64_t _busy_block_steps = 0;
+    std::vector<std::uint32_t> _latency;
+    std::vector<std::int32_t> _in_degree;
+
+    // Successor adjacency in compressed-sparse-row form, copied once
+    // from the DAG so claim/complete walk contiguous memory.
+    std::vector<std::uint32_t> _succ_offset;  // size _total + 1
+    std::vector<std::uint32_t> _succ;
+
+    // Ready-set rank: any monotone descending mapping of the
+    // critical-path priority (longest weighted path to any sink);
+    // smaller = higher priority.
+    std::vector<std::uint32_t> _rank;
+    // The in-degree-zero instructions as an already heap-ordered
+    // ready set, so a run starts with one copy.
+    std::vector<std::uint64_t> _sources;
+};
+
+/**
  * The list scheduler's issue policy in incremental form. The caller
  * owns time: claim() hands out the highest-priority ready instruction
  * while a block is free, complete() retires one and readies its
@@ -148,9 +203,10 @@ struct IssueClaim
 class IncrementalScheduler
 {
   public:
-    IncrementalScheduler(const circuit::Program &program,
-                         const circuit::DependencyGraph &dag,
-                         const LatencyModel &latency, unsigned blocks);
+    /** Schedule onto @p blocks blocks; borrows @p plan, which must
+     *  outlive the scheduler. */
+    IncrementalScheduler(const SchedulePlan &plan, unsigned blocks);
+    IncrementalScheduler(SchedulePlan &&, unsigned) = delete;
 
     /**
      * Claim the highest-priority ready instruction, allocating a
@@ -175,7 +231,7 @@ class IncrementalScheduler
     void complete(const IssueClaim &done);
 
     /** Instructions in the program. */
-    std::uint32_t totalCount() const { return _total; }
+    std::uint32_t totalCount() const { return _plan.size(); }
 
     /** Instructions claimed so far. */
     std::uint32_t claimedCount() const { return _claimed; }
@@ -184,7 +240,7 @@ class IncrementalScheduler
     std::uint32_t inFlight() const { return _in_flight; }
 
     /** True once every instruction has been claimed and completed. */
-    bool finished() const { return _completed == _total; }
+    bool finished() const { return _completed == _plan.size(); }
 
     /** True when no instruction is ready to claim right now. */
     bool readyEmpty() const { return _ready.empty(); }
@@ -199,11 +255,14 @@ class IncrementalScheduler
     /** Gate-step latency of instruction @p index. */
     std::uint32_t latencyOf(std::uint32_t index) const
     {
-        return _latency[index];
+        return _plan.latencyOf(index);
     }
 
     /** Sum over all instructions of their latency. */
-    std::uint64_t busyBlockSteps() const { return _busy_block_steps; }
+    std::uint64_t busyBlockSteps() const
+    {
+        return _plan.busyBlockSteps();
+    }
 
   private:
     void pushReady(std::uint32_t index);
@@ -211,7 +270,7 @@ class IncrementalScheduler
     std::uint32_t allocBlock();
     void freeBlock(std::uint32_t block);
 
-    std::uint32_t _total = 0;
+    const SchedulePlan &_plan;
     std::uint32_t _claimed = 0;
     std::uint32_t _completed = 0;
     std::uint32_t _in_flight = 0;
@@ -219,24 +278,13 @@ class IncrementalScheduler
     bool _capped = false;
     unsigned _next_fresh_block = 0;
     unsigned _peak_in_flight = 0;
-    std::uint64_t _busy_block_steps = 0;
 
-    std::vector<std::uint32_t> _latency;
-    std::vector<std::uint64_t> _priority;
     std::vector<std::int32_t> _remaining;
 
-    // Successor adjacency in compressed-sparse-row form, built once
-    // from the DAG so claim/complete never chase per-node vectors.
-    std::vector<std::uint32_t> _succ_offset;  // size _total + 1
-    std::vector<std::uint32_t> _succ;
-
-    // Ready set: one min-heap of (rank << 32 | index) keys, where
-    // rank is any monotone priority-descending mapping (smaller =
-    // higher critical-path priority). The packed key orders by
-    // priority first and program position within a priority, in a
-    // single flat vector — no per-priority bucket allocation, one
-    // heap operation per push/pop.
-    std::vector<std::uint32_t> _rank;
+    // Ready set: one min-heap of (rank << 32 | index) keys. The packed
+    // key orders by priority first and program position within a
+    // priority, in a single flat vector — no per-priority bucket
+    // allocation, one heap operation per push/pop.
     std::vector<std::uint64_t> _ready;
 
     // Free block ids as a bitmask (bit b of word w = block 64w + b is
@@ -263,6 +311,9 @@ ScheduleResult listSchedule(const circuit::Program &program,
 ScheduleResult listSchedule(const circuit::Program &program,
                             const LatencyModel &latency,
                             unsigned blocks);
+
+/** The same schedule over a prepared plan (no per-call plan build). */
+ScheduleResult listSchedule(const SchedulePlan &plan, unsigned blocks);
 
 /**
  * Round-synchronous schedule: instructions issue in the program's

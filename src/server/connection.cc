@@ -306,8 +306,15 @@ Connection::advanceActive()
         // The next slot needs a job row that has not landed. If the
         // job can still produce it, wait; if the job is over, the
         // stream ended early (a failed or skipped point) — stdio
-        // prefix semantics end the row stream right here.
+        // prefix semantics end the row stream right here. A worker
+        // may have retired the last rows between the harvest above
+        // and this check, so harvest once more after seeing the job
+        // finished: only a slot still unresolved then ends the stream.
         if (active.job && active.job->progress().finished) {
+            const std::size_t harvested = active.harvested;
+            harvestJobRows();
+            if (active.harvested != harvested)
+                continue;
             finalizeActive(true);
             return;
         }

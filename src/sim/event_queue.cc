@@ -1,6 +1,7 @@
 #include "event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -68,12 +69,20 @@ EventQueue::insert(Event *e)
         _active.push_back(e);
         std::push_heap(_active.begin(), _active.end(), Later{});
     } else if (key - (_now >> _shift) < bucket_count) {
-        _buckets[key & bucket_mask].push_back(e);
-        ++_near_count;
+        pushBucket(e);
     } else {
         _far.push_back(e);
         std::push_heap(_far.begin(), _far.end(), Later{});
     }
+}
+
+void
+EventQueue::pushBucket(Event *e)
+{
+    const auto slot = (e->when >> _shift) & bucket_mask;
+    _buckets[slot].push_back(e);
+    _occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++_near_count;
 }
 
 void
@@ -85,6 +94,7 @@ EventQueue::growTo(std::uint32_t new_shift)
                          bucket.end());
         bucket.clear();
     }
+    _occupied.fill(0);
     _near_count = 0;
     const auto old_shift = _shift;
     _shift = new_shift;
@@ -108,8 +118,7 @@ EventQueue::refillSlow()
             std::pop_heap(_far.begin(), _far.end(), Later{});
             Event *e = _far.back();
             _far.pop_back();
-            _buckets[(e->when >> _shift) & bucket_mask].push_back(e);
-            ++_near_count;
+            pushBucket(e);
         }
         if (_near_count > 0)
             break;
@@ -125,10 +134,22 @@ EventQueue::refillSlow()
             qmh_panic("event queue window failed to advance");
         growTo(s);
     }
-    auto key = _now >> _shift;
-    while (_buckets[key & bucket_mask].empty())
-        ++key;
-    auto &bucket = _buckets[key & bucket_mask];
+    // First occupied ring slot at or after the present's, wrapping
+    // once: near keys span fewer than bucket_count slots, so ring
+    // order from the present's slot is key order.
+    const auto base = _now >> _shift;
+    const auto start = base & bucket_mask;
+    auto word = start >> 6;
+    auto bits = _occupied[word] & (~std::uint64_t{0} << (start & 63));
+    while (bits == 0) {
+        word = (word + 1) % _occupied.size();
+        bits = _occupied[word];
+    }
+    const auto slot =
+        word * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+    const auto key = base + ((slot - start) & bucket_mask);
+    auto &bucket = _buckets[slot];
+    _occupied[word] &= ~(std::uint64_t{1} << (slot & 63));
     _near_count -= bucket.size();
     _active.swap(bucket);
     std::make_heap(_active.begin(), _active.end(), Later{});

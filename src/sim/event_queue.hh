@@ -165,6 +165,7 @@ class EventQueue
 
     std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
     void insert(Event *e);
+    void pushBucket(Event *e);
 
     /**
      * Ensure the active heap holds the next bucket to dispatch.
@@ -191,6 +192,9 @@ class EventQueue
     std::uint64_t _active_key = 0;
     std::vector<Event *> _active;   ///< dispatching bucket, min-heap
     std::array<std::vector<Event *>, bucket_count> _buckets;
+    /// Bit i set = ring slot i holds events; finds the next
+    /// non-empty bucket with a word scan instead of a slot walk.
+    std::array<std::uint64_t, bucket_count / 64> _occupied{};
     std::size_t _near_count = 0;
     std::vector<Event *> _far;      ///< beyond-horizon min-heap
     std::vector<Event *> _rebucket; ///< scratch for shift growth

@@ -1,9 +1,6 @@
 #include "engine.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,84 +16,6 @@ namespace qmh {
 namespace trace {
 
 namespace {
-
-/**
- * Memo for the flat-baseline makespan. A design-space sweep runs the
- * same workload at many channel/capacity points, and the no-cache
- * baseline schedule depends only on (instruction stream, latency
- * model, block count) — for the 24-point trace grid that is 2
- * distinct schedules computed 24 times. Keys are the exact serialized
- * inputs (not a hash), so a hit is byte-for-byte the same computation
- * and every result row stays bit-identical with the memo disabled.
- * Thread-safe: sweeps fan runTrace() out across worker threads. The
- * store is bounded; eviction clears it wholesale, which at most costs
- * a recompute.
- */
-class FlatBaselineMemo
-{
-  public:
-    std::uint64_t
-    makespan(const circuit::Program &program,
-             const circuit::DependencyGraph &dag,
-             const sched::LatencyModel &latency, unsigned blocks)
-    {
-        std::string key = serialize(program, latency, blocks);
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            for (const auto &entry : _entries)
-                if (entry.first == key)
-                    return entry.second;
-        }
-        // Compute outside the lock; a racing duplicate insert is
-        // benign (identical value, bounded store).
-        const auto flat =
-            sched::listSchedule(program, dag, latency, blocks);
-        std::lock_guard<std::mutex> lock(_mutex);
-        if (_entries.size() >= max_entries)
-            _entries.clear();
-        _entries.emplace_back(std::move(key), flat.makespan);
-        return flat.makespan;
-    }
-
-  private:
-    static constexpr std::size_t max_entries = 32;
-
-    static std::string
-    serialize(const circuit::Program &program,
-              const sched::LatencyModel &latency, unsigned blocks)
-    {
-        std::string key;
-        key.reserve(16 + 16 * program.size());
-        appendBits(key, blocks);
-        appendBits(key, latency.single);
-        appendBits(key, latency.cnot);
-        appendBits(key, latency.cphase);
-        appendBits(key, latency.swap);
-        appendBits(key, latency.toffoli);
-        for (const auto &inst : program.instructions()) {
-            key.push_back(static_cast<char>(inst.kind));
-            key.push_back(static_cast<char>(inst.arity));
-            for (const auto q : inst.operands())
-                appendBits(key, q.value());
-            appendBits(key, inst.param);
-        }
-        return key;
-    }
-
-    template <typename T>
-    static void
-    appendBits(std::string &key, T value)
-    {
-        char bytes[sizeof(T)];
-        std::memcpy(bytes, &value, sizeof(T));
-        key.append(bytes, sizeof(T));
-    }
-
-    std::mutex _mutex;
-    std::vector<std::pair<std::string, std::uint64_t>> _entries;
-};
-
-FlatBaselineMemo flat_baseline_memo;
 
 /**
  * Per-run issue pipeline state. Bundling it behind one pointer keeps
@@ -235,36 +154,69 @@ struct EngineCtx
 
 } // namespace
 
+PreparedWorkload::PreparedWorkload(circuit::Workload workload,
+                                   const sched::LatencyModel &latency,
+                                   const std::vector<unsigned> &blocks)
+    : _workload(std::move(workload)), _dag(_workload.program),
+      _plan(_workload.program, _dag, latency)
+{
+    if (!_workload.cacheable.empty() &&
+        _workload.cacheable.size() !=
+            static_cast<std::size_t>(_workload.program.qubitCount()))
+        qmh_fatal("trace: cacheable mask size ",
+                  _workload.cacheable.size(), " != qubit count ",
+                  _workload.program.qubitCount());
+    // Flat baseline: the identical issue policy with every qubit at
+    // level 2 — no cache, no transfers — so it depends only on the
+    // plan and the block count.
+    for (const auto count : blocks)
+        if (!flatMakespan(count))
+            _flat.emplace_back(count,
+                               sched::listSchedule(_plan, count).makespan);
+}
+
+std::optional<std::uint64_t>
+PreparedWorkload::flatMakespan(unsigned blocks) const
+{
+    for (const auto &[count, makespan] : _flat)
+        if (count == blocks)
+            return makespan;
+    return std::nullopt;
+}
+
 TraceResult
 runTrace(const circuit::Workload &workload, const TraceConfig &config,
          const iontrap::Params &params)
 {
+    return runTrace(PreparedWorkload(workload, config.latency,
+                                     {config.blocks}),
+                    config, params);
+}
+
+TraceResult
+runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
+         const iontrap::Params &params)
+{
+    const auto &workload = prepared.workload();
     const auto &program = workload.program;
     if (config.capacity == 0)
         qmh_fatal("trace: cache capacity must be nonzero");
     if (config.transfers == 0)
         qmh_fatal("trace: need at least one transfer channel");
-    if (!workload.cacheable.empty() &&
-        workload.cacheable.size() !=
-            static_cast<std::size_t>(program.qubitCount()))
-        qmh_fatal("trace: cacheable mask size ",
-                  workload.cacheable.size(), " != qubit count ",
-                  program.qubitCount());
+    if (config.latency != prepared.plan().latencyModel())
+        qmh_panic("trace: config latency differs from the latency "
+                  "model the workload was prepared under");
 
     const auto m = static_cast<std::uint32_t>(program.size());
     TraceResult result;
     result.instructions = m;
 
-    const circuit::DependencyGraph dag(program);
     const auto code = ecc::Code::byKind(config.code);
-
-    // Flat baseline: the identical issue policy with every qubit at
-    // level 2 — no cache, no transfers, only the slower step time.
-    // Memoized: within a sweep every point over the same workload and
-    // block count shares this schedule.
-    const auto flat_makespan = flat_baseline_memo.makespan(
-        program, dag, config.latency, config.blocks);
-    result.baseline_s = static_cast<double>(flat_makespan) *
+    auto flat_makespan = prepared.flatMakespan(config.blocks);
+    if (!flat_makespan)
+        flat_makespan =
+            sched::listSchedule(prepared.plan(), config.blocks).makespan;
+    result.baseline_s = static_cast<double>(*flat_makespan) *
                         code.gateStepTime(2, params);
     if (m == 0)
         return result;
@@ -289,9 +241,9 @@ runTrace(const circuit::Workload &workload, const TraceConfig &config,
     mem_config.cycles_per_request = std::max<Tick>(1, per_transfer);
     mem_config.cycles_per_line = config.cycles_per_line;
     sim::BankedMemory memory(eq, "l2-memory", mem_config);
-    cache::CacheState cache(config.capacity, workload.cacheable);
-    sched::IncrementalScheduler scheduler(program, dag, config.latency,
-                                          config.blocks);
+    cache::CacheState cache(config.capacity, workload.cacheable,
+                            static_cast<std::size_t>(program.qubitCount()));
+    sched::IncrementalScheduler scheduler(prepared.plan(), config.blocks);
 
     EngineCtx ctx{program,  eq,    channels, memory,
                   cache,    scheduler, step1, per_transfer,

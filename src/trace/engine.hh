@@ -32,16 +32,23 @@
  * utilization and the gates-in-flight profile (peak and mean — the
  * Fig. 2 parallelism measure at tick resolution).
  *
- * Everything is deterministic: no randomness, one private EventQueue
- * per run, so identical inputs give bit-identical results on any
- * thread of a sweep.
+ * Everything a run derives from the workload alone — the DAG, the
+ * scheduler's plan and the flat baseline per block count — lives in
+ * an immutable PreparedWorkload, so a sweep prepares each circuit once
+ * and runs every design point over it. The engine keeps no state
+ * between runs: one private EventQueue per run, no caches, so
+ * identical inputs give bit-identical results on any thread.
  */
 
 #ifndef QMH_TRACE_ENGINE_HH
 #define QMH_TRACE_ENGINE_HH
 
 #include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "circuit/dag.hh"
 #include "circuit/workload.hh"
 #include "common/units.hh"
 #include "ecc/code.hh"
@@ -120,15 +127,52 @@ struct TraceResult
 };
 
 /**
- * Execute @p workload through the hierarchy under @p config /
+ * A workload prepared for trace runs: the workload itself, its
+ * dependency DAG, the scheduler's read-only plan under one latency
+ * model and the flat-baseline makespan of each requested block count.
+ * Immutable once built, so every point of a sweep over the same
+ * circuit can share one instance across threads. Panics on a
+ * malformed workload (mask size mismatch).
+ */
+class PreparedWorkload
+{
+  public:
+    PreparedWorkload(circuit::Workload workload,
+                     const sched::LatencyModel &latency,
+                     const std::vector<unsigned> &blocks);
+
+    const circuit::Workload &workload() const { return _workload; }
+    const circuit::DependencyGraph &dag() const { return _dag; }
+    const sched::SchedulePlan &plan() const { return _plan; }
+
+    /** Flat-baseline makespan in gate-steps at @p blocks; nullopt
+     *  when that block count was not prepared. */
+    std::optional<std::uint64_t> flatMakespan(unsigned blocks) const;
+
+  private:
+    circuit::Workload _workload;
+    circuit::DependencyGraph _dag;
+    sched::SchedulePlan _plan;
+    /** (blocks, flat makespan), one entry per prepared count. */
+    std::vector<std::pair<unsigned, std::uint64_t>> _flat;
+};
+
+/**
+ * Execute @p prepared through the hierarchy under @p config /
  * @p params. The workload's cacheable mask (empty = everything
  * cacheable) decides which qubits cross the memory hierarchy; its
  * program may come from any registered generator or a parsed
  * text-format circuit — the engine only sees the instruction DAG.
- * Panics on a malformed workload (mask size mismatch, zero capacity
- * or channels); validate specs at the api layer for recoverable
- * diagnostics.
+ * config.latency must be the latency model @p prepared was built
+ * under. A block count without a prepared flat baseline is scheduled
+ * on the spot. Panics on zero capacity or channels; validate specs at
+ * the api layer for recoverable diagnostics.
  */
+TraceResult runTrace(const PreparedWorkload &prepared,
+                     const TraceConfig &config,
+                     const iontrap::Params &params);
+
+/** One-shot form: prepares @p workload for @p config, then runs it. */
 TraceResult runTrace(const circuit::Workload &workload,
                      const TraceConfig &config,
                      const iontrap::Params &params);

@@ -264,7 +264,8 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
     LatencyModel lat;
     const auto batch = listSchedule(prog, dag, lat, 4);
 
-    IncrementalScheduler inc(prog, dag, lat, 4);
+    const SchedulePlan plan(prog, dag, lat);
+    IncrementalScheduler inc(plan, 4);
     std::vector<std::uint64_t> start(prog.size(), 0);
     // (finish, index) ordered retirement, like the batch driver.
     std::vector<std::pair<std::uint64_t, IssueClaim>> running;
@@ -301,9 +302,10 @@ TEST(IncrementalSchedule, ClaimBatchMatchesRepeatedClaimExactly)
         16, true, nullptr, gen::UncomputeMode::CarriesLeftDirty);
     circuit::DependencyGraph dag(prog);
     LatencyModel lat;
+    const SchedulePlan plan(prog, dag, lat);
     for (const unsigned blocks : {0u, 3u, 8u}) {
-        IncrementalScheduler one(prog, dag, lat, blocks);
-        IncrementalScheduler batch(prog, dag, lat, blocks);
+        IncrementalScheduler one(plan, blocks);
+        IncrementalScheduler batch(plan, blocks);
         std::vector<std::pair<std::uint64_t, IssueClaim>> running;
         std::uint64_t now = 0;
         while (!one.finished()) {
@@ -348,7 +350,8 @@ TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
     p.cnot(QubitId(1), QubitId(2));  // depends on both
     circuit::DependencyGraph dag(p);
     LatencyModel lat;
-    IncrementalScheduler inc(p, dag, lat, 1);
+    const SchedulePlan plan(p, dag, lat);
+    IncrementalScheduler inc(plan, 1);
 
     const auto first = inc.claim();
     ASSERT_TRUE(first.has_value());

@@ -340,6 +340,55 @@ TEST(Server, WarmCacheServesTheRepeatPopulationWithoutSimulating)
     EXPECT_EQ(stats.rows, 2u * 8u * 3u);
 }
 
+TEST(Server, ShortRequestsNeverEndTheirStreamEarly)
+{
+    // Many short requests of unique specs on two clients: a worker
+    // retiring a job's last rows between the connection's harvest and
+    // its "job finished" check must not end the stream short of its
+    // total (the done record would read "rows":15,"total":16).
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+    Serving serving(server);
+
+    constexpr std::size_t kRequests = 150;
+    constexpr std::size_t kSpecs = 16;
+    const std::string complete = "\"rows\":" + std::to_string(kSpecs) +
+                                 ",\"total\":" + std::to_string(kSpecs) +
+                                 ",";
+    std::vector<std::thread> clients;
+    for (std::size_t k = 0; k < 2; ++k) {
+        clients.emplace_back([k, &server, &complete]() {
+            auto client =
+                server::Client::connect("127.0.0.1", server.port());
+            ASSERT_TRUE(client.ok()) << client.error().describe();
+            std::size_t short_streams = 0;
+            for (std::size_t r = 0; r < kRequests; ++r) {
+                std::vector<std::string> specs;
+                for (std::size_t i = 0; i < kSpecs; ++i)
+                    specs.push_back(
+                        "experiment=bandwidth blocks=" +
+                        std::to_string(1 + i + kSpecs *
+                                                   (r + kRequests * k)));
+                const auto records = client.value().request(
+                    requestLine("short-" + std::to_string(r), specs));
+                ASSERT_TRUE(records.ok()) << records.error().describe();
+                const auto &done = records.value().back();
+                ASSERT_NE(done.find("\"type\":\"done\""),
+                          std::string::npos)
+                    << done;
+                if (done.find(complete) == std::string::npos) {
+                    ++short_streams;
+                    ADD_FAILURE() << "client " << k << ": " << done;
+                }
+            }
+            EXPECT_EQ(short_streams, 0u);
+        });
+    }
+    for (auto &client : clients)
+        client.join();
+}
+
 TEST(Server, OverflowingMaxClientsGetsATypedRefusal)
 {
     auto config = testConfig();

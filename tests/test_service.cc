@@ -356,6 +356,29 @@ TEST(Service, ErrorsAreRecordsAndTheLoopKeepsServing)
               std::string::npos);
 }
 
+TEST(Service, RandomWorkloadBelowItsQubitFloorIsATypedInvalidSpec)
+{
+    // n=2 passes the trace kind's own range, but gen::randomMixed
+    // needs 3 qubits: the generator's precondition must turn it away
+    // at validation, before a worker ever builds it.
+    const auto output = serve(
+        "{\"op\":\"sweep\",\"id\":\"x\",\"specs\":["
+        "\"experiment=trace workload=random n=2\"]}\n"
+        "{\"id\":\"after\",\"specs\":[\"experiment=bandwidth\"]}\n");
+    const auto records = lines(output);
+    ASSERT_EQ(records.size(), 4u);  // error, then accepted, row, done
+    EXPECT_NE(records[0].find("\"type\":\"error\""), std::string::npos);
+    EXPECT_NE(records[0].find("\"id\":\"x\""), std::string::npos);
+    EXPECT_NE(records[0].find("\"code\":\"invalid_spec\""),
+              std::string::npos);
+    EXPECT_NE(records[0].find("workload random needs n >= 3"),
+              std::string::npos);
+    // The process is still serving.
+    EXPECT_NE(records[3].find("\"id\":\"after\""), std::string::npos);
+    EXPECT_NE(records[3].find("\"rows\":1,\"total\":1"),
+              std::string::npos);
+}
+
 TEST(Service, IdenticalRequestsStreamIdenticalBytes)
 {
     const std::string request =

@@ -55,6 +55,14 @@ struct BadInput
     const char *reason;
 };
 
+// Without this GTest prints the two pointers, and the test names that
+// gtest_discover_tests builds from the printed parameter change with
+// every load address.
+void PrintTo(const BadInput &input, std::ostream *os)
+{
+    *os << input.reason;
+}
+
 class ParseErrors : public ::testing::TestWithParam<BadInput>
 {};
 
