@@ -1,5 +1,6 @@
 #include "logging.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,20 +8,22 @@ namespace qmh {
 
 namespace {
 
-LogLevel global_level = LogLevel::Info;
+// Read by worker threads through warn()/inform(); relaxed is enough
+// because the level orders nothing but its own reads and writes.
+std::atomic<LogLevel> global_level{LogLevel::Info};
 
 } // namespace
 
 void
 setLogLevel(LogLevel level)
 {
-    global_level = level;
+    global_level.store(level, std::memory_order_relaxed);
 }
 
 LogLevel
 logLevel()
 {
-    return global_level;
+    return global_level.load(std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -42,14 +45,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (global_level >= LogLevel::Warn)
+    if (logLevel() >= LogLevel::Warn)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (global_level >= LogLevel::Info)
+    if (logLevel() >= LogLevel::Info)
         std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 

@@ -205,26 +205,35 @@ Connection::startRequest(api::ServiceRequest request)
         misses = std::move(experiments);
     }
 
-    if (!misses.empty()) {
-        api::SubmitOptions options;
-        options.base_seed = request.seed;
-        options.seeds = std::move(miss_seeds);
-        EventLoop *loop = &_loop;
-        options.on_retire = [loop]() { loop->wakeup(); };
-        auto submitted =
-            _session.submit(std::move(misses), std::move(options));
-        if (!submitted.ok()) {
-            emit(api::recordError(request.id, submitted.error()));
-            ++_stats.errors;
-            return;
-        }
-        active.job = std::move(submitted).value();
-    }
-
     emit(api::recordAccepted(request.id, active.slots.size(),
                              active.columns));
     active.request = std::move(request);
     _active = std::move(active);
+
+    // Put the leading resolved rows (cache hits and their dups) on
+    // the wire before the misses wake a worker, so the first row never
+    // waits behind simulation work that shares this CPU. Emission
+    // stops at the first miss; a limit the leading rows already meet
+    // finishes the request with nothing to simulate.
+    advanceActive();
+    flushSome();
+    if (!_active || misses.empty())
+        return;
+
+    api::SubmitOptions options;
+    options.base_seed = _active->request.seed;
+    options.seeds = std::move(miss_seeds);
+    EventLoop *loop = &_loop;
+    options.on_retire = [loop]() { loop->wakeup(); };
+    auto submitted =
+        _session.submit(std::move(misses), std::move(options));
+    if (!submitted.ok()) {
+        emit(api::recordError(_active->request.id, submitted.error()));
+        ++_stats.errors;
+        finalizeActive(true);
+        return;
+    }
+    _active->job = std::move(submitted).value();
 }
 
 void

@@ -24,9 +24,11 @@
  * Cache path: a request with seed_mode "spec" whose effective base
  * seed equals the cache's consults SharedCache per spec — hits and
  * intra-request duplicates replay without simulating, misses run as
- * one job whose rows are inserted as they are incorporated. Emission
- * order is request order; it stalls at the first unresolved slot, so
- * a failed miss truncates the stream exactly where stdio would.
+ * one job whose rows are inserted as they are incorporated. The
+ * accepted record and the leading resolved rows are flushed before
+ * that job is submitted. Emission order is request order; it stalls
+ * at the first unresolved slot, so a failed miss truncates the stream
+ * exactly where stdio would.
  */
 
 #ifndef QMH_SERVER_CONNECTION_HH

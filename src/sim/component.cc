@@ -42,7 +42,7 @@ TokenPool::release()
     // token (a parked port may have drained its queue meanwhile).
     while (!_waiters.empty() && _in_use < _capacity) {
         Port *next = _waiters.front();
-        _waiters.pop_front();
+        _waiters.erase(_waiters.begin());
         next->_parked = false;
         next->pump();
     }
@@ -84,7 +84,7 @@ Port::submit(Tick service, CompletionFn on_done)
     // round-trip. Observably identical to queue-then-pump: the
     // request would be popped right back in the same call, with zero
     // wait and zero queue occupancy either way.
-    if (_buffer.empty() && _overflow.empty() && _in_service < _width &&
+    if (_count == 0 && _in_service < _width &&
         (_tokens == nullptr || _tokens->tryAcquire())) {
         const auto seq = _next_seq++;
         ++_in_service;
@@ -105,14 +105,11 @@ Port::submit(Tick service, CompletionFn on_done)
     request.on_done = std::move(on_done);
 
     noteQueueChange();
-    if (_buffer.size() < _buffer_limit) {
-        _buffer.push_back(std::move(request));
-    } else {
-        // Bounded buffer full: the request waits at the requester's
-        // side of the port and is admitted FIFO when a slot frees.
+    // Bounded buffer full: the request waits at the requester's side
+    // of the port and is admitted FIFO when a slot frees.
+    if (_count >= _buffer_limit)
         ++_stats.buffer_overflows;
-        _overflow.push_back(std::move(request));
-    }
+    pushBack(std::move(request));
     pump();
     // Peak is measured after the pump so an uncontended request that
     // went straight into service never counts as queue occupancy.
@@ -122,7 +119,7 @@ Port::submit(Tick service, CompletionFn on_done)
 void
 Port::pump()
 {
-    while (_in_service < _width && !_buffer.empty()) {
+    while (_in_service < _width && _count > 0) {
         if (_tokens && !_tokens->tryAcquire()) {
             _tokens->enlist(*this);
             return;
@@ -135,14 +132,11 @@ void
 Port::startFront()
 {
     noteQueueChange();
-    Request request = std::move(_buffer.front());
-    _buffer.pop_front();
-    if (!_overflow.empty()) {
-        // A buffer slot freed: admit the longest-waiting overflow
-        // request so overall service order stays submission order.
-        _buffer.push_back(std::move(_overflow.front()));
-        _overflow.pop_front();
-    }
+    // Popping the front frees a buffer slot, which the longest-waiting
+    // overflow request (the next ring entry) takes implicitly.
+    Request request = std::move(_ring[_head]);
+    _head = (_head + 1) & (_ring.size() - 1);
+    --_count;
 
     const Tick waited = _owner.now() - request.submitted;
     if (waited > 0) {
@@ -158,6 +152,22 @@ Port::startFront()
     _owner.queue().scheduleAfter(
         request.service,
         [this, seq = request.seq] { complete(seq); });
+}
+
+void
+Port::pushBack(Request request)
+{
+    if (_count == _ring.size()) {
+        // Full: unwrap into a ring twice the size.
+        std::vector<Request> grown(std::max<std::size_t>(8,
+                                                         2 * _count));
+        for (std::size_t i = 0; i < _count; ++i)
+            grown[i] = std::move(_ring[(_head + i) & (_ring.size() - 1)]);
+        _ring.swap(grown);
+        _head = 0;
+    }
+    _ring[(_head + _count) & (_ring.size() - 1)] = std::move(request);
+    ++_count;
 }
 
 void

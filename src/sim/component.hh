@@ -11,11 +11,12 @@
  *    run stays an isolated, deterministic world.
  *
  *  - Port: a named service point owned by a component. A port has
- *    `width` identical servers, a *bounded* request deque, and an
- *    overflow queue that models backpressure to the requester: a
- *    submission that finds the buffer full waits outside the
- *    component and is admitted — in strict FIFO order — only when a
- *    slot frees. Requests in flight are parked in a flat store keyed
+ *    `width` identical servers and one FIFO of waiting requests, of
+ *    which the first `buffer_limit` form the *bounded* request buffer
+ *    and the rest the overflow that models backpressure to the
+ *    requester: a submission that finds the buffer full waits outside
+ *    the component and is admitted — in strict FIFO order — only when
+ *    a slot frees. Requests in flight are parked in a flat store keyed
  *    by submission seq (the mgsim in-flight map, reduced to a reused
  *    vector) until their completion event fires. Arbitration is
  *    deterministic: same-tick submissions are served in submission
@@ -36,7 +37,6 @@
 #define QMH_SIM_COMPONENT_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -103,7 +103,7 @@ class TokenPool
 
     unsigned _capacity;
     unsigned _in_use = 0;
-    std::deque<Port *> _waiters;
+    std::vector<Port *> _waiters;   ///< parked ports, FIFO
 };
 
 /**
@@ -140,7 +140,7 @@ class Port
      * @param owner        component this port belongs to
      * @param name         port name (diagnostics only)
      * @param width        identical servers (must be nonzero)
-     * @param buffer_limit bounded request-deque size (must be nonzero)
+     * @param buffer_limit bounded request-buffer size (must be nonzero)
      * @param tokens       optional shared issue-width pool
      */
     Port(Component &owner, std::string name, unsigned width,
@@ -163,10 +163,7 @@ class Port
     std::size_t bufferLimit() const { return _buffer_limit; }
 
     /** Requests waiting to start (bounded buffer + overflow). */
-    std::size_t queued() const
-    {
-        return _buffer.size() + _overflow.size();
-    }
+    std::size_t queued() const { return _count; }
 
     /** Requests currently holding a server. */
     unsigned inService() const { return _in_service; }
@@ -210,6 +207,7 @@ class Port
     /** Start as many queued requests as servers/tokens allow. */
     void pump();
     void startFront();
+    void pushBack(Request request);
     void complete(std::uint64_t seq);
     void noteQueueChange();
 
@@ -219,8 +217,16 @@ class Port
     std::size_t _buffer_limit;
     TokenPool *_tokens;
 
-    std::deque<Request> _buffer;    ///< bounded request deque
-    std::deque<Request> _overflow;  ///< backpressured submissions
+    /**
+     * Waiting requests as one ring FIFO (power-of-two capacity,
+     * reused across the run). The first min(_count, _buffer_limit)
+     * entries from _head are the bounded buffer and the rest are
+     * backpressured overflow: overflow only exists while the buffer
+     * is full, so buffer-then-overflow is exactly submission order.
+     */
+    std::vector<Request> _ring;
+    std::size_t _head = 0;
+    std::size_t _count = 0;
     /**
      * Started requests keyed by seq. The callback stays here — not in
      * the scheduled closure — so the completion event captures only

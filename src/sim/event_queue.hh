@@ -7,33 +7,30 @@
  * singleton queue — every simulation owns its own EventQueue so tests
  * and benches can run many independent simulations in one process.
  *
- * Internally this is a two-tier calendar queue built for raw event
- * throughput rather than the textbook binary heap:
+ * Internally the queue is one binary min-heap over a reused vector,
+ * sized for the simulations it serves: a trace run has at most about
+ * blocks + memory ports + transfer channels (under a hundred) events
+ * pending, so a heap that shallow needs no calendar buckets or
+ * horizon tuning.
  *
- *  - Event records live in a per-queue arena (blocks of frames strung
+ *  - Heap entries carry the (tick, priority, seq) key inline next to
+ *    a pointer to their event frame, so ordering never dereferences
+ *    a frame.
+ *
+ *  - Event frames live in a per-queue arena (blocks of frames strung
  *    on a free list), so steady-state scheduling performs no heap
  *    allocation. Handlers are stored in a small-buffer-optimized
  *    callable inline in the frame; closures beyond the inline budget
  *    spill to the heap and are counted (spilledHandlers()) so tests
  *    can pin the hot path to zero spills.
  *
- *  - Pending events within a near horizon of `bucket_count` tick-wide
- *    buckets (width 2^shift ticks, shift grows adaptively and never
- *    shrinks) are filed by tick bucket; only the single *active*
- *    bucket — the one currently dispatching — is kept heap-ordered by
- *    (tick, priority, seq). Events past the horizon wait in a small
- *    far heap and are drained into buckets as the window slides.
- *
  * Dispatch order is governed solely by the strict total order
- * (tick, priority, seq), so the calendar layout is unobservable:
- * ordering semantics are byte-identical to the previous
- * priority-queue kernel.
+ * (tick, priority, seq), so the heap layout is unobservable.
  */
 
 #ifndef QMH_SIM_EVENT_QUEUE_HH
 #define QMH_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -103,10 +100,10 @@ class EventQueue
     }
 
     /** True when no events remain. */
-    bool empty() const { return _size == 0; }
+    bool empty() const { return _heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return _size; }
+    std::size_t pending() const { return _heap.size(); }
 
     /** Execute the single next event; returns false if none remain. */
     bool step();
@@ -134,73 +131,48 @@ class EventQueue
     std::uint64_t spilledHandlers() const { return _spilled; }
 
   private:
-    /// Near-horizon bucket ring size; power of two.
-    static constexpr std::uint64_t bucket_count = 256;
-    static constexpr std::uint64_t bucket_mask = bucket_count - 1;
-    /// Cap so that any 64-bit tick delta spans < bucket_count keys.
-    static constexpr std::uint32_t max_shift = 56;
     /// Event frames per arena block.
     static constexpr std::size_t block_events = 128;
 
-    struct Event {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        int prio = 0;
+    /** Arena slot: the handler, or the free-list link when idle. */
+    struct Frame {
         EventFn fn;
-        Event *next_free = nullptr;
+        Frame *next_free = nullptr;
+    };
+
+    /** Heap entry: the dispatch key inline beside its frame. */
+    struct Entry {
+        Tick when;
+        std::uint64_t seq;
+        int prio;
+        Frame *frame;
     };
 
     /// "a dispatches after b" under the (tick, priority, seq) order.
     struct Later {
         bool
-        operator()(const Event *a, const Event *b) const
+        operator()(const Entry &a, const Entry &b) const
         {
-            if (a->when != b->when)
-                return a->when > b->when;
-            if (a->prio != b->prio)
-                return a->prio > b->prio;
-            return a->seq > b->seq;
+            if (a.when != b.when)
+                return a.when > b.when;
+            if (a.prio != b.prio)
+                return a.prio > b.prio;
+            return a.seq > b.seq;
         }
     };
 
     std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
-    void insert(Event *e);
-    void pushBucket(Event *e);
-
-    /**
-     * Ensure the active heap holds the next bucket to dispatch.
-     * Inline fast path — while the active heap is non-empty nothing
-     * needs refilling; the slide/coarsen machinery lives out of line.
-     */
-    bool
-    refill()
-    {
-        return !_active.empty() || refillSlow();
-    }
-    bool refillSlow();
     void dispatchTop();
-    void growTo(std::uint32_t new_shift);
-    Event *allocEvent();
-    void recycle(Event *e);
+    Frame *allocFrame();
 
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
-    std::size_t _size = 0;
 
-    std::uint32_t _shift = 0;
-    std::uint64_t _active_key = 0;
-    std::vector<Event *> _active;   ///< dispatching bucket, min-heap
-    std::array<std::vector<Event *>, bucket_count> _buckets;
-    /// Bit i set = ring slot i holds events; finds the next
-    /// non-empty bucket with a word scan instead of a slot walk.
-    std::array<std::uint64_t, bucket_count / 64> _occupied{};
-    std::size_t _near_count = 0;
-    std::vector<Event *> _far;      ///< beyond-horizon min-heap
-    std::vector<Event *> _rebucket; ///< scratch for shift growth
+    std::vector<Entry> _heap;   ///< pending events, min-heap
 
-    std::vector<std::unique_ptr<Event[]>> _blocks;
-    Event *_free = nullptr;
+    std::vector<std::unique_ptr<Frame[]>> _blocks;
+    Frame *_free = nullptr;
     std::uint64_t _spilled = 0;
 };
 

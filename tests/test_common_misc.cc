@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/strong_id.hh"
 #include "common/units.hh"
@@ -67,6 +70,25 @@ TEST(Logging, LevelsAreOrdered)
     EXPECT_EQ(logLevel(), LogLevel::Silent);
     setLogLevel(LogLevel::Info);
     EXPECT_EQ(logLevel(), LogLevel::Info);
+}
+
+TEST(Logging, LevelChangesWhileWorkersLog)
+{
+    // Worker threads read the level through inform() while another
+    // thread sets it; under ThreadSanitizer this pins the level as a
+    // data-race-free atomic. Neither level lets inform() print.
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 2; ++t)
+        workers.emplace_back([] {
+            for (int i = 0; i < 1000; ++i)
+                inform("worker ", i);
+        });
+    for (int i = 0; i < 1000; ++i)
+        setLogLevel(i % 2 ? LogLevel::Warn : LogLevel::Silent);
+    for (auto &worker : workers)
+        worker.join();
+    EXPECT_EQ(logLevel(), LogLevel::Warn);
+    setLogLevel(LogLevel::Info);
 }
 
 TEST(LoggingDeath, PanicAborts)

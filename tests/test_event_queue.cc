@@ -9,7 +9,6 @@
 
 #include "common/random.hh"
 #include "sim/event_queue.hh"
-#include "sim/resource.hh"
 
 namespace qmh {
 namespace sim {
@@ -319,47 +318,6 @@ TEST(EventQueueDeath, EmptyHandlerPanics)
 {
     EventQueue eq;
     EXPECT_DEATH(eq.schedule(1, EventQueue::Handler{}), "empty handler");
-}
-
-TEST(Resource, GrantsUpToCapacity)
-{
-    EventQueue eq;
-    Resource res(eq, "r", 2);
-    int granted = 0;
-    res.acquire([&] { ++granted; });
-    res.acquire([&] { ++granted; });
-    res.acquire([&] { ++granted; });  // must wait
-    eq.run();
-    EXPECT_EQ(granted, 2);
-    EXPECT_EQ(res.inUse(), 2u);
-    EXPECT_EQ(res.waiting(), 1u);
-    res.release();
-    eq.run();
-    EXPECT_EQ(granted, 3);
-}
-
-TEST(Resource, FifoOrderAmongWaiters)
-{
-    EventQueue eq;
-    Resource res(eq, "r", 1);
-    std::vector<int> order;
-    res.acquire([&] { order.push_back(0); });
-    res.acquire([&] { order.push_back(1); });
-    res.acquire([&] { order.push_back(2); });
-    eq.run();
-    res.release();
-    eq.run();
-    res.release();
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(res.grants(), 3u);
-}
-
-TEST(ResourceDeath, ReleaseWithoutAcquirePanics)
-{
-    EventQueue eq;
-    Resource res(eq, "r", 1);
-    EXPECT_DEATH(res.release(), "release without acquire");
 }
 
 } // namespace

@@ -340,6 +340,46 @@ TEST(Server, WarmCacheServesTheRepeatPopulationWithoutSimulating)
     EXPECT_EQ(stats.rows, 2u * 8u * 3u);
 }
 
+TEST(Server, LimitMetByCachedRowsSimulatesNothing)
+{
+    // The accepted record and the leading cache hits go out before the
+    // misses are submitted, so a limit those hits already meet ends
+    // the request with its misses never run — and the bytes are still
+    // the stdio bytes.
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+
+    const std::vector<std::string> warm = {"experiment=cache n=8",
+                                           "experiment=cache n=16"};
+    auto wider = warm;
+    wider.push_back("experiment=cache n=24");
+    wider.push_back("experiment=cache n=32");
+    const std::string lines[] = {
+        requestLine("warm", warm, "\"seed_mode\":\"spec\""),
+        requestLine("cut", wider,
+                    "\"seed_mode\":\"spec\",\"limit\":2")};
+
+    std::string received;
+    {
+        Serving serving(server);
+        auto client =
+            server::Client::connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.error().describe();
+        for (const auto &line : lines) {
+            const auto records = client.value().request(line);
+            ASSERT_TRUE(records.ok()) << records.error().describe();
+            received += joined(records.value());
+        }
+    }
+
+    EXPECT_EQ(received, stdioReference(lines[0] + "\n" + lines[1] +
+                                       "\n"));
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.simulated, warm.size());
+    EXPECT_EQ(stats.rows, warm.size() + 2u);
+}
+
 TEST(Server, ShortRequestsNeverEndTheirStreamEarly)
 {
     // Many short requests of unique specs on two clients: a worker

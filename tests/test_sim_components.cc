@@ -99,6 +99,47 @@ TEST(SimPort, BoundedBufferBackpressuresFifo)
     EXPECT_EQ(eq.now(), 15u);
 }
 
+TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
+{
+    // Width 1, buffer 2, 10-tick services. Seven submissions at t=0
+    // queue six requests; by t=35 three have started, so the next
+    // seven submissions wrap around the waiting FIFO's storage and
+    // outgrow it while wrapped. Service must stay submission order
+    // across the buffer/overflow boundary, the wrap and the growth,
+    // and every statistic must come out exact.
+    EventQueue eq;
+    Component owner(eq, "memory");
+    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2);
+
+    std::vector<int> order;
+    const auto submitIds = [&](int first, int last) {
+        for (int id = first; id <= last; ++id)
+            port.submit(10, [&, id]() { order.push_back(id); });
+    };
+    eq.schedule(0, [&]() { submitIds(0, 6); });
+    eq.schedule(35, [&]() { submitIds(7, 13); });
+    eq.run();
+
+    std::vector<int> expected;
+    for (int id = 0; id <= 13; ++id)
+        expected.push_back(id);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eq.now(), 140u);
+    EXPECT_EQ(port.queued(), 0u);
+    EXPECT_EQ(port.stats().served, 14u);
+    // Every submission after the buffer's two slots filled: ids 3..6
+    // at t=0 and all of ids 7..13 at t=35.
+    EXPECT_EQ(port.stats().buffer_overflows, 11u);
+    // Ten waiting right after the t=35 burst.
+    EXPECT_EQ(port.stats().peak_queue, 10u);
+    EXPECT_EQ(port.stats().conflict_stalls, 13u);
+    // Id k starts at 10k: waits 10+20+...+60 for ids 1..6 and
+    // 35+45+...+95 for ids 7..13.
+    EXPECT_EQ(port.stats().stall_ticks, 210u + 455u);
+    // Queue length over time integrates to the same 665 ticks.
+    EXPECT_DOUBLE_EQ(port.meanQueue(140), 665.0 / 140.0);
+}
+
 TEST(SimPort, FireAndForgetSubmissionCompletes)
 {
     EventQueue eq;
