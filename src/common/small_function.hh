@@ -10,7 +10,9 @@
  * within a fixed budget — and falls back to the heap only for
  * oversized closures, reporting that it did so through
  * heapAllocated() so callers (the EventQueue arena) can count
- * fallbacks and tests can pin the steady state to zero.
+ * fallbacks and tests can pin the steady state to zero. Inline
+ * storage is pointer-aligned, so closures with stricter alignment
+ * (a long double, say) spill too.
  *
  * Move-only by design: simulation callbacks are dispatched exactly
  * once and never copied, and move-only closures (owning a moved-in
@@ -106,7 +108,7 @@ class SmallFunction
     fitsInline()
     {
         return sizeof(D) <= InlineSize &&
-               alignof(D) <= alignof(std::max_align_t) &&
+               alignof(D) <= alignof(void *) &&
                std::is_nothrow_move_constructible_v<D>;
     }
 
@@ -200,7 +202,9 @@ class SmallFunction
     Invoke _invoke = nullptr;
     Manage _manage = nullptr;
     bool _heap = false;
-    alignas(std::max_align_t) unsigned char _storage[InlineSize];
+    // Pointer-aligned, so the object is three words plus the buffer
+    // (a 32-byte budget makes 56 bytes); over-aligned closures spill.
+    alignas(void *) unsigned char _storage[InlineSize];
 };
 
 } // namespace common

@@ -15,6 +15,78 @@
 namespace qmh {
 namespace cqla {
 
+namespace {
+
+/**
+ * The level-1 adder pipeline, and the completion sink of its bank
+ * and channel requests. A tag is `chained << 1 | stage`: stage 0 is
+ * the owning bank staging the critical set, which starts the channel
+ * wave; stage 1 is the wave, after which the addition computes — a
+ * chain-dependent one no earlier than the level-2 accumulator.
+ */
+struct Level1Pipeline final : sim::CompletionSink
+{
+    Level1Pipeline(sim::EventQueue &eq, sim::BankedMemory &memory,
+                   sim::TransferChannels &channels,
+                   const Tick &l2_busy_until)
+        : eq(eq), memory(memory), channels(channels),
+          l2_busy_until(l2_busy_until)
+    {
+    }
+
+    sim::EventQueue &eq;
+    sim::BankedMemory &memory;
+    sim::TransferChannels &channels;
+    const Tick &l2_busy_until;
+
+    double chain_dependent_fraction = 0.0;
+    unsigned critical_qubits = 0;
+    Tick per_qubit = 0;
+    Tick transfer_latency = 0;
+    Tick t1_compute = 0;
+    std::uint64_t remaining = 0;
+    std::uint64_t started = 0;
+
+    void
+    dispatch()
+    {
+        if (remaining == 0)
+            return;
+        --remaining;
+        const bool chained =
+            chain_dependent_fraction > 0.0 &&
+            static_cast<double>(started % 100) <
+                chain_dependent_fraction * 100.0;
+        // Successive additions walk the banks round-robin, the
+        // natural interleaving of a striped accumulator layout.
+        const std::uint64_t address = started;
+        ++started;
+        memory.request(address, critical_qubits,
+                       {this, std::uint64_t{chained} << 1});
+    }
+
+    void
+    portDone(std::uint64_t tag) override
+    {
+        // The staged set goes out as one channel pipelining the batch
+        // for its wave latency while all critical qubits charge the
+        // busy accounting.
+        if ((tag & 1) == 0) {
+            channels.transfer(transfer_latency,
+                              static_cast<Tick>(critical_qubits) *
+                                  per_qubit,
+                              {this, tag | 1});
+            return;
+        }
+        const bool chained = (tag >> 1) != 0;
+        const Tick compute_start =
+            chained ? std::max(eq.now(), l2_busy_until) : eq.now();
+        eq.schedule(compute_start + t1_compute, [this] { dispatch(); });
+    }
+};
+
+} // namespace
+
 HierarchySimResult
 runHierarchySim(const HierarchySimConfig &config,
                 const iontrap::Params &params)
@@ -70,8 +142,6 @@ runHierarchySim(const HierarchySimConfig &config,
 
     Tick l2_busy_until = 0;
     std::uint64_t l2_remaining = result.level2_adds;
-    std::uint64_t l1_remaining = result.level1_adds;
-    std::uint64_t l1_started = 0;
 
     // Level-2 region: back-to-back additions.
     std::function<void()> dispatch_l2 = [&]() {
@@ -84,44 +154,19 @@ runHierarchySim(const HierarchySimConfig &config,
 
     // Level-1 pipeline: pull the critical set through the transfer
     // channels (ceil(critical/channels) serial waves), then compute.
-    // A chain-dependent addition additionally waits for the level-2
-    // accumulator to catch up before its compute phase may start.
     const unsigned waves =
         (critical_qubits + config.parallel_transfers - 1) /
         config.parallel_transfers;
-    const Tick transfer_latency = static_cast<Tick>(waves) * per_qubit;
-
-    std::function<void()> dispatch_l1 = [&]() {
-        if (l1_remaining == 0)
-            return;
-        --l1_remaining;
-        const bool chained =
-            config.chain_dependent_fraction > 0.0 &&
-            static_cast<double>(l1_started % 100) <
-                config.chain_dependent_fraction * 100.0;
-        // Successive additions walk the banks round-robin, the
-        // natural interleaving of a striped accumulator layout.
-        const std::uint64_t address = l1_started;
-        ++l1_started;
-        // The owning bank stages the critical set, then one channel
-        // pipelines the batch for its wave latency while all critical
-        // qubits charge the busy accounting.
-        memory.request(address, critical_qubits, [&, chained]() {
-            channels.transfer(
-                transfer_latency,
-                static_cast<Tick>(critical_qubits) * per_qubit,
-                [&, chained]() {
-                    const Tick compute_start =
-                        chained ? std::max(eq.now(), l2_busy_until)
-                                : eq.now();
-                    eq.schedule(compute_start + t1_compute,
-                                [&]() { dispatch_l1(); });
-                });
-        });
-    };
+    Level1Pipeline l1(eq, memory, channels, l2_busy_until);
+    l1.chain_dependent_fraction = config.chain_dependent_fraction;
+    l1.critical_qubits = critical_qubits;
+    l1.per_qubit = per_qubit;
+    l1.transfer_latency = static_cast<Tick>(waves) * per_qubit;
+    l1.t1_compute = t1_compute;
+    l1.remaining = result.level1_adds;
 
     eq.schedule(0, [&]() { dispatch_l2(); });
-    eq.schedule(0, [&]() { dispatch_l1(); });
+    eq.schedule(0, [&]() { l1.dispatch(); });
     eq.run();
 
     result.makespan_s = units::ticksToSeconds(eq.now());

@@ -28,12 +28,12 @@ BankedMemory::BankedMemory(EventQueue &eq, std::string name,
 
 void
 BankedMemory::request(std::uint64_t address, unsigned lines,
-                      CompletionFn on_done)
+                      Completion done)
 {
     const Tick service = _config.cycles_per_request +
                          _config.cycles_per_line *
                              static_cast<Tick>(lines);
-    _banks[bankOf(address)]->submit(service, std::move(on_done));
+    _banks[bankOf(address)]->submit(service, done);
 }
 
 std::uint64_t

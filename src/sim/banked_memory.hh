@@ -55,12 +55,11 @@ class BankedMemory : public Component
                  const BankedMemoryConfig &config);
 
     /**
-     * Request @p lines lines at @p address; @p on_done (which may be
-     * empty for fire-and-forget traffic such as writebacks) runs when
-     * the owning bank completes the service.
+     * Request @p lines lines at @p address; @p done (a null sink for
+     * fire-and-forget traffic such as writebacks) is told when the
+     * owning bank completes the service.
      */
-    void request(std::uint64_t address, unsigned lines,
-                 CompletionFn on_done);
+    void request(std::uint64_t address, unsigned lines, Completion done);
 
     unsigned banks() const
     {

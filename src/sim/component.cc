@@ -75,7 +75,7 @@ Port::Port(Component &owner, std::string name, unsigned width,
 }
 
 void
-Port::submit(Tick service, CompletionFn on_done)
+Port::submit(Tick service, Completion done)
 {
     ++_stats.requests;
 
@@ -86,30 +86,16 @@ Port::submit(Tick service, CompletionFn on_done)
     // wait and zero queue occupancy either way.
     if (_count == 0 && _in_service < _width &&
         (_tokens == nullptr || _tokens->tryAcquire())) {
-        const auto seq = _next_seq++;
-        ++_in_service;
-        _stats.busy_ticks += service;
-        // Park the callback in the in-flight store so the scheduled
-        // closure is two words and never spills out of its arena
-        // frame.
-        _in_flight.push_back({seq, std::move(on_done)});
-        _owner.queue().scheduleAfter(
-            service, [this, seq] { complete(seq); });
+        start(service, done);
         return;
     }
-
-    Request request;
-    request.service = service;
-    request.submitted = _owner.now();
-    request.seq = _next_seq++;
-    request.on_done = std::move(on_done);
 
     noteQueueChange();
     // Bounded buffer full: the request waits at the requester's side
     // of the port and is admitted FIFO when a slot frees.
     if (_count >= _buffer_limit)
         ++_stats.buffer_overflows;
-    pushBack(std::move(request));
+    pushBack({service, _owner.now(), done});
     pump();
     // Peak is measured after the pump so an uncontended request that
     // went straight into service never counts as queue occupancy.
@@ -134,7 +120,7 @@ Port::startFront()
     noteQueueChange();
     // Popping the front frees a buffer slot, which the longest-waiting
     // overflow request (the next ring entry) takes implicitly.
-    Request request = std::move(_ring[_head]);
+    const Request request = _ring[_head];
     _head = (_head + 1) & (_ring.size() - 1);
     --_count;
 
@@ -143,45 +129,39 @@ Port::startFront()
         ++_stats.conflict_stalls;
         _stats.stall_ticks += waited;
     }
-    ++_in_service;
-    _stats.busy_ticks += request.service;
-
-    // Park the callback in the in-flight store so the scheduled
-    // closure is two words and never spills out of its arena frame.
-    _in_flight.push_back({request.seq, std::move(request.on_done)});
-    _owner.queue().scheduleAfter(
-        request.service,
-        [this, seq = request.seq] { complete(seq); });
+    start(request.service, request.done);
 }
 
 void
-Port::pushBack(Request request)
+Port::start(Tick service, Completion done)
+{
+    ++_in_service;
+    _stats.busy_ticks += service;
+    // The completion event carries {port, sink, tag}: 24 bytes, well
+    // inside an event frame's inline budget.
+    _owner.queue().scheduleAfter(service,
+                                 [this, done] { complete(done); });
+}
+
+void
+Port::pushBack(const Request &request)
 {
     if (_count == _ring.size()) {
         // Full: unwrap into a ring twice the size.
         std::vector<Request> grown(std::max<std::size_t>(8,
                                                          2 * _count));
         for (std::size_t i = 0; i < _count; ++i)
-            grown[i] = std::move(_ring[(_head + i) & (_ring.size() - 1)]);
+            grown[i] = _ring[(_head + i) & (_ring.size() - 1)];
         _ring.swap(grown);
         _head = 0;
     }
-    _ring[(_head + _count) & (_ring.size() - 1)] = std::move(request);
+    _ring[(_head + _count) & (_ring.size() - 1)] = request;
     ++_count;
 }
 
 void
-Port::complete(std::uint64_t seq)
+Port::complete(Completion done)
 {
-    CompletionFn on_done;
-    for (auto &entry : _in_flight) {
-        if (entry.seq == seq) {
-            on_done = std::move(entry.on_done);
-            entry = std::move(_in_flight.back());
-            _in_flight.pop_back();
-            break;
-        }
-    }
     if (_in_service == 0)
         qmh_panic("port '", _owner.name(), ".", _name,
                   "': completion without a request in service");
@@ -189,8 +169,8 @@ Port::complete(std::uint64_t seq)
     ++_stats.served;
     if (_tokens)
         _tokens->release();
-    if (on_done)
-        on_done();
+    if (done.sink)
+        done.sink->portDone(done.tag);
     pump();
 }
 

@@ -16,11 +16,11 @@
  *    and the rest the overflow that models backpressure to the
  *    requester: a submission that finds the buffer full waits outside
  *    the component and is admitted — in strict FIFO order — only when
- *    a slot frees. Requests in flight are parked in a flat store keyed
- *    by submission seq (the mgsim in-flight map, reduced to a reused
- *    vector) until their completion event fires. Arbitration is
- *    deterministic: same-tick submissions are served in submission
- *    order, never in hash or pointer order.
+ *    a slot frees. A request completes to a Completion: a sink and a
+ *    tag, as mgsim's memories complete to an IMemoryCallback and a
+ *    MemTag, so a request is plain data and its completion event is
+ *    three words. Arbitration is deterministic: same-tick submissions
+ *    are served in submission order, never in hash or pointer order.
  *
  *  - TokenPool: a counted issue-width shared by several ports of one
  *    component (e.g. the memory ports in front of the banks). A port
@@ -40,19 +40,35 @@
 #include <string>
 #include <vector>
 
-#include "common/small_function.hh"
 #include "event_queue.hh"
 
 namespace qmh {
 namespace sim {
 
+/** Receiver of component request completions. */
+class CompletionSink
+{
+  public:
+    /** The request submitted with @p tag has been served. */
+    virtual void portDone(std::uint64_t tag) = 0;
+
+  protected:
+    // Pending requests hold the sink's address, so it never moves.
+    CompletionSink() = default;
+    CompletionSink(const CompletionSink &) = delete;
+    CompletionSink &operator=(const CompletionSink &) = delete;
+    ~CompletionSink() = default;
+};
+
 /**
- * Completion callback for component requests. Small-buffer-optimized:
- * closures up to 48 bytes (a handful of pointers plus a claim record)
- * are stored inline; anything larger spills to the heap, so hot-path
- * callers keep their captures within the budget.
+ * Where a served request reports: @p sink is told @p tag. A null
+ * sink is fire-and-forget traffic such as writebacks.
  */
-using CompletionFn = common::SmallFunction<48>;
+struct Completion
+{
+    CompletionSink *sink = nullptr;
+    std::uint64_t tag = 0;
+};
 
 /** A named simulation object attached to one EventQueue. */
 class Component
@@ -112,11 +128,11 @@ class TokenPool
  *
  * submit() places a request; when a server (and, if the port shares a
  * TokenPool, a token) is available the request is served for its
- * @p service ticks, then its completion callback runs. Requests are
- * always served in submission order. A submission that finds the
- * bounded buffer full waits in the overflow queue — the component's
- * backpressure to the requester — and both the occurrence and the
- * waiting time are counted.
+ * @p service ticks, then its completion's sink is told its tag.
+ * Requests are always served in submission order. A submission that
+ * finds the bounded buffer full waits in the overflow queue — the
+ * component's backpressure to the requester — and both the
+ * occurrence and the waiting time are counted.
  */
 class Port
 {
@@ -153,10 +169,10 @@ class Port
 
     /**
      * Submit a request that holds one server for @p service ticks and
-     * then invokes @p on_done (which may be empty for fire-and-forget
+     * then reports to @p done (a null sink for fire-and-forget
      * traffic such as writebacks).
      */
-    void submit(Tick service, CompletionFn on_done);
+    void submit(Tick service, Completion done);
 
     const std::string &name() const { return _name; }
     unsigned width() const { return _width; }
@@ -167,9 +183,6 @@ class Port
 
     /** Requests currently holding a server. */
     unsigned inService() const { return _in_service; }
-
-    /** Requests awaiting their completion event (== inService()). */
-    std::size_t inFlight() const { return _in_flight.size(); }
 
     const Stats &stats() const { return _stats; }
 
@@ -191,15 +204,7 @@ class Port
     {
         Tick service;
         Tick submitted;
-        std::uint64_t seq;
-        CompletionFn on_done;
-    };
-
-    /** A started request parked until its completion event fires. */
-    struct InFlight
-    {
-        std::uint64_t seq;
-        CompletionFn on_done;
+        Completion done;
     };
 
     friend class TokenPool;
@@ -207,8 +212,9 @@ class Port
     /** Start as many queued requests as servers/tokens allow. */
     void pump();
     void startFront();
-    void pushBack(Request request);
-    void complete(std::uint64_t seq);
+    void start(Tick service, Completion done);
+    void pushBack(const Request &request);
+    void complete(Completion done);
     void noteQueueChange();
 
     Component &_owner;
@@ -227,18 +233,9 @@ class Port
     std::vector<Request> _ring;
     std::size_t _head = 0;
     std::size_t _count = 0;
-    /**
-     * Started requests keyed by seq. The callback stays here — not in
-     * the scheduled closure — so the completion event captures only
-     * {port, seq} and always fits an inline arena frame. The vector's
-     * capacity is reused across the run; lookup is by unique seq, so
-     * its internal order is unobservable.
-     */
-    std::vector<InFlight> _in_flight;
 
     unsigned _in_service = 0;
     bool _parked = false;           ///< enlisted in the token pool
-    std::uint64_t _next_seq = 0;
     Tick _last_queue_change = 0;
     Stats _stats;
 };

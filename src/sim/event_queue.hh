@@ -24,6 +24,12 @@
  *    spill to the heap and are counted (spilledHandlers()) so tests
  *    can pin the hot path to zero spills.
  *
+ *  - The inline budget is 32 bytes, so a frame is 64 bytes, one
+ *    cache line's worth. With few events pending and most pops
+ *    landing on the current tick, moving the payload, not ordering
+ *    the heap, is what an event costs; every hot-path closure (a
+ *    port completion is {port, sink, tag}) fits in four words.
+ *
  * Dispatch order is governed solely by the strict total order
  * (tick, priority, seq), so the heap layout is unobservable.
  */
@@ -60,7 +66,7 @@ class EventQueue
 {
   public:
     /** Inline closure budget per event frame, bytes. */
-    static constexpr std::size_t event_inline_bytes = 64;
+    static constexpr std::size_t event_inline_bytes = 32;
 
     using Handler = std::function<void()>;
     using EventFn = common::SmallFunction<event_inline_bytes>;
@@ -139,6 +145,8 @@ class EventQueue
         EventFn fn;
         Frame *next_free = nullptr;
     };
+    static_assert(sizeof(Frame) == 64,
+                  "an event frame is one cache line's worth");
 
     /** Heap entry: the dispatch key inline beside its frame. */
     struct Entry {

@@ -1,7 +1,5 @@
 #include "transfer_channels.hh"
 
-#include <utility>
-
 namespace qmh {
 namespace sim {
 
@@ -13,10 +11,10 @@ TransferChannels::TransferChannels(EventQueue &eq, unsigned capacity,
 }
 
 void
-TransferChannels::transfer(Tick hold, Tick busy, CompletionFn on_done)
+TransferChannels::transfer(Tick hold, Tick busy, Completion done)
 {
     _busy += busy;
-    _port.submit(hold, std::move(on_done));
+    _port.submit(hold, done);
 }
 
 double

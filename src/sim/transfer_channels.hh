@@ -43,13 +43,13 @@ class TransferChannels : public Component
 
     /**
      * Request one channel (FIFO when all are busy), hold it for
-     * @p hold ticks once granted, then release it and invoke
-     * @p on_done. @p busy ticks are charged to the busy accounting at
+     * @p hold ticks once granted, then release it and report to
+     * @p done. @p busy ticks are charged to the busy accounting at
      * request time — a pipelined batch holds one channel for its wave
      * latency while keeping every wire of the batch busy, so the two
      * can legitimately differ (single transfers pass hold == busy).
      */
-    void transfer(Tick hold, Tick busy, CompletionFn on_done);
+    void transfer(Tick hold, Tick busy, Completion done);
 
     unsigned capacity() const { return _port.width(); }
 

@@ -18,15 +18,33 @@ namespace trace {
 namespace {
 
 /**
- * Per-run issue pipeline state. Bundling it behind one pointer keeps
- * every simulation callback down to {context, claim} — 20 bytes, well
- * inside the inline closure budgets of the event arena and the
- * component ports — and lets the per-gate scratch vectors (missing
+ * Per-run issue pipeline state, and the completion sink of the banks
+ * and the wire. Bundling it behind one pointer keeps every event
+ * closure down to {context, index} and every component request down
+ * to {context, tag}, and lets the per-gate scratch vectors (missing
  * operands, eviction victims, the claimed front) reuse their capacity
  * across all gates of the run.
+ *
+ * A fill's tag is `claim index << 1 | stage`: stage 0 is the bank
+ * serving the line, which starts the wire transfer; stage 1 is the
+ * wire, which counts down the gate's outstanding operands.
  */
-struct EngineCtx
+struct EngineCtx final : sim::CompletionSink
 {
+    EngineCtx(const circuit::Program &program, sim::EventQueue &eq,
+              sim::TransferChannels &channels, sim::BankedMemory &memory,
+              cache::CacheState &cache,
+              sched::IncrementalScheduler &scheduler, Tick step1,
+              Tick per_transfer)
+        : program(program), eq(eq), channels(channels), memory(memory),
+          cache(cache), scheduler(scheduler), step1(step1),
+          per_transfer(per_transfer), claims(program.size()),
+          waiting(program.size(), 0)
+    {
+        begin_times.reserve(program.size());
+        end_times.reserve(program.size());
+    }
+
     const circuit::Program &program;
     sim::EventQueue &eq;
     sim::TransferChannels &channels;
@@ -36,11 +54,13 @@ struct EngineCtx
     Tick step1;
     Tick per_transfer;
 
-    std::vector<Tick> start;
-    std::vector<Tick> duration;
+    // Each issued gate's claim (its block, for the retire), by index.
+    std::vector<sched::IssueClaim> claims;
     // Transfers still outstanding before a claimed gate may compute.
     std::vector<std::uint32_t> waiting;
     std::uint64_t writebacks = 0;
+    // Total block-time of every computed gate.
+    Tick busy = 0;
 
     // Compute begin/end instants in event-execution order (each
     // stream is non-decreasing because simulated time only moves
@@ -54,20 +74,34 @@ struct EngineCtx
     std::vector<circuit::QubitId> missing;
     std::vector<circuit::QubitId> evicted;
 
-    void
-    beginCompute(const sched::IssueClaim &claimed)
+    Tick
+    duration(std::uint32_t index) const
     {
-        start[claimed.index] = eq.now();
-        duration[claimed.index] =
-            static_cast<Tick>(claimed.latency) * step1;
-        if (duration[claimed.index] > 0)
+        return static_cast<Tick>(claims[index].latency) * step1;
+    }
+
+    void
+    beginCompute(std::uint32_t index)
+    {
+        busy += duration(index);
+        if (duration(index) > 0)
             begin_times.push_back(eq.now());
-        eq.scheduleAfter(duration[claimed.index], [this, claimed] {
-            if (duration[claimed.index] > 0)
+        eq.scheduleAfter(duration(index), [this, index] {
+            if (duration(index) > 0)
                 end_times.push_back(eq.now());
-            scheduler.complete(claimed);
+            scheduler.complete(claims[index]);
             pump();
         });
+    }
+
+    void
+    portDone(std::uint64_t tag) override
+    {
+        const auto index = static_cast<std::uint32_t>(tag >> 1);
+        if ((tag & 1) == 0)
+            channels.transfer(per_transfer, per_transfer, {this, tag | 1});
+        else if (--waiting[index] == 0)
+            beginCompute(index);
     }
 
     /**
@@ -104,7 +138,9 @@ struct EngineCtx
     void
     issue(const sched::IssueClaim &claimed)
     {
-        const auto &inst = program[claimed.index];
+        const auto index = claimed.index;
+        claims[index] = claimed;
+        const auto &inst = program[index];
         // Residency first: the missing set is what this issue pulls
         // through the memory banks and the transfer network.
         // access() then counts hits/misses and brings the missing
@@ -120,22 +156,15 @@ struct EngineCtx
             memory.request(victim.value(), 1, {});
         }
         if (missing.empty()) {
-            beginCompute(claimed);
+            beginCompute(index);
             return;
         }
-        waiting[claimed.index] =
-            static_cast<std::uint32_t>(missing.size());
-        for (const auto qubit : missing) {
-            // Fill: the owning bank serves the line, then the wire
-            // carries it to level 1.
-            memory.request(qubit.value(), 1, [this, claimed] {
-                channels.transfer(
-                    per_transfer, per_transfer, [this, claimed] {
-                        if (--waiting[claimed.index] == 0)
-                            beginCompute(claimed);
-                    });
-            });
-        }
+        waiting[index] = static_cast<std::uint32_t>(missing.size());
+        // Fill: the owning bank serves the line, then the wire
+        // carries it to level 1 (portDone).
+        for (const auto qubit : missing)
+            memory.request(qubit.value(), 1,
+                           {this, std::uint64_t{index} << 1});
     }
 
     void
@@ -245,13 +274,8 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
                             static_cast<std::size_t>(program.qubitCount()));
     sched::IncrementalScheduler scheduler(prepared.plan(), config.blocks);
 
-    EngineCtx ctx{program,  eq,    channels, memory,
-                  cache,    scheduler, step1, per_transfer,
-                  std::vector<Tick>(m, 0), std::vector<Tick>(m, 0),
-                  std::vector<std::uint32_t>(m, 0),
-                  0,        {},    {},       {},     {},  {}};
-    ctx.begin_times.reserve(m);
-    ctx.end_times.reserve(m);
+    EngineCtx ctx(program, eq, channels, memory, cache, scheduler, step1,
+                  per_transfer);
 
     eq.schedule(0, [&ctx] { ctx.pump(); });
     eq.run();
@@ -288,9 +312,7 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
 
     result.blocks_used = scheduler.blocksUsed();
 
-    Tick busy = 0;
-    for (const auto d : ctx.duration)
-        busy += d;
+    const Tick busy = ctx.busy;
     const double block_capacity =
         static_cast<double>(makespan) *
         static_cast<double>(result.blocks_used);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,6 +278,31 @@ TEST(EventQueue, OversizedClosuresSpillAndAreCounted)
     eq.schedule(1, [payload, &seen] { seen = payload[11]; });
     eq.run();
     EXPECT_EQ(seen, 7u);
+    EXPECT_EQ(eq.spilledHandlers(), 1u);
+}
+
+TEST(EventQueue, InlineBudgetIsThirtyTwoBytes)
+{
+    // The frame budget every hot-path closure is sized against: four
+    // words (a port completion is {port, sink, tag}) and a
+    // std::function Handler stay inline; one word more spills.
+    EXPECT_EQ(EventQueue::event_inline_bytes, 32u);
+    EventQueue eq;
+    std::uint64_t sum = 0;
+    const std::array<std::uint64_t, 3> three{1, 2, 3};
+    const auto fits = [three, &sum] { sum += three[0] + three[2]; };
+    static_assert(sizeof(fits) == 32);
+    static_assert(std::is_trivially_copyable_v<decltype(fits)>);
+    eq.schedule(1, fits);
+    eq.schedule(2, EventQueue::Handler([&sum] { sum += 10; }));
+    EXPECT_EQ(eq.spilledHandlers(), 0u);
+
+    const std::array<std::uint64_t, 4> four{1, 2, 3, 100};
+    const auto spills = [four, &sum] { sum += four[3]; };
+    static_assert(sizeof(spills) == 40);
+    eq.schedule(3, spills);
+    eq.run();
+    EXPECT_EQ(sum, 4u + 10u + 100u);
     EXPECT_EQ(eq.spilledHandlers(), 1u);
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/banked_memory.hh"
@@ -19,19 +21,53 @@ namespace qmh {
 namespace sim {
 namespace {
 
+/** Completion sink that records each reported tag and its tick. */
+class RecordingSink final : public CompletionSink
+{
+  public:
+    explicit RecordingSink(const EventQueue &eq) : _eq(eq) {}
+
+    /** A completion that reports @p tag here. */
+    Completion operator()(std::uint64_t tag) { return {this, tag}; }
+
+    void
+    portDone(std::uint64_t tag) override
+    {
+        tags.push_back(tag);
+        ticks.push_back(_eq.now());
+    }
+
+    /** The recorded tags as ints, in completion order. */
+    std::vector<int>
+    ids() const
+    {
+        std::vector<int> out;
+        for (const auto tag : tags)
+            out.push_back(static_cast<int>(tag));
+        return out;
+    }
+
+    std::vector<std::uint64_t> tags;
+    std::vector<Tick> ticks;
+
+  private:
+    const EventQueue &_eq;
+};
+
 TEST(SimPort, UncontendedRequestIsNeverAConflict)
 {
     EventQueue eq;
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/2, /*buffer_limit=*/4);
 
-    int done = 0;
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
-        port.submit(10, [&]() { ++done; });
-        port.submit(10, [&]() { ++done; });
+        port.submit(10, sink(0));
+        port.submit(10, sink(1));
     });
     eq.run();
 
+    const auto done = static_cast<int>(sink.tags.size());
     EXPECT_EQ(done, 2);
     EXPECT_EQ(eq.now(), 10u);
     EXPECT_EQ(port.stats().requests, 2u);
@@ -56,16 +92,14 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/8);
 
-    std::vector<int> order;
-    std::vector<Tick> completed;
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
         for (int id = 0; id < 4; ++id)
-            port.submit(10, [&, id]() {
-                order.push_back(id);
-                completed.push_back(eq.now());
-            });
+            port.submit(10, sink(id));
     });
     eq.run();
+    const auto order = sink.ids();
+    const auto completed = sink.ticks;
 
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
     EXPECT_EQ(completed, (std::vector<Tick>{10, 20, 30, 40}));
@@ -84,12 +118,13 @@ TEST(SimPort, BoundedBufferBackpressuresFifo)
     // buffer full and waits in the overflow queue.
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/1);
 
-    std::vector<int> order;
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
         for (int id = 0; id < 3; ++id)
-            port.submit(5, [&, id]() { order.push_back(id); });
+            port.submit(5, sink(id));
     });
     eq.run();
+    const auto order = sink.ids();
 
     // Backpressure must not reorder: service is submission order even
     // across the buffer/overflow boundary.
@@ -111,14 +146,15 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2);
 
-    std::vector<int> order;
+    RecordingSink sink(eq);
     const auto submitIds = [&](int first, int last) {
         for (int id = first; id <= last; ++id)
-            port.submit(10, [&, id]() { order.push_back(id); });
+            port.submit(10, sink(id));
     };
     eq.schedule(0, [&]() { submitIds(0, 6); });
     eq.schedule(35, [&]() { submitIds(7, 13); });
     eq.run();
+    const auto order = sink.ids();
 
     std::vector<int> expected;
     for (int id = 0; id <= 13; ++id)
@@ -150,7 +186,42 @@ TEST(SimPort, FireAndForgetSubmissionCompletes)
     EXPECT_EQ(port.stats().served, 1u);
     EXPECT_EQ(eq.now(), 7u);
     EXPECT_EQ(port.inService(), 0u);
-    EXPECT_EQ(port.inFlight(), 0u);
+}
+
+TEST(SimPort, TaggedCompletionsReportInServiceOrder)
+{
+    // A width-1 port behind a one-token pool that another port holds
+    // first: every request waits, the buffer overflows, and the sink
+    // still hears each tag unchanged, in submission order, at the
+    // exact tick its service ends. The null-sink request in the
+    // middle reports to nobody but is served and charged like the
+    // rest.
+    EventQueue eq;
+    Component owner(eq, "memory");
+    TokenPool tokens(1);
+    Port holder(owner, "holder", 1, 8, &tokens);
+    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2, &tokens);
+
+    RecordingSink sink(eq);
+    eq.schedule(0, [&]() {
+        holder.submit(4, {});
+        port.submit(10, sink(7));
+        port.submit(10, sink(3));
+        port.submit(10, {});
+        port.submit(10, sink(9));
+    });
+    eq.run();
+
+    EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{7, 3, 9}));
+    EXPECT_EQ(sink.ticks, (std::vector<Tick>{14, 24, 44}));
+    EXPECT_EQ(port.stats().served, 4u);
+    EXPECT_EQ(port.stats().busy_ticks, 40u);
+    EXPECT_EQ(port.stats().buffer_overflows, 2u);
+    EXPECT_EQ(port.stats().conflict_stalls, 4u);
+    EXPECT_EQ(port.stats().stall_ticks, 4u + 14u + 24u + 34u);
+    EXPECT_EQ(holder.stats().served, 1u);
+    EXPECT_EQ(tokens.inUse(), 0u);
+    EXPECT_EQ(port.inService(), 0u);
 }
 
 TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
@@ -182,14 +253,18 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
     Port a(owner, "a", 1, 8, &tokens);
     Port b(owner, "b", 1, 8, &tokens);
 
-    std::vector<std::string> order;
+    const std::string names[] = {"a0", "b0", "a1", "b1"};
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
-        a.submit(5, [&]() { order.push_back("a0"); });
-        b.submit(5, [&]() { order.push_back("b0"); });
-        a.submit(5, [&]() { order.push_back("a1"); });
-        b.submit(5, [&]() { order.push_back("b1"); });
+        a.submit(5, sink(0));
+        b.submit(5, sink(1));
+        a.submit(5, sink(2));
+        b.submit(5, sink(3));
     });
     eq.run();
+    std::vector<std::string> order;
+    for (const auto tag : sink.tags)
+        order.push_back(names[tag]);
 
     EXPECT_EQ(order, (std::vector<std::string>{"a0", "b0", "a1",
                                                "b1"}));
@@ -307,12 +382,13 @@ TEST(SimBankedMemory, FullBankBufferBackpressures)
     config.buffer = 2;
     config.cycles_per_request = 5;
     BankedMemory memory(eq, "mem", config);
-    std::vector<int> order;
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
         for (int id = 0; id < 5; ++id)
-            memory.request(0, 1, [&, id]() { order.push_back(id); });
+            memory.request(0, 1, sink(id));
     });
     eq.run();
+    const auto order = sink.ids();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
     // In service + 2 buffered; the remaining 2 overflowed.
     EXPECT_EQ(memory.bufferOverflows(), 2u);
@@ -355,13 +431,13 @@ TEST(SimTransferChannels, SurfacesPortContentionStats)
 {
     EventQueue eq;
     TransferChannels channels(eq, 1);
-    std::vector<int> order;
+    RecordingSink sink(eq);
     eq.schedule(0, [&]() {
         for (int id = 0; id < 3; ++id)
-            channels.transfer(10, 10,
-                              [&, id]() { order.push_back(id); });
+            channels.transfer(10, 10, sink(id));
     });
     eq.run();
+    const auto order = sink.ids();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(channels.transfers(), 3u);
     EXPECT_EQ(channels.conflicts(), 2u);
