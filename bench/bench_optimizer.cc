@@ -70,7 +70,8 @@ printOptimizer()
         brute_best = std::max(
             brute_best, *brute_run.table.cell(r, obj).asNumber());
 
-    opt::ResultCache cache;  // in-memory: the warm pass replays it
+    // In-memory: the warm pass replays it.
+    opt::ResultCache cache(runner.options().base_seed);
     const auto cold = opt::frontierSearch(
         runner, base, {axis_fraction, axis_transfers}, options, &cache);
     const auto warm = opt::frontierSearch(
@@ -121,7 +122,7 @@ BM_FrontierSearchWarmCache(benchmark::State &state)
     const auto base = referenceBase();
     const auto options = referenceOptions();
     sweep::SweepRunner runner({.threads = 2});
-    opt::ResultCache cache;
+    opt::ResultCache cache(runner.options().base_seed);
     opt::frontierSearch(runner, base, {axis_fraction, axis_transfers},
                         options, &cache);
     for (auto _ : state) {
@@ -136,7 +137,7 @@ BENCHMARK(BM_FrontierSearchWarmCache)->Unit(benchmark::kMillisecond);
 void
 BM_ResultCacheLookup(benchmark::State &state)
 {
-    opt::ResultCache cache;
+    opt::ResultCache cache(1);
     std::vector<std::string> keys;
     for (int i = 0; i < 512; ++i) {
         keys.push_back("experiment=hierarchy n=" + std::to_string(i));

@@ -209,15 +209,15 @@ main(int argc, char **argv)
     }
 
     sweep::SweepRunner runner({.threads = threads, .base_seed = seed});
-    opt::ResultCache cache;
+    opt::ResultCache cache(seed);
     if (!cache_path.empty()) {
-        const auto error = cache.open(cache_path, seed);
+        const auto error = cache.open(cache_path);
         if (!error.empty()) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 1;
         }
         std::printf("cache: %s (%zu points loaded)\n",
-                    cache_path.c_str(), cache.size());
+                    cache_path.c_str(), cache.stats().resident);
     }
 
     if (progress)

@@ -493,17 +493,6 @@ validateExperiments(const std::vector<ExperimentSpec> &specs)
     return experiments;
 }
 
-std::vector<std::unique_ptr<Experiment>>
-makeValidatedExperiments(const std::vector<ExperimentSpec> &specs)
-{
-    auto experiments = validateExperiments(specs);
-    if (!experiments.ok())
-        // qmh-lint: allow(typed-errors): documented legacy panic surface — validateExperiments is the typed twin callers migrate to
-        qmh_panic("makeValidatedExperiments: ",
-                  experiments.error().describe());
-    return std::move(experiments).value();
-}
-
 sweep::ResultTable
 runSpecSweep(sweep::SweepRunner &runner,
              const std::vector<ExperimentSpec> &specs)

@@ -93,14 +93,6 @@ std::optional<Error> checkExperimentBatch(
 validateExperiments(const std::vector<ExperimentSpec> &specs);
 
 /**
- * validateExperiments with the legacy contract: violations panic.
- * For recoverable diagnostics use validateExperiments (or submit
- * through an api::Session, which returns the typed error).
- */
-std::vector<std::unique_ptr<Experiment>>
-makeValidatedExperiments(const std::vector<ExperimentSpec> &specs);
-
-/**
  * Run every spec across @p runner and emit one table (columns of the
  * specs' kind plus a trailing "seed" column with each point's derived
  * seed). All specs must validate and be of one kind; violations

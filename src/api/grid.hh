@@ -2,8 +2,7 @@
  * @file
  * Generic design-space grid over ExperimentSpecs.
  *
- * Where sweep::HierarchyGrid enumerates one simulator's config
- * struct, SpecGrid expands axis overrides on *any* spec: an axis is a
+ * SpecGrid expands axis overrides on *any* spec: an axis is a
  * spec key plus the textual values to sweep it over, applied through
  * the shared key=value machinery. The cross product preserves axis
  * declaration order (first axis slowest, last fastest), so point

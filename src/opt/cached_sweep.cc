@@ -18,23 +18,29 @@ runSpecSweepCached(sweep::SweepRunner &runner,
     if (specs.empty())
         return outcome;
 
-    // Validation keeps the legacy panic contract and yields the
+    // Validation keeps the documented panic contract and yields the
     // experiments themselves; the misses are moved into the session
     // below rather than rebuilt from their specs.
-    auto experiments = api::makeValidatedExperiments(specs);
+    auto validated = api::validateExperiments(specs);
+    if (!validated.ok())
+        qmh_panic("runSpecSweepCached: ", validated.error().describe());
+    auto experiments = std::move(validated).value();
     const auto columns = experiments.front()->columns();
+    // Every store, backed or not, holds rows seeded from its own base
+    // seed; replaying them to a runner with another seed would hand
+    // back rows a fresh run could not reproduce.
     const std::uint64_t base_seed = runner.options().base_seed;
-    if (cache && cache->backed() && cache->baseSeed() != base_seed)
-        qmh_panic("runSpecSweepCached: cache '", cache->path(),
-                  "' is bound to base seed ", cache->baseSeed(),
-                  " but the runner uses ", base_seed);
+    if (cache && cache->baseSeed() != base_seed)
+        qmh_panic("runSpecSweepCached: the cache holds rows for base "
+                  "seed ", cache->baseSeed(), " but the runner uses ",
+                  base_seed);
 
     // Resolve every point to a row source first: cache hit, duplicate
     // of an earlier point in this very list, or a fresh simulation.
     struct Source
     {
         std::uint64_t seed = 0;
-        const CachedResult *hit = nullptr;  // cache replay
+        std::optional<CachedResult> hit;    // cache replay
         std::size_t dup_of = 0;             // earlier identical spec
         bool dup = false;
     };
@@ -56,14 +62,14 @@ runSpecSweepCached(sweep::SweepRunner &runner,
         keys[i] = api::printSpec(specs[i]);
         auto &source = sources[i];
         source.seed = specSeed(base_seed, keys[i]);
-        if (const auto *hit = cache ? cache->lookup(keys[i]) : nullptr;
+        if (auto hit = cache ? cache->lookup(keys[i]) : std::nullopt;
             hit && hit->row.size() == columns.size() &&
             hit->seed == source.seed) {
             // A width or seed mismatch means the entry predates a
             // schema or seeding change; fall through and re-simulate
             // rather than replay a row that a cold run could not
             // reproduce.
-            source.hit = hit;
+            source.hit = std::move(hit);
             continue;
         }
         if (const auto [it, fresh] = first_index.emplace(keys[i], i);
@@ -102,10 +108,10 @@ runSpecSweepCached(sweep::SweepRunner &runner,
     // of the incorporated prefix alone.
     std::size_t incorporated = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto &source = sources[i];
+        auto &source = sources[i];
         std::vector<sweep::Cell> row;
         if (source.hit) {
-            row = source.hit->row;
+            row = std::move(source.hit->row);
             row.emplace_back(source.seed);
             ++outcome.cached;
         } else if (source.dup) {

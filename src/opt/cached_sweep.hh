@@ -62,7 +62,8 @@ struct CachedSweepControl
 /**
  * Run every spec, consulting (and filling) @p cache. All specs must
  * validate and share one kind — violations panic, like runSpecSweep.
- * @p cache may be null (every point simulates; nothing persists).
+ * @p cache may be null (every point simulates; nothing persists);
+ * otherwise its baseSeed() must equal the runner's, or this panics.
  * Rows land in spec order and are bit-identical across thread counts
  * and across cold/warm invocations with the same base seed. Misses
  * run as an api::Session job, so @p control can watch rows stream in

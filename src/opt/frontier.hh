@@ -129,7 +129,8 @@ validateFrontier(const api::ExperimentSpec &base,
 
 /**
  * Run the adaptive search (panics on validateFrontier diagnostics;
- * call it first for recoverable errors). @p cache may be null.
+ * call it first for recoverable errors). @p cache may be null;
+ * otherwise it must be built for the runner's base seed.
  * Deterministic for a fixed (base spec, axes, options, base seed):
  * the same points are evaluated in the same order on any thread
  * count, and a warm cache changes only simulated/cached counts.

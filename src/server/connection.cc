@@ -26,7 +26,7 @@ badRequest(std::string message)
 } // namespace
 
 Connection::Connection(Fd socket, api::Session &session,
-                       EventLoop &loop, SharedCache *cache,
+                       EventLoop &loop, opt::ResultCache *cache,
                        ConnectionConfig config)
     : _socket(std::move(socket)), _session(session), _loop(loop),
       _cache(cache), _config(config), _splitter(config.max_line)

@@ -2,7 +2,7 @@
  * @file
  * One client of the experiment server: a non-blocking socket speaking
  * the JSONL protocol of api/service.hh, mapped onto api::Session jobs
- * and the server's SharedCache.
+ * and the server's result store (opt::ResultCache).
  *
  * Byte contract: for any input a client could also pipe into
  * `qmh_service` on stdio, the records this connection writes are
@@ -22,7 +22,7 @@
  * clients keep streaming.
  *
  * Cache path: a request with seed_mode "spec" whose effective base
- * seed equals the cache's consults SharedCache per spec — hits and
+ * seed equals the cache's consults the store per spec — hits and
  * intra-request duplicates replay without simulating, misses run as
  * one job whose rows are inserted as they are incorporated. The
  * accepted record and the leading resolved rows are flushed before
@@ -44,8 +44,8 @@
 #include "api/service.hh"
 #include "api/session.hh"
 #include "common/json.hh"
+#include "opt/result_cache.hh"
 #include "server/event_loop.hh"
-#include "server/shared_cache.hh"
 #include "server/socket.hh"
 
 namespace qmh {
@@ -73,7 +73,7 @@ class Connection
   public:
     /** @p cache may be null (no shared cache configured). */
     Connection(Fd socket, api::Session &session, EventLoop &loop,
-               SharedCache *cache, ConnectionConfig config);
+               opt::ResultCache *cache, ConnectionConfig config);
 
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
@@ -152,7 +152,7 @@ class Connection
     Fd _socket;
     api::Session &_session;
     EventLoop &_loop;
-    SharedCache *_cache;
+    opt::ResultCache *_cache;
     ConnectionConfig _config;
 
     json::LineSplitter _splitter;

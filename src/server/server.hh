@@ -1,7 +1,7 @@
 /**
  * @file
  * The experiment server: many concurrent JSONL clients over one
- * api::Session worker pool and one SharedCache.
+ * api::Session worker pool and one opt::ResultCache.
  *
  * Composition (single loop thread, workers only simulate):
  *
@@ -35,9 +35,9 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "opt/result_cache.hh"
 #include "server/connection.hh"
 #include "server/event_loop.hh"
-#include "server/shared_cache.hh"
 #include "server/socket.hh"
 
 namespace qmh {
@@ -50,8 +50,8 @@ struct ServerConfig
     unsigned threads = 0;   ///< pool size; 0 = hardware threads
     std::uint64_t base_seed = 0x243F6A8885A308D3ULL;
     std::size_t max_clients = 64;
-    std::string cache_path;  ///< persistent tier; "" = memory only
-    SharedCacheConfig cache; ///< memory-tier shape
+    std::string cache_path;       ///< JSONL log; "" = memory only
+    opt::ResultCacheConfig cache; ///< unbacked LRU bound
     ConnectionConfig connection;
 };
 
@@ -64,7 +64,7 @@ struct ServerStats
     std::size_t rows = 0;      ///< row records written
     std::size_t errors = 0;    ///< error records written
     std::size_t simulated = 0; ///< points actually run
-    SharedCacheStats cache;
+    opt::ResultCacheStats cache;
 };
 
 class Server
@@ -97,7 +97,7 @@ class Server
     /** Totals so far (call after serve() for the final numbers). */
     ServerStats stats() const;
 
-    SharedCache &cache() { return _cache; }
+    opt::ResultCache &cache() { return _cache; }
 
   private:
     explicit Server(ServerConfig config);
@@ -113,7 +113,7 @@ class Server
     // with it the pool) is torn down below.
     EventLoop _loop;
     api::Session _session;
-    SharedCache _cache;
+    opt::ResultCache _cache;
     Listener _listener;
     std::vector<std::unique_ptr<Connection>> _connections;
     ServerStats _stats;

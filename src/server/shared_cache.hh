@@ -1,142 +1,16 @@
-/**
- * @file
- * opt::ResultCache promoted to a concurrent, bounded, shared tier.
- *
- * The optimizer's ResultCache is single-writer by design: one sweep
- * coordinator looks up and inserts from one thread. A multi-client
- * server breaks both assumptions — every connection consults the
- * cache, and worker retirement feeds it from the loop thread while
- * other requests read — so SharedCache layers two tiers:
- *
- *  - a sharded in-memory LRU front (key-hash striping picks the
- *    shard, each shard holds its own mutex and recency list, so
- *    concurrent lookups of different keys never contend), bounded to
- *    capacity_per_shard entries — eviction drops the least recently
- *    used entry of the full shard;
- *  - the persistent opt::ResultCache behind one mutex, unchanged
- *    JSONL format (a qmh_serve cache file and an optimizer --cache
- *    file are interchangeable). Eviction never touches this tier: a
- *    backed entry evicted from memory reloads on the next lookup; an
- *    unbacked one is re-simulated.
- *
- * Keys are canonical spec strings and rows are spec-seeded
- * (opt::specSeed), the same identity ResultCache documents — only
- * requests with seed_mode "spec" and a base seed equal to baseSeed()
- * may consult a SharedCache, which is what keeps a cache-served row
- * byte-identical to a freshly simulated one.
- */
+/** @file Former names of opt::ResultCache, kept for perfbench. */
 
 #ifndef QMH_SERVER_SHARED_CACHE_HH
 #define QMH_SERVER_SHARED_CACHE_HH
-
-#include <cstddef>
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "opt/result_cache.hh"
 
 namespace qmh {
 namespace server {
 
-/** Shape of the in-memory tier. */
-struct SharedCacheConfig
-{
-    std::size_t shards = 8;             ///< lock stripes (min 1)
-    std::size_t capacity_per_shard = 512; ///< LRU bound (min 1)
-};
-
-/** Monotonic counters (aggregated over shards on read). */
-struct SharedCacheStats
-{
-    std::size_t hits = 0;       ///< lookup served (either tier)
-    std::size_t misses = 0;     ///< lookup found nothing
-    std::size_t inserts = 0;    ///< new entries accepted
-    std::size_t evictions = 0;  ///< LRU drops from the memory tier
-    std::size_t promotions = 0; ///< persistent-tier hits re-homed
-    std::size_t resident = 0;   ///< entries in memory now
-    std::size_t persisted = 0;  ///< entries in the backing cache
-};
-
-class SharedCache
-{
-  public:
-    explicit SharedCache(std::uint64_t base_seed,
-                         SharedCacheConfig config = {});
-
-    /**
-     * Bind the persistent tier to @p path (opt::ResultCache::open
-     * semantics: load existing entries, verify header and seeds).
-     * Empty string on success, else the diagnostic. Call before the
-     * cache is shared; open() itself is not concurrency-safe.
-     */
-    std::string open(const std::string &path);
-
-    std::uint64_t baseSeed() const { return _base_seed; }
-    bool backed() const;
-
-    /**
-     * Cached row for @p spec_key (engine columns, no seed cell), or
-     * nullopt. A persistent-tier hit is promoted into the shard so
-     * repeat traffic stays off the big lock. Thread-safe.
-     */
-    std::optional<opt::CachedResult>
-    lookup(const std::string &spec_key);
-
-    /**
-     * Memoize @p row under @p spec_key; first writer wins (a
-     * concurrent duplicate insert is dropped, matching ResultCache).
-     * Returns whether the entry was new. Thread-safe.
-     */
-    bool insert(const std::string &spec_key, std::uint64_t seed,
-                std::vector<sweep::Cell> row);
-
-    SharedCacheStats stats() const;
-
-    /**
-     * Memory-tier keys, most recent first per shard, shards in
-     * index order — the deterministic recency walk the eviction
-     * tests pin (use shards = 1 for a total order).
-     */
-    std::vector<std::string> residentKeys() const;
-
-  private:
-    struct Entry
-    {
-        std::string key;
-        opt::CachedResult result;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<Entry> lru; ///< front = most recently used
-        std::unordered_map<std::string, std::list<Entry>::iterator>
-            index;
-        std::size_t hits = 0;
-        std::size_t misses = 0;
-        std::size_t inserts = 0;
-        std::size_t evictions = 0;
-        std::size_t promotions = 0;
-    };
-
-    Shard &shardFor(const std::string &spec_key);
-    /** Insert into @p shard's LRU (lock held), evicting past cap. */
-    void placeLocked(Shard &shard, const std::string &spec_key,
-                     opt::CachedResult result);
-
-    std::uint64_t _base_seed;
-    SharedCacheConfig _config;
-    std::vector<std::unique_ptr<Shard>> _shards;
-
-    mutable std::mutex _persistent_mutex;
-    opt::ResultCache _persistent;
-};
+using SharedCache = opt::ResultCache;
+using SharedCacheConfig = opt::ResultCacheConfig;
+using SharedCacheStats = opt::ResultCacheStats;
 
 } // namespace server
 } // namespace qmh

@@ -305,7 +305,9 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
 {
     // The acceptance sweep: a *cache* experiment grid (random
     // workload, so the per-point RNG stream matters) must emit a
-    // bit-identical table on 1 vs N threads.
+    // bit-identical table on 1 vs N threads. So must a hierarchy grid
+    // over the Table 5 design space (code x size x channels x blocks
+    // x level-1 fraction).
     SpecGrid grid;
     grid.base =
         parseSpec("experiment=cache workload=random n=24 gates=400")
@@ -316,14 +318,32 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 12u);
 
-    const auto serial =
-        runSpecSweep(specs, {.threads = 1, .base_seed = 99});
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        const auto parallel = runSpecSweep(
-            specs, {.threads = threads, .base_seed = 99});
-        EXPECT_EQ(csvOf(serial), csvOf(parallel))
-            << threads << " threads diverged";
-    }
+    SpecGrid hierarchy;
+    hierarchy.base = parseSpec("experiment=hierarchy adders=40").spec;
+    hierarchy.axis("code", {"steane", "bacon-shor"});
+    hierarchy.axis("n", {"64", "128"});
+    hierarchy.axis("transfers", {"5", "10"});
+    hierarchy.axis("blocks", {"25", "49"});
+    hierarchy.axis("l1_fraction", {"0.25", "0.75"});
+    const auto hierarchy_specs = hierarchy.expand();
+    ASSERT_EQ(hierarchy_specs.size(), 32u);
+
+    // The 1-thread table, checked against 2, 4 and 8 threads.
+    const auto pinned = [](const std::vector<ExperimentSpec> &points) {
+        const auto serial =
+            runSpecSweep(points, {.threads = 1, .base_seed = 99});
+        EXPECT_EQ(serial.rows(), points.size());
+        for (const unsigned threads : {2u, 4u, 8u}) {
+            const auto parallel = runSpecSweep(
+                points, {.threads = threads, .base_seed = 99});
+            EXPECT_EQ(csvOf(serial), csvOf(parallel))
+                << threads << " threads diverged on "
+                << printSpec(points.front());
+        }
+        return serial;
+    };
+    pinned(hierarchy_specs);
+    const auto serial = pinned(specs);
     // The random workload really is seed-sensitive: a different base
     // seed must change the table (hit counts differ).
     const auto other =

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "api/grid.hh"
@@ -30,15 +29,6 @@ tempPath(const char *name)
     const auto path = ::testing::TempDir() + name;
     std::remove(path.c_str());
     return path;
-}
-
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 TEST(SpecSeed, IsAFunctionOfTheSpecAlone)
@@ -68,203 +58,6 @@ TEST(CellTags, RoundTripEveryAlternative)
     EXPECT_FALSE(sweep::Cell::fromTagged('x', "1").has_value());
 }
 
-TEST(ResultCache, InMemoryInsertAndLookup)
-{
-    ResultCache cache;
-    EXPECT_FALSE(cache.backed());
-    EXPECT_EQ(cache.lookup("k"), nullptr);
-    EXPECT_TRUE(cache.insert("k", 7, {sweep::Cell(1.5)}));
-    EXPECT_FALSE(cache.insert("k", 7, {sweep::Cell(9.9)}));
-    const auto *hit = cache.lookup("k");
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->seed, 7u);
-    EXPECT_EQ(hit->row.at(0).toString(), "1.5");
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ResultCache, PersistsAndReloadsJsonl)
-{
-    const auto path = tempPath("opt_cache_roundtrip.jsonl");
-    const std::string key = "experiment=cache n=64";
-    const std::string nasty = "experiment=cache workload=x\"y,z";
-    {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, 42), "");
-        cache.insert(key, specSeed(42, key),
-                     {sweep::Cell("Steane [[7,1,3]]"), sweep::Cell(0.1),
-                      sweep::Cell(std::int64_t(-3)),
-                      sweep::Cell(std::uint64_t(11))});
-        cache.insert(nasty, specSeed(42, nasty),
-                     {sweep::Cell("line\nbreak\tand \"quotes\"")});
-    }
-    // Every line of the backing file must be standalone JSON.
-    std::ifstream in(path);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        EXPECT_EQ(line.front(), '{');
-        EXPECT_EQ(line.back(), '}');
-    }
-    EXPECT_EQ(lines, 3u);  // header + two entries
-
-    ResultCache warm;
-    ASSERT_EQ(warm.open(path, 42), "");
-    EXPECT_EQ(warm.size(), 2u);
-    const auto *hit = warm.lookup(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->seed, specSeed(42, key));
-    ASSERT_EQ(hit->row.size(), 4u);
-    EXPECT_EQ(hit->row[0].toString(), "Steane [[7,1,3]]");
-    EXPECT_EQ(hit->row[1].typeTag(), 'd');
-    EXPECT_EQ(hit->row[1].toString(), "0.1");
-    EXPECT_EQ(hit->row[2].typeTag(), 'i');
-    EXPECT_EQ(hit->row[3].typeTag(), 'u');
-    const auto *other = warm.lookup(nasty);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(other->row[0].toString(),
-              "line\nbreak\tand \"quotes\"");
-}
-
-TEST(ResultCache, RefusesForeignAndMismatchedFiles)
-{
-    const auto path = tempPath("opt_cache_bad.jsonl");
-    {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, 1), "");
-        cache.insert("k", specSeed(1, "k"), {sweep::Cell(1.0)});
-    }
-    ResultCache wrong_seed;
-    EXPECT_NE(wrong_seed.open(path, 2), "");
-
-    const auto foreign = tempPath("opt_cache_foreign.jsonl");
-    std::ofstream(foreign) << "{\"not\":\"a cache\"}\n";
-    ResultCache not_ours;
-    EXPECT_NE(not_ours.open(foreign, 1), "");
-
-    const auto corrupt = tempPath("opt_cache_corrupt.jsonl");
-    {
-        std::ifstream src(path);
-        std::ofstream dst(corrupt);
-        std::string line;
-        std::getline(src, line);
-        dst << line << "\n" << "{\"spec\":oops}\n";
-    }
-    ResultCache truncated;
-    EXPECT_NE(truncated.open(corrupt, 1), "");
-
-    // A cache opened once cannot be re-pointed.
-    ResultCache once;
-    ASSERT_EQ(once.open(path, 1), "");
-    EXPECT_NE(once.open(path, 1), "");
-
-    // A directory must be refused up front, not treated as an empty
-    // cache that silently never persists anything.
-    ResultCache dir;
-    EXPECT_NE(dir.open(::testing::TempDir(), 1), "");
-}
-
-TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
-{
-    // An entry written before a schema change (wrong row width) must
-    // be re-simulated once and then *replaced* — otherwise it forces
-    // a re-simulation on every future run while the file pretends to
-    // be warm.
-    const auto path = tempPath("opt_cache_stale.jsonl");
-    api::SpecGrid grid;
-    grid.base = api::parseSpec("experiment=bandwidth").spec;
-    grid.axis("blocks", {"10", "20"});
-    const auto specs = grid.expand();
-    sweep::SweepRunner runner({.threads = 2});
-    const auto key = api::printSpec(specs.front());
-    {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
-        cache.insert(key,
-                     specSeed(runner.options().base_seed, key),
-                     {sweep::Cell("stale")});  // wrong width
-        const auto outcome = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(outcome.simulated, specs.size());  // stale = miss
-    }
-    {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
-        const auto *hit = cache.lookup(key);
-        ASSERT_NE(hit, nullptr);
-        EXPECT_GT(hit->row.size(), 1u);  // the repaired row won
-        const auto outcome = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(outcome.simulated, 0u);
-    }
-}
-
-TEST(ResultCache, SortedKeysAreAnOrderedSnapshot)
-{
-    ResultCache cache;
-    cache.insert("m", 1, {sweep::Cell(1.0)});
-    cache.insert("a", 2, {sweep::Cell(2.0)});
-    cache.insert("z", 3, {sweep::Cell(3.0)});
-    cache.insert("b", 4, {sweep::Cell(4.0)});
-    const std::vector<std::string> expect = {"a", "b", "m", "z"};
-    EXPECT_EQ(cache.sortedKeys(), expect);
-}
-
-TEST(ResultCache, CompactIsByteIdenticalAcrossInsertHistories)
-{
-    // Determinism regression: the persisted cache must be a function
-    // of its *contents*, never of hash-map layout or insertion
-    // history. Build the same cache two ways — different insert
-    // orders, one with a superseded upsert line — compact both, and
-    // require the files to match byte for byte.
-    const auto path_a = tempPath("opt_cache_compact_a.jsonl");
-    const auto path_b = tempPath("opt_cache_compact_b.jsonl");
-    const std::vector<std::string> keys = {
-        "experiment=cache n=64", "experiment=cache n=128",
-        "experiment=cache n=256", "experiment=cache n=512"};
-
-    ResultCache a;
-    ASSERT_EQ(a.open(path_a, 42), "");
-    for (const auto &key : keys)
-        a.insert(key, specSeed(42, key), {sweep::Cell(0.5)});
-    ASSERT_EQ(a.compact(), "");
-
-    ResultCache b;
-    ASSERT_EQ(b.open(path_b, 42), "");
-    for (auto it = keys.rbegin(); it != keys.rend(); ++it)
-        b.insert(*it, specSeed(42, *it), {sweep::Cell("stale")});
-    // Repair every entry; the appended duplicates must vanish.
-    for (const auto &key : keys)
-        b.upsert(key, specSeed(42, key), {sweep::Cell(0.5)});
-    ASSERT_EQ(b.compact(), "");
-
-    const auto bytes = fileBytes(path_a);
-    EXPECT_FALSE(bytes.empty());
-    EXPECT_EQ(bytes, fileBytes(path_b));
-
-    // The compacted file is still a valid cache and still appendable.
-    ResultCache warm;
-    ASSERT_EQ(warm.open(path_a, 42), "");
-    EXPECT_EQ(warm.size(), keys.size());
-    for (const auto &key : keys) {
-        const auto *hit = warm.lookup(key);
-        ASSERT_NE(hit, nullptr);
-        EXPECT_EQ(hit->seed, specSeed(42, key));
-        EXPECT_EQ(hit->row.at(0).toString(), "0.5");
-    }
-    warm.insert("experiment=cache n=1024",
-                specSeed(42, "experiment=cache n=1024"),
-                {sweep::Cell(0.25)});
-    ResultCache again;
-    ASSERT_EQ(again.open(path_a, 42), "");
-    EXPECT_EQ(again.size(), keys.size() + 1);
-}
-
-TEST(ResultCache, CompactRequiresABackingFile)
-{
-    ResultCache cache;
-    cache.insert("k", 1, {sweep::Cell(1.0)});
-    EXPECT_NE(cache.compact(), "");
-}
-
 std::vector<api::ExperimentSpec>
 montecarloSpecs()
 {
@@ -285,17 +78,17 @@ TEST(CachedSweep, WarmRunReplaysColdRowsBitIdentically)
     sweep::SweepRunner runner({.threads = 2});
     std::string cold_csv;
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
         const auto cold = runSpecSweepCached(runner, specs, &cache);
         EXPECT_EQ(cold.simulated, specs.size());
         EXPECT_EQ(cold.cached, 0u);
         cold_csv = csvOf(cold.table);
     }
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
-        EXPECT_EQ(cache.size(), specs.size());
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
+        EXPECT_EQ(cache.stats().resident, specs.size());
         const auto warm = runSpecSweepCached(runner, specs, &cache);
         EXPECT_EQ(warm.simulated, 0u);
         EXPECT_EQ(warm.cached, specs.size());
@@ -403,16 +196,16 @@ TEST(CachedSweep, CancelledRunCachesOnlyTheIncorporatedPrefix)
     CachedSweepControl control;
     control.row_limit = 2;
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
         const auto cold =
             runSpecSweepCached(runner, specs, &cache, control);
         EXPECT_EQ(cold.simulated, 2u);
     }
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
-        EXPECT_EQ(cache.size(), 2u);
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
+        EXPECT_EQ(cache.stats().resident, 2u);
         const auto warm =
             runSpecSweepCached(runner, specs, &cache, control);
         EXPECT_EQ(warm.simulated, 0u);
@@ -421,6 +214,24 @@ TEST(CachedSweep, CancelledRunCachesOnlyTheIncorporatedPrefix)
         EXPECT_EQ(rest.simulated, specs.size() - 2);
         EXPECT_EQ(rest.cached, 2u);
     }
+}
+
+TEST(CachedSweep, RefusesAStoreBuiltForAnotherBaseSeed)
+{
+    // An unbacked store filled under base seed 5 holds rows seeded
+    // from 5; replaying them to a runner seeded from 6 would return
+    // rows a fresh run at 6 does not produce. Backed or not, the
+    // store's seed must match the runner's.
+    const auto specs = montecarloSpecs();
+    EXPECT_DEATH(
+        {
+            ResultCache cache(5);
+            sweep::SweepRunner filler({.threads = 1, .base_seed = 5});
+            runSpecSweepCached(filler, specs, &cache);
+            sweep::SweepRunner other({.threads = 1, .base_seed = 6});
+            runSpecSweepCached(other, specs, &cache);
+        },
+        "base seed 5 but the runner uses 6");
 }
 
 TEST(Frontier, LatticeIsTheCoarseGridPlusDyadicMidpoints)
@@ -655,8 +466,8 @@ TEST(Frontier, WarmCacheRerunSimulatesNothingAndMatches)
     std::string cold_csv;
     std::size_t cold_evaluated = 0;
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
         const auto cold =
             frontierSearch(runner, base, axes, options, &cache);
         EXPECT_GT(cold.simulated, 0u);
@@ -664,8 +475,8 @@ TEST(Frontier, WarmCacheRerunSimulatesNothingAndMatches)
         cold_evaluated = cold.evaluated;
     }
     {
-        ResultCache cache;
-        ASSERT_EQ(cache.open(path, runner.options().base_seed), "");
+        ResultCache cache(runner.options().base_seed);
+        ASSERT_EQ(cache.open(path), "");
         const auto warm =
             frontierSearch(runner, base, axes, options, &cache);
         EXPECT_EQ(warm.simulated, 0u);

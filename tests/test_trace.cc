@@ -260,7 +260,7 @@ TEST(TraceSweep, CachedRunnerReplaysWarmRunWithZeroSimulations)
 {
     const auto specs = traceGrid().expand();
     sweep::SweepRunner runner({.threads = 2, .base_seed = 5});
-    opt::ResultCache cache;
+    opt::ResultCache cache(runner.options().base_seed);
     const auto cold = opt::runSpecSweepCached(runner, specs, &cache);
     EXPECT_EQ(cold.simulated, specs.size());
     const auto warm = opt::runSpecSweepCached(runner, specs, &cache);

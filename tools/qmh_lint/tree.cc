@@ -691,7 +691,9 @@ defaultLayerPolicy()
         "forbid opt: circuit sched sim cache iontrap gen cqla ecc "
         "net trace\n"
         "forbid server: circuit sched sim cache iontrap gen cqla "
-        "ecc net trace\n";
+        "ecc net trace\n"
+        "forbid sweep: circuit sched sim cache iontrap gen cqla ecc "
+        "net trace\n";
 }
 
 Report
