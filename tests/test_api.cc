@@ -11,6 +11,7 @@
 #include "api/spec.hh"
 #include "api/workload.hh"
 #include "cqla/hierarchy_sim.hh"
+#include "run_table.hh"
 
 namespace qmh {
 namespace api {
@@ -418,6 +419,88 @@ TEST(SpecSweep, HierarchyMatchesDirectEngineCall)
     ASSERT_TRUE(speedup_col.has_value());
     EXPECT_EQ(table.cell(0, *speedup_col).asNumber().value(),
               direct.makespan_speedup);
+}
+
+/** CSV of a one-point run of @p text at base seed 9, plus one line
+ *  of the row's cell type tags (the result-cache log stores them). */
+std::string
+goldenOf(const char *text)
+{
+    const auto parsed = parseSpec(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    const auto table = tests::runTable({parsed.spec},
+                                         {.threads = 1, .base_seed = 9});
+    std::string tags;
+    for (std::size_t c = 0; c < table.columns() && table.rows(); ++c)
+        tags += table.cell(0, c).typeTag();
+    return csvOf(table) + tags + "\n";
+}
+
+// Golden rows of the four non-trace kinds (TraceGolden pins trace):
+// every column name, formatted value and Cell alternative, so a
+// refactor of how rows are assembled must reproduce them exactly.
+
+TEST(KindGolden, HierarchyRowAndTagsMatchCheckedIn)
+{
+    EXPECT_EQ(
+        goldenOf("experiment=hierarchy code=bacon-shor n=64 transfers=5 "
+                 "blocks=25 mem_banks=2 mem_ports=1 mem_buffer=4 "
+                 "cycles_per_line=3 adders=40 l1_fraction=0.5 "
+                 "chain_fraction=0.25"),
+        "spec,code,n,transfers,blocks,mem_banks,mem_ports,l1_fraction,"
+        "makespan_s,baseline_s,makespan_speedup,mean_adder_speedup,"
+        "level1_adds,level2_adds,transfer_utilization,bank_conflicts,"
+        "mem_stall_ticks,mem_peak_queue,mem_mean_queue,mem_utilization,"
+        "events_executed,seed\n"
+        "experiment=hierarchy code=bacon-shor n=64 transfers=5 "
+        "blocks=25 mem_banks=2 mem_ports=1 mem_buffer=4 "
+        "cycles_per_line=3 adders=40 l1_fraction=0.5 "
+        "chain_fraction=0.25,\"Bacon-Shor [[9,1,3]]\",64,5,25,2,1,0.5,"
+        "724.66246,1448.4344,1.9987711244211548,3.3178684882353204,20,"
+        "20,0.26254430235009,0,0,0,0,0.011933834201926232,82,"
+        "12587370737594032228\n"
+        "ssiuuuuddddduuduuudduu\n");
+}
+
+TEST(KindGolden, CacheRowAndTagsMatchCheckedIn)
+{
+    EXPECT_EQ(
+        goldenOf("experiment=cache workload=modexp n=32 reps=2 "
+                 "capacity_x=0.25 policy=inorder mask_data=0"),
+        "spec,workload,n,capacity,policy,warm,accesses,hits,misses,"
+        "evictions,hit_rate,seed\n"
+        "experiment=cache workload=modexp n=32 reps=2 capacity_x=0.25 "
+        "policy=inorder mask_data=0,modexp,32,20,in-order,0,1158,102,"
+        "1056,1036,0.08808290155440414,12587370737594032228\n"
+        "ssiusiuuuudu\n");
+}
+
+TEST(KindGolden, BandwidthRowAndTagsMatchCheckedIn)
+{
+    EXPECT_EQ(
+        goldenOf("experiment=bandwidth code=bacon-shor level=3 "
+                 "blocks=300 utilization=0.5"),
+        "spec,code,level,blocks,utilization,required_worst_qps,"
+        "required_draper_qps,available_qps,crossover_blocks,seed\n"
+        "experiment=bandwidth code=bacon-shor blocks=300 level=3 "
+        "utilization=0.5,\"Bacon-Shor [[9,1,3]]\",3,300,0.5,"
+        "21.59992224027993,7.199974080093311,4.988288367960242,145,"
+        "12587370737594032228\n"
+        "ssiudddduu\n");
+}
+
+TEST(KindGolden, MonteCarloRowAndTagsMatchCheckedIn)
+{
+    EXPECT_EQ(
+        goldenOf("experiment=montecarlo level=1 p0=0.002 trials=5000 "
+                 "noise_factor=3"),
+        "spec,code,level,p0,trials,failures,mc_rate,mc_std_error,"
+        "analytic_rate,seed\n"
+        "experiment=montecarlo level=1 p0=0.002 trials=5000 "
+        "noise_factor=3,\"Steane [[7,1,3]]\",1,0.002,5000,5,0.001,"
+        "0.0004469899327725402,0.0008190046926035977,"
+        "12587370737594032228\n"
+        "ssiduudddu\n");
 }
 
 } // namespace
