@@ -28,7 +28,7 @@ printFig6b()
     grid.axis("blocks", {"10", "20", "30", "40", "50", "60", "70",
                          "80"});
     sweep::SweepRunner runner;
-    const auto table = api::runSpecSweep(runner, grid.expand());
+    const auto table = runSweep(runner, grid.expand());
 
     auto steane_only = sweep::toAsciiTable(
         table, 8, {"spec", "seed", "code", "level", "utilization",

@@ -48,7 +48,7 @@ printFig7()
                 "size in {1, 1.5, 2} x PE");
 
     sweep::SweepRunner runner;
-    const auto table = api::runSpecSweep(runner, fig7Grid());
+    const auto table = runSweep(runner, fig7Grid());
     const auto rate_col = *table.findColumn("hit_rate");
 
     // Reshape the flat sweep into the paper's figure layout: one row

@@ -47,7 +47,7 @@ printMemoryTable()
                 "(fills + writebacks through bounded bank queues)");
     const auto specs = memoryGrid();
     sweep::SweepRunner runner;
-    auto table = api::runSpecSweep(runner, specs);
+    auto table = runSweep(runner, specs);
 
     std::printf("bank/port scaling: %zu contended trace runs on %u "
                 "threads; fastest configurations first:\n",

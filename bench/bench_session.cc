@@ -69,7 +69,7 @@ BM_BlockingSpecSweep(benchmark::State &state)
     sweep::SweepRunner runner(
         {.threads = static_cast<unsigned>(state.range(1))});
     for (auto _ : state) {
-        auto table = api::runSpecSweep(runner, specs);
+        auto table = runSweep(runner, specs);
         benchmark::DoNotOptimize(table);
     }
     state.SetItemsProcessed(

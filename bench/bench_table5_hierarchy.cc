@@ -95,7 +95,7 @@ printTable5()
     // through the qmh::api facade (one spec grid, one sweep call).
     const auto specs = table5Grid();
     sweep::SweepRunner runner;
-    auto table = api::runSpecSweep(runner, specs);
+    auto table = runSweep(runner, specs);
 
     std::printf("\nDES design-space sweep: %zu points on %u threads; "
                 "top configurations by makespan speedup:\n",
@@ -148,7 +148,7 @@ BM_HierarchySweep(benchmark::State &state)
     const auto threads = static_cast<unsigned>(state.range(0));
     sweep::SweepRunner runner({.threads = threads});
     for (auto _ : state) {
-        const auto table = api::runSpecSweep(runner, specs);
+        const auto table = runSweep(runner, specs);
         benchmark::DoNotOptimize(table.rows());
     }
     state.counters["points"] =

@@ -41,7 +41,7 @@ printTraceTable()
                 "hierarchy (cache residency + transfer channels)");
     const auto specs = traceGrid();
     sweep::SweepRunner runner;
-    auto table = api::runSpecSweep(runner, specs);
+    auto table = runSweep(runner, specs);
 
     std::printf("trace design-space sweep: %zu points on %u "
                 "threads; top configurations by speedup over the "
@@ -96,7 +96,7 @@ BM_TraceSweep(benchmark::State &state)
     const auto threads = static_cast<unsigned>(state.range(0));
     sweep::SweepRunner runner({.threads = threads});
     for (auto _ : state) {
-        const auto table = api::runSpecSweep(runner, specs);
+        const auto table = runSweep(runner, specs);
         benchmark::DoNotOptimize(table.rows());
     }
     state.counters["points_per_sec"] = benchmark::Counter(

@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "api/session.hh"
 #include "sweep/emit.hh"
 
 /** Print the bench banner. */
@@ -45,6 +47,30 @@ maybeWriteSweepOutputs(const qmh::sweep::ResultTable &table,
                     base.c_str());
     else
         std::fprintf(stderr, "failed to write %s.*\n", base.c_str());
+}
+
+/**
+ * Run @p specs as one Session job on @p runner's pool and return its
+ * table. A bench's grid is fixed, so a rejected batch or a failed
+ * point is a bug: print the typed error and exit 1.
+ */
+inline qmh::sweep::ResultTable
+runSweep(qmh::sweep::SweepRunner &runner,
+         const std::vector<qmh::api::ExperimentSpec> &specs)
+{
+    const auto fail = [](const qmh::api::Error &error) {
+        std::fprintf(stderr, "bench sweep failed: %s\n",
+                     error.describe().c_str());
+        std::exit(1);
+    };
+    qmh::api::Session session(runner);
+    auto submitted = session.submit(specs);
+    if (!submitted.ok())
+        fail(submitted.error());
+    auto result = submitted.value().wait();
+    if (result.failure)
+        fail(*result.failure);
+    return std::move(result.table);
 }
 
 /** Run the reproduction printer, then google-benchmark. */

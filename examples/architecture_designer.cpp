@@ -96,11 +96,13 @@ main(int argc, char **argv)
                     .spec;
     grid.axis("code", {"steane", "bacon-shor"});
     grid.axis("l1_fraction", {"0.25", "0.33", "0.5", "0.66"});
-    auto table = api::runSpecSweep(grid.expand());
-    const auto speedup_col = table.findColumn("mean_adder_speedup");
-    table.sortRowsByColumnDesc(*speedup_col);
+    auto table = cli::runTable(grid.expand());
+    if (!table)
+        return 1;
+    const auto speedup_col = table->findColumn("mean_adder_speedup");
+    table->sortRowsByColumnDesc(*speedup_col);
     std::printf("\nevent-driven cross-check at %u blocks (top adder "
                 "speedups):\n", best_blocks);
-    sweep::toAsciiTable(table, 4, {"spec", "seed"}).print(std::cout);
+    sweep::toAsciiTable(*table, 4, {"spec", "seed"}).print(std::cout);
     return 0;
 }

@@ -57,17 +57,12 @@ main(int argc, char **argv)
     grid.axis("warm", {"0", "1"});
 
     const auto specs = grid.expand();
-    const auto errors = api::makeExperiment(specs.front())->validate();
-    if (!errors.empty()) {
-        for (const auto &error : errors)
-            std::fprintf(stderr, "error: %s\n", error.c_str());
+    const auto table = cli::runTable(specs);
+    if (!table)
         return 1;
-    }
-
     std::printf("=== cache design space: %s (%zu points) ===\n",
                 api::printSpec(parsed.spec).c_str(), specs.size());
-    auto table = api::runSpecSweep(specs);
-    sweep::toAsciiTable(table, table.rows(), {"spec", "seed"})
+    sweep::toAsciiTable(*table, table->rows(), {"spec", "seed"})
         .print(std::cout);
     std::printf("\nEach miss is one code transfer between memory (L2) "
                 "and cache (L1);\nsize the transfer network for the "

@@ -18,7 +18,9 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "api/session.hh"
 #include "api/spec.hh"
 
 namespace qmh {
@@ -105,6 +107,39 @@ isSpecToken(const std::string &arg)
 {
     return arg.find('=') != std::string::npos &&
            arg.rfind("--", 0) != 0;
+}
+
+/** Print @p error to stderr: its code and message, then each detail. */
+inline void
+printError(const api::Error &error)
+{
+    std::fprintf(stderr, "error [%s]: %s\n", api::errorCodeName(error.code),
+                 error.message.c_str());
+    for (const auto &detail : error.details)
+        std::fprintf(stderr, "  %s\n", detail.c_str());
+}
+
+/**
+ * Run @p specs as one Session job and return its table. A rejected
+ * batch (InvalidSpec, MixedKinds) or a failed point prints its typed
+ * error and yields nullopt, so main() can exit 1.
+ */
+inline std::optional<sweep::ResultTable>
+runTable(const std::vector<api::ExperimentSpec> &specs,
+         const sweep::SweepOptions &options = {})
+{
+    api::Session session(options);
+    auto submitted = session.submit(specs);
+    if (!submitted.ok()) {
+        printError(submitted.error());
+        return std::nullopt;
+    }
+    auto result = submitted.value().wait();
+    if (result.failure) {
+        printError(*result.failure);
+        return std::nullopt;
+    }
+    return std::move(result.table);
 }
 
 } // namespace cli

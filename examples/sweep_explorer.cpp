@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "api/experiment.hh"
 #include "api/grid.hh"
 #include "api/session.hh"
 #include "api/workload.hh"
@@ -39,7 +40,8 @@ printUsage(const char *prog)
         "  --seed S         base seed for per-point RNG streams\n"
         "  --progress       stream per-point progress to stderr\n"
         "  --out PREFIX     write PREFIX.csv and PREFIX.json\n"
-        "  --list-keys      print every spec key\n"
+        "  --list-keys      print the spec keys each experiment kind "
+        "reads\n"
         "  --list-workloads print the workload registry\n"
         "  --help           this message\n",
         prog);
@@ -88,9 +90,15 @@ main(int argc, char **argv)
             printUsage(argv[0]);
             return 0;
         } else if (arg == "--list-keys") {
-            for (const auto &key : api::specKeys())
-                std::printf("  %-14s %s\n", key.c_str(),
-                            api::specKeyHelp(key));
+            std::printf("every kind reads experiment=KIND; a key its "
+                        "kind does not read must keep its default\n");
+            for (const auto &name : api::experimentKindNames()) {
+                std::printf("%s:\n", name.c_str());
+                for (const auto &key :
+                     api::kindKeys(*api::parseKind(name)))
+                    std::printf("  %-16s %s\n", key.c_str(),
+                                api::specKeyHelp(key));
+            }
             return 0;
         } else if (arg == "--list-workloads") {
             for (const auto &generator : api::workloadRegistry())
@@ -169,12 +177,7 @@ main(int argc, char **argv)
     api::Session session({.threads = threads, .base_seed = seed});
     auto submitted = session.submit(specs);
     if (!submitted.ok()) {
-        const auto &error = submitted.error();
-        std::fprintf(stderr, "error [%s]: %s\n",
-                     api::errorCodeName(error.code),
-                     error.message.c_str());
-        for (const auto &detail : error.details)
-            std::fprintf(stderr, "  %s\n", detail.c_str());
+        cli::printError(submitted.error());
         return 1;
     }
     auto job = submitted.value();
@@ -198,9 +201,7 @@ main(int argc, char **argv)
     }
     auto result = job.wait();
     if (result.failure) {
-        std::fprintf(stderr, "error [%s]: %s\n",
-                     api::errorCodeName(result.failure->code),
-                     result.failure->message.c_str());
+        cli::printError(*result.failure);
         return 1;
     }
     auto table = std::move(result.table);

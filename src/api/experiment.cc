@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "api/prepared.hh"
-#include "api/session.hh"
 #include "api/workload.hh"
 #include "common/logging.hh"
 #include "cqla/hierarchy_sim.hh"
@@ -17,43 +18,59 @@ namespace api {
 
 namespace {
 
-void
-checkRange(std::vector<std::string> &errors, bool ok,
-           const char *message)
-{
-    if (!ok)
-        errors.emplace_back(message);
-}
-
-/** The workload generator's own preconditions, prefixed by @p kind. */
-void
-checkWorkload(std::vector<std::string> &errors,
-              const ExperimentSpec &spec, const char *kind)
-{
-    for (const auto &diagnostic : workloadDiagnostics(spec))
-        errors.push_back(std::string(kind) + ": " + diagnostic);
-}
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 /**
- * Range checks of the banked-memory knobs, shared by the two kinds
- * that charge traffic through sim::BankedMemory. The spec parser
- * bounds them, but a C++-built spec can hold 0, which the component
- * refuses fatally — catch it here so it stays a typed diagnostic.
+ * A spec key a kind reads. A bounded key's value must lie in
+ * [lo, hi] (lo excluded when lo_open). Bounds tighter than the
+ * parser's keep a point's cost in check or guard an engine that
+ * refuses the value fatally; bounds equal to the parser's catch the
+ * same value in a spec built in C++.
  */
-void
-checkMemoryKnobs(std::vector<std::string> &errors,
-                 const ExperimentSpec &spec, const char *kind)
+struct Key
 {
-    if (spec.mem_banks < 1)
-        errors.push_back(std::string(kind) +
-                         ": mem_banks must be >= 1");
-    if (spec.mem_ports < 1)
-        errors.push_back(std::string(kind) +
-                         ": mem_ports must be >= 1");
-    if (spec.mem_buffer < 1)
-        errors.push_back(std::string(kind) +
-                         ": mem_buffer must be >= 1");
-}
+    std::string_view name;
+    double lo = -kUnbounded;
+    double hi = kUnbounded;
+    bool lo_open = false;
+    const char *note = nullptr;  ///< why the bound is what it is
+};
+
+/** One result column: its name and its cell for a finished run. */
+template <typename Result>
+struct Column
+{
+    const char *name;
+    sweep::Cell (*get)(const ExperimentSpec &, const Result &);
+};
+
+/**
+ * Everything that defines a kind: the keys it reads, its engine run
+ * and its columns after the leading "spec". A kind that reads
+ * `workload` also reads its generator's keys (WorkloadGenerator::keys).
+ */
+template <typename Result>
+struct KindTable
+{
+    const char *name;
+    std::vector<Key> keys;
+    Result (*run)(const ExperimentSpec &, Random &, const PreparedSlot *);
+    std::vector<Column<Result>> columns;
+};
+
+/** A column @p name whose cell is @p expr over the spec `s` and the
+ *  engine's result `r`. */
+#define COLUMN(name, expr)                                              \
+    {                                                                   \
+        name, []([[maybe_unused]] const ExperimentSpec &s,              \
+                 [[maybe_unused]] const auto &r) -> sweep::Cell {       \
+            return expr;                                                \
+        }                                                               \
+    }
+/** Columns named after the spec or result field they read. */
+#define SPEC_COLUMN(field) COLUMN(#field, s.field)
+#define RESULT_COLUMN(field) COLUMN(#field, r.field)
+#define CODE_COLUMN COLUMN("code", ecc::Code::byKind(s.code).name())
 
 /**
  * The shared cache auto-sizing rule of the cache and trace kinds:
@@ -73,364 +90,318 @@ resolveCapacity(const ExperimentSpec &spec, const Workload &workload)
 }
 
 /** Event-driven CQLA memory-hierarchy simulation (Table 5). */
-class HierarchyExperiment final : public Experiment
-{
-  public:
-    explicit HierarchyExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
-    {
-    }
-
-    std::string name() const override { return "hierarchy"; }
-
-    std::vector<std::string> validate() const override
-    {
-        std::vector<std::string> errors;
-        checkRange(errors, _spec.n >= 8 && _spec.n <= 4096,
-                   "hierarchy: n must be in [8, 4096]");
-        // transfers = 0 would divide by zero in the wave computation;
-        // the parser bounds it but a C++-built spec can hold 0.
-        checkRange(errors, _spec.transfers >= 1,
-                   "hierarchy: transfers must be >= 1");
-        checkRange(errors, _spec.adders >= 1,
-                   "hierarchy: adders must be >= 1");
-        checkRange(errors,
-                   _spec.l1_fraction > 0.0 && _spec.l1_fraction <= 1.0,
-                   "hierarchy: l1_fraction must be in (0, 1]");
-        checkRange(errors,
-                   _spec.chain_fraction >= 0.0 &&
-                       _spec.chain_fraction <= 1.0,
-                   "hierarchy: chain_fraction must be in [0, 1]");
-        checkRange(errors,
-                   _spec.workload == "draper" ||
-                       _spec.workload == "modexp",
-                   "hierarchy: workload must be draper or modexp "
-                   "(an adder stream)");
-        checkMemoryKnobs(errors, _spec, "hierarchy");
-        return errors;
-    }
-
-    std::vector<std::string> columns() const override
-    {
-        return {"spec", "code", "n", "transfers", "blocks",
-                "mem_banks", "mem_ports",
-                "l1_fraction", "makespan_s", "baseline_s",
-                "makespan_speedup", "mean_adder_speedup",
-                "level1_adds", "level2_adds", "transfer_utilization",
-                "bank_conflicts", "mem_stall_ticks", "mem_peak_queue",
-                "mem_mean_queue", "mem_utilization",
-                "events_executed"};
-    }
-
-    std::vector<sweep::Cell> run(Random &) const override
-    {
+const KindTable<cqla::HierarchySimResult> hierarchy_table = {
+    "hierarchy",
+    {{"machine"}, {"code"}, {"n", 8, 4096}, {"transfers", 1},
+     {"blocks", 1}, {"mem_banks", 1}, {"mem_ports", 1},
+     {"mem_buffer", 1}, {"cycles_per_line"}, {"adders", 1},
+     {"l1_fraction", 0, 1, true}, {"chain_fraction", 0, 1}},
+    [](const ExperimentSpec &spec, Random &, const PreparedSlot *) {
         cqla::HierarchySimConfig config;
-        config.code = _spec.code;
-        config.n_bits = _spec.n;
-        config.parallel_transfers = _spec.transfers;
-        config.blocks = _spec.blocks;
-        config.total_adders = _spec.adders;
-        config.level1_fraction = _spec.l1_fraction;
-        config.chain_dependent_fraction = _spec.chain_fraction;
-        config.mem_banks = _spec.mem_banks;
-        config.mem_ports = _spec.mem_ports;
-        config.mem_buffer =
-            static_cast<std::size_t>(_spec.mem_buffer);
-        config.cycles_per_line = _spec.cycles_per_line;
-        const auto result =
-            cqla::runHierarchySim(config, _spec.params());
-        return {printSpec(_spec),
-                ecc::Code::byKind(_spec.code).name(),
-                _spec.n,
-                _spec.transfers,
-                _spec.blocks,
-                _spec.mem_banks,
-                _spec.mem_ports,
-                _spec.l1_fraction,
-                result.makespan_s,
-                result.baseline_s,
-                result.makespan_speedup,
-                result.mean_adder_speedup,
-                result.level1_adds,
-                result.level2_adds,
-                result.transfer_utilization,
-                result.bank_conflicts,
-                result.mem_stall_ticks,
-                result.mem_peak_queue,
-                result.mem_mean_queue,
-                result.mem_utilization,
-                result.events_executed};
-    }
-};
+        config.code = spec.code;
+        config.n_bits = spec.n;
+        config.parallel_transfers = spec.transfers;
+        config.blocks = spec.blocks;
+        config.total_adders = spec.adders;
+        config.level1_fraction = spec.l1_fraction;
+        config.chain_dependent_fraction = spec.chain_fraction;
+        config.mem_banks = spec.mem_banks;
+        config.mem_ports = spec.mem_ports;
+        config.mem_buffer = static_cast<std::size_t>(spec.mem_buffer);
+        config.cycles_per_line = spec.cycles_per_line;
+        return cqla::runHierarchySim(config, spec.params());
+    },
+    {CODE_COLUMN, SPEC_COLUMN(n), SPEC_COLUMN(transfers),
+     SPEC_COLUMN(blocks), SPEC_COLUMN(mem_banks), SPEC_COLUMN(mem_ports),
+     SPEC_COLUMN(l1_fraction), RESULT_COLUMN(makespan_s),
+     RESULT_COLUMN(baseline_s), RESULT_COLUMN(makespan_speedup),
+     RESULT_COLUMN(mean_adder_speedup), RESULT_COLUMN(level1_adds),
+     RESULT_COLUMN(level2_adds), RESULT_COLUMN(transfer_utilization),
+     RESULT_COLUMN(bank_conflicts), RESULT_COLUMN(mem_stall_ticks),
+     RESULT_COLUMN(mem_peak_queue), RESULT_COLUMN(mem_mean_queue),
+     RESULT_COLUMN(mem_utilization), RESULT_COLUMN(events_executed)}};
 
 /** Quantum cache simulation over a registry workload (Fig. 7). */
-class CacheExperiment final : public WorkloadExperiment
-{
-  public:
-    explicit CacheExperiment(ExperimentSpec spec)
-        : WorkloadExperiment(std::move(spec))
-    {
-    }
-
-    std::string name() const override { return "cache"; }
-
-    std::vector<std::string> validate() const override
-    {
-        std::vector<std::string> errors;
-        checkWorkload(errors, _spec, "cache");
-        checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
-                   "cache: n must be in [2, 4096]");
-        checkRange(errors, _spec.capacity_x > 0.0,
-                   "cache: capacity_x must be > 0");
-        checkRange(errors,
-                   _spec.capacity == 0 || _spec.capacity <= 1000000,
-                   "cache: capacity must be <= 1000000");
-        return errors;
-    }
-
-    std::vector<std::string> columns() const override
-    {
-        return {"spec", "workload", "n", "capacity", "policy", "warm",
-                "accesses", "hits", "misses", "evictions", "hit_rate"};
-    }
-
-    std::vector<sweep::Cell> run(Random &rng) const override
-    {
-        if (const auto slot = takeSlot()) {
-            const auto &prepared = slot->get(_spec, rng);
-            return row(prepared.workload(), &prepared.dag());
+const KindTable<cache::CacheSimResult> cache_table = {
+    "cache",
+    {{"workload"}, {"n", 2, 4096}, {"capacity", 0, 1000000},
+     {"capacity_x", 0, 1000, true}, {"policy"}, {"warm"}},
+    [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *slot) {
+        const auto simulate = [&](const Workload &workload,
+                                  const circuit::DependencyGraph *dag) {
+            return cache::simulateCache(
+                workload.program,
+                static_cast<std::size_t>(resolveCapacity(spec, workload)),
+                spec.policy, spec.warm, workload.cacheable, dag);
+        };
+        if (slot) {
+            const auto &prepared = slot->get(spec, rng);
+            return simulate(prepared.workload(), &prepared.dag());
         }
-        return row(buildWorkload(_spec, rng), nullptr);
-    }
-
-  private:
-    std::vector<sweep::Cell> row(const Workload &workload,
-                                 const circuit::DependencyGraph *dag) const
-    {
-        const auto capacity = resolveCapacity(_spec, workload);
-        const auto result = cache::simulateCache(
-            workload.program, static_cast<std::size_t>(capacity),
-            _spec.policy, _spec.warm, workload.cacheable, dag);
-        return {printSpec(_spec),
-                _spec.workload,
-                _spec.n,
-                capacity,
-                cache::fetchPolicyName(_spec.policy),
-                _spec.warm ? std::int64_t(1) : std::int64_t(0),
-                result.accesses,
-                result.hits,
-                result.misses,
-                result.evictions,
-                result.hitRate()};
-    }
-};
+        return simulate(buildWorkload(spec, rng), nullptr);
+    },
+    {SPEC_COLUMN(workload), SPEC_COLUMN(n), RESULT_COLUMN(capacity),
+     COLUMN("policy", cache::fetchPolicyName(s.policy)),
+     COLUMN("warm", s.warm ? std::int64_t(1) : std::int64_t(0)),
+     RESULT_COLUMN(accesses), RESULT_COLUMN(hits), RESULT_COLUMN(misses),
+     RESULT_COLUMN(evictions), COLUMN("hit_rate", r.hitRate())}};
 
 /** Superblock perimeter-bandwidth supply/demand (Fig. 6b). */
-class BandwidthExperiment final : public Experiment
+const KindTable<net::BandwidthModel> bandwidth_table = {
+    "bandwidth",
+    {{"machine"}, {"code"}, {"blocks", 0, 100000}, {"level", 1, 4},
+     {"utilization", 0, 1, true}},
+    [](const ExperimentSpec &spec, Random &, const PreparedSlot *) {
+        return net::BandwidthModel(ecc::Code::byKind(spec.code),
+                                   spec.level, spec.params());
+    },
+    {CODE_COLUMN, SPEC_COLUMN(level), SPEC_COLUMN(blocks),
+     SPEC_COLUMN(utilization),
+     COLUMN("required_worst_qps",
+            r.requiredWorstCase(static_cast<double>(s.blocks))),
+     COLUMN("required_draper_qps",
+            r.requiredDraper(static_cast<double>(s.blocks), s.utilization)),
+     COLUMN("available_qps",
+            r.availablePerSuperblock(static_cast<double>(s.blocks))),
+     COLUMN("crossover_blocks", r.crossoverBlocks(4096, s.utilization))}};
+
+/** A Monte Carlo estimate next to the analytic model's rate. */
+struct MonteCarloResult : ecc::McEstimate
 {
-  public:
-    explicit BandwidthExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
-    {
-    }
-
-    std::string name() const override { return "bandwidth"; }
-
-    std::vector<std::string> validate() const override
-    {
-        std::vector<std::string> errors;
-        checkRange(errors, _spec.level >= 1 && _spec.level <= 4,
-                   "bandwidth: level must be in [1, 4]");
-        checkRange(errors,
-                   _spec.utilization > 0.0 && _spec.utilization <= 1.0,
-                   "bandwidth: utilization must be in (0, 1]");
-        checkRange(errors, _spec.blocks <= 100000,
-                   "bandwidth: blocks must be <= 100000");
-        return errors;
-    }
-
-    std::vector<std::string> columns() const override
-    {
-        return {"spec", "code", "level", "blocks", "utilization",
-                "required_worst_qps", "required_draper_qps",
-                "available_qps", "crossover_blocks"};
-    }
-
-    std::vector<sweep::Cell> run(Random &) const override
-    {
-        const net::BandwidthModel model(ecc::Code::byKind(_spec.code),
-                                        _spec.level, _spec.params());
-        const double blocks = static_cast<double>(_spec.blocks);
-        return {printSpec(_spec),
-                ecc::Code::byKind(_spec.code).name(),
-                _spec.level,
-                _spec.blocks,
-                _spec.utilization,
-                model.requiredWorstCase(blocks),
-                model.requiredDraper(blocks, _spec.utilization),
-                model.availablePerSuperblock(blocks),
-                model.crossoverBlocks(4096, _spec.utilization)};
-    }
+    double analytic_rate = 0.0;
 };
 
 /** Error-correction Monte Carlo vs the analytic model (Table 2). */
-class MonteCarloExperiment final : public Experiment
+const KindTable<MonteCarloResult> montecarlo_table = {
+    "montecarlo",
+    {{"code"}, {"level", 1, 3, false, "cost grows as n^level per trial"},
+     {"p0", 0, 0.25, true}, {"trials", 1, 100000000},
+     // ecc::EcMonteCarlo refuses a noise factor below 1 fatally.
+     {"noise_factor", 1, 100}},
+    [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *) {
+        const ecc::EcMonteCarlo mc(ecc::Code::byKind(spec.code),
+                                   spec.noise_factor);
+        return MonteCarloResult{
+            mc.estimate(spec.level, spec.p0, spec.trials, rng),
+            mc.analytic(spec.level, spec.p0)};
+    },
+    {CODE_COLUMN, SPEC_COLUMN(level), SPEC_COLUMN(p0),
+     RESULT_COLUMN(trials), RESULT_COLUMN(failures),
+     COLUMN("mc_rate", r.rate), COLUMN("mc_std_error", r.std_error),
+     RESULT_COLUMN(analytic_rate)}};
+
+/** A trace run with the cache capacity it resolved to. */
+struct TraceKindResult : trace::TraceResult
 {
-  public:
-    explicit MonteCarloExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
-    {
-    }
-
-    std::string name() const override { return "montecarlo"; }
-
-    std::vector<std::string> validate() const override
-    {
-        std::vector<std::string> errors;
-        checkRange(errors, _spec.level >= 1 && _spec.level <= 3,
-                   "montecarlo: level must be in [1, 3] (cost grows "
-                   "as n^level per trial)");
-        checkRange(errors, _spec.p0 > 0.0 && _spec.p0 <= 0.25,
-                   "montecarlo: p0 must be in (0, 0.25]");
-        checkRange(errors,
-                   _spec.trials >= 1 && _spec.trials <= 100000000,
-                   "montecarlo: trials must be in [1, 1e8]");
-        checkRange(errors,
-                   _spec.noise_factor > 0.0 &&
-                       _spec.noise_factor <= 100.0,
-                   "montecarlo: noise_factor must be in (0, 100]");
-        return errors;
-    }
-
-    std::vector<std::string> columns() const override
-    {
-        return {"spec", "code", "level", "p0", "trials", "failures",
-                "mc_rate", "mc_std_error", "analytic_rate"};
-    }
-
-    std::vector<sweep::Cell> run(Random &rng) const override
-    {
-        const ecc::EcMonteCarlo mc(ecc::Code::byKind(_spec.code),
-                                   _spec.noise_factor);
-        const auto estimate =
-            mc.estimate(_spec.level, _spec.p0, _spec.trials, rng);
-        return {printSpec(_spec),
-                ecc::Code::byKind(_spec.code).name(),
-                _spec.level,
-                _spec.p0,
-                estimate.trials,
-                estimate.failures,
-                estimate.rate,
-                estimate.std_error,
-                mc.analytic(_spec.level, _spec.p0)};
-    }
+    std::uint64_t capacity = 0;
 };
 
 /**
- * Trace-driven hierarchy pipeline: any registry workload (or a text-
- * format circuit wrapped in an api::Workload) list-scheduled onto
- * level-1 blocks with per-instruction cache residency and transfer-
- * channel charging (trace/engine.hh).
+ * Trace-driven hierarchy pipeline: any registry workload list-
+ * scheduled onto level-1 blocks with per-instruction cache residency
+ * and transfer-channel charging (trace/engine.hh).
  */
-class TraceExperiment final : public WorkloadExperiment
+const KindTable<TraceKindResult> trace_table = {
+    "trace",
+    {{"machine"}, {"code"}, {"workload"}, {"n", 2, 4096},
+     {"transfers", 1}, {"blocks", 1}, {"mem_banks", 1}, {"mem_ports", 1},
+     {"mem_buffer", 1}, {"cycles_per_line"}, {"capacity", 0, 1000000},
+     {"capacity_x", 0, 1000, true}},
+    [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *slot) {
+        std::optional<trace::PreparedWorkload> own;
+        const auto &prepared =
+            slot ? slot->get(spec, rng)
+                 : own.emplace(prepareWorkload(spec, rng, {spec.blocks}));
+        const auto capacity = resolveCapacity(spec, prepared.workload());
+        trace::TraceConfig config;
+        config.code = spec.code;
+        config.blocks = spec.blocks;
+        config.transfers = spec.transfers;
+        config.capacity = static_cast<std::size_t>(capacity);
+        config.mem_banks = spec.mem_banks;
+        config.mem_ports = spec.mem_ports;
+        config.mem_buffer = static_cast<std::size_t>(spec.mem_buffer);
+        config.cycles_per_line = spec.cycles_per_line;
+        config.latency = prepared.plan().latencyModel();
+        return TraceKindResult{
+            trace::runTrace(prepared, config, spec.params()), capacity};
+    },
+    {SPEC_COLUMN(workload), SPEC_COLUMN(n), SPEC_COLUMN(blocks),
+     SPEC_COLUMN(transfers), RESULT_COLUMN(capacity),
+     SPEC_COLUMN(mem_banks), SPEC_COLUMN(mem_ports),
+     RESULT_COLUMN(makespan_s), RESULT_COLUMN(baseline_s),
+     RESULT_COLUMN(speedup), RESULT_COLUMN(accesses), RESULT_COLUMN(hits),
+     RESULT_COLUMN(misses), RESULT_COLUMN(evictions),
+     RESULT_COLUMN(hit_rate), RESULT_COLUMN(transfer_utilization),
+     RESULT_COLUMN(mem_requests), RESULT_COLUMN(writebacks),
+     RESULT_COLUMN(bank_conflicts), RESULT_COLUMN(mem_stall_ticks),
+     RESULT_COLUMN(mem_peak_queue), RESULT_COLUMN(mem_mean_queue),
+     RESULT_COLUMN(mem_utilization), RESULT_COLUMN(block_utilization),
+     RESULT_COLUMN(peak_in_flight), RESULT_COLUMN(mean_in_flight),
+     RESULT_COLUMN(events_executed)}};
+
+#undef CODE_COLUMN
+#undef RESULT_COLUMN
+#undef SPEC_COLUMN
+#undef COLUMN
+
+const Key *
+findKey(const std::vector<Key> &keys, std::string_view name)
+{
+    for (const auto &key : keys)
+        if (name == key.name)
+            return &key;
+    return nullptr;
+}
+
+/** Every key of @p keys, then @p generator's (when non-null). */
+std::vector<std::string>
+keyNames(const std::vector<Key> &keys, const WorkloadGenerator *generator)
+{
+    std::vector<std::string> names;
+    for (const auto &key : keys)
+        names.emplace_back(key.name);
+    if (generator)
+        names.insert(names.end(), generator->keys.begin(),
+                     generator->keys.end());
+    return names;
+}
+
+/** A bound as written in a diagnostic: integers without exponent. */
+std::string
+boundText(double bound)
+{
+    if (bound == std::floor(bound) && std::fabs(bound) < 1e15)
+        return std::to_string(static_cast<std::int64_t>(bound));
+    return formatDouble(bound);
+}
+
+bool
+inRange(const Key &key, double value)
+{
+    return (key.lo_open ? value > key.lo : value >= key.lo) &&
+           value <= key.hi;
+}
+
+std::string
+rangeDiagnostic(const Key &key)
+{
+    const auto message = std::string(key.name) + " must be in " +
+                         (key.lo_open ? "(" : "[") + boundText(key.lo) +
+                         ", " + boundText(key.hi) +
+                         (key.hi == kUnbounded ? ")" : "]");
+    return key.note ? message + " (" + key.note + ")" : message;
+}
+
+/**
+ * validate() of every kind. Only a value that differs from the
+ * default can be foreign or out of range — every default lies inside
+ * every kind's bounds — and printSpec() emits exactly those, so one
+ * pass over its tokens checks both.
+ */
+std::vector<std::string>
+checkKeys(const ExperimentSpec &spec, const std::string &kind,
+          const std::vector<Key> &keys)
+{
+    std::vector<std::string> errors;
+    const WorkloadGenerator *generator = nullptr;
+    if (findKey(keys, "workload")) {
+        for (const auto &diagnostic : workloadDiagnostics(spec))
+            errors.push_back(kind + ": " + diagnostic);
+        generator = findWorkload(spec.workload);
+    }
+    const auto printed = printSpec(spec);
+    std::string_view rest(printed);
+    // Past the first token, experiment=<kind>, which every kind reads.
+    while (rest.find(' ') != std::string_view::npos) {
+        rest.remove_prefix(rest.find(' ') + 1);
+        const auto token = rest.substr(0, rest.find(' '));
+        // A value holding a space (only a C++-built spec can) splits
+        // into a token without '='; it is reported, never indexed past.
+        const auto eq = std::min(token.find('='), token.size());
+        const auto name = token.substr(0, eq);
+        const auto *key = findKey(keys, name);
+        const auto value =
+            parseDouble(token.substr(std::min(eq + 1, token.size())));
+        const bool generator_reads =
+            generator && std::ranges::find(generator->keys, name) !=
+                             generator->keys.end();
+        if (!key && !generator_reads)
+            errors.push_back(kind + ": " +
+                             unknownNameDiagnostic(kind + " key", name,
+                                                   keyNames(keys, generator)));
+        else if (key && value && !inRange(*key, *value))
+            errors.push_back(kind + ": " + rangeDiagnostic(*key));
+    }
+    return errors;
+}
+
+/** The experiment a kind's table defines; Base is WorkloadExperiment
+ *  for the kinds whose points can share a prepared workload. */
+template <typename Result, typename Base>
+class TableExperiment final : public Base
 {
   public:
-    explicit TraceExperiment(ExperimentSpec spec)
-        : WorkloadExperiment(std::move(spec))
+    TableExperiment(ExperimentSpec spec, const KindTable<Result> &table)
+        : Base(std::move(spec)), _table(table)
     {
     }
 
-    std::string name() const override { return "trace"; }
+    std::string name() const override { return _table.name; }
 
     std::vector<std::string> validate() const override
     {
-        std::vector<std::string> errors;
-        checkWorkload(errors, _spec, "trace");
-        checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
-                   "trace: n must be in [2, 4096]");
-        // The spec parser bounds transfers to [1, 100000], but a spec
-        // built in C++ can hold 0, which the engine refuses fatally —
-        // catch it here so it stays a typed diagnostic.
-        checkRange(errors, _spec.transfers >= 1,
-                   "trace: transfers must be >= 1");
-        checkRange(errors, _spec.capacity_x > 0.0,
-                   "trace: capacity_x must be > 0");
-        checkRange(errors,
-                   _spec.capacity == 0 || _spec.capacity <= 1000000,
-                   "trace: capacity must be <= 1000000");
-        checkRange(errors, _spec.gates <= 1000000,
-                   "trace: gates must be <= 1000000 (event-driven "
-                   "cost grows per gate)");
-        checkMemoryKnobs(errors, _spec, "trace");
-        return errors;
+        return checkKeys(this->_spec, _table.name, _table.keys);
     }
 
     std::vector<std::string> columns() const override
     {
-        return {"spec", "workload", "n", "blocks", "transfers",
-                "capacity", "mem_banks", "mem_ports",
-                "makespan_s", "baseline_s", "speedup",
-                "accesses", "hits", "misses", "evictions", "hit_rate",
-                "transfer_utilization",
-                "mem_requests", "writebacks", "bank_conflicts",
-                "mem_stall_ticks", "mem_peak_queue", "mem_mean_queue",
-                "mem_utilization",
-                "block_utilization",
-                "peak_in_flight", "mean_in_flight",
-                "events_executed"};
+        std::vector<std::string> names = {"spec"};
+        for (const auto &column : _table.columns)
+            names.emplace_back(column.name);
+        return names;
     }
 
     std::vector<sweep::Cell> run(Random &rng) const override
     {
-        const auto slot = takeSlot();
-        std::optional<trace::PreparedWorkload> own;
-        const auto &prepared =
-            slot ? slot->get(_spec, rng)
-                 : own.emplace(prepareWorkload(_spec, rng, {_spec.blocks}));
-        const auto capacity = resolveCapacity(_spec, prepared.workload());
-        trace::TraceConfig config;
-        config.code = _spec.code;
-        config.blocks = _spec.blocks;
-        config.transfers = _spec.transfers;
-        config.capacity = static_cast<std::size_t>(capacity);
-        config.mem_banks = _spec.mem_banks;
-        config.mem_ports = _spec.mem_ports;
-        config.mem_buffer =
-            static_cast<std::size_t>(_spec.mem_buffer);
-        config.cycles_per_line = _spec.cycles_per_line;
-        config.latency = prepared.plan().latencyModel();
-        const auto result =
-            trace::runTrace(prepared, config, _spec.params());
-        return {printSpec(_spec),
-                _spec.workload,
-                _spec.n,
-                _spec.blocks,
-                _spec.transfers,
-                capacity,
-                _spec.mem_banks,
-                _spec.mem_ports,
-                result.makespan_s,
-                result.baseline_s,
-                result.speedup,
-                result.accesses,
-                result.hits,
-                result.misses,
-                result.evictions,
-                result.hit_rate,
-                result.transfer_utilization,
-                result.mem_requests,
-                result.writebacks,
-                result.bank_conflicts,
-                result.mem_stall_ticks,
-                result.mem_peak_queue,
-                result.mem_mean_queue,
-                result.mem_utilization,
-                result.block_utilization,
-                result.peak_in_flight,
-                result.mean_in_flight,
-                result.events_executed};
+        std::shared_ptr<const PreparedSlot> slot;
+        if constexpr (std::is_same_v<Base, WorkloadExperiment>)
+            slot = this->takeSlot();
+        const auto result = _table.run(this->_spec, rng, slot.get());
+        std::vector<sweep::Cell> row;
+        row.reserve(_table.columns.size() + 1);
+        row.emplace_back(printSpec(this->_spec));
+        for (const auto &column : _table.columns)
+            row.push_back(column.get(this->_spec, result));
+        return row;
     }
+
+  private:
+    const KindTable<Result> &_table;
 };
+
+template <typename Base, typename Result>
+std::unique_ptr<Experiment>
+makeTableExperiment(const ExperimentSpec &spec,
+                    const KindTable<Result> &table)
+{
+    return std::make_unique<TableExperiment<Result, Base>>(spec, table);
+}
+
+/** The key table of @p kind. */
+const std::vector<Key> &
+keysOf(ExperimentKind kind)
+{
+    switch (kind) {
+      case ExperimentKind::Hierarchy:  return hierarchy_table.keys;
+      case ExperimentKind::Cache:      return cache_table.keys;
+      case ExperimentKind::Bandwidth:  return bandwidth_table.keys;
+      case ExperimentKind::MonteCarlo: return montecarlo_table.keys;
+      case ExperimentKind::Trace:      return trace_table.keys;
+    }
+    // qmh-lint: allow(typed-errors): exhaustive-switch guard — an out-of-range enum is memory corruption, not a request failure
+    qmh_panic("keysOf: bad ExperimentKind ", static_cast<int>(kind));
+}
 
 } // namespace
 
@@ -439,19 +410,32 @@ makeExperiment(const ExperimentSpec &spec)
 {
     switch (spec.kind) {
       case ExperimentKind::Hierarchy:
-        return std::make_unique<HierarchyExperiment>(spec);
+        return makeTableExperiment<Experiment>(spec, hierarchy_table);
       case ExperimentKind::Cache:
-        return std::make_unique<CacheExperiment>(spec);
+        return makeTableExperiment<WorkloadExperiment>(spec, cache_table);
       case ExperimentKind::Bandwidth:
-        return std::make_unique<BandwidthExperiment>(spec);
+        return makeTableExperiment<Experiment>(spec, bandwidth_table);
       case ExperimentKind::MonteCarlo:
-        return std::make_unique<MonteCarloExperiment>(spec);
+        return makeTableExperiment<Experiment>(spec, montecarlo_table);
       case ExperimentKind::Trace:
-        return std::make_unique<TraceExperiment>(spec);
+        return makeTableExperiment<WorkloadExperiment>(spec, trace_table);
     }
     // qmh-lint: allow(typed-errors): exhaustive-switch guard — an out-of-range enum is memory corruption, not a request failure
     qmh_panic("makeExperiment: bad ExperimentKind ",
               static_cast<int>(spec.kind));
+}
+
+std::vector<std::string>
+kindKeys(ExperimentKind kind)
+{
+    const auto &keys = keysOf(kind);
+    auto names = keyNames(keys, nullptr);
+    if (findKey(keys, "workload"))
+        for (const auto &generator : workloadRegistry())
+            for (const auto &key : generator.keys)
+                if (std::ranges::find(names, key) == names.end())
+                    names.push_back(key);
+    return names;
 }
 
 std::optional<Error>
@@ -469,8 +453,11 @@ checkExperimentBatch(
                      std::to_string(invalid.size()) +
                          " validation error(s) in the submitted specs",
                      std::move(invalid)};
+    if (experiments.empty())
+        return std::nullopt;
+    const auto columns = experiments.front()->columns();
     for (const auto &experiment : experiments)
-        if (experiment->columns() != experiments.front()->columns())
+        if (experiment->columns() != columns)
             return Error{
                 ErrorCode::MixedKinds,
                 "mixed experiment kinds in one sweep (" +
@@ -491,30 +478,6 @@ validateExperiments(const std::vector<ExperimentSpec> &specs)
         return std::move(*error);
     sharePreparedWorkloads(experiments);
     return experiments;
-}
-
-sweep::ResultTable
-runSpecSweep(sweep::SweepRunner &runner,
-             const std::vector<ExperimentSpec> &specs)
-{
-    Session session(runner);
-    auto submitted = session.submit(specs);
-    if (!submitted.ok())
-        // qmh-lint: allow(typed-errors): documented legacy panic surface — Session::submit is the typed twin callers migrate to
-        qmh_panic("runSpecSweep: ", submitted.error().describe());
-    auto result = submitted.value().wait();
-    if (result.failure)
-        // qmh-lint: allow(typed-errors): documented legacy panic surface — Session::submit is the typed twin callers migrate to
-        qmh_panic("runSpecSweep: ", result.failure->describe());
-    return std::move(result.table);
-}
-
-sweep::ResultTable
-runSpecSweep(const std::vector<ExperimentSpec> &specs,
-             const sweep::SweepOptions &options)
-{
-    sweep::SweepRunner runner(options);
-    return runSpecSweep(runner, specs);
 }
 
 } // namespace api

@@ -4,17 +4,19 @@
  *
  * makeExperiment() turns an ExperimentSpec into the matching
  * Experiment (hierarchy DES, cache simulator, bandwidth model,
- * error-correction Monte Carlo). The existing free functions
- * (cqla::runHierarchySim, cache::simulateCache, net::BandwidthModel,
- * ecc::EcMonteCarlo) stay the internal engines; this layer gives them
- * one contract — validate() -> diagnostics, run(Random&) -> one
- * result-table row — so every CLI, bench and sweep drives any of
- * them interchangeably.
+ * error-correction Monte Carlo, trace pipeline). The existing free
+ * functions (cqla::runHierarchySim, cache::simulateCache,
+ * net::BandwidthModel, ecc::EcMonteCarlo, trace::runTrace) stay the
+ * internal engines; this layer gives them one contract — validate()
+ * -> diagnostics, run(Random&) -> one result-table row — so every
+ * CLI, bench and sweep drives any of them interchangeably.
  *
- * runSpecSweep() fans a list of specs across a sweep::SweepRunner
- * with the engine's determinism contract: each point's Random stream
- * derives from (base_seed, index), rows land by index, and the
- * emitted table is bit-identical on 1 or N threads.
+ * Each kind is one table (experiment.cc): the spec keys it reads with
+ * their ranges, and its columns as (name, getter) pairs over the spec
+ * and the engine's result. validate(), columns(), the row and
+ * kindKeys() all come from it, and a spec that sets a key its kind
+ * never reads to a non-default value is rejected. Session::submit
+ * (session.hh) runs a batch of specs as one deterministic job.
  */
 
 #ifndef QMH_API_EXPERIMENT_HH
@@ -28,7 +30,6 @@
 #include "api/spec.hh"
 #include "common/random.hh"
 #include "sweep/emit.hh"
-#include "sweep/sweep.hh"
 
 namespace qmh {
 namespace api {
@@ -44,7 +45,8 @@ class Experiment
     /** Kind name, e.g. "hierarchy". */
     virtual std::string name() const = 0;
 
-    /** Diagnostics for out-of-range or inconsistent fields; empty = ok. */
+    /** Diagnostics for out-of-range or inconsistent fields, and for
+     *  non-default fields the kind does not read; empty = ok. */
     virtual std::vector<std::string> validate() const = 0;
 
     /**
@@ -71,6 +73,14 @@ class Experiment
 std::unique_ptr<Experiment> makeExperiment(const ExperimentSpec &spec);
 
 /**
+ * The spec keys experiments of @p kind read, besides `experiment`, in
+ * table order; a kind that reads `workload` lists the keys only some
+ * generators read (WorkloadGenerator::keys) last. Setting any other
+ * key to a non-default value fails validate().
+ */
+std::vector<std::string> kindKeys(ExperimentKind kind);
+
+/**
  * The typed checks a runnable batch must pass: every experiment
  * validates (ErrorCode::InvalidSpec, one detail per diagnostic,
  * indexed so duplicate spec prints stay tellable apart) and all
@@ -84,30 +94,13 @@ std::optional<Error> checkExperimentBatch(
 /**
  * Build the experiments for a one-table sweep with typed errors
  * (makeExperiment per spec, then checkExperimentBatch). Shared by
- * Session::submit, runSpecSweep and the opt:: cached/adaptive
+ * Session::submit, the server and the opt:: cached/adaptive
  * runners so their notion of "runnable batch" cannot drift apart.
  * A runnable batch's trace and cache points that share a circuit also
  * share one job-scoped prepared workload (api/prepared.hh).
  */
 [[nodiscard]] Outcome<std::vector<std::unique_ptr<Experiment>>>
 validateExperiments(const std::vector<ExperimentSpec> &specs);
-
-/**
- * Run every spec across @p runner and emit one table (columns of the
- * specs' kind plus a trailing "seed" column with each point's derived
- * seed). All specs must validate and be of one kind; violations
- * panic — validate first (or Session::submit) for recoverable
- * diagnostics. Implemented as a blocking session job, so the table
- * is bit-identical to draining a Session submission of @p specs.
- */
-sweep::ResultTable
-runSpecSweep(sweep::SweepRunner &runner,
-             const std::vector<ExperimentSpec> &specs);
-
-/** Convenience overload: builds a runner from @p options. */
-sweep::ResultTable
-runSpecSweep(const std::vector<ExperimentSpec> &specs,
-             const sweep::SweepOptions &options = {});
 
 } // namespace api
 } // namespace qmh

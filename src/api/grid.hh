@@ -6,7 +6,7 @@
  * spec key plus the textual values to sweep it over, applied through
  * the shared key=value machinery. The cross product preserves axis
  * declaration order (first axis slowest, last fastest), so point
- * indices — and therefore the per-point RNG seeds of runSpecSweep —
+ * indices — and therefore the per-point RNG seeds of a Session job —
  * are a pure function of the grid.
  */
 

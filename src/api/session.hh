@@ -2,11 +2,10 @@
  * @file
  * Job-oriented experiment execution: streaming, cancellable sweeps.
  *
- * Where runSpecSweep() blocks until the last point lands, a Session
- * turns a sweep into a job: submit() validates the specs up front
- * (typed Outcome errors, never a panic for caller mistakes) and
- * returns a JobHandle whose points fan across the worker pool while
- * the caller observes them:
+ * A Session turns a sweep into a job, and is the one sweep API:
+ * submit() validates the specs up front (typed Outcome errors, never
+ * a panic for caller mistakes) and returns a JobHandle whose points
+ * fan across the worker pool while the caller observes them:
  *
  *  - progress() — points done / total, monotonic;
  *  - nextRow()/pollRow() — completed rows stream out in index order
@@ -16,9 +15,8 @@
  *  - wait() — blocks for retirement and returns the result table.
  *
  * Determinism contract: each point's Random stream derives from
- * (base seed, index) exactly as in runSpecSweep, so the *contiguous
- * completed prefix* of rows — which is all a cancelled job returns —
- * is bit-identical to the same prefix of an uncancelled single-thread
+ * (base seed, index), so the *contiguous completed prefix* of rows —
+ * which is all a cancelled job returns — is bit-identical to the same prefix of an uncancelled single-thread
  * run. How far the prefix extends past the cancellation point depends
  * on scheduling; the content of row i never does.
  *

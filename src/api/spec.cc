@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -21,7 +22,26 @@ struct FieldDef
     std::string (*get)(const ExperimentSpec &);
     /** Returns "" on success, a diagnostic otherwise. */
     std::string (*set)(ExperimentSpec &, std::string_view);
+    /** True when get() would differ from the default's. */
+    bool (*differs)(const ExperimentSpec &);
 };
+
+/**
+ * Whether @p member of @p spec differs from the default's, exactly as
+ * their canonical texts would: scalars compare bitwise, so -0 differs
+ * from 0 as "-0" differs from "0".
+ */
+template <typename T>
+bool
+differsFromDefault(const ExperimentSpec &spec, T ExperimentSpec::*member)
+{
+    static const ExperimentSpec defaults;
+    if constexpr (std::is_same_v<T, std::string>)
+        return spec.*member != defaults.*member;
+    else
+        return std::memcmp(&(spec.*member), &(defaults.*member),
+                           sizeof(T)) != 0;
+}
 
 std::string
 badValue(const char *key, std::string_view value, const char *expect)
@@ -43,8 +63,14 @@ codeSpecName(ecc::CodeKind kind)
     return kind == ecc::CodeKind::Steane713 ? "steane" : "bacon-shor";
 }
 
-// Setter/getter builders for the common field shapes. Each returns a
-// captureless lambda convertible to the function pointers above.
+// Getter/setter/differs builders for the common field shapes. Each
+// returns captureless lambdas convertible to the function pointers
+// above.
+
+#define QMH_DIFFERS(member)                                             \
+    [](const ExperimentSpec &s) {                                       \
+        return differsFromDefault(s, &ExperimentSpec::member);          \
+    }
 
 #define QMH_INT_FIELD(member, lo, hi)                                   \
     [](const ExperimentSpec &s) {                                       \
@@ -57,7 +83,7 @@ codeSpecName(ecc::CodeKind kind)
                             "integer in [" #lo ", " #hi "]");           \
         s.member = static_cast<decltype(s.member)>(*parsed);            \
         return "";                                                      \
-    }
+    }, QMH_DIFFERS(member)
 
 #define QMH_U64_FIELD(member)                                           \
     [](const ExperimentSpec &s) {                                       \
@@ -69,7 +95,7 @@ codeSpecName(ecc::CodeKind kind)
             return badValue(#member, v, "unsigned integer");            \
         s.member = *parsed;                                             \
         return "";                                                      \
-    }
+    }, QMH_DIFFERS(member)
 
 // Non-finite values are rejected even though parseDouble accepts
 // them: NaN breaks the parse(print(s)) == s contract (NaN != NaN),
@@ -84,7 +110,7 @@ codeSpecName(ecc::CodeKind kind)
             return badValue(#member, v, "finite real number");          \
         s.member = *parsed;                                             \
         return "";                                                      \
-    }
+    }, QMH_DIFFERS(member)
 
 #define QMH_BOOL_FIELD(member)                                          \
     [](const ExperimentSpec &s) {                                       \
@@ -98,7 +124,7 @@ codeSpecName(ecc::CodeKind kind)
         else                                                            \
             return badValue(#member, v, "0 or 1");                      \
         return "";                                                      \
-    }
+    }, QMH_DIFFERS(member)
 
 const FieldDef field_defs[] = {
     {"experiment",
@@ -112,7 +138,8 @@ const FieldDef field_defs[] = {
                                           experimentKindNames());
          s.kind = *kind;
          return "";
-     }},
+     },
+     [](const ExperimentSpec &) { return true; }},  // always printed
     {"machine", "technology preset: now | future", SpecKeyKind::Text,
      [](const ExperimentSpec &s) { return s.machine; },
      [](ExperimentSpec &s, std::string_view v) -> std::string {
@@ -120,7 +147,7 @@ const FieldDef field_defs[] = {
              return badValue("machine", v, "now | future");
          s.machine = std::string(v);
          return "";
-     }},
+     }, QMH_DIFFERS(machine)},
     {"code", "error-correcting code: steane | bacon-shor",
      SpecKeyKind::Text,
      [](const ExperimentSpec &s) {
@@ -134,7 +161,7 @@ const FieldDef field_defs[] = {
          else
              return badValue("code", v, "steane | bacon-shor");
          return "";
-     }},
+     }, QMH_DIFFERS(code)},
     {"workload", "named generator (see api::workloadRegistry)",
      SpecKeyKind::Text,
      [](const ExperimentSpec &s) { return s.workload; },
@@ -143,7 +170,7 @@ const FieldDef field_defs[] = {
              return badValue("workload", v, "a generator name");
          s.workload = std::string(v);
          return "";
-     }},
+     }, QMH_DIFFERS(workload)},
     {"n", "operand / register width", SpecKeyKind::Int,
      QMH_INT_FIELD(n, 1, 65536)},
     {"gates", "gate count of the random workload", SpecKeyKind::Int,
@@ -185,10 +212,10 @@ const FieldDef field_defs[] = {
          else
              return badValue("policy", v, "inorder | optimized");
          return "";
-     }},
+     }, QMH_DIFFERS(policy)},
     {"warm", "warm-start the cache (0 | 1)", SpecKeyKind::Bool,
      QMH_BOOL_FIELD(warm)},
-    {"mask_data", "cache only the data registers (0 | 1)",
+    {"mask_data", "cache only an adder's data registers (0 | 1)",
      SpecKeyKind::Bool, QMH_BOOL_FIELD(mask_data)},
     {"level", "concatenation level", SpecKeyKind::Int,
      QMH_INT_FIELD(level, 1, 8)},
@@ -202,6 +229,7 @@ const FieldDef field_defs[] = {
      QMH_DOUBLE_FIELD(noise_factor)},
 };
 
+#undef QMH_DIFFERS
 #undef QMH_INT_FIELD
 #undef QMH_U64_FIELD
 #undef QMH_DOUBLE_FIELD
@@ -373,18 +401,15 @@ specSet(ExperimentSpec &spec, std::string_view key,
 std::string
 printSpec(const ExperimentSpec &spec)
 {
-    static const ExperimentSpec defaults;
     std::string out;
     for (const auto &field : field_defs) {
-        const auto value = field.get(spec);
-        if (std::string_view(field.key) != "experiment" &&
-            value == field.get(defaults))
+        if (!field.differs(spec))
             continue;
         if (!out.empty())
             out += ' ';
         out += field.key;
         out += '=';
-        out += value;
+        out += field.get(spec);
     }
     return out;
 }

@@ -63,9 +63,10 @@ std::string unknownNameDiagnostic(std::string_view what,
                                   const std::vector<std::string> &valid);
 
 /**
- * One experiment, fully specified. Fields not meaningful for the
- * chosen kind keep their defaults and are ignored by it; validation
- * of ranges happens in Experiment::validate() (experiment.hh).
+ * One experiment, fully specified. Fields the chosen kind does not
+ * read (api::kindKeys) must keep their defaults: Experiment::validate()
+ * (experiment.hh) rejects any other value, as it rejects out-of-range
+ * values of the fields the kind does read.
  */
 struct ExperimentSpec
 {

@@ -36,7 +36,10 @@ needsWidth(const ExperimentSpec &spec)
             std::to_string(spec.n) + ")"};
 }
 
-/** gen::randomMixed picks up to three distinct operands per gate. */
+/**
+ * gen::randomMixed picks up to three distinct operands per gate; the
+ * gate bound keeps one point's event-driven cost in check.
+ */
 std::vector<std::string>
 randomPreconditions(const ExperimentSpec &spec)
 {
@@ -44,9 +47,9 @@ randomPreconditions(const ExperimentSpec &spec)
     if (spec.n < 3)
         errors.push_back("workload random needs n >= 3 (got " +
                          std::to_string(spec.n) + ")");
-    if (spec.gates < 0)
-        errors.push_back("workload random needs gates >= 0 (got " +
-                         std::to_string(spec.gates) + ")");
+    if (spec.gates < 0 || spec.gates > 1000000)
+        errors.push_back("workload random needs gates in [0, 1000000] "
+                         "(got " + std::to_string(spec.gates) + ")");
     return errors;
 }
 
@@ -115,15 +118,15 @@ buildRandom(const ExperimentSpec &spec, Random &rng)
 
 const std::vector<WorkloadGenerator> registry = {
     {"draper", "logarithmic-depth carry-lookahead adder (paper core)",
-     needsWidth, buildDraper},
+     {"mask_data"}, needsWidth, buildDraper},
     {"ripple", "linear-depth ripple-carry adder (baseline)",
-     needsWidth, buildRipple},
+     {"mask_data"}, needsWidth, buildRipple},
     {"modexp", "repeated Draper additions (steady-state mod-exp)",
-     needsWidth, buildModExp},
-    {"qft", "quantum Fourier transform with bit-reversal swaps",
+     {"reps", "mask_data"}, needsWidth, buildModExp},
+    {"qft", "quantum Fourier transform with bit-reversal swaps", {},
      needsWidth, buildQft},
     {"random", "random mixed logical circuit (seeded per point)",
-     randomPreconditions, buildRandom, true},
+     {"gates"}, randomPreconditions, buildRandom, true},
 };
 
 } // namespace

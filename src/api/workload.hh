@@ -36,6 +36,12 @@ struct WorkloadGenerator
     std::string name;
     std::string description;
     /**
+     * Spec keys the generator reads besides `workload` and `n`. A kind
+     * that reads `workload` reads these too, for this generator only:
+     * setting one another generator reads is an InvalidSpec.
+     */
+    std::vector<std::string> keys;
+    /**
      * The generator's preconditions on the spec: one diagnostic per
      * violated one, empty when build() can run. The single source of
      * truth for both validate() and every build.

@@ -2,7 +2,7 @@
  * @file
  * Cache-aware spec sweeps.
  *
- * runSpecSweepCached() is api::runSpecSweep with a memo in front:
+ * runSpecSweepCached() is a Session sweep with a memo in front:
  * points whose canonical spec string is already in the ResultCache
  * replay their stored rows; only the misses fan across the worker
  * pool, and their results are inserted afterwards. Per-point RNG
@@ -10,7 +10,7 @@
  * rather than the grid index — so a row is the same no matter which
  * sweep, ordering or refinement round requests it, which is what
  * makes replay bit-identical (the one deliberate difference from the
- * index-seeded api::runSpecSweep).
+ * index-seeded Session::submit).
  */
 
 #ifndef QMH_OPT_CACHED_SWEEP_HH
@@ -22,6 +22,7 @@
 
 #include "api/experiment.hh"
 #include "opt/result_cache.hh"
+#include "sweep/sweep.hh"
 
 namespace qmh {
 namespace opt {
@@ -61,7 +62,8 @@ struct CachedSweepControl
 
 /**
  * Run every spec, consulting (and filling) @p cache. All specs must
- * validate and share one kind — violations panic, like runSpecSweep.
+ * validate and share one kind — violations panic (Session::submit is
+ * the typed alternative).
  * @p cache may be null (every point simulates; nothing persists);
  * otherwise its baseSeed() must equal the runner's, or this panics.
  * Rows land in spec order and are bit-identical across thread counts

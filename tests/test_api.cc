@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -42,7 +43,9 @@ TEST(Spec, PrintParsesBackExactly)
     spec.policy = cache::FetchPolicy::InOrder;
     spec.capacity_x = 0.1 + 0.2;  // not representable as "0.3"
     spec.l1_fraction = 2.0 / 3.0;
+    spec.chain_fraction = -0.0;   // equals the default 0, prints apart
     const auto text = printSpec(spec);
+    EXPECT_NE(text.find("chain_fraction=-0"), std::string::npos) << text;
     const auto parsed = parseSpec(text);
     ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
     EXPECT_TRUE(parsed.spec == spec) << text;
@@ -234,6 +237,24 @@ TEST(Experiments, ValidateCatchesBadRanges)
     EXPECT_TRUE(makeExperiment(spec)->validate().empty());
 }
 
+TEST(Experiments, DefaultsPassEveryKindUnderEveryGenerator)
+{
+    // validate() range-checks only the keys printSpec emits, the
+    // non-default ones; that is sound only while every default value
+    // lies inside every kind's bounds.
+    for (const auto &name : experimentKindNames())
+        for (const auto &generator : workloadRegistry()) {
+            ExperimentSpec spec;
+            spec.kind = *parseKind(name);
+            const auto keys = kindKeys(spec.kind);
+            if (std::find(keys.begin(), keys.end(), "workload") !=
+                keys.end())
+                spec.workload = generator.name;
+            EXPECT_TRUE(makeExperiment(spec)->validate().empty())
+                << printSpec(spec);
+        }
+}
+
 TEST(Experiments, EveryKindRunsAndMatchesItsColumns)
 {
     for (const char *text :
@@ -332,10 +353,10 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     // The 1-thread table, checked against 2, 4 and 8 threads.
     const auto pinned = [](const std::vector<ExperimentSpec> &points) {
         const auto serial =
-            runSpecSweep(points, {.threads = 1, .base_seed = 99});
+            tests::runTable(points, {.threads = 1, .base_seed = 99});
         EXPECT_EQ(serial.rows(), points.size());
         for (const unsigned threads : {2u, 4u, 8u}) {
-            const auto parallel = runSpecSweep(
+            const auto parallel = tests::runTable(
                 points, {.threads = threads, .base_seed = 99});
             EXPECT_EQ(csvOf(serial), csvOf(parallel))
                 << threads << " threads diverged on "
@@ -348,7 +369,7 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     // The random workload really is seed-sensitive: a different base
     // seed must change the table (hit counts differ).
     const auto other =
-        runSpecSweep(specs, {.threads = 2, .base_seed = 100});
+        tests::runTable(specs, {.threads = 2, .base_seed = 100});
     EXPECT_NE(csvOf(serial), csvOf(other));
 }
 
@@ -358,7 +379,7 @@ TEST(SpecSweep, TableShapeAndSeeds)
     grid.base = parseSpec("experiment=bandwidth").spec;
     grid.axis("blocks", {"10", "20", "30"});
     const auto table =
-        runSpecSweep(grid.expand(), {.threads = 2, .base_seed = 5});
+        tests::runTable(grid.expand(), {.threads = 2, .base_seed = 5});
     ASSERT_EQ(table.rows(), 3u);
     EXPECT_EQ(table.columnNames().front(), "spec");
     EXPECT_EQ(table.columnNames().back(), "seed");
@@ -374,25 +395,8 @@ TEST(SpecSweep, TableShapeAndSeeds)
 
 TEST(SpecSweep, EmptySpecListYieldsEmptyTable)
 {
-    const auto table = runSpecSweep({}, {.threads = 1});
+    const auto table = tests::runTable({}, {.threads = 1});
     EXPECT_EQ(table.rows(), 0u);
-}
-
-TEST(SpecSweepDeath, InvalidSpecPanics)
-{
-    ExperimentSpec bad;
-    bad.kind = ExperimentKind::Cache;
-    bad.workload = "bogus";
-    EXPECT_DEATH(runSpecSweep({bad}, {.threads = 1}),
-                 "validation error.*unknown workload 'bogus'");
-}
-
-TEST(SpecSweepDeath, MixedKindsPanic)
-{
-    const auto a = parseSpec("experiment=bandwidth").spec;
-    const auto b = parseSpec("experiment=montecarlo trials=10").spec;
-    EXPECT_DEATH(runSpecSweep({a, b}, {.threads = 1}),
-                 "mixed experiment kinds");
 }
 
 TEST(SpecSweep, HierarchyMatchesDirectEngineCall)
@@ -403,7 +407,7 @@ TEST(SpecSweep, HierarchyMatchesDirectEngineCall)
         "experiment=hierarchy code=bacon-shor n=64 adders=40 "
         "transfers=5 blocks=25 l1_fraction=0.5");
     ASSERT_TRUE(parsed.ok());
-    const auto table = runSpecSweep({parsed.spec}, {.threads = 1});
+    const auto table = tests::runTable({parsed.spec}, {.threads = 1});
 
     cqla::HierarchySimConfig config;
     config.code = ecc::CodeKind::BaconShor913;

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <latch>
 #include <sstream>
 #include <stdexcept>
 
 #include "api/grid.hh"
+#include "api/service.hh"
 #include "api/session.hh"
+#include "api/workload.hh"
+#include "run_table.hh"
 
 namespace qmh {
 namespace api {
@@ -63,6 +67,188 @@ TEST(Session, SubmitRejectsMixedKinds)
     EXPECT_EQ(submitted.error().code, ErrorCode::MixedKinds);
 }
 
+/** The InvalidSpec details of submitting @p text alone; empty and a
+ *  test failure when the submission is accepted. */
+std::vector<std::string>
+rejection(Session &session, const std::string &text)
+{
+    const auto parsed = parseSpec(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    const auto submitted =
+        session.submit(std::vector<ExperimentSpec>{parsed.spec});
+    EXPECT_FALSE(submitted.ok()) << text;
+    if (submitted.ok())
+        return {};
+    EXPECT_EQ(submitted.error().code, ErrorCode::InvalidSpec) << text;
+    return submitted.error().details;
+}
+
+TEST(Session, NoiseFactorBelowOneIsATypedInvalidSpec)
+{
+    // ecc::EcMonteCarlo exits the process on a noise factor below 1,
+    // so the montecarlo range must turn 0.5 away at submit.
+    Session session({.threads = 1});
+    const auto details = rejection(
+        session, "experiment=montecarlo noise_factor=0.5 trials=100");
+    ASSERT_EQ(details.size(), 1u);
+    EXPECT_NE(details.front().find("noise_factor must be in [1, 100]"),
+              std::string::npos);
+    EXPECT_TRUE(makeExperiment(
+                    parseSpec("experiment=montecarlo noise_factor=1").spec)
+                    ->validate()
+                    .empty());
+    // The session survives a rejected submission.
+    EXPECT_TRUE(session.submit(montecarloSpecs(2)).ok());
+}
+
+TEST(Session, CapacityMultiplierTooLargeToSizeACacheIsRejected)
+{
+    // capacity_x * PE qubits is cast to an integer capacity; 1e30 is
+    // past any integer, so it must be an InvalidSpec, not a cast.
+    Session session({.threads = 1});
+    for (const char *kind : {"cache", "trace"}) {
+        const std::string base =
+            std::string("experiment=") + kind + " n=16 capacity_x=";
+        const auto details = rejection(session, base + "1e30");
+        ASSERT_EQ(details.size(), 1u) << kind;
+        EXPECT_NE(details.front().find("capacity_x must be in (0, 1000]"),
+                  std::string::npos)
+            << details.front();
+        EXPECT_TRUE(makeExperiment(parseSpec(base + "1000").spec)
+                        ->validate()
+                        .empty())
+            << kind;
+    }
+}
+
+/** A legal non-default value of every spec key but `experiment`. */
+const std::vector<std::pair<std::string, std::string>> &
+nonDefaultValues()
+{
+    static const std::vector<std::pair<std::string, std::string>> values =
+        {{"machine", "now"},        {"code", "bacon-shor"},
+         {"workload", "ripple"},    {"n", "64"},
+         {"gates", "64"},           {"reps", "2"},
+         {"transfers", "4"},        {"blocks", "16"},
+         {"mem_banks", "2"},        {"mem_ports", "2"},
+         {"mem_buffer", "4"},       {"cycles_per_line", "1"},
+         {"adders", "50"},          {"l1_fraction", "0.5"},
+         {"chain_fraction", "0.5"}, {"capacity", "64"},
+         {"capacity_x", "2"},       {"policy", "inorder"},
+         {"warm", "1"},             {"mask_data", "0"},
+         {"level", "1"},            {"utilization", "0.5"},
+         {"p0", "0.001"},           {"trials", "100"},
+         {"noise_factor", "3"}};
+    return values;
+}
+
+bool
+contains(const std::vector<std::string> &names, const std::string &name)
+{
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(SpecKeys, EveryKindRejectsEveryKeyItDoesNotRead)
+{
+    // Kind x key: a non-default value of a key the kind reads passes
+    // validation; of any other key it is an InvalidSpec through
+    // Session::submit and through the JSONL service, naming the kind's
+    // keys as the valid ones, and the service keeps serving.
+    ASSERT_EQ(nonDefaultValues().size() + 1, specKeys().size());
+    Session session({.threads = 1});
+    std::string requests;
+    std::size_t foreign = 0;
+    for (const auto &kind : experimentKindNames()) {
+        const auto keys = kindKeys(*parseKind(kind));
+        for (const auto &[key, value] : nonDefaultValues()) {
+            // Keys only some generators read are walked below.
+            if (contains(keys, "workload") &&
+                (key == "gates" || key == "reps" || key == "mask_data"))
+                continue;
+            const auto text =
+                "experiment=" + kind + " " + key + "=" + value;
+            if (contains(keys, key)) {
+                EXPECT_TRUE(makeExperiment(parseSpec(text).spec)
+                                ->validate()
+                                .empty())
+                    << text;
+                continue;
+            }
+            const auto details = rejection(session, text);
+            ASSERT_EQ(details.size(), 1u) << text;
+            const auto &detail = details.front();
+            EXPECT_NE(detail.find("unknown " + kind + " key '" + key +
+                                  "'; valid " + kind + " key names: " +
+                                  keys.front()),
+                      std::string::npos)
+                << detail;
+            requests += "{\"id\":\"" + kind + "." + key +
+                        "\",\"specs\":[\"" + text + "\"]}\n";
+            ++foreign;
+        }
+    }
+    EXPECT_GT(foreign, 40u);
+
+    requests += "{\"id\":\"after\",\"specs\":[\"experiment=bandwidth\"]}\n";
+    std::istringstream in(requests);
+    std::ostringstream out;
+    runService(session, in, out);
+    std::istringstream records(out.str());
+    std::size_t invalid = 0;
+    std::string record;
+    std::string last;
+    while (std::getline(records, record)) {
+        if (record.find("\"code\":\"invalid_spec\"") != std::string::npos)
+            ++invalid;
+        last = record;
+    }
+    EXPECT_EQ(invalid, foreign);
+    EXPECT_NE(last.find("\"type\":\"done\",\"id\":\"after\",\"rows\":1"),
+              std::string::npos)
+        << last;
+}
+
+TEST(SpecKeys, ValueWithASpaceIsATypedInvalidSpec)
+{
+    // Only a spec built in C++ can hold a space; its printed form then
+    // splits into a token without '=', which must stay a diagnostic.
+    ExperimentSpec spec;
+    spec.kind = ExperimentKind::Trace;
+    spec.workload = "draper x";
+    Session session({.threads = 1});
+    const auto submitted =
+        session.submit(std::vector<ExperimentSpec>{spec});
+    ASSERT_FALSE(submitted.ok());
+    EXPECT_EQ(submitted.error().code, ErrorCode::InvalidSpec);
+    EXPECT_EQ(submitted.error().details.size(), 2u);
+}
+
+TEST(SpecKeys, WorkloadKeysBelongToTheGeneratorsThatReadThem)
+{
+    // gates, reps and mask_data are read by the cache and trace kinds
+    // only for the generators that list them; under any other
+    // generator a non-default value is an InvalidSpec.
+    Session session({.threads = 1});
+    for (const char *kind : {"cache", "trace"})
+        for (const auto &generator : workloadRegistry())
+            for (const auto &[key, value] :
+                 {std::pair<std::string, std::string>{"gates", "64"},
+                  {"reps", "2"},
+                  {"mask_data", "0"}}) {
+                const auto text = std::string("experiment=") + kind +
+                                  " n=16 workload=" + generator.name +
+                                  " " + key + "=" + value;
+                if (contains(generator.keys, key))
+                    EXPECT_TRUE(makeExperiment(parseSpec(text).spec)
+                                    ->validate()
+                                    .empty())
+                        << text;
+                else
+                    EXPECT_EQ(rejection(session, text).size(), 1u)
+                        << text;
+            }
+}
+
 TEST(Session, SubmitRejectsSeedCountMismatch)
 {
     Session session({.threads = 1});
@@ -88,12 +274,12 @@ TEST(Session, EmptySubmitIsAFinishedJob)
               (std::vector<std::string>{"spec", "seed"}));
 }
 
-TEST(Session, WaitMatchesBlockingRunSpecSweep)
+TEST(Session, WaitMatchesBlockingRunTable)
 {
     const auto specs = montecarloSpecs(6);
     const sweep::SweepOptions options{.threads = 3,
                                       .base_seed = 2024};
-    const auto blocking = runSpecSweep(specs, options);
+    const auto blocking = tests::runTable(specs, options);
 
     Session session(options);
     auto job = session.submit(specs).value();
@@ -169,7 +355,7 @@ TEST(Session, CancelledPrefixMatchesUncancelledSingleThreadRun)
     const auto specs = montecarloSpecs(16);
     const std::uint64_t seed = 77;
     const auto reference =
-        runSpecSweep(specs, {.threads = 1, .base_seed = seed});
+        tests::runTable(specs, {.threads = 1, .base_seed = seed});
 
     Session session({.threads = 4, .base_seed = seed});
     auto job = session.submit(specs).value();
@@ -362,7 +548,7 @@ TEST(Session, SessionOverSharedRunnerUsesItsPoolAndSeed)
     const auto specs = montecarloSpecs(4);
     const auto via_session =
         session.submit(specs).value().wait().table;
-    const auto via_runner = runSpecSweep(runner, specs);
+    const auto via_runner = tests::runTable(runner, specs);
     EXPECT_EQ(csvOf(via_session), csvOf(via_runner));
 }
 

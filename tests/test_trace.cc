@@ -13,6 +13,7 @@
 #include "api/workload.hh"
 #include "circuit/text_format.hh"
 #include "opt/cached_sweep.hh"
+#include "run_table.hh"
 #include "trace/engine.hh"
 
 namespace qmh {
@@ -161,7 +162,7 @@ TEST(TraceExperimentApi, RowMatchesDirectEngineCall)
         "capacity=32");
     ASSERT_TRUE(parsed.ok());
     const auto table =
-        api::runSpecSweep({parsed.spec}, {.threads = 1});
+        tests::runTable({parsed.spec}, {.threads = 1});
 
     TraceConfig config;
     config.blocks = 12;
@@ -219,16 +220,16 @@ TEST(TraceSweep, BitIdenticalAcrossThreadCounts)
     const auto specs = traceGrid().expand();
     ASSERT_EQ(specs.size(), 8u);
     const auto serial =
-        api::runSpecSweep(specs, {.threads = 1, .base_seed = 21});
+        tests::runTable(specs, {.threads = 1, .base_seed = 21});
     for (const unsigned threads : {2u, 4u, 8u}) {
-        const auto parallel = api::runSpecSweep(
+        const auto parallel = tests::runTable(
             specs, {.threads = threads, .base_seed = 21});
         EXPECT_EQ(csvOf(serial), csvOf(parallel))
             << threads << " threads diverged";
     }
     // Seed sensitivity: a different base seed must change the table.
     const auto other =
-        api::runSpecSweep(specs, {.threads = 2, .base_seed = 22});
+        tests::runTable(specs, {.threads = 2, .base_seed = 22});
     EXPECT_NE(csvOf(serial), csvOf(other));
 }
 
@@ -237,7 +238,7 @@ TEST(TraceSweep, CancelledSessionJobReturnsDeterministicPrefix)
     const auto specs = traceGrid().expand();
     const std::uint64_t seed = 33;
     const auto reference =
-        api::runSpecSweep(specs, {.threads = 1, .base_seed = seed});
+        tests::runTable(specs, {.threads = 1, .base_seed = seed});
 
     api::Session session({.threads = 4, .base_seed = seed});
     auto submitted = session.submit(specs);
@@ -403,7 +404,7 @@ TEST(TraceMemoryApi, MemoryKnobsAndColumnsFlowThroughTheSpec)
     EXPECT_EQ(parsed.spec.mem_banks, 1u);
     EXPECT_EQ(parsed.spec.mem_ports, 1u);
     const auto table =
-        api::runSpecSweep({parsed.spec}, {.threads = 1});
+        tests::runTable({parsed.spec}, {.threads = 1});
 
     TraceConfig config;
     config.blocks = 16;
@@ -476,7 +477,7 @@ TEST(TraceGolden, MidSizeRunReproducesCheckedInRowExactly)
         "capacity=40 mem_banks=2 mem_ports=1 mem_buffer=4");
     ASSERT_TRUE(parsed.errors.empty());
     const auto table =
-        api::runSpecSweep({parsed.spec}, {.threads = 1, .base_seed = 9});
+        tests::runTable({parsed.spec}, {.threads = 1, .base_seed = 9});
     const std::string golden =
         "spec,workload,n,blocks,transfers,capacity,mem_banks,"
         "mem_ports,makespan_s,baseline_s,speedup,accesses,hits,misses,"
@@ -510,9 +511,9 @@ TEST(TraceSweep, MemoryAxesAreBitIdenticalAcrossThreadCounts)
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 8u);
     const auto serial =
-        api::runSpecSweep(specs, {.threads = 1, .base_seed = 17});
+        tests::runTable(specs, {.threads = 1, .base_seed = 17});
     for (const unsigned threads : {2u, 8u}) {
-        const auto parallel = api::runSpecSweep(
+        const auto parallel = tests::runTable(
             specs, {.threads = threads, .base_seed = 17});
         EXPECT_EQ(csvOf(serial), csvOf(parallel))
             << threads << " threads diverged";
@@ -544,9 +545,9 @@ TEST(KindSweep, EveryExperimentKindIsBitIdenticalAcrossThreads)
         grid.base = api::parseSpec(kind.base).spec;
         ASSERT_EQ(grid.addAxis(kind.axis), "") << kind.base;
         const auto specs = grid.expand();
-        const auto serial = api::runSpecSweep(
+        const auto serial = tests::runTable(
             specs, {.threads = 1, .base_seed = 11});
-        const auto wide = api::runSpecSweep(
+        const auto wide = tests::runTable(
             specs, {.threads = 4, .base_seed = 11});
         EXPECT_EQ(csvOf(serial), csvOf(wide)) << kind.base;
     }
