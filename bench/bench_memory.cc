@@ -84,10 +84,9 @@ BM_BankedMemory(benchmark::State &state)
         config.buffer = 64;
         config.cycles_per_request = 10;
         sim::BankedMemory memory(eq, "mem", config);
-        eq.schedule(0, [&]() {
-            for (std::uint64_t i = 0; i < kRequests; ++i)
-                memory.request(storm ? 0 : i, 1, {});
-        });
+        // Every request is submitted at tick 0, before the run.
+        for (std::uint64_t i = 0; i < kRequests; ++i)
+            memory.request(storm ? 0 : i, 1, {});
         eq.run();
         benchmark::DoNotOptimize(memory.served());
         conflicts = memory.bankConflicts();

@@ -310,6 +310,10 @@ checkKeys(const ExperimentSpec &spec, const std::string &kind,
             errors.push_back(kind + ": " + diagnostic);
         generator = findWorkload(spec.workload);
     }
+    if (findKey(keys, "machine"))
+        if (auto diagnostic = machineDiagnostic(spec.machine);
+            !diagnostic.empty())
+            errors.push_back(kind + ": " + diagnostic);
     const auto printed = printSpec(spec);
     std::string_view rest(printed);
     // Past the first token, experiment=<kind>, which every kind reads.
@@ -438,9 +442,12 @@ kindKeys(ExperimentKind kind)
     return names;
 }
 
+namespace {
+
+/** InvalidSpec listing every validate() diagnostic of @p experiments,
+ *  indexed so duplicate spec prints stay tellable apart. */
 std::optional<Error>
-checkExperimentBatch(
-    const std::vector<std::unique_ptr<Experiment>> &experiments)
+invalidSpecs(const std::vector<std::unique_ptr<Experiment>> &experiments)
 {
     std::vector<std::string> invalid;
     for (std::size_t i = 0; i < experiments.size(); ++i)
@@ -448,22 +455,37 @@ checkExperimentBatch(
             invalid.push_back("spec " + std::to_string(i) + " ('" +
                               printSpec(experiments[i]->spec()) +
                               "'): " + diagnostic);
-    if (!invalid.empty())
-        return Error{ErrorCode::InvalidSpec,
-                     std::to_string(invalid.size()) +
-                         " validation error(s) in the submitted specs",
-                     std::move(invalid)};
+    if (invalid.empty())
+        return std::nullopt;
+    return Error{ErrorCode::InvalidSpec,
+                 std::to_string(invalid.size()) +
+                     " validation error(s) in the submitted specs",
+                 std::move(invalid)};
+}
+
+Error
+mixedKinds(const Experiment &first, const Experiment &other)
+{
+    return Error{ErrorCode::MixedKinds,
+                 "mixed experiment kinds in one sweep (" + first.name() +
+                     " vs " + other.name() + ")",
+                 {}};
+}
+
+} // namespace
+
+std::optional<Error>
+checkExperimentBatch(
+    const std::vector<std::unique_ptr<Experiment>> &experiments)
+{
+    if (auto error = invalidSpecs(experiments))
+        return error;
     if (experiments.empty())
         return std::nullopt;
     const auto columns = experiments.front()->columns();
     for (const auto &experiment : experiments)
         if (experiment->columns() != columns)
-            return Error{
-                ErrorCode::MixedKinds,
-                "mixed experiment kinds in one sweep (" +
-                    experiments.front()->name() + " vs " +
-                    experiment->name() + ")",
-                {}};
+            return mixedKinds(*experiments.front(), *experiment);
     return std::nullopt;
 }
 
@@ -474,8 +496,13 @@ validateExperiments(const std::vector<ExperimentSpec> &specs)
     experiments.reserve(specs.size());
     for (const auto &spec : specs)
         experiments.push_back(makeExperiment(spec));
-    if (auto error = checkExperimentBatch(experiments))
+    if (auto error = invalidSpecs(experiments))
         return std::move(*error);
+    // Each kind has one column table, so on this path equal kinds
+    // mean equal columns, without building a column list per point.
+    for (const auto &experiment : experiments)
+        if (experiment->spec().kind != specs.front().kind)
+            return mixedKinds(*experiments.front(), *experiment);
     sharePreparedWorkloads(experiments);
     return experiments;
 }

@@ -81,20 +81,21 @@ std::unique_ptr<Experiment> makeExperiment(const ExperimentSpec &spec);
 std::vector<std::string> kindKeys(ExperimentKind kind);
 
 /**
- * The typed checks a runnable batch must pass: every experiment
- * validates (ErrorCode::InvalidSpec, one detail per diagnostic,
- * indexed so duplicate spec prints stay tellable apart) and all
- * share one column schema (ErrorCode::MixedKinds). The single
- * source of truth for Session::submit (both overloads) and
- * validateExperiments. nullopt = runnable.
+ * The typed checks a runnable batch of caller-built experiments must
+ * pass: every experiment validates (ErrorCode::InvalidSpec, one
+ * detail per diagnostic, indexed so duplicate spec prints stay
+ * tellable apart) and all share one column schema
+ * (ErrorCode::MixedKinds). Session::submit(experiments) uses it;
+ * validateExperiments makes the same checks, comparing spec kinds
+ * instead of column lists. nullopt = runnable.
  */
 std::optional<Error> checkExperimentBatch(
     const std::vector<std::unique_ptr<Experiment>> &experiments);
 
 /**
  * Build the experiments for a one-table sweep with typed errors
- * (makeExperiment per spec, then checkExperimentBatch). Shared by
- * Session::submit, the server and the opt:: cached/adaptive
+ * (makeExperiment per spec, then the checks of checkExperimentBatch).
+ * Shared by Session::submit, the server and the opt:: cached/adaptive
  * runners so their notion of "runnable batch" cannot drift apart.
  * A runnable batch's trace and cache points that share a circuit also
  * share one job-scoped prepared workload (api/prepared.hh).

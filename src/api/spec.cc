@@ -143,8 +143,8 @@ const FieldDef field_defs[] = {
     {"machine", "technology preset: now | future", SpecKeyKind::Text,
      [](const ExperimentSpec &s) { return s.machine; },
      [](ExperimentSpec &s, std::string_view v) -> std::string {
-         if (v != "now" && v != "future")
-             return badValue("machine", v, "now | future");
+         if (auto diagnostic = machineDiagnostic(v); !diagnostic.empty())
+             return diagnostic;
          s.machine = std::string(v);
          return "";
      }, QMH_DIFFERS(machine)},
@@ -338,6 +338,14 @@ unknownNameDiagnostic(std::string_view what, std::string_view name,
     return message;
 }
 
+std::string
+machineDiagnostic(std::string_view machine)
+{
+    if (machine == "now" || machine == "future")
+        return "";
+    return badValue("machine", machine, "now | future");
+}
+
 iontrap::Params
 ExperimentSpec::params() const
 {
@@ -345,7 +353,7 @@ ExperimentSpec::params() const
         return iontrap::Params::currentTechnology();
     if (machine == "future")
         return iontrap::Params::future();
-    // qmh-lint: allow(typed-errors): unreachable after parse/specSet validation — the machine field only ever holds a registered preset
+    // qmh-lint: allow(typed-errors): unreachable after validate() — every kind that reads the machine checks it with machineDiagnostic
     qmh_panic("ExperimentSpec: unknown machine preset '", machine, "'");
 }
 

@@ -63,6 +63,14 @@ std::string unknownNameDiagnostic(std::string_view what,
                                   const std::vector<std::string> &valid);
 
 /**
+ * Diagnostic for a technology preset that is not `now` or `future`;
+ * empty when @p machine names one. The `machine=` parser and the
+ * validate() of every kind that reads the machine share it, so a spec
+ * built in C++ with an unknown preset is a typed error too.
+ */
+std::string machineDiagnostic(std::string_view machine);
+
+/**
  * One experiment, fully specified. Fields the chosen kind does not
  * read (api::kindKeys) must keep their defaults: Experiment::validate()
  * (experiment.hh) rejects any other value, as it rejects out-of-range
@@ -111,7 +119,8 @@ struct ExperimentSpec
 
     bool operator==(const ExperimentSpec &) const = default;
 
-    /** Resolve the technology preset (panics on invalid machine). */
+    /** Resolve the technology preset (panics on an unknown machine,
+     *  which validate() reports first). */
     iontrap::Params params() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -18,27 +17,36 @@ namespace cqla {
 namespace {
 
 /**
- * The level-1 adder pipeline, and the completion sink of its bank
- * and channel requests. A tag is `chained << 1 | stage`: stage 0 is
- * the owning bank staging the critical set, which starts the channel
- * wave; stage 1 is the wave, after which the addition computes — a
- * chain-dependent one no earlier than the level-2 accumulator.
+ * The adder pipelines of both levels, and the sink of every event and
+ * request of the run. A tag is `chained << 2 | stage` (Stage below);
+ * only a bank or wave stage carries a chained bit.
  */
-struct Level1Pipeline final : sim::CompletionSink
+struct Pipeline final : sim::CompletionSink
 {
-    Level1Pipeline(sim::EventQueue &eq, sim::BankedMemory &memory,
-                   sim::TransferChannels &channels,
-                   const Tick &l2_busy_until)
-        : eq(eq), memory(memory), channels(channels),
-          l2_busy_until(l2_busy_until)
+    enum Stage : std::uint64_t {
+        Bank = 0,      ///< the owning bank staged the critical set
+        Wave = 1,      ///< the channel wave delivered it: compute
+        Level1 = 2,    ///< start the next level-1 addition
+        Level2 = 3     ///< start the next level-2 addition
+    };
+
+    Pipeline(sim::EventQueue &eq, sim::BankedMemory &memory,
+             sim::TransferChannels &channels)
+        : eq(eq), memory(memory), channels(channels)
     {
     }
 
     sim::EventQueue &eq;
     sim::BankedMemory &memory;
     sim::TransferChannels &channels;
-    const Tick &l2_busy_until;
 
+    // Level 2: back-to-back additions.
+    Tick t2 = 0;
+    Tick l2_busy_until = 0;
+    std::uint64_t l2_remaining = 0;
+
+    // Level 1: stage the critical set in its bank, pull it through
+    // the transfer channels, then compute.
     double chain_dependent_fraction = 0.0;
     unsigned critical_qubits = 0;
     Tick per_qubit = 0;
@@ -48,7 +56,17 @@ struct Level1Pipeline final : sim::CompletionSink
     std::uint64_t started = 0;
 
     void
-    dispatch()
+    dispatchLevel2()
+    {
+        if (l2_remaining == 0)
+            return;
+        --l2_remaining;
+        l2_busy_until = std::max(l2_busy_until, eq.now()) + t2;
+        eq.schedule(l2_busy_until, {this, Level2});
+    }
+
+    void
+    dispatchLevel1()
     {
         if (remaining == 0)
             return;
@@ -62,26 +80,38 @@ struct Level1Pipeline final : sim::CompletionSink
         const std::uint64_t address = started;
         ++started;
         memory.request(address, critical_qubits,
-                       {this, std::uint64_t{chained} << 1});
+                       {this, std::uint64_t{chained} << 2 | Bank});
     }
 
     void
-    portDone(std::uint64_t tag) override
+    complete(std::uint64_t tag) override
     {
-        // The staged set goes out as one channel pipelining the batch
-        // for its wave latency while all critical qubits charge the
-        // busy accounting.
-        if ((tag & 1) == 0) {
+        switch (static_cast<Stage>(tag & 3)) {
+          case Bank:
+            // The staged set goes out as one channel pipelining the
+            // batch for its wave latency while all critical qubits
+            // charge the busy accounting.
             channels.transfer(transfer_latency,
                               static_cast<Tick>(critical_qubits) *
                                   per_qubit,
-                              {this, tag | 1});
+                              {this, (tag & ~std::uint64_t{3}) | Wave});
+            return;
+          case Wave: {
+            // A chain-dependent addition computes no earlier than the
+            // level-2 accumulator.
+            const bool chained = (tag >> 2) != 0;
+            const Tick compute_start =
+                chained ? std::max(eq.now(), l2_busy_until) : eq.now();
+            eq.schedule(compute_start + t1_compute, {this, Level1});
+            return;
+          }
+          case Level1:
+            dispatchLevel1();
+            return;
+          case Level2:
+            dispatchLevel2();
             return;
         }
-        const bool chained = (tag >> 1) != 0;
-        const Tick compute_start =
-            chained ? std::max(eq.now(), l2_busy_until) : eq.now();
-        eq.schedule(compute_start + t1_compute, [this] { dispatch(); });
     }
 };
 
@@ -140,33 +170,23 @@ runHierarchySim(const HierarchySimConfig &config,
     result.level1_adds = l1_target;
     result.level2_adds = config.total_adders - l1_target;
 
-    Tick l2_busy_until = 0;
-    std::uint64_t l2_remaining = result.level2_adds;
-
-    // Level-2 region: back-to-back additions.
-    std::function<void()> dispatch_l2 = [&]() {
-        if (l2_remaining == 0)
-            return;
-        --l2_remaining;
-        l2_busy_until = std::max(l2_busy_until, eq.now()) + t2;
-        eq.schedule(l2_busy_until, [&]() { dispatch_l2(); });
-    };
-
-    // Level-1 pipeline: pull the critical set through the transfer
-    // channels (ceil(critical/channels) serial waves), then compute.
+    // A level-1 critical set crosses the transfer channels in
+    // ceil(critical/channels) serial waves.
     const unsigned waves =
         (critical_qubits + config.parallel_transfers - 1) /
         config.parallel_transfers;
-    Level1Pipeline l1(eq, memory, channels, l2_busy_until);
-    l1.chain_dependent_fraction = config.chain_dependent_fraction;
-    l1.critical_qubits = critical_qubits;
-    l1.per_qubit = per_qubit;
-    l1.transfer_latency = static_cast<Tick>(waves) * per_qubit;
-    l1.t1_compute = t1_compute;
-    l1.remaining = result.level1_adds;
+    Pipeline pipeline(eq, memory, channels);
+    pipeline.t2 = t2;
+    pipeline.l2_remaining = result.level2_adds;
+    pipeline.chain_dependent_fraction = config.chain_dependent_fraction;
+    pipeline.critical_qubits = critical_qubits;
+    pipeline.per_qubit = per_qubit;
+    pipeline.transfer_latency = static_cast<Tick>(waves) * per_qubit;
+    pipeline.t1_compute = t1_compute;
+    pipeline.remaining = result.level1_adds;
 
-    eq.schedule(0, [&]() { dispatch_l2(); });
-    eq.schedule(0, [&]() { l1.dispatch(); });
+    eq.schedule(0, {&pipeline, Pipeline::Level2});
+    eq.schedule(0, {&pipeline, Pipeline::Level1});
     eq.run();
 
     result.makespan_s = units::ticksToSeconds(eq.now());

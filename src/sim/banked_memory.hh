@@ -116,8 +116,8 @@ class BankedMemory : public Component
   private:
     BankedMemoryConfig _config;
     TokenPool _tokens;
-    // unique_ptr: Ports pin their address (scheduled completions
-    // capture `this`), so the vector must never relocate them.
+    // unique_ptr: Ports pin their address (pending events name the
+    // port as their sink), so the vector must never relocate them.
     std::vector<std::unique_ptr<Port>> _banks;
 };
 

@@ -137,10 +137,15 @@ Port::start(Tick service, Completion done)
 {
     ++_in_service;
     _stats.busy_ticks += service;
-    // The completion event carries {port, sink, tag}: 24 bytes, well
-    // inside an event frame's inline budget.
-    _owner.queue().scheduleAfter(service,
-                                 [this, done] { complete(done); });
+    const auto slot = static_cast<std::uint32_t>(
+        _free_slots.empty() ? _slots.size() : _free_slots.back());
+    if (slot == _slots.size()) {
+        _slots.push_back(done);
+    } else {
+        _free_slots.pop_back();
+        _slots[slot] = done;
+    }
+    _owner.queue().scheduleAfter(service, {this, slot});
 }
 
 void
@@ -160,17 +165,20 @@ Port::pushBack(const Request &request)
 }
 
 void
-Port::complete(Completion done)
+Port::complete(std::uint64_t tag)
 {
     if (_in_service == 0)
         qmh_panic("port '", _owner.name(), ".", _name,
                   "': completion without a request in service");
+    const auto slot = static_cast<std::uint32_t>(tag);
+    const Completion done = _slots[slot];
+    _free_slots.push_back(slot);
     --_in_service;
     ++_stats.served;
     if (_tokens)
         _tokens->release();
     if (done.sink)
-        done.sink->portDone(done.tag);
+        done.sink->complete(done.tag);
     pump();
 }
 

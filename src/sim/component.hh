@@ -2,9 +2,10 @@
  * @file
  * Component kernel for the discrete-event simulator.
  *
- * The EventQueue dispatches bare callables; everything above it in
- * the hierarchy stack is built from three small pieces modeled on
- * mgsim's component/port architecture (ParallelMemory/BankedMemory):
+ * The EventQueue dispatches {sink, tag} events (event_queue.hh);
+ * everything above it in the hierarchy stack is built from three
+ * small pieces modeled on mgsim's component/port architecture
+ * (ParallelMemory/BankedMemory):
  *
  *  - Component: a named simulation object attached to one EventQueue.
  *    Components never share state across queues, so every simulation
@@ -18,9 +19,12 @@
  *    the component and is admitted — in strict FIFO order — only when
  *    a slot frees. A request completes to a Completion: a sink and a
  *    tag, as mgsim's memories complete to an IMemoryCallback and a
- *    MemTag, so a request is plain data and its completion event is
- *    three words. Arbitration is deterministic: same-tick submissions
- *    are served in submission order, never in hash or pointer order.
+ *    MemTag, so a request is plain data. The port is the sink of its
+ *    own service-end events, tagged with the request's slot in a
+ *    table that grows with the requests actually in service, never
+ *    with the width. Arbitration is deterministic: same-tick
+ *    submissions are served in submission order, never in hash or
+ *    pointer order.
  *
  *  - TokenPool: a counted issue-width shared by several ports of one
  *    component (e.g. the memory ports in front of the banks). A port
@@ -44,31 +48,6 @@
 
 namespace qmh {
 namespace sim {
-
-/** Receiver of component request completions. */
-class CompletionSink
-{
-  public:
-    /** The request submitted with @p tag has been served. */
-    virtual void portDone(std::uint64_t tag) = 0;
-
-  protected:
-    // Pending requests hold the sink's address, so it never moves.
-    CompletionSink() = default;
-    CompletionSink(const CompletionSink &) = delete;
-    CompletionSink &operator=(const CompletionSink &) = delete;
-    ~CompletionSink() = default;
-};
-
-/**
- * Where a served request reports: @p sink is told @p tag. A null
- * sink is fire-and-forget traffic such as writebacks.
- */
-struct Completion
-{
-    CompletionSink *sink = nullptr;
-    std::uint64_t tag = 0;
-};
 
 /** A named simulation object attached to one EventQueue. */
 class Component
@@ -134,7 +113,7 @@ class TokenPool
  * component's backpressure to the requester — and both the
  * occurrence and the waiting time are counted.
  */
-class Port
+class Port final : private CompletionSink
 {
   public:
     /** Contention statistics of one port. */
@@ -214,7 +193,8 @@ class Port
     void startFront();
     void start(Tick service, Completion done);
     void pushBack(const Request &request);
-    void complete(Completion done);
+    /** Service of the request in slot @p tag ended. */
+    void complete(std::uint64_t tag) override;
     void noteQueueChange();
 
     Component &_owner;
@@ -233,6 +213,11 @@ class Port
     std::vector<Request> _ring;
     std::size_t _head = 0;
     std::size_t _count = 0;
+
+    /** Completions of the requests in service, by slot, and the
+     *  slots free for reuse. */
+    std::vector<Completion> _slots;
+    std::vector<std::uint32_t> _free_slots;
 
     unsigned _in_service = 0;
     bool _parked = false;           ///< enlisted in the token pool

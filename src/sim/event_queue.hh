@@ -2,54 +2,70 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The queue dispatches callables in (tick, priority, insertion-order)
- * order. Components schedule lambdas; there is deliberately no global
- * singleton queue — every simulation owns its own EventQueue so tests
- * and benches can run many independent simulations in one process.
+ * An event is a Completion: a sink and a 64-bit tag, the same record
+ * a port, bank or channel request completes to (mgsim's
+ * IMemoryCallback + MemTag). Dispatching an event tells its sink the
+ * tag, and the sink decodes what the tag names — a port's in-service
+ * slot, a trace gate's pipeline stage. There is deliberately no
+ * global singleton queue: every simulation owns its own EventQueue so
+ * tests and benches can run many independent simulations in one
+ * process.
  *
- * Internally the queue is one binary min-heap over a reused vector,
- * sized for the simulations it serves: a trace run has at most about
- * blocks + memory ports + transfer channels (under a hundred) events
- * pending, so a heap that shallow needs no calendar buckets or
- * horizon tuning.
+ * Dispatch order is the strict total order (tick, priority, seq),
+ * where seq is the order of submission, so events of one tick and
+ * priority run first-scheduled first. The storage layout below is
+ * unobservable.
  *
- *  - Heap entries carry the (tick, priority, seq) key inline next to
- *    a pointer to their event frame, so ordering never dereferences
- *    a frame.
- *
- *  - Event frames live in a per-queue arena (blocks of frames strung
- *    on a free list), so steady-state scheduling performs no heap
- *    allocation. Handlers are stored in a small-buffer-optimized
- *    callable inline in the frame; closures beyond the inline budget
- *    spill to the heap and are counted (spilledHandlers()) so tests
- *    can pin the hot path to zero spills.
- *
- *  - The inline budget is 32 bytes, so a frame is 64 bytes, one
- *    cache line's worth. With few events pending and most pops
- *    landing on the current tick, moving the payload, not ordering
- *    the heap, is what an event costs; every hot-path closure (a
- *    port completion is {port, sink, tag}) fits in four words.
- *
- * Dispatch order is governed solely by the strict total order
- * (tick, priority, seq), so the heap layout is unobservable.
+ * Pending events live in FIFO lanes, one per (delay, priority) pair
+ * in use. now() never decreases, so appending an event at
+ * now() + delay to its pair's lane keeps every lane in (tick, seq)
+ * order by construction; the next event is the least lane head,
+ * found by a scan, with no sift. A simulation uses a handful of
+ * distinct delays (a trace run: zero, bank service, wire transfer and
+ * gate compute), so a fixed table of lane_count lanes takes them; an
+ * empty lane is rebound to a new pair on demand. An event whose pair
+ * finds no lane goes to one binary heap, so an arbitrary schedule
+ * stays correct at O(log n) per event.
  */
 
 #ifndef QMH_SIM_EVENT_QUEUE_HH
 #define QMH_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "common/small_function.hh"
 #include "common/units.hh"
 
 namespace qmh {
 namespace sim {
+
+/** Receiver of events and of component request completions. */
+class CompletionSink
+{
+  public:
+    /** The event or request submitted with @p tag is due. */
+    virtual void complete(std::uint64_t tag) = 0;
+
+  protected:
+    // Pending events hold the sink's address, so it never moves.
+    CompletionSink() = default;
+    CompletionSink(const CompletionSink &) = delete;
+    CompletionSink &operator=(const CompletionSink &) = delete;
+    ~CompletionSink() = default;
+};
+
+/**
+ * Where an event or a served request reports: @p sink is told @p tag.
+ * A request may carry a null sink (fire-and-forget traffic such as
+ * writebacks); an event may not.
+ */
+struct Completion
+{
+    CompletionSink *sink = nullptr;
+    std::uint64_t tag = 0;
+};
 
 /** Dispatch priority for events scheduled at the same tick. */
 enum class Priority : int {
@@ -59,57 +75,39 @@ enum class Priority : int {
 };
 
 /**
- * Time-ordered event queue. Events may schedule further events while
- * executing (including at the current tick).
+ * Time-ordered event queue. Sinks may schedule further events while
+ * handling one (including at the current tick).
  */
 class EventQueue
 {
   public:
-    /** Inline closure budget per event frame, bytes. */
-    static constexpr std::size_t event_inline_bytes = 32;
-
-    using Handler = std::function<void()>;
-    using EventFn = common::SmallFunction<event_inline_bytes>;
+    /** FIFO lanes; (delay, priority) pairs beyond them use the heap. */
+    static constexpr std::size_t lane_count = 8;
 
     /** Current simulation time. */
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p fn at absolute time @p when (>= now()).
+     * Schedule @p event at absolute time @p when (>= now()); its sink
+     * must be non-null.
      * @return a monotonically increasing sequence id (for debugging).
      */
-    std::uint64_t schedule(Tick when, Handler fn,
+    std::uint64_t schedule(Tick when, Completion event,
                            Priority prio = Priority::Default);
 
-    /**
-     * Schedule any callable at absolute time @p when (>= now()).
-     * Closures up to event_inline_bytes are stored inline in the
-     * arena frame; larger ones spill to the heap (counted).
-     */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Handler> &&
-                  std::is_invocable_v<std::decay_t<F> &>>>
+    /** Schedule @p event @p delay ticks after now(). */
     std::uint64_t
-    schedule(Tick when, F &&fn, Priority prio = Priority::Default)
-    {
-        return scheduleImpl(when, EventFn(std::forward<F>(fn)), prio);
-    }
-
-    /** Schedule @p fn @p delay ticks after now(). */
-    template <typename F>
-    std::uint64_t
-    scheduleAfter(Tick delay, F &&fn,
+    scheduleAfter(Tick delay, Completion event,
                   Priority prio = Priority::Default)
     {
-        return schedule(_now + delay, std::forward<F>(fn), prio);
+        return schedule(_now + delay, event, prio);
     }
 
     /** True when no events remain. */
-    bool empty() const { return _heap.empty(); }
+    bool empty() const { return _pending == 0; }
 
     /** Number of pending events. */
-    std::size_t pending() const { return _heap.size(); }
+    std::size_t pending() const { return _pending; }
 
     /** Execute the single next event; returns false if none remain. */
     bool step();
@@ -123,65 +121,58 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Arena blocks allocated over the queue's lifetime. */
-    std::size_t arenaBlocks() const { return _blocks.size(); }
-
-    /** Event frames the arena can hold without growing. */
-    std::size_t
-    arenaCapacity() const
-    {
-        return _blocks.size() * block_events;
-    }
-
-    /** Handlers too large for the inline budget (heap spills). */
-    std::uint64_t spilledHandlers() const { return _spilled; }
+    /** Events the queue can hold without growing its storage. */
+    std::size_t capacity() const;
 
   private:
-    /// Event frames per arena block.
-    static constexpr std::size_t block_events = 128;
-
-    /** Arena slot: the handler, or the free-list link when idle. */
-    struct Frame {
-        EventFn fn;
-        Frame *next_free = nullptr;
-    };
-    static_assert(sizeof(Frame) == 64,
-                  "an event frame is one cache line's worth");
-
-    /** Heap entry: the dispatch key inline beside its frame. */
+    /** A pending event; key is priority rank << seq_bits | seq. */
     struct Entry {
         Tick when;
-        std::uint64_t seq;
-        int prio;
-        Frame *frame;
+        std::uint64_t key;
+        CompletionSink *sink;
+        std::uint64_t tag;
+    };
+    static_assert(sizeof(Entry) == 32, "an entry is four words");
+
+    /** A ring FIFO (power-of-two capacity) of one (delay, priority). */
+    struct Lane {
+        std::vector<Entry> ring;
+        std::size_t head = 0;
+        std::size_t count = 0;
     };
 
-    /// "a dispatches after b" under the (tick, priority, seq) order.
+    /// Low key bits holding seq; the priority rank sits above them.
+    static constexpr unsigned seq_bits = 58;
+
+    /// "a dispatches after b" under the (tick, key) order.
     struct Later {
         bool
         operator()(const Entry &a, const Entry &b) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
+            return a.when != b.when ? a.when > b.when : a.key > b.key;
         }
     };
 
-    std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
-    void dispatchTop();
-    Frame *allocFrame();
+    bool dispatchNext(Tick limit);
+    void pushLane(std::size_t lane, const Entry &entry);
+    Entry popLane(std::size_t lane);
+    Entry popHeap();
 
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
+    std::size_t _pending = 0;
 
-    std::vector<Entry> _heap;   ///< pending events, min-heap
+    /// Lanes ever bound; the head scan stops here.
+    std::size_t _lanes_used = 0;
+    std::array<Lane, lane_count> _lanes{};
+    /// Per bound lane: its pair as delay << 5 | priority rank.
+    std::array<std::uint64_t, lane_count> _selector{};
+    /// Per lane head (tick, key); (max_tick, ~0) when the lane is empty.
+    std::array<Tick, lane_count> _head_when{};
+    std::array<std::uint64_t, lane_count> _head_key{};
 
-    std::vector<std::unique_ptr<Frame[]>> _blocks;
-    Frame *_free = nullptr;
-    std::uint64_t _spilled = 0;
+    std::vector<Entry> _heap;   ///< events no lane took, min-heap
 };
 
 } // namespace sim

@@ -18,19 +18,29 @@ namespace trace {
 namespace {
 
 /**
- * Per-run issue pipeline state, and the completion sink of the banks
- * and the wire. Bundling it behind one pointer keeps every event
- * closure down to {context, index} and every component request down
- * to {context, tag}, and lets the per-gate scratch vectors (missing
- * operands, eviction victims, the claimed front) reuse their capacity
- * across all gates of the run.
+ * Per-run issue pipeline state, and the sink of every event and
+ * component request of the run. Bundling it behind one pointer keeps
+ * every event and every request down to {context, tag}, and lets the
+ * per-gate scratch vectors (missing operands, eviction victims, the
+ * claimed front) reuse their capacity across all gates of the run.
  *
- * A fill's tag is `claim index << 1 | stage`: stage 0 is the bank
- * serving the line, which starts the wire transfer; stage 1 is the
- * wire, which counts down the gate's outstanding operands.
+ * A tag is `gate index << 2 | stage` (Stage below).
  */
 struct EngineCtx final : sim::CompletionSink
 {
+    enum Stage : std::uint64_t {
+        Bank = 0,     ///< the bank served a fill's line: start the wire
+        Wire = 1,     ///< the wire delivered it: count down operands
+        Compute = 2,  ///< the gate finished computing: retire it
+        Start = 3     ///< run start: issue the first ready front
+    };
+
+    static std::uint64_t
+    tagOf(std::uint32_t index, Stage stage)
+    {
+        return std::uint64_t{index} << 2 | stage;
+    }
+
     EngineCtx(const circuit::Program &program, sim::EventQueue &eq,
               sim::TransferChannels &channels, sim::BankedMemory &memory,
               cache::CacheState &cache,
@@ -86,22 +96,32 @@ struct EngineCtx final : sim::CompletionSink
         busy += duration(index);
         if (duration(index) > 0)
             begin_times.push_back(eq.now());
-        eq.scheduleAfter(duration(index), [this, index] {
+        eq.scheduleAfter(duration(index), {this, tagOf(index, Compute)});
+    }
+
+    void
+    complete(std::uint64_t tag) override
+    {
+        const auto index = static_cast<std::uint32_t>(tag >> 2);
+        switch (static_cast<Stage>(tag & 3)) {
+          case Bank:
+            channels.transfer(per_transfer, per_transfer,
+                              {this, tagOf(index, Wire)});
+            return;
+          case Wire:
+            if (--waiting[index] == 0)
+                beginCompute(index);
+            return;
+          case Compute:
             if (duration(index) > 0)
                 end_times.push_back(eq.now());
             scheduler.complete(claims[index]);
             pump();
-        });
-    }
-
-    void
-    portDone(std::uint64_t tag) override
-    {
-        const auto index = static_cast<std::uint32_t>(tag >> 1);
-        if ((tag & 1) == 0)
-            channels.transfer(per_transfer, per_transfer, {this, tag | 1});
-        else if (--waiting[index] == 0)
-            beginCompute(index);
+            return;
+          case Start:
+            pump();
+            return;
+        }
     }
 
     /**
@@ -161,10 +181,9 @@ struct EngineCtx final : sim::CompletionSink
         }
         waiting[index] = static_cast<std::uint32_t>(missing.size());
         // Fill: the owning bank serves the line, then the wire
-        // carries it to level 1 (portDone).
+        // carries it to level 1.
         for (const auto qubit : missing)
-            memory.request(qubit.value(), 1,
-                           {this, std::uint64_t{index} << 1});
+            memory.request(qubit.value(), 1, {this, tagOf(index, Bank)});
     }
 
     void
@@ -277,7 +296,7 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
     EngineCtx ctx(program, eq, channels, memory, cache, scheduler, step1,
                   per_transfer);
 
-    eq.schedule(0, [&ctx] { ctx.pump(); });
+    eq.schedule(0, {&ctx, EngineCtx::tagOf(0, EngineCtx::Start)});
     eq.run();
 
     if (!scheduler.finished())

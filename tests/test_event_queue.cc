@@ -1,13 +1,14 @@
 /** @file Unit tests for the discrete-event kernel. */
 
 #include <algorithm>
-#include <array>
+#include <functional>
+#include <iterator>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "closure_sink.hh"
 #include "common/random.hh"
 #include "sim/event_queue.hh"
 
@@ -18,10 +19,11 @@ namespace {
 TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    fns.at(30, [&] { order.push_back(3); });
+    fns.at(10, [&] { order.push_back(1); });
+    fns.at(20, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -30,11 +32,12 @@ TEST(EventQueue, ExecutesInTimeOrder)
 TEST(EventQueue, SameTickUsesPriorityThenFifo)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(2); }, Priority::Default);
-    eq.schedule(5, [&] { order.push_back(3); }, Priority::Late);
-    eq.schedule(5, [&] { order.push_back(1); }, Priority::Stat);
-    eq.schedule(5, [&] { order.push_back(20); }, Priority::Default);
+    fns.at(5, [&] { order.push_back(2); }, Priority::Default);
+    fns.at(5, [&] { order.push_back(3); }, Priority::Late);
+    fns.at(5, [&] { order.push_back(1); }, Priority::Stat);
+    fns.at(5, [&] { order.push_back(20); }, Priority::Default);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 20, 3}));
 }
@@ -42,10 +45,11 @@ TEST(EventQueue, SameTickUsesPriorityThenFifo)
 TEST(EventQueue, HandlersCanScheduleMoreEvents)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     int fired = 0;
-    eq.schedule(1, [&] {
+    fns.at(1, [&] {
         ++fired;
-        eq.scheduleAfter(1, [&] { ++fired; });
+        fns.after(1, [&] { ++fired; });
     });
     eq.run();
     EXPECT_EQ(fired, 2);
@@ -55,12 +59,13 @@ TEST(EventQueue, HandlersCanScheduleMoreEvents)
 TEST(EventQueue, ZeroDelaySelfScheduleRunsSameTick)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     int count = 0;
     std::function<void()> again = [&] {
         if (++count < 5)
-            eq.scheduleAfter(0, again);
+            fns.after(0, again);
     };
-    eq.schedule(7, again);
+    fns.at(7, again);
     eq.run();
     EXPECT_EQ(count, 5);
     EXPECT_EQ(eq.now(), 7u);
@@ -69,9 +74,10 @@ TEST(EventQueue, ZeroDelaySelfScheduleRunsSameTick)
 TEST(EventQueue, RunRespectsLimit)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
+    fns.at(10, [&] { ++fired; });
+    fns.at(100, [&] { ++fired; });
     eq.run(50);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 50u);
@@ -86,14 +92,15 @@ TEST(EventQueue, RunExecutesEventsExactlyAtLimit)
     // an event scheduled exactly at the limit still belongs to this
     // run() call, including same-tick events it schedules in turn.
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(50, [&] {
+    fns.at(10, [&] { order.push_back(1); });
+    fns.at(50, [&] {
         order.push_back(2);
-        eq.scheduleAfter(0, [&] { order.push_back(3); });
-        eq.scheduleAfter(1, [&] { order.push_back(4); });
+        fns.after(0, [&] { order.push_back(3); });
+        fns.after(1, [&] { order.push_back(4); });
     });
-    eq.schedule(90, [&] { order.push_back(5); });
+    fns.at(90, [&] { order.push_back(5); });
     EXPECT_EQ(eq.run(50), 50u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 50u);
@@ -117,9 +124,10 @@ TEST(EventQueue, RunToLimitAdvancesTimeWithNothingToDo)
 TEST(EventQueue, RunReentryAfterLimit)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(60, [&] { ++fired; });
+    fns.at(10, [&] { ++fired; });
+    fns.at(60, [&] { ++fired; });
     EXPECT_EQ(eq.run(50), 50u);
     EXPECT_EQ(fired, 1);
     // A later, smaller limit must not move time backwards or execute
@@ -142,13 +150,14 @@ TEST(EventQueue, SameTickStatScheduledDynamicallyStillPrecedesDefault)
     // late-scheduled samplers cannot be starved behind state changes
     // that were enqueued earlier.
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(5, [&] {
+    fns.at(5, [&] {
         order.push_back(1);
-        eq.schedule(5, [&] { order.push_back(2); }, Priority::Stat);
+        fns.at(5, [&] { order.push_back(2); }, Priority::Stat);
     });
-    eq.schedule(5, [&] { order.push_back(3); }, Priority::Default);
-    eq.schedule(5, [&] { order.push_back(4); }, Priority::Late);
+    fns.at(5, [&] { order.push_back(3); }, Priority::Default);
+    fns.at(5, [&] { order.push_back(4); }, Priority::Late);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
@@ -159,11 +168,12 @@ TEST(EventQueue, InsertionOrderBreaksTiesWithinOnePriority)
     // order — the contract every queue implementation must reproduce
     // exactly, whatever its internal layout.
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(9, [&] { order.push_back(0); }, Priority::Late);
+    fns.at(9, [&] { order.push_back(0); }, Priority::Late);
     for (int i = 1; i <= 6; ++i)
-        eq.schedule(9, [&, i] { order.push_back(i); });
-    eq.schedule(9, [&] { order.push_back(7); }, Priority::Late);
+        fns.at(9, [&, i] { order.push_back(i); });
+    fns.at(9, [&] { order.push_back(7); }, Priority::Late);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 0, 7}));
 }
@@ -175,68 +185,102 @@ TEST(EventQueue, DynamicCurrentTickEventsKeepPriorityThenFifo)
     // order: a later Default lands after pending Defaults, a Late
     // lands after pending Lates, and a Stat jumps ahead of both.
     EventQueue eq;
+    ClosureSink fns(eq);
     std::vector<int> order;
-    eq.schedule(3, [&] {
+    fns.at(3, [&] {
         order.push_back(1);
-        eq.scheduleAfter(0, [&] { order.push_back(4); });
-        eq.schedule(3, [&] { order.push_back(6); }, Priority::Late);
-        eq.schedule(3, [&] { order.push_back(2); }, Priority::Stat);
+        fns.after(0, [&] { order.push_back(4); });
+        fns.at(3, [&] { order.push_back(6); }, Priority::Late);
+        fns.at(3, [&] { order.push_back(2); }, Priority::Stat);
     });
-    eq.schedule(3, [&] { order.push_back(3); });
-    eq.schedule(3, [&] { order.push_back(5); }, Priority::Late);
+    fns.at(3, [&] { order.push_back(3); });
+    fns.at(3, [&] { order.push_back(5); }, Priority::Late);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(EventQueue, MatchesReferenceOrderUnderMixedHorizonStress)
 {
-    // Contract stress: several hundred events over wildly mixed
-    // horizons (same-tick, near, and millions of ticks out) must
-    // dispatch in exactly (tick, priority, insertion-order) — the
-    // order of a stable sort over the schedule log. Handlers also
-    // schedule follow-on events mid-run, covering insertions into
-    // already-active regions of the timeline.
+    // Contract stress: thousands of events over wildly mixed horizons
+    // (same-tick, near, and millions of ticks out) must dispatch in
+    // exactly (tick, priority, insertion-order) — the order of a
+    // stable sort over the schedule log. There are more distinct
+    // delays than lanes, so lanes rebind and the overflow heap takes
+    // the rest. Handlers schedule follow-on events mid-run, some of
+    // them re-arm at zero delay, and the run advances through step()
+    // and run(limit) jumps with more events planted between slices.
     EventQueue eq;
+    ClosureSink fns(eq);
     Random rng(2026);
     const Tick deltas[] = {0,     1,      2,       7,       63,
                            1024,  4097,   65536,   1000000, 33554432,
                            12345, 999983, 5000000, 250000001};
+    static_assert(std::size(deltas) > EventQueue::lane_count);
     const Priority prios[] = {Priority::Stat, Priority::Default,
                               Priority::Default, Priority::Default,
                               Priority::Late};
+    const auto randomDelta = [&] {
+        return deltas[rng.uniformInt(std::size(deltas))];
+    };
 
     // (when, prio, seq) -> id, appended in schedule order.
     std::vector<std::tuple<Tick, int, std::uint64_t, int>> log;
     std::vector<int> order;
     int next_id = 0;
 
-    // A same-tick event spawned from inside a handler cannot outrank
-    // work that already ran this tick, so a zero-delay spawn is
-    // clamped to its parent's priority; every other (delta, priority)
-    // combination is fair game for the sort-order comparison.
-    std::function<void(int, Priority)> plant = [&](int depth,
-                                                   Priority parent) {
-        const auto delta =
-            deltas[rng.uniformInt(std::size(deltas))];
+    // The last dispatched event's (tick, priority). A same-tick event
+    // planted after it cannot outrank work that already ran this
+    // tick, so its priority is clamped to at least that one's; every
+    // other (delta, priority) combination is fair game for the
+    // sort-order comparison.
+    bool dispatched = false;
+    Tick last_when = 0;
+    Priority last_prio = Priority::Stat;
+
+    std::function<void(int, Tick, int)> plant = [&](int depth, Tick delta,
+                                                    int rearms) {
         auto prio = prios[rng.uniformInt(std::size(prios))];
-        if (delta == 0 && prio < parent)
-            prio = parent;
-        const auto id = next_id++;
         const Tick when = eq.now() + delta;
+        if (dispatched && last_when == when && prio < last_prio)
+            prio = last_prio;
+        const auto id = next_id++;
         const auto spawn = depth > 0 && rng.bernoulli(0.25);
-        const auto seq = eq.schedule(
+        const auto seq = fns.at(
             when,
-            [&order, &plant, id, spawn, depth, prio] {
+            [&, id, spawn, depth, rearms, prio] {
                 order.push_back(id);
+                dispatched = true;
+                last_when = eq.now();
+                last_prio = prio;
                 if (spawn)
-                    plant(depth - 1, prio);
+                    plant(depth - 1, randomDelta(), 0);
+                if (rearms > 0)
+                    plant(0, 0, rearms - 1);
             },
             prio);
         log.emplace_back(when, static_cast<int>(prio), seq, id);
     };
     for (int i = 0; i < 400; ++i)
-        plant(3, Priority::Stat);
-    eq.run();
+        plant(3, randomDelta(), rng.bernoulli(0.1) ? 3 : 0);
+    while (next_id < 3000 || !eq.empty()) {
+        switch (rng.uniformInt(3)) {
+          case 0: {
+            const bool had_event = !eq.empty();
+            EXPECT_EQ(eq.step(), had_event);
+            break;
+          }
+          case 1: {
+            const Tick limit = eq.now() + randomDelta();
+            EXPECT_EQ(eq.run(limit), limit);
+            break;
+          }
+          default:
+            if (next_id < 3000)
+                for (int i = 0; i < 4; ++i)
+                    plant(2, randomDelta(), rng.bernoulli(0.1) ? 2 : 0);
+            break;
+        }
+    }
 
     std::stable_sort(log.begin(), log.end());
     std::vector<int> expected;
@@ -246,64 +290,43 @@ TEST(EventQueue, MatchesReferenceOrderUnderMixedHorizonStress)
     ASSERT_EQ(order.size(), log.size());
     EXPECT_EQ(order, expected);
     EXPECT_EQ(eq.executed(), log.size());
-    EXPECT_TRUE(eq.empty());
+    EXPECT_GE(log.size(), 3000u);
 }
 
-TEST(EventQueue, SteadyStateDispatchReusesArenaFrames)
+TEST(EventQueue, SteadyStateDispatchDoesNotGrowStorage)
 {
-    // The no-allocation acceptance pin: a long self-renewing event
-    // chain keeps only a couple of events in flight while executing
-    // tens of thousands, so the arena must never grow past its first
-    // block (frames recycle through the free list) and no handler may
-    // spill past the inline closure budget.
-    EventQueue eq;
-    std::uint64_t fired = 0;
-    std::function<void()> chain = [&] {
-        if (++fired < 50000)
-            eq.scheduleAfter(3, chain);
+    // The no-allocation pin: twelve self-renewing chains, each with
+    // its own delay (more pairs than lanes, so some live in the
+    // overflow heap), keep twelve events in flight while executing
+    // tens of thousands. Once the first events have run, the queue's
+    // storage never grows again.
+    struct Chains final : CompletionSink
+    {
+        explicit Chains(EventQueue &eq) : eq(eq) {}
+        EventQueue &eq;
+        std::uint64_t fired = 0;
+
+        void
+        complete(std::uint64_t tag) override
+        {
+            if (++fired < 60000)
+                eq.scheduleAfter(3 + tag, {this, tag});
+        }
     };
-    eq.schedule(1, chain);
-    eq.run();
-    EXPECT_EQ(fired, 50000u);
-    EXPECT_EQ(eq.arenaBlocks(), 1u);
-    EXPECT_EQ(eq.spilledHandlers(), 0u);
-}
-
-TEST(EventQueue, OversizedClosuresSpillAndAreCounted)
-{
     EventQueue eq;
-    std::array<std::uint64_t, 12> payload{};  // 96 B > inline budget
-    payload[11] = 7;
-    std::uint64_t seen = 0;
-    eq.schedule(1, [payload, &seen] { seen = payload[11]; });
+    Chains chains(eq);
+    for (std::uint64_t chain = 0; chain < 12; ++chain)
+        eq.schedule(1, {&chains, chain});
+    static_assert(12 > EventQueue::lane_count);
+    eq.run(100);
+    const auto warm = eq.capacity();
+    EXPECT_GT(warm, 0u);
     eq.run();
-    EXPECT_EQ(seen, 7u);
-    EXPECT_EQ(eq.spilledHandlers(), 1u);
-}
-
-TEST(EventQueue, InlineBudgetIsThirtyTwoBytes)
-{
-    // The frame budget every hot-path closure is sized against: four
-    // words (a port completion is {port, sink, tag}) and a
-    // std::function Handler stay inline; one word more spills.
-    EXPECT_EQ(EventQueue::event_inline_bytes, 32u);
-    EventQueue eq;
-    std::uint64_t sum = 0;
-    const std::array<std::uint64_t, 3> three{1, 2, 3};
-    const auto fits = [three, &sum] { sum += three[0] + three[2]; };
-    static_assert(sizeof(fits) == 32);
-    static_assert(std::is_trivially_copyable_v<decltype(fits)>);
-    eq.schedule(1, fits);
-    eq.schedule(2, EventQueue::Handler([&sum] { sum += 10; }));
-    EXPECT_EQ(eq.spilledHandlers(), 0u);
-
-    const std::array<std::uint64_t, 4> four{1, 2, 3, 100};
-    const auto spills = [four, &sum] { sum += four[3]; };
-    static_assert(sizeof(spills) == 40);
-    eq.schedule(3, spills);
-    eq.run();
-    EXPECT_EQ(sum, 4u + 10u + 100u);
-    EXPECT_EQ(eq.spilledHandlers(), 1u);
+    // The chain that fired the 60000th event stopped; the other
+    // eleven each fire once more.
+    EXPECT_EQ(chains.fired, 60011u);
+    EXPECT_EQ(eq.capacity(), warm);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, RunToLimitThenSchedulingAtNowIsLegal)
@@ -311,9 +334,10 @@ TEST(EventQueue, RunToLimitThenSchedulingAtNowIsLegal)
     // After run(limit) advanced time to the limit, the present tick
     // must remain schedulable (only the strict past panics).
     EventQueue eq;
+    ClosureSink fns(eq);
     eq.run(40);
     int fired = 0;
-    eq.schedule(40, [&] { ++fired; });
+    fns.at(40, [&] { ++fired; });
     eq.run(40);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 40u);
@@ -322,9 +346,10 @@ TEST(EventQueue, RunToLimitThenSchedulingAtNowIsLegal)
 TEST(EventQueue, StepExecutesOneEvent)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(2, [&] { ++fired; });
+    fns.at(1, [&] { ++fired; });
+    fns.at(2, [&] { ++fired; });
     EXPECT_TRUE(eq.step());
     EXPECT_EQ(fired, 1);
     EXPECT_TRUE(eq.step());
@@ -335,15 +360,16 @@ TEST(EventQueue, StepExecutesOneEvent)
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;
-    eq.schedule(10, [] {});
+    ClosureSink fns(eq);
+    fns.at(10, [] {});
     eq.run();
-    EXPECT_DEATH(eq.schedule(5, [] {}), "past");
+    EXPECT_DEATH(fns.at(5, [] {}), "past");
 }
 
-TEST(EventQueueDeath, EmptyHandlerPanics)
+TEST(EventQueueDeath, NullSinkPanics)
 {
     EventQueue eq;
-    EXPECT_DEATH(eq.schedule(1, EventQueue::Handler{}), "empty handler");
+    EXPECT_DEATH(eq.schedule(1, {}), "without a sink");
 }
 
 } // namespace

@@ -223,6 +223,32 @@ TEST(SpecKeys, ValueWithASpaceIsATypedInvalidSpec)
     EXPECT_EQ(submitted.error().details.size(), 2u);
 }
 
+TEST(Session, UnknownMachineIsATypedInvalidSpec)
+{
+    // The text parser refuses machine=mars, but a spec built in C++
+    // reaches validate() with it; every kind that reads the machine
+    // must turn it away at submit instead of aborting in the point.
+    Session session({.threads = 1});
+    for (const auto kind : {ExperimentKind::Hierarchy,
+                            ExperimentKind::Bandwidth,
+                            ExperimentKind::Trace}) {
+        ExperimentSpec spec;
+        spec.kind = kind;
+        spec.machine = "mars";
+        const auto submitted =
+            session.submit(std::vector<ExperimentSpec>{spec});
+        ASSERT_FALSE(submitted.ok()) << kindName(kind);
+        EXPECT_EQ(submitted.error().code, ErrorCode::InvalidSpec);
+        ASSERT_EQ(submitted.error().details.size(), 1u) << kindName(kind);
+        EXPECT_NE(submitted.error().details.front().find(
+                      "machine=mars: expected now | future"),
+                  std::string::npos)
+            << submitted.error().details.front();
+    }
+    // The session survives the rejected submissions.
+    EXPECT_TRUE(session.submit(montecarloSpecs(2)).ok());
+}
+
 TEST(SpecKeys, WorkloadKeysBelongToTheGeneratorsThatReadThem)
 {
     // gates, reps and mask_data are read by the cache and trace kinds

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_sink.hh"
 #include "sim/banked_memory.hh"
 #include "sim/component.hh"
 #include "sim/event_queue.hh"
@@ -31,7 +32,7 @@ class RecordingSink final : public CompletionSink
     Completion operator()(std::uint64_t tag) { return {this, tag}; }
 
     void
-    portDone(std::uint64_t tag) override
+    complete(std::uint64_t tag) override
     {
         tags.push_back(tag);
         ticks.push_back(_eq.now());
@@ -57,11 +58,12 @@ class RecordingSink final : public CompletionSink
 TEST(SimPort, UncontendedRequestIsNeverAConflict)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/2, /*buffer_limit=*/4);
 
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         port.submit(10, sink(0));
         port.submit(10, sink(1));
     });
@@ -89,11 +91,12 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     // delayed three counted as conflict stalls. No seed, no hash
     // order, nothing to vary between runs or hosts.
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/8);
 
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (int id = 0; id < 4; ++id)
             port.submit(10, sink(id));
     });
@@ -113,13 +116,14 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
 TEST(SimPort, BoundedBufferBackpressuresFifo)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     // Width 1, buffer 1: the third same-tick submission finds the
     // buffer full and waits in the overflow queue.
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/1);
 
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (int id = 0; id < 3; ++id)
             port.submit(5, sink(id));
     });
@@ -143,6 +147,7 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
     // across the buffer/overflow boundary, the wrap and the growth,
     // and every statistic must come out exact.
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2);
 
@@ -151,8 +156,8 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
         for (int id = first; id <= last; ++id)
             port.submit(10, sink(id));
     };
-    eq.schedule(0, [&]() { submitIds(0, 6); });
-    eq.schedule(35, [&]() { submitIds(7, 13); });
+    fns.at(0, [&]() { submitIds(0, 6); });
+    fns.at(35, [&]() { submitIds(7, 13); });
     eq.run();
     const auto order = sink.ids();
 
@@ -179,9 +184,10 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
 TEST(SimPort, FireAndForgetSubmissionCompletes)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     Port port(owner, "p0", 1, 4);
-    eq.schedule(0, [&]() { port.submit(7, {}); });
+    fns.at(0, [&]() { port.submit(7, {}); });
     eq.run();
     EXPECT_EQ(port.stats().served, 1u);
     EXPECT_EQ(eq.now(), 7u);
@@ -197,13 +203,14 @@ TEST(SimPort, TaggedCompletionsReportInServiceOrder)
     // middle reports to nobody but is served and charged like the
     // rest.
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     TokenPool tokens(1);
     Port holder(owner, "holder", 1, 8, &tokens);
     Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2, &tokens);
 
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         holder.submit(4, {});
         port.submit(10, sink(7));
         port.submit(10, sink(3));
@@ -248,6 +255,7 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
     // Two width-1 ports sharing one token: grants must alternate in
     // parking order (a, b, a, b), never by pointer or hash order.
     EventQueue eq;
+    ClosureSink fns(eq);
     Component owner(eq, "memory");
     TokenPool tokens(1);
     Port a(owner, "a", 1, 8, &tokens);
@@ -255,7 +263,7 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
 
     const std::string names[] = {"a0", "b0", "a1", "b1"};
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         a.submit(5, sink(0));
         b.submit(5, sink(1));
         a.submit(5, sink(2));
@@ -279,6 +287,7 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
 TEST(SimBankedMemory, AddressesHashToBanksByModulo)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 4;
     BankedMemory memory(eq, "mem", config);
@@ -287,7 +296,7 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     EXPECT_EQ(memory.bankOf(5), 1u);
     EXPECT_EQ(memory.bankOf(7), 3u);
 
-    eq.schedule(0, [&]() { memory.request(6, 1, {}); });
+    fns.at(0, [&]() { memory.request(6, 1, {}); });
     eq.run();
     EXPECT_EQ(memory.bank(2).stats().requests, 1u);
     EXPECT_EQ(memory.requests(), 1u);
@@ -297,12 +306,13 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
 TEST(SimBankedMemory, ServiceTimeIsPerRequestPlusPerLine)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 2;
     config.cycles_per_request = 10;
     config.cycles_per_line = 3;
     BankedMemory memory(eq, "mem", config);
-    eq.schedule(0, [&]() { memory.request(1, 4, {}); });
+    fns.at(0, [&]() { memory.request(1, 4, {}); });
     eq.run();
     EXPECT_EQ(eq.now(), 22u);  // 10 + 3 * 4
     EXPECT_EQ(memory.busyTicks(), 22u);
@@ -313,12 +323,13 @@ TEST(SimBankedMemory, ConflictsAreZeroWithoutContention)
     // Distinct banks, enough ports: same-tick requests all start
     // immediately — the conflict-stall column is structurally zero.
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 4;
     config.ports = 4;
     config.cycles_per_request = 10;
     BankedMemory memory(eq, "mem", config);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
             memory.request(address, 1, {});
     });
@@ -335,12 +346,13 @@ TEST(SimBankedMemory, SingleBankSinglePortSerializesAndCounts)
     // The conflict storm: everything lands in bank 0 behind one
     // port. Makespan quadruples and every delayed request is counted.
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 1;
     config.ports = 1;
     config.cycles_per_request = 10;
     BankedMemory memory(eq, "mem", config);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
             memory.request(address, 1, {});
     });
@@ -358,12 +370,13 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
     // Eight banks but two ports: same-tick requests to eight distinct
     // banks still issue at most two at a time.
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 8;
     config.ports = 2;
     config.cycles_per_request = 10;
     BankedMemory memory(eq, "mem", config);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 8; ++address)
             memory.request(address, 1, {});
     });
@@ -376,6 +389,7 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
 TEST(SimBankedMemory, FullBankBufferBackpressures)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 1;
     config.ports = 1;
@@ -383,7 +397,7 @@ TEST(SimBankedMemory, FullBankBufferBackpressures)
     config.cycles_per_request = 5;
     BankedMemory memory(eq, "mem", config);
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (int id = 0; id < 5; ++id)
             memory.request(0, 1, sink(id));
     });
@@ -430,9 +444,10 @@ TEST(SimTransferChannels, UtilizationGuardsZeroMakespan)
 TEST(SimTransferChannels, SurfacesPortContentionStats)
 {
     EventQueue eq;
+    ClosureSink fns(eq);
     TransferChannels channels(eq, 1);
     RecordingSink sink(eq);
-    eq.schedule(0, [&]() {
+    fns.at(0, [&]() {
         for (int id = 0; id < 3; ++id)
             channels.transfer(10, 10, sink(id));
     });
