@@ -1,12 +1,13 @@
 /** @file Adaptive optimizer vs exhaustive sweep, cold vs cached. */
 
+#include <algorithm>
 #include <iostream>
 
 #include "api/experiment.hh"
 #include "api/grid.hh"
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "opt/cached_sweep.hh"
+#include "opt/cached_job.hh"
 #include "opt/frontier.hh"
 
 using namespace qmh;
@@ -62,13 +63,20 @@ printOptimizer()
     const auto options = referenceOptions();
     sweep::SweepRunner runner;
 
+    // The brute force runs the search's spec-seeded points, uncached;
+    // the reference grid is valid by construction.
     const auto brute = bruteForceSpecs(options);
-    const auto brute_run = opt::runSpecSweepCached(runner, brute);
-    const auto obj = *brute_run.table.findColumn(options.objective);
+    api::Session session(runner);
+    opt::CachedJob brute_run(api::validateExperiments(brute).value(),
+                             api::SeedMode::Spec, session.baseSeed());
+    brute_run.start(session);
+    const auto &columns = brute_run.columns();
+    const auto obj = static_cast<std::size_t>(
+        std::find(columns.begin(), columns.end(), options.objective) -
+        columns.begin());
     double brute_best = 0.0;
-    for (std::size_t r = 0; r < brute_run.table.rows(); ++r)
-        brute_best = std::max(
-            brute_best, *brute_run.table.cell(r, obj).asNumber());
+    while (const auto row = brute_run.next())
+        brute_best = std::max(brute_best, *(*row)[obj].asNumber());
 
     // In-memory: the warm pass replays it.
     opt::ResultCache cache(runner.options().base_seed);

@@ -34,6 +34,14 @@ asUInt(const json::Value &value)
     return static_cast<std::uint64_t>(d);
 }
 
+Error
+malformedJson(const json::ParseResult &parsed)
+{
+    return badRequest("malformed JSON at byte " +
+                      std::to_string(parsed.offset) + ": " +
+                      parsed.error);
+}
+
 void
 writeError(std::ostream &out, const std::string &id,
            const Error &error)
@@ -117,10 +125,24 @@ parseServiceRequest(const std::string &line)
 {
     const auto parsed = json::parse(line);
     if (!parsed.ok())
-        return badRequest("malformed JSON at byte " +
-                          std::to_string(parsed.offset) + ": " +
-                          parsed.error);
+        return malformedJson(parsed);
     return decodeServiceRequest(parsed.value);
+}
+
+std::optional<ServiceLine>
+decodeServiceLine(const std::string &line)
+{
+    if (line.find_first_not_of(" \t\r") == std::string::npos)
+        return std::nullopt;
+    const auto parsed = json::parse(line);
+    if (!parsed.ok())
+        return ServiceLine{"", malformedJson(parsed)};
+    std::string id;
+    if (const auto *found = parsed.value.find("id");
+        found && found->isString())
+        id = found->string();
+    return ServiceLine{std::move(id),
+                       decodeServiceRequest(parsed.value)};
 }
 
 Outcome<ServiceRequest>
@@ -253,26 +275,12 @@ runService(Session &session, std::istream &in, std::ostream &out)
     ServiceStats stats;
     std::string line;
     while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
+        const auto decoded = decodeServiceLine(line);
+        if (!decoded)
             continue;
-        const auto parsed = json::parse(line);
-        if (!parsed.ok()) {
-            writeError(out, "",
-                       badRequest("malformed JSON at byte " +
-                                  std::to_string(parsed.offset) +
-                                  ": " + parsed.error));
-            ++stats.errors;
-            continue;
-        }
-        auto request = decodeServiceRequest(parsed.value);
+        const auto &request = decoded->request;
         if (!request.ok()) {
-            // A rejected-but-well-formed line still names the job it
-            // answers: echo its id on the error record.
-            std::string id;
-            if (const auto *found = parsed.value.find("id");
-                found && found->isString())
-                id = found->string();
-            writeError(out, id, request.error());
+            writeError(out, decoded->id, request.error());
             ++stats.errors;
             continue;
         }

@@ -103,10 +103,26 @@ struct ServiceRequest
 [[nodiscard]] Outcome<ServiceRequest>
 parseServiceRequest(const std::string &line);
 
-/** parseServiceRequest over an already-parsed JSON document (the
- *  serve loop parses each line exactly once this way). */
+/** parseServiceRequest over an already-parsed JSON document. */
 [[nodiscard]] Outcome<ServiceRequest>
 decodeServiceRequest(const json::Value &root);
+
+/** One input line of a serve loop, decoded. */
+struct ServiceLine
+{
+    /** The line's "id" when it is a string: a rejected request's
+     *  error record still names the job it answers. */
+    std::string id;
+    Outcome<ServiceRequest> request;
+};
+
+/**
+ * The serve loops' line step, shared by stdio and the socket server:
+ * nullopt for a blank line (skipped), else the decoded request or the
+ * error its error record carries (parseServiceRequest's errors, the
+ * JSON parsed once).
+ */
+std::optional<ServiceLine> decodeServiceLine(const std::string &line);
 
 /** Statistics of one runService loop. */
 struct ServiceStats

@@ -360,6 +360,7 @@ frontierSearch(sweep::SweepRunner &runner,
     }
 
     auto states = buildAxisStates(axes, options.max_depth);
+    api::Session session(runner);
 
     const auto columns = api::makeExperiment(base)->columns();
     const std::size_t objective_col = static_cast<std::size_t>(
@@ -394,43 +395,22 @@ frontierSearch(sweep::SweepRunner &runner,
         for (const auto &candidate : batch)
             specs.push_back(candidate.spec);
 
-        // Stream the round through a cancellable sweep: stop after
-        // exactly the budget's remainder (proposal order, so the cut
-        // is deterministic on any thread count), or when the caller's
-        // observer asks out.
-        CachedSweepControl control;
-        control.row_limit = options.budget - evals.size();
+        // Stream the round through a cancellable cached job: it hands
+        // out at most the budget's remainder (proposal order, so the
+        // cut is deterministic on any thread count), and the caller's
+        // observer can end it after any row. Every candidate passed
+        // validate() when it was proposed.
+        CachedJob job(api::validateExperiments(specs).value(),
+                      api::SeedMode::Spec, session.baseSeed(), cache,
+                      options.budget - evals.size());
+        job.start(session);
         bool user_cancelled = false;
-        if (options.on_progress) {
-            const std::size_t round = outcome.rounds;
-            const std::size_t before = evals.size();
-            const std::size_t proposed = batch.size();
-            control.on_row = [&options, &user_cancelled, round, before,
-                              proposed](std::size_t done,
-                                        std::size_t) {
-                FrontierProgress progress;
-                progress.round = round;
-                progress.evaluated = before + done;
-                progress.round_done = done;
-                progress.round_total = proposed;
-                if (options.on_progress(progress))
-                    return true;
-                user_cancelled = true;
-                return false;
-            };
-        }
-        const auto swept =
-            runSpecSweepCached(runner, specs, cache, control);
-        outcome.simulated += swept.simulated;
-        outcome.cached += swept.cached;
-
-        for (std::size_t j = 0; j < swept.table.rows(); ++j) {
+        for (std::size_t j = 0; auto row = job.next(); ++j) {
             Eval eval;
             eval.spec = std::move(batch[j].spec);
             eval.key = std::move(batch[j].key);
             eval.coord = std::move(batch[j].coord);
-            const auto number =
-                swept.table.cell(j, objective_col).asNumber();
+            const auto number = (*row)[objective_col].asNumber();
             eval.raw = number ? *number
                               : std::numeric_limits<double>::quiet_NaN();
             eval.score = number && !std::isnan(*number)
@@ -438,13 +418,22 @@ frontierSearch(sweep::SweepRunner &runner,
                              : -std::numeric_limits<double>::infinity();
             for (std::size_t a = 0; a < states.size(); ++a)
                 states[a].seen.insert(eval.coord[a]);
-            std::vector<sweep::Cell> row;
-            row.reserve(labelled.size());
-            for (std::size_t c = 0; c < labelled.size(); ++c)
-                row.push_back(swept.table.cell(j, c));
-            outcome.table.addRow(std::move(row));
+            outcome.table.addRow(std::move(*row));
             evals.push_back(std::move(eval));
+            if (options.on_progress &&
+                !options.on_progress({outcome.rounds, evals.size(),
+                                      j + 1, batch.size()})) {
+                user_cancelled = true;
+                job.cancel();
+                break;
+            }
         }
+        const auto swept = job.wait();
+        if (swept.failure)
+            qmh_panic("frontierSearch: ", swept.failure->describe());
+        outcome.simulated += swept.rows - swept.replayed;
+        outcome.cached += swept.replayed;
+
         if (user_cancelled) {
             outcome.cancelled = true;
             break;
@@ -472,8 +461,8 @@ frontierSearch(sweep::SweepRunner &runner,
         // values (pattern-search moves) and the lattice midpoints
         // toward them (refinement); everything else stays fixed. The
         // batch is not trimmed to the budget here — the next round's
-        // row_limit cuts it at exactly the remainder (the sweep
-        // neither submits nor simulates past a static limit), which
+        // job limit cuts it at exactly the remainder (the job neither
+        // submits nor simulates past its limit), which
         // evaluates the same prefix in the same order.
         batch.clear();
         for (std::size_t p = 0; p < n_pick; ++p) {

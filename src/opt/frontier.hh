@@ -22,10 +22,9 @@
  * greedy frontier reaches the same optimum on well-behaved
  * objectives with a fraction of the simulations.
  *
- * Evaluation goes through runSpecSweepCached: points are keyed and
- * seeded by canonical spec string, so a ResultCache makes repeated
- * searches incremental and results are bit-identical on 1 or N
- * threads.
+ * Each round runs as one CachedJob: points are keyed and seeded by
+ * canonical spec string, so a ResultCache makes repeated searches
+ * incremental and results are bit-identical on 1 or N threads.
  */
 
 #ifndef QMH_OPT_FRONTIER_HH
@@ -36,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "opt/cached_sweep.hh"
+#include "opt/cached_job.hh"
 
 namespace qmh {
 namespace opt {
@@ -129,12 +128,13 @@ validateFrontier(const api::ExperimentSpec &base,
 
 /**
  * Run the adaptive search (panics on validateFrontier diagnostics;
- * call it first for recoverable errors). @p cache may be null;
- * otherwise it must be built for the runner's base seed.
+ * call it first for recoverable errors). @p cache may be null, and
+ * a store built for another base seed than the runner's is not
+ * consulted.
  * Deterministic for a fixed (base spec, axes, options, base seed):
  * the same points are evaluated in the same order on any thread
  * count, and a warm cache changes only simulated/cached counts.
- * Rounds run as cancellable session sweeps: when a round would
+ * Rounds run as cancellable cached jobs: when a round would
  * overrun the point budget it is cut off mid-flight after exactly
  * the budgeted number of rows (in proposal order), instead of
  * simulating the whole round and discarding the excess.

@@ -21,21 +21,19 @@
  * connection only; job rows keep landing in the JobState and other
  * clients keep streaming.
  *
- * Cache path: a request with seed_mode "spec" whose effective base
- * seed equals the cache's consults the store per spec — hits and
- * intra-request duplicates replay without simulating, misses run as
- * one job whose rows are inserted as they are incorporated. The
- * accepted record and the leading resolved rows are flushed before
- * that job is submitted. Emission order is request order; it stalls
- * at the first unresolved slot, so a failed miss truncates the stream
- * exactly where stdio would.
+ * Cache path: each request is one opt::CachedJob, the cached sweep
+ * frontierSearch also runs. In seed_mode "spec" it replays store hits
+ * and intra-request repeats and runs only the misses; in "index" mode
+ * every point runs. The accepted record and the leading resolved rows
+ * are flushed before the misses are submitted, so the first row never
+ * waits behind simulation work. Rows go out in request order, and a
+ * failed miss ends the stream exactly where stdio would.
  */
 
 #ifndef QMH_SERVER_CONNECTION_HH
 #define QMH_SERVER_CONNECTION_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
@@ -44,7 +42,7 @@
 #include "api/service.hh"
 #include "api/session.hh"
 #include "common/json.hh"
-#include "opt/result_cache.hh"
+#include "opt/cached_job.hh"
 #include "server/event_loop.hh"
 #include "server/socket.hh"
 
@@ -78,9 +76,6 @@ class Connection
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    /** Cancels the active job; pending rows are simply dropped. */
-    ~Connection();
-
     int fd() const { return _socket.get(); }
 
     /** poll() handler: bounded read and/or write for this cycle. */
@@ -109,42 +104,12 @@ class Connection
     const ConnectionStats &stats() const { return _stats; }
 
   private:
-    /** One point of the active request, in request order. */
-    struct Slot
-    {
-        enum class Kind { Job, Cached, Dup };
-        Kind kind = Kind::Job;
-        std::size_t job_ordinal = 0; ///< Kind::Job: index among misses
-        std::size_t dup_of = 0;      ///< Kind::Dup: earlier slot
-        std::vector<sweep::Cell> row; ///< full row, seed cell included
-        bool resolved = false;
-    };
-
-    /** The in-flight request (one at a time, arrival order). */
-    struct Active
-    {
-        api::ServiceRequest request;
-        std::vector<std::string> columns;
-        std::vector<Slot> slots;
-        std::vector<std::string> keys;       ///< canonical specs
-        std::vector<std::uint64_t> seeds;    ///< per-slot seed
-        std::optional<api::JobHandle> job;   ///< misses (may be none)
-        std::vector<std::size_t> job_slots;  ///< ordinal -> slot
-        std::size_t harvested = 0;           ///< job rows taken
-        std::size_t next_emit = 0;
-        std::size_t streamed = 0;
-        bool use_cache = false;
-        bool limit_cancelled = false;
-    };
-
     void readSome();
     void queueLine(json::LineSplitter::Line line);
     void serveNextLine();
     void startRequest(api::ServiceRequest request);
-    void advanceActive();
-    void harvestJobRows();
-    void finalizeActive(bool stream_ended);
-    void emitRow(const std::vector<sweep::Cell> &row);
+    void advanceRequest();
+    void finishRequest();
     void emit(const std::string &record);
     void flushSome();
     void dropPeer();
@@ -157,7 +122,11 @@ class Connection
 
     json::LineSplitter _splitter;
     std::deque<json::LineSplitter::Line> _lines;
-    std::optional<Active> _active;
+    /** The in-flight request (one at a time, arrival order): its id,
+     *  its job (engaged while it runs) and the rows streamed. */
+    std::string _request_id;
+    std::optional<opt::CachedJob> _job;
+    std::size_t _streamed = 0;
     std::string _out;          ///< bytes awaiting the socket
     std::size_t _out_head = 0; ///< sent prefix of _out
     std::size_t _emitted = 0;  ///< lifetime bytes emitted

@@ -1,9 +1,10 @@
 /**
  * @file
- * Blocking sweeps for tests: submit specs as one Session job, wait,
- * and return its table. A rejected submission or a failed point is a
- * test failure (reported at the caller's line) and yields an empty
- * table, so a pin comparing tables fails too.
+ * Blocking sweeps for tests: submit specs as one Session job (or one
+ * spec-seeded opt::CachedJob), wait, and return its table. A rejected
+ * submission or a failed point is a test failure (reported at the
+ * caller's line) and yields an empty table, so a pin comparing tables
+ * fails too.
  */
 
 #ifndef QMH_TESTS_RUN_TABLE_HH
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "opt/cached_job.hh"
 
 namespace qmh {
 namespace tests {
@@ -50,6 +52,42 @@ runTable(const std::vector<api::ExperimentSpec> &specs,
 {
     api::Session session(options);
     return runTable(session, specs);
+}
+
+/** A drained cached job: its rows and its counters. */
+struct CachedRun
+{
+    sweep::ResultTable table{{"spec", "seed"}};
+    opt::CachedJobResult result;
+};
+
+/**
+ * Run @p specs spec-seeded as one opt::CachedJob on @p session,
+ * through @p cache (may be null), reading every row the job hands out
+ * (at most @p limit; 0 = all).
+ */
+inline CachedRun
+runCached(api::Session &session,
+          const std::vector<api::ExperimentSpec> &specs,
+          opt::ResultCache *cache = nullptr, std::size_t limit = 0)
+{
+    CachedRun run;
+    auto experiments = api::validateExperiments(specs);
+    EXPECT_TRUE(experiments.ok())
+        << (experiments.ok() ? "" : experiments.error().describe());
+    if (!experiments.ok())
+        return run;
+    opt::CachedJob job(std::move(experiments).value(),
+                       api::SeedMode::Spec, session.baseSeed(), cache,
+                       limit);
+    job.start(session);
+    run.table = sweep::ResultTable(job.columns());
+    while (auto row = job.next())
+        run.table.addRow(std::move(*row));
+    run.result = job.wait();
+    EXPECT_FALSE(run.result.failure.has_value())
+        << (run.result.failure ? run.result.failure->describe() : "");
+    return run;
 }
 
 } // namespace tests

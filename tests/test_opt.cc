@@ -7,9 +7,10 @@
 #include <sstream>
 
 #include "api/grid.hh"
-#include "opt/cached_sweep.hh"
+#include "opt/cached_job.hh"
 #include "opt/frontier.hh"
 #include "opt/result_cache.hh"
+#include "run_table.hh"
 
 namespace qmh {
 namespace opt {
@@ -70,28 +71,31 @@ montecarloSpecs()
     return grid.expand();
 }
 
+// The CachedSweep suite pins opt::CachedJob, the one cached sweep.
+using tests::runCached;
+
 TEST(CachedSweep, WarmRunReplaysColdRowsBitIdentically)
 {
     const auto path = tempPath("opt_cache_replay.jsonl");
     const auto specs = montecarloSpecs();
 
-    sweep::SweepRunner runner({.threads = 2});
+    api::Session session({.threads = 2});
     std::string cold_csv;
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
-        const auto cold = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(cold.simulated, specs.size());
-        EXPECT_EQ(cold.cached, 0u);
+        const auto cold = runCached(session, specs, &cache);
+        EXPECT_EQ(cold.result.simulated, specs.size());
+        EXPECT_EQ(cold.result.replayed, 0u);
         cold_csv = csvOf(cold.table);
     }
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
         EXPECT_EQ(cache.stats().resident, specs.size());
-        const auto warm = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(warm.simulated, 0u);
-        EXPECT_EQ(warm.cached, specs.size());
+        const auto warm = runCached(session, specs, &cache);
+        EXPECT_EQ(warm.result.simulated, 0u);
+        EXPECT_EQ(warm.result.replayed, specs.size());
         EXPECT_EQ(csvOf(warm.table), cold_csv);
     }
 }
@@ -99,19 +103,19 @@ TEST(CachedSweep, WarmRunReplaysColdRowsBitIdentically)
 TEST(CachedSweep, RowsAreIndependentOfThreadCountAndBatchOrder)
 {
     const auto specs = montecarloSpecs();
-    sweep::SweepRunner one({.threads = 1});
-    sweep::SweepRunner many({.threads = 4});
-    const auto a = runSpecSweepCached(one, specs, nullptr);
-    const auto b = runSpecSweepCached(many, specs, nullptr);
+    api::Session one({.threads = 1});
+    api::Session many({.threads = 4});
+    const auto a = runCached(one, specs);
+    const auto b = runCached(many, specs);
     EXPECT_EQ(csvOf(a.table), csvOf(b.table));
 
     // Spec-addressed seeding: the same spec must produce the same row
     // when evaluated from a differently ordered (and smaller) batch —
-    // the property index-addressed runSpecSweep does not have, and
-    // the one that makes cached replay sound.
+    // the property an index-seeded Session job does not have, and the
+    // one that makes cached replay sound.
     std::vector<api::ExperimentSpec> reversed(specs.rbegin(),
                                               specs.rend());
-    const auto c = runSpecSweepCached(many, reversed, nullptr);
+    const auto c = runCached(many, reversed);
     const auto spec_col = *a.table.findColumn("spec");
     for (std::size_t r = 0; r < specs.size(); ++r) {
         const std::size_t rr = specs.size() - 1 - r;
@@ -128,10 +132,11 @@ TEST(CachedSweep, DuplicateSpecsEvaluateOnce)
     const auto unique_points = specs.size();
     specs.push_back(specs.front());
     specs.push_back(specs.front());
-    sweep::SweepRunner runner({.threads = 2});
-    const auto outcome = runSpecSweepCached(runner, specs, nullptr);
-    EXPECT_EQ(outcome.simulated, unique_points);
-    EXPECT_EQ(outcome.cached, 2u);
+    api::Session session({.threads = 2});
+    const auto outcome = runCached(session, specs);
+    EXPECT_EQ(outcome.result.simulated, unique_points);
+    EXPECT_EQ(outcome.result.replayed, 2u);
+    ASSERT_EQ(outcome.table.rows(), specs.size());
     for (std::size_t col = 0; col < outcome.table.columns(); ++col) {
         EXPECT_EQ(outcome.table.cell(0, col).toString(),
                   outcome.table.cell(unique_points, col).toString());
@@ -143,21 +148,18 @@ TEST(CachedSweep, DuplicateSpecsEvaluateOnce)
 TEST(CachedSweep, RowLimitCutsADeterministicPrefix)
 {
     const auto specs = montecarloSpecs();
-    sweep::SweepRunner runner({.threads = 4});
-    const auto full = runSpecSweepCached(runner, specs, nullptr);
+    api::Session session({.threads = 4});
+    const auto full = runCached(session, specs);
     ASSERT_EQ(full.table.rows(), specs.size());
-    EXPECT_FALSE(full.cancelled);
 
-    CachedSweepControl control;
-    control.row_limit = 2;
-    const auto cut =
-        runSpecSweepCached(runner, specs, nullptr, control);
-    EXPECT_TRUE(cut.cancelled);
-    EXPECT_EQ(cut.simulated, 2u);
+    const auto cut = runCached(session, specs, nullptr, 2);
+    // Misses past the limit are never submitted, so the count is
+    // exact on any thread count.
+    EXPECT_EQ(cut.result.simulated, 2u);
+    EXPECT_EQ(cut.result.rows, 2u);
     ASSERT_EQ(cut.table.rows(), 2u);
     // The cut result is exactly the leading rows of the full sweep,
-    // bit for bit — the in-flight points beyond the limit were
-    // discarded, not reordered in.
+    // bit for bit.
     for (std::size_t r = 0; r < 2; ++r)
         for (std::size_t c = 0; c < full.table.columns(); ++c)
             EXPECT_EQ(cut.table.cell(r, c).toString(),
@@ -166,72 +168,100 @@ TEST(CachedSweep, RowLimitCutsADeterministicPrefix)
 
 TEST(CachedSweep, OnRowObservesAndCancels)
 {
+    // A reader that stops after its third row: cancel() hands out
+    // nothing further, and the job still retires cleanly.
     const auto specs = montecarloSpecs();
-    sweep::SweepRunner runner({.threads = 2});
-    std::vector<std::size_t> seen;
-    CachedSweepControl control;
-    control.on_row = [&seen, &specs](std::size_t done,
-                                     std::size_t total) {
-        EXPECT_EQ(total, specs.size());
-        seen.push_back(done);
-        return done < 3;  // cancel after the third row
-    };
-    const auto outcome =
-        runSpecSweepCached(runner, specs, nullptr, control);
-    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2, 3}));
-    EXPECT_TRUE(outcome.cancelled);
-    EXPECT_EQ(outcome.table.rows(), 3u);
+    api::Session session({.threads = 2});
+    CachedJob job(api::validateExperiments(specs).value(),
+                  api::SeedMode::Spec, session.baseSeed());
+    job.start(session);
+    std::size_t seen = 0;
+    while (job.next()) {
+        if (++seen == 3)
+            job.cancel();
+    }
+    EXPECT_EQ(seen, 3u);
+    std::vector<sweep::Cell> row;
+    EXPECT_EQ(job.poll(row), api::RowPoll::End);
+    const auto result = job.wait();
+    EXPECT_EQ(result.rows, 3u);
+    EXPECT_FALSE(result.failure.has_value());
 }
 
 TEST(CachedSweep, CancelledRunCachesOnlyTheIncorporatedPrefix)
 {
-    // Cache content must be a function of the incorporated prefix
-    // alone: points that were in flight when the cutoff hit are
-    // never upserted, so a warm rerun of the same limited sweep is
-    // all hits and a rerun of the full sweep simulates exactly the
-    // tail.
+    // Cache content must be a function of the rows handed out alone:
+    // points that were in flight when the cut hit are never stored,
+    // so a warm rerun of the same limited sweep is all hits and a
+    // rerun of the full sweep simulates exactly the tail.
     const auto path = tempPath("opt_cache_cutoff.jsonl");
     const auto specs = montecarloSpecs();
-    sweep::SweepRunner runner({.threads = 4});
-    CachedSweepControl control;
-    control.row_limit = 2;
+    api::Session session({.threads = 4});
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
-        const auto cold =
-            runSpecSweepCached(runner, specs, &cache, control);
-        EXPECT_EQ(cold.simulated, 2u);
+        const auto cold = runCached(session, specs, &cache, 2);
+        EXPECT_EQ(cold.result.simulated, 2u);
+
+        // A reader's cancel() after one row stores that row only,
+        // whatever else was in flight.
+        CachedJob job(api::validateExperiments(specs).value(),
+                      api::SeedMode::Spec, session.baseSeed(), &cache);
+        job.start(session);
+        ASSERT_TRUE(job.next().has_value());
+        ASSERT_TRUE(job.next().has_value());
+        ASSERT_TRUE(job.next().has_value());
+        job.cancel();
+        EXPECT_EQ(job.wait().rows, 3u);
+        EXPECT_EQ(cache.stats().resident, 3u);
     }
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
-        EXPECT_EQ(cache.stats().resident, 2u);
-        const auto warm =
-            runSpecSweepCached(runner, specs, &cache, control);
-        EXPECT_EQ(warm.simulated, 0u);
-        EXPECT_EQ(warm.cached, 2u);
-        const auto rest = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(rest.simulated, specs.size() - 2);
-        EXPECT_EQ(rest.cached, 2u);
+        EXPECT_EQ(cache.stats().resident, 3u);
+        const auto warm = runCached(session, specs, &cache, 2);
+        EXPECT_EQ(warm.result.simulated, 0u);
+        EXPECT_EQ(warm.result.replayed, 2u);
+        const auto rest = runCached(session, specs, &cache);
+        EXPECT_EQ(rest.result.simulated, specs.size() - 3);
+        EXPECT_EQ(rest.result.replayed, 3u);
     }
 }
 
 TEST(CachedSweep, RefusesAStoreBuiltForAnotherBaseSeed)
 {
-    // An unbacked store filled under base seed 5 holds rows seeded
-    // from 5; replaying them to a runner seeded from 6 would return
-    // rows a fresh run at 6 does not produce. Backed or not, the
-    // store's seed must match the runner's.
+    // A store filled under base seed 5 holds rows seeded from 5;
+    // replaying them to a job seeded from 6 would return rows a fresh
+    // run at 6 does not produce. The job leaves such a store alone:
+    // its rows are a cold run's, and the store is not read or written.
     const auto specs = montecarloSpecs();
-    EXPECT_DEATH(
-        {
-            ResultCache cache(5);
-            sweep::SweepRunner filler({.threads = 1, .base_seed = 5});
-            runSpecSweepCached(filler, specs, &cache);
-            sweep::SweepRunner other({.threads = 1, .base_seed = 6});
-            runSpecSweepCached(other, specs, &cache);
-        },
-        "base seed 5 but the runner uses 6");
+    ResultCache cache(5);
+    api::Session filler({.threads = 1, .base_seed = 5});
+    runCached(filler, specs, &cache);
+    const auto before = cache.stats();
+    ASSERT_EQ(before.resident, specs.size());
+    const auto keys = cache.sortedKeys();
+    const auto first = cache.lookup(keys.front());
+
+    api::Session other({.threads = 1, .base_seed = 6});
+    const auto foreign = runCached(other, specs, &cache);
+    const auto cold = runCached(other, specs);
+    EXPECT_EQ(csvOf(foreign.table), csvOf(cold.table));
+    EXPECT_EQ(foreign.result.simulated, specs.size());
+    EXPECT_EQ(foreign.result.replayed, 0u);
+
+    const auto after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits + 1);  // the lookup above only
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.inserts, before.inserts);
+    EXPECT_EQ(after.resident, before.resident);
+    EXPECT_EQ(cache.sortedKeys(), keys);
+    const auto again = cache.lookup(keys.front());
+    ASSERT_TRUE(first && again);
+    EXPECT_EQ(again->seed, first->seed);
+    ASSERT_EQ(again->row.size(), first->row.size());
+    for (std::size_t c = 0; c < first->row.size(); ++c)
+        EXPECT_EQ(again->row[c].toString(), first->row[c].toString());
 }
 
 TEST(Frontier, LatticeIsTheCoarseGridPlusDyadicMidpoints)
@@ -318,8 +348,8 @@ TEST(Frontier, ExhaustiveBudgetEqualsBruteForce)
     brute.axis("blocks", block_values);
 
     sweep::SweepRunner runner({.threads = 2});
-    const auto brute_table =
-        runSpecSweepCached(runner, brute.expand(), nullptr).table;
+    api::Session session(runner);
+    const auto brute_table = runCached(session, brute.expand()).table;
     const auto obj = *brute_table.findColumn("required_draper_qps");
     const auto spec_col = *brute_table.findColumn("spec");
     double brute_best = -1.0;
@@ -372,8 +402,8 @@ TEST(Frontier, GreedySearchReachesBruteOptimumWithFewerPoints)
     brute.axis("transfers", transfer_values);
 
     sweep::SweepRunner runner({.threads = 2});
-    const auto brute_table =
-        runSpecSweepCached(runner, brute.expand(), nullptr).table;
+    api::Session session(runner);
+    const auto brute_table = runCached(session, brute.expand()).table;
     const auto obj = *brute_table.findColumn("mean_adder_speedup");
     double brute_best = -1.0;
     for (std::size_t r = 0; r < brute_table.rows(); ++r)

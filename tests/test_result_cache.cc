@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "api/grid.hh"
-#include "opt/cached_sweep.hh"
 #include "opt/result_cache.hh"
+#include "run_table.hh"
 #include "server/server.hh"
 
 namespace qmh {
@@ -178,16 +178,16 @@ TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
     grid.base = api::parseSpec("experiment=bandwidth").spec;
     grid.axis("blocks", {"10", "20"});
     const auto specs = grid.expand();
-    sweep::SweepRunner runner({.threads = 2});
-    const auto seed = runner.options().base_seed;
+    api::Session session({.threads = 2});
+    const auto seed = session.baseSeed();
     const auto key = api::printSpec(specs.front());
     {
         ResultCache cache(seed);
         ASSERT_EQ(cache.open(path), "");
         cache.insert(key, specSeed(seed, key),
                      {sweep::Cell("stale")});  // wrong width
-        const auto outcome = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(outcome.simulated, specs.size());  // stale = miss
+        const auto outcome = tests::runCached(session, specs, &cache);
+        EXPECT_EQ(outcome.result.simulated, specs.size()); // stale = miss
     }
     {
         ResultCache cache(seed);
@@ -195,8 +195,8 @@ TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
         const auto hit = cache.lookup(key);
         ASSERT_TRUE(hit.has_value());
         EXPECT_GT(hit->row.size(), 1u);  // the repaired row won
-        const auto outcome = runSpecSweepCached(runner, specs, &cache);
-        EXPECT_EQ(outcome.simulated, 0u);
+        const auto outcome = tests::runCached(session, specs, &cache);
+        EXPECT_EQ(outcome.result.simulated, 0u);
     }
 }
 

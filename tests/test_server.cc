@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "api/experiment.hh"
 #include "api/service.hh"
 #include "server/client.hh"
 #include "server/event_loop.hh"
@@ -378,6 +380,97 @@ TEST(Server, LimitMetByCachedRowsSimulatesNothing)
     const auto stats = server.stats();
     EXPECT_EQ(stats.simulated, warm.size());
     EXPECT_EQ(stats.rows, warm.size() + 2u);
+}
+
+TEST(Server, LimitThroughTheMissesSimulatesOnlyThePrefix)
+{
+    // A limit that cuts through the misses: the points past it are
+    // never submitted, so exactly the misses before the cut run,
+    // whatever the timing, in either seed mode.
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+
+    std::vector<std::string> specs;
+    for (std::size_t k = 1; k <= 6; ++k)
+        specs.push_back("experiment=cache n=" + std::to_string(16 * k));
+    const std::string lines[] = {
+        requestLine("spec-cut", specs,
+                    "\"seed_mode\":\"spec\",\"limit\":3"),
+        requestLine("index-cut", specs, "\"limit\":2")};
+
+    std::string received;
+    {
+        Serving serving(server);
+        auto client =
+            server::Client::connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.error().describe();
+        for (const auto &line : lines) {
+            const auto records = client.value().request(line);
+            ASSERT_TRUE(records.ok()) << records.error().describe();
+            received += joined(records.value());
+        }
+    }
+
+    EXPECT_EQ(received, stdioReference(lines[0] + "\n" + lines[1] +
+                                       "\n"));
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.simulated, 3u + 2u);
+    EXPECT_EQ(stats.rows, 3u + 2u);
+    EXPECT_EQ(stats.cache.inserts, 3u);
+}
+
+TEST(Server, StaleStoreRowsAreSimulatedOnceAndRepaired)
+{
+    // A backed log written before a schema change holds rows of the
+    // wrong width under the right keys and seeds. The server must not
+    // replay them: it simulates each point once, answers with the
+    // stdio bytes, and repairs the log, so a second server over the
+    // same file replays the fresh rows.
+    const auto path = ::testing::TempDir() + "server_stale_rows.jsonl";
+    std::remove(path.c_str());
+    std::vector<std::string> specs;
+    for (const char *text : {"experiment=bandwidth blocks=10",
+                             "experiment=bandwidth blocks=20"})
+        specs.push_back(api::printSpec(api::parseSpec(text).spec));
+    {
+        opt::ResultCache log(kSeed);
+        ASSERT_EQ(log.open(path), "");
+        const auto width =
+            api::makeExperiment(api::parseSpec(specs[0]).spec)
+                ->columns()
+                .size();
+        const sweep::Cell stale(std::string("stale"));
+        log.insert(specs[0], opt::specSeed(kSeed, specs[0]),
+                   std::vector<sweep::Cell>(width + 3, stale));
+        log.insert(specs[1], opt::specSeed(kSeed, specs[1]),
+                   std::vector<sweep::Cell>(5, stale));
+    }
+
+    const auto line =
+        requestLine("stale", specs, "\"seed_mode\":\"spec\"");
+    const auto expected = stdioReference(line + "\n");
+    for (std::size_t generation = 0; generation < 2; ++generation) {
+        auto config = testConfig();
+        config.cache_path = path;
+        auto created = server::Server::create(config);
+        ASSERT_TRUE(created.ok()) << created.error().describe();
+        auto &server = *created.value();
+        std::string received;
+        {
+            Serving serving(server);
+            auto client =
+                server::Client::connect("127.0.0.1", server.port());
+            ASSERT_TRUE(client.ok()) << client.error().describe();
+            const auto records = client.value().request(line);
+            ASSERT_TRUE(records.ok()) << records.error().describe();
+            received = joined(records.value());
+        }
+        EXPECT_EQ(received, expected) << "generation " << generation;
+        EXPECT_EQ(server.stats().simulated,
+                  generation == 0 ? specs.size() : 0u)
+            << "generation " << generation;
+    }
 }
 
 TEST(Server, ShortRequestsNeverEndTheirStreamEarly)

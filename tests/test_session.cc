@@ -544,7 +544,7 @@ TEST(Session, ExplicitSeedsDriveThePointStreams)
 {
     // Explicit seeds land in the seed column verbatim, and repeating
     // a seed reproduces its row exactly — the property
-    // opt::runSpecSweepCached builds spec-addressed replay on.
+    // opt::CachedJob builds spec-addressed replay on.
     const auto spec =
         parseSpec("experiment=montecarlo trials=400").spec;
     Session session({.threads = 2});

@@ -12,7 +12,6 @@
 #include "api/session.hh"
 #include "api/workload.hh"
 #include "circuit/text_format.hh"
-#include "opt/cached_sweep.hh"
 #include "run_table.hh"
 #include "trace/engine.hh"
 
@@ -260,13 +259,13 @@ TEST(TraceSweep, CancelledSessionJobReturnsDeterministicPrefix)
 TEST(TraceSweep, CachedRunnerReplaysWarmRunWithZeroSimulations)
 {
     const auto specs = traceGrid().expand();
-    sweep::SweepRunner runner({.threads = 2, .base_seed = 5});
-    opt::ResultCache cache(runner.options().base_seed);
-    const auto cold = opt::runSpecSweepCached(runner, specs, &cache);
-    EXPECT_EQ(cold.simulated, specs.size());
-    const auto warm = opt::runSpecSweepCached(runner, specs, &cache);
-    EXPECT_EQ(warm.simulated, 0u);
-    EXPECT_EQ(warm.cached, specs.size());
+    api::Session session({.threads = 2, .base_seed = 5});
+    opt::ResultCache cache(session.baseSeed());
+    const auto cold = tests::runCached(session, specs, &cache);
+    EXPECT_EQ(cold.result.simulated, specs.size());
+    const auto warm = tests::runCached(session, specs, &cache);
+    EXPECT_EQ(warm.result.simulated, 0u);
+    EXPECT_EQ(warm.result.replayed, specs.size());
     EXPECT_EQ(csvOf(cold.table), csvOf(warm.table));
 }
 
