@@ -1,9 +1,9 @@
 #include "service.hh"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/json.hh"
 #include "sweep/emit.hh"
@@ -42,6 +42,16 @@ malformedJson(const json::ParseResult &parsed)
                       parsed.error);
 }
 
+/** Append @p count in decimal. */
+void
+appendCount(std::string &out, std::size_t count)
+{
+    char buffer[24];
+    const auto written =
+        std::to_chars(buffer, buffer + sizeof buffer, count);
+    out.append(buffer, written.ptr);
+}
+
 void
 writeError(std::ostream &out, const std::string &id,
            const Error &error)
@@ -55,13 +65,18 @@ std::string
 recordAccepted(const std::string &id, std::size_t total,
                const std::vector<std::string> &columns)
 {
-    std::ostringstream out;
-    out << "{\"type\":\"accepted\",\"id\":" << sweep::jsonQuote(id)
-        << ",\"total\":" << total << ",\"columns\":[";
-    for (std::size_t c = 0; c < columns.size(); ++c)
-        out << (c ? "," : "") << sweep::jsonQuote(columns[c]);
-    out << "]}";
-    return out.str();
+    std::string out = "{\"type\":\"accepted\",\"id\":";
+    sweep::appendJsonQuoted(out, id);
+    out += ",\"total\":";
+    appendCount(out, total);
+    out += ",\"columns\":[";
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        if (c)
+            out += ',';
+        sweep::appendJsonQuoted(out, columns[c]);
+    }
+    out += "]}";
+    return out;
 }
 
 std::string
@@ -69,39 +84,61 @@ recordRow(const std::string &id, std::size_t index,
           const std::vector<std::string> &columns,
           const std::vector<sweep::Cell> &cells)
 {
-    std::ostringstream out;
-    out << "{\"type\":\"row\",\"id\":" << sweep::jsonQuote(id)
-        << ",\"index\":" << index << ",\"cells\":{";
+    // One reserved buffer, every cell appended in place: a guess of
+    // 32 bytes per cell beyond its column name covers the numeric
+    // cells, so only a long text cell (the spec) can grow it.
+    std::size_t guess = 64 + id.size();
     for (std::size_t c = 0; c < cells.size(); ++c)
-        out << (c ? "," : "") << sweep::jsonQuote(columns[c]) << ":"
-            << cells[c].toJson();
-    out << "}}";
-    return out.str();
+        guess += columns[c].size() + 32;
+    std::string out;
+    out.reserve(guess);
+    out += "{\"type\":\"row\",\"id\":";
+    sweep::appendJsonQuoted(out, id);
+    out += ",\"index\":";
+    appendCount(out, index);
+    out += ",\"cells\":{";
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (c)
+            out += ',';
+        sweep::appendJsonQuoted(out, columns[c]);
+        out += ':';
+        cells[c].appendJson(out);
+    }
+    out += "}}";
+    return out;
 }
 
 std::string
 recordError(const std::string &id, const Error &error)
 {
-    std::ostringstream out;
-    out << "{\"type\":\"error\",\"id\":" << sweep::jsonQuote(id)
-        << ",\"code\":\"" << errorCodeName(error.code)
-        << "\",\"message\":" << sweep::jsonQuote(error.message)
-        << ",\"details\":[";
-    for (std::size_t i = 0; i < error.details.size(); ++i)
-        out << (i ? "," : "") << sweep::jsonQuote(error.details[i]);
-    out << "]}";
-    return out.str();
+    std::string out = "{\"type\":\"error\",\"id\":";
+    sweep::appendJsonQuoted(out, id);
+    out += ",\"code\":\"";
+    out += errorCodeName(error.code);
+    out += "\",\"message\":";
+    sweep::appendJsonQuoted(out, error.message);
+    out += ",\"details\":[";
+    for (std::size_t i = 0; i < error.details.size(); ++i) {
+        if (i)
+            out += ',';
+        sweep::appendJsonQuoted(out, error.details[i]);
+    }
+    out += "]}";
+    return out;
 }
 
 std::string
 recordDone(const std::string &id, std::size_t rows, std::size_t total,
            bool cancelled)
 {
-    std::ostringstream out;
-    out << "{\"type\":\"done\",\"id\":" << sweep::jsonQuote(id)
-        << ",\"rows\":" << rows << ",\"total\":" << total
-        << ",\"cancelled\":" << (cancelled ? "true" : "false") << "}";
-    return out.str();
+    std::string out = "{\"type\":\"done\",\"id\":";
+    sweep::appendJsonQuoted(out, id);
+    out += ",\"rows\":";
+    appendCount(out, rows);
+    out += ",\"total\":";
+    appendCount(out, total);
+    out += cancelled ? ",\"cancelled\":true}" : ",\"cancelled\":false}";
+    return out;
 }
 
 std::vector<std::uint64_t>

@@ -26,28 +26,41 @@ DependencyGraph::DependencyGraph(const Program &program)
     // last_writer[q] = most recent instruction touching qubit q.
     std::vector<std::int64_t> last_writer(
         static_cast<std::size_t>(program.qubitCount()), -1);
-    std::vector<std::uint32_t> barrier_preds;
+    // The previous barrier: every qubit's last toucher is it or a
+    // gate after it.
+    std::int64_t last_barrier = -1;
 
     for (std::size_t i = 0; i < m; ++i) {
         if (insts[i].kind == GateKind::Barrier) {
             // A barrier synchronizes against every qubit: depend on
             // the distinct set of last touchers and become the last
-            // toucher of everything.
-            barrier_preds.clear();
-            for (auto &last : last_writer) {
-                if (last >= 0)
-                    barrier_preds.push_back(
-                        static_cast<std::uint32_t>(last));
-                last = static_cast<std::int64_t>(i);
+            // toucher of everything. That set is the previous barrier
+            // (if some qubit still names it) followed by each gate
+            // since it that still names one of its operands — already
+            // ascending and distinct, so no sort.
+            const auto self = static_cast<std::uint32_t>(i);
+            const auto first_edge = edges.size();
+            if (last_barrier >= 0 &&
+                std::find(last_writer.begin(), last_writer.end(),
+                          last_barrier) != last_writer.end())
+                edges.emplace_back(
+                    static_cast<std::uint32_t>(last_barrier), self);
+            for (auto j = static_cast<std::size_t>(last_barrier + 1);
+                 j < i; ++j) {
+                const auto gate = static_cast<std::int64_t>(j);
+                for (const auto &q : insts[j].operands()) {
+                    if (last_writer[q.value()] == gate) {
+                        edges.emplace_back(
+                            static_cast<std::uint32_t>(j), self);
+                        break;
+                    }
+                }
             }
-            std::sort(barrier_preds.begin(), barrier_preds.end());
-            barrier_preds.erase(std::unique(barrier_preds.begin(),
-                                            barrier_preds.end()),
-                                barrier_preds.end());
-            for (const auto p : barrier_preds) {
-                edges.emplace_back(p, static_cast<std::uint32_t>(i));
-                ++_in_degree[i];
-            }
+            _in_degree[i] =
+                static_cast<int>(edges.size() - first_edge);
+            std::fill(last_writer.begin(), last_writer.end(),
+                      static_cast<std::int64_t>(i));
+            last_barrier = static_cast<std::int64_t>(i);
             continue;
         }
         const auto first_edge = edges.size();

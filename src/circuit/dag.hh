@@ -6,6 +6,12 @@
  * data cannot be copied, so every shared operand is a true dependency).
  * The DAG drives the list scheduler, the parallelism profiles (paper
  * Fig. 2) and the optimized cache fetch policy (paper Section 5.2).
+ *
+ * A barrier depends on the last toucher of every qubit, in ascending
+ * order. Building its edges costs O(qubits + operands of the gates
+ * since the previous barrier), with no sort, so a program's barriers
+ * together cost O(barriers × qubits + gates); a program without
+ * barriers pays O(operands) for the whole build.
  */
 
 #ifndef QMH_CIRCUIT_DAG_HH

@@ -152,6 +152,11 @@ struct Parser
     std::string_view text;
     std::size_t pos = 0;
     std::string error = {};
+    /** Scan mode: the top-level key whose string value is wanted. */
+    std::string_view lookup = {};
+    /** Scan mode: offset of the last `lookup` member's value when it
+     *  is a string, npos otherwise. */
+    std::size_t found = std::string_view::npos;
 
     bool
     fail(const std::string &message)
@@ -189,24 +194,25 @@ struct Parser
         return true;
     }
 
-    /** Append code point @p cp to @p out as UTF-8. */
+    /** Emit code point @p cp through @p put as UTF-8 bytes. */
+    template <typename Put>
     static void
-    appendUtf8(std::string &out, unsigned cp)
+    putUtf8(Put &put, unsigned cp)
     {
         if (cp < 0x80) {
-            out += static_cast<char>(cp);
+            put(static_cast<char>(cp));
         } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            put(static_cast<char>(0xC0 | (cp >> 6)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
         } else if (cp < 0x10000) {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            put(static_cast<char>(0xE0 | (cp >> 12)));
+            put(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
         } else {
-            out += static_cast<char>(0xF0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            put(static_cast<char>(0xF0 | (cp >> 18)));
+            put(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+            put(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+            put(static_cast<char>(0x80 | (cp & 0x3F)));
         }
     }
 
@@ -231,12 +237,17 @@ struct Parser
         return true;
     }
 
+    /**
+     * One string literal, its decoded bytes passed one at a time to
+     * @p put: appended to a std::string when building a value,
+     * compared against a key or dropped when scanning.
+     */
+    template <typename Put>
     bool
-    parseString(std::string &out)
+    scanString(Put &&put)
     {
         if (!consume('"'))
             return fail("expected '\"'");
-        out.clear();
         for (;;) {
             if (pos >= text.size())
                 return fail("unterminated string");
@@ -246,21 +257,21 @@ struct Parser
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("unescaped control character in string");
             if (c != '\\') {
-                out += c;
+                put(c);
                 continue;
             }
             if (pos >= text.size())
                 return fail("truncated escape");
             const char esc = text[pos++];
             switch (esc) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
+              case '"':  put('"'); break;
+              case '\\': put('\\'); break;
+              case '/':  put('/'); break;
+              case 'b':  put('\b'); break;
+              case 'f':  put('\f'); break;
+              case 'n':  put('\n'); break;
+              case 'r':  put('\r'); break;
+              case 't':  put('\t'); break;
               case 'u': {
                   unsigned cp = 0;
                   if (!hex4(cp))
@@ -279,13 +290,40 @@ struct Parser
                   } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
                       return fail("lone low surrogate");
                   }
-                  appendUtf8(out, cp);
+                  putUtf8(put, cp);
                   break;
               }
               default:
                   return fail("unknown escape");
             }
         }
+    }
+
+    bool
+    parseString(std::string &out)
+    {
+        out.clear();
+        return scanString([&out](char c) { out += c; });
+    }
+
+    /**
+     * An object key in scan mode: true in @p wanted when this is the
+     * top-level object and the decoded key equals `lookup`.
+     */
+    bool
+    scanKey(int depth, bool &wanted)
+    {
+        if (depth != 0)
+            return scanString([](char) {});
+        std::size_t at = 0;
+        bool same = true;
+        if (!scanString([&](char c) {
+                same = same && at < lookup.size() && lookup[at] == c;
+                ++at;
+            }))
+            return false;
+        wanted = same && at == lookup.size();
+        return true;
     }
 
     bool
@@ -335,8 +373,13 @@ struct Parser
         return true;
     }
 
+    /**
+     * One value at nesting @p depth, built into @p out, or only
+     * validated when @p out is null (scan mode: no allocation, and
+     * the top-level object's members are matched against `lookup`).
+     */
     bool
-    parseValue(Value &out, int depth)
+    parseValue(Value *out, int depth)
     {
         if (depth > max_depth)
             return fail("nesting too deep");
@@ -352,16 +395,27 @@ struct Parser
                 for (;;) {
                     skipWhitespace();
                     std::string key;
-                    if (!parseString(key))
+                    bool wanted = false;
+                    if (out ? !parseString(key) : !scanKey(depth, wanted))
                         return false;
                     skipWhitespace();
                     if (!consume(':'))
                         return fail("expected ':'");
+                    const std::size_t start = pos;
                     Value value;
-                    if (!parseValue(value, depth + 1))
+                    if (!parseValue(out ? &value : nullptr, depth + 1))
                         return false;
-                    members.emplace_back(std::move(key),
-                                         std::move(value));
+                    if (out) {
+                        members.emplace_back(std::move(key),
+                                             std::move(value));
+                    } else if (wanted) {
+                        // Last duplicate wins, as in Value::find().
+                        const auto first =
+                            text.find_first_not_of(" \t\n\r", start);
+                        found = text[first] == '"'
+                                    ? first
+                                    : std::string_view::npos;
+                    }
                     skipWhitespace();
                     if (consume(','))
                         continue;
@@ -370,7 +424,8 @@ struct Parser
                     return fail("expected ',' or '}'");
                 }
             }
-            out = Value::makeObject(std::move(members));
+            if (out)
+                *out = Value::makeObject(std::move(members));
             return true;
         }
         if (c == '[') {
@@ -380,9 +435,10 @@ struct Parser
             if (!consume(']')) {
                 for (;;) {
                     Value value;
-                    if (!parseValue(value, depth + 1))
+                    if (!parseValue(out ? &value : nullptr, depth + 1))
                         return false;
-                    items.push_back(std::move(value));
+                    if (out)
+                        items.push_back(std::move(value));
                     skipWhitespace();
                     if (consume(','))
                         continue;
@@ -391,38 +447,34 @@ struct Parser
                     return fail("expected ',' or ']'");
                 }
             }
-            out = Value::makeArray(std::move(items));
+            if (out)
+                *out = Value::makeArray(std::move(items));
             return true;
         }
         if (c == '"') {
+            if (!out)
+                return scanString([](char) {});
             std::string s;
             if (!parseString(s))
                 return false;
-            out = Value::makeString(std::move(s));
+            *out = Value::makeString(std::move(s));
             return true;
         }
-        if (c == 't') {
-            if (!literal("true"))
+        if (c == 't' || c == 'f' || c == 'n') {
+            const std::string_view word =
+                c == 't' ? "true" : c == 'f' ? "false" : "null";
+            if (!literal(word))
                 return false;
-            out = Value::makeBool(true);
-            return true;
-        }
-        if (c == 'f') {
-            if (!literal("false"))
-                return false;
-            out = Value::makeBool(false);
-            return true;
-        }
-        if (c == 'n') {
-            if (!literal("null"))
-                return false;
-            out = Value::makeNull();
+            if (out)
+                *out = c == 'n' ? Value::makeNull()
+                                : Value::makeBool(c == 't');
             return true;
         }
         double number = 0.0;
         if (!parseNumber(number))
             return false;
-        out = Value::makeNumber(number);
+        if (out)
+            *out = Value::makeNumber(number);
         return true;
     }
 };
@@ -434,7 +486,7 @@ parse(std::string_view text)
 {
     Parser parser{text};
     ParseResult result;
-    if (!parser.parseValue(result.value, 0)) {
+    if (!parser.parseValue(&result.value, 0)) {
         result.error = parser.error;
         result.offset = parser.pos;
         return result;
@@ -446,6 +498,24 @@ parse(std::string_view text)
         result.value = Value();
     }
     return result;
+}
+
+std::string
+memberString(std::string_view text, std::string_view key)
+{
+    Parser parser{text};
+    parser.lookup = key;
+    if (!parser.parseValue(nullptr, 0))
+        return {};
+    parser.skipWhitespace();
+    if (parser.pos != text.size() ||
+        parser.found == std::string_view::npos)
+        return {};
+    // The value already validated; decode it.
+    Parser value{text, parser.found};
+    std::string out;
+    value.parseString(out);
+    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ struct ParseResult
 ParseResult parse(std::string_view text);
 
 /**
+ * The string value of member @p key of the top-level object in
+ * @p text, without building a Value tree: exactly what
+ * `parse(text).value.find(key)` holds as a string. The last duplicate
+ * key wins, and the result is empty when @p text is not valid JSON
+ * (the same grammar and depth limit as parse()), its top level is not
+ * an object, or the member is absent or not a string. Validation
+ * allocates nothing; only the returned string may.
+ */
+std::string memberString(std::string_view text, std::string_view key);
+
+/**
  * Incremental newline framing for the JSONL transports: socket reads
  * arrive in arbitrary chunks, so a record may span several feed()
  * calls or share one chunk with its neighbours. The splitter

@@ -81,12 +81,8 @@ Client::request(
         auto record = nextRecord();
         if (!record.ok())
             return record.error();
-        const auto parsed = json::parse(record.value());
-        std::string type;
-        if (parsed.ok())
-            if (const auto *field = parsed.value.find("type");
-                field && field->isString())
-                type = field->string();
+        // Only the framing field is read; the record stays raw.
+        const auto type = json::memberString(record.value(), "type");
         if (on_record)
             on_record(record.value());
         records.push_back(std::move(record).value());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
@@ -32,30 +31,43 @@ csvEscape(const std::string &s)
 
 } // namespace
 
-std::string
-jsonQuote(const std::string &s)
+void
+appendJsonQuoted(std::string &out, std::string_view s)
 {
-    std::string out = "\"";
-    for (const char c : s) {
+    out += '"';
+    // Characters that need no escape are copied in runs, not one by
+    // one.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buffer;
-            } else {
-                out += c;
-            }
+        default: {
+            static constexpr char hex[] = "0123456789abcdef";
+            const char escape[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                   hex[c & 0xF]};
+            out.append(escape, sizeof escape);
+        }
         }
     }
+    out.append(s.data() + run, s.size() - run);
     out += '"';
+}
+
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendJsonQuoted(out, s);
     return out;
 }
 
@@ -135,14 +147,37 @@ Cell::fromTagged(char tag, std::string text)
 std::string
 Cell::toJson() const
 {
-    if (const auto *text = std::get_if<std::string>(&_value))
-        return jsonQuote(*text);
-    // JSON has no literal for inf/nan; a bare token would make the
-    // whole document unparseable, so emit null.
-    if (const auto *real = std::get_if<double>(&_value))
-        if (!std::isfinite(*real))
-            return "null";
-    return toString();
+    std::string out;
+    appendJson(out);
+    return out;
+}
+
+void
+Cell::appendJson(std::string &out) const
+{
+    if (const auto *text = std::get_if<std::string>(&_value)) {
+        appendJsonQuoted(out, *text);
+        return;
+    }
+    // Shortest round-trip digits, as toString() writes them; 32 bytes
+    // hold any double or 64-bit integer.
+    char buffer[32];
+    std::to_chars_result written{};
+    if (const auto *real = std::get_if<double>(&_value)) {
+        // JSON has no literal for inf/nan; a bare token would make
+        // the whole document unparseable, so emit null.
+        if (!std::isfinite(*real)) {
+            out += "null";
+            return;
+        }
+        written = std::to_chars(buffer, buffer + sizeof buffer, *real);
+    } else if (const auto *wide = std::get_if<std::uint64_t>(&_value)) {
+        written = std::to_chars(buffer, buffer + sizeof buffer, *wide);
+    } else {
+        written = std::to_chars(buffer, buffer + sizeof buffer,
+                                std::get<std::int64_t>(_value));
+    }
+    out.append(buffer, written.ptr);
 }
 
 ResultTable::ResultTable(std::vector<std::string> columns)

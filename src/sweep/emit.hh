@@ -59,6 +59,9 @@ class Cell
      */
     std::string toJson() const;
 
+    /** Append toJson()'s bytes to @p out, with no temporary string. */
+    void appendJson(std::string &out) const;
+
     /**
      * One-character alternative tag for serialization: 's' text,
      * 'd' real, 'i' signed integer, 'u' unsigned integer.
@@ -130,6 +133,12 @@ class ResultTable
 
 /** JSON string literal (quotes plus the mandatory escapes) for @p s. */
 std::string jsonQuote(const std::string &s);
+
+/**
+ * Append jsonQuote(@p s) to @p out: the one JSON string escaper
+ * (jsonQuote and Cell::toJson are wrappers over it).
+ */
+void appendJsonQuoted(std::string &out, std::string_view s);
 
 /**
  * Render up to @p max_rows of @p table as a paper-style ASCII table,

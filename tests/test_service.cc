@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "api/service.hh"
 #include "common/json.hh"
 #include "opt/result_cache.hh"
+#include "sweep/emit.hh"
 
 namespace qmh {
 namespace {
@@ -51,14 +55,17 @@ TEST(Json, DecodesStringEscapes)
     EXPECT_EQ(items[7].string(), "\xf0\x9f\x98\x80");  // emoji
 }
 
+/** Documents parse() must refuse. */
+const std::vector<std::string> malformed_documents = {
+    "", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "01",
+    "1.", "1e", "+1", "\"unterminated", "\"bad\\escape\"",
+    "\"\\u12G4\"", "\"\\ud800\"", "\"\\ud800\\u0041\"",
+    "{} trailing", "nan", "[1] [2]",
+    "\"ctrl\tchar\""};
+
 TEST(Json, RejectsMalformedDocuments)
 {
-    for (const char *bad :
-         {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "01",
-          "1.", "1e", "+1", "\"unterminated", "\"bad\\escape\"",
-          "\"\\u12G4\"", "\"\\ud800\"", "\"\\ud800\\u0041\"",
-          "{} trailing", "nan", "[1] [2]",
-          "\"ctrl\tchar\""}) {
+    for (const auto &bad : malformed_documents) {
         const auto parsed = json::parse(bad);
         EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
     }
@@ -298,11 +305,14 @@ lines(const std::string &text)
     return result;
 }
 
+/** Two bandwidth points: accepted, two rows, done. */
+const std::string framed_request =
+    "{\"id\":\"a\",\"specs\":[\"experiment=bandwidth blocks=10\","
+    "\"experiment=bandwidth blocks=20\"]}\n";
+
 TEST(Service, StreamsRowsFramedByAcceptedAndDone)
 {
-    const auto output = serve(
-        "{\"id\":\"a\",\"specs\":[\"experiment=bandwidth blocks=10\","
-        "\"experiment=bandwidth blocks=20\"]}\n");
+    const auto output = serve(framed_request);
     const auto records = lines(output);
     ASSERT_EQ(records.size(), 4u);
     EXPECT_NE(records[0].find("\"type\":\"accepted\""),
@@ -318,6 +328,150 @@ TEST(Service, StreamsRowsFramedByAcceptedAndDone)
     // Every record is itself valid JSON.
     for (const auto &record : records)
         EXPECT_TRUE(json::parse(record).ok()) << record;
+}
+
+/** What the Value tree holds for member @p key as a string, or "". */
+std::string
+domMemberString(std::string_view text, std::string_view key)
+{
+    const auto parsed = json::parse(text);
+    if (!parsed.ok())
+        return "";
+    const auto *value = parsed.value.find(key);
+    return value && value->isString() ? value->string() : "";
+}
+
+TEST(Json, MemberStringScanMatchesParseAndFind)
+{
+    std::vector<std::string> corpus = malformed_documents;
+
+    // Nesting at the depth limit (64) and one past it, below a "type"
+    // member, through arrays and through objects.
+    for (const int depth : {63, 64, 65}) {
+        std::string arrays = R"({"type":"row","a":)";
+        std::string objects = R"({"type":"row","a":)";
+        for (int i = 1; i < depth; ++i) {
+            arrays += '[';
+            objects += R"({"k":)";
+        }
+        arrays += "[]";
+        objects += "{}";
+        for (int i = 1; i < depth; ++i) {
+            arrays += ']';
+            objects += '}';
+        }
+        corpus.push_back(arrays + '}');
+        corpus.push_back(objects + '}');
+    }
+    EXPECT_TRUE(json::parse(corpus[corpus.size() - 3]).ok());
+    EXPECT_FALSE(json::parse(corpus[corpus.size() - 1]).ok());
+
+    for (const char *text : {
+             // duplicates: the last one wins, whatever its type
+             R"({"type":"a","type":"b"})", R"({"type":"a","type":1})",
+             R"({"type":1,"type":"c"})", R"({"type":"a","type":null})",
+             // a non-string "type"
+             R"({"type":true})", R"({"type":["row"]})",
+             R"({"type":{"type":"row"}})", R"({"type":-0.5e3})",
+             // nested members never match
+             R"({"a":{"type":"row"}})", R"({"a":[{"type":"row"}]})",
+             // escaped keys and values decode before comparing
+             R"({"\u0074ype":"row"})", R"({"typ\u0065":"done"})",
+             R"({"type":"r\u006fw"})", R"({"type":"a\"b\\c\n"})",
+             R"({"type":"\ud83d\ude00"})", R"({"type\u0000":"x"})",
+             R"({"typ":"x","types":"y","typeX":"z","":"e"})",
+             // non-object top levels
+             R"(["type","row"])", R"("type")", "42", "null", "true",
+             // trailing garbage, and allowed surrounding whitespace
+             R"({"type":"row"} x)", R"({"type":"row"}{})",
+             R"({"type":"row"},)", " \t{ \"type\" :\n\"row\" } \r\n",
+             // a number parse() cannot hold
+             R"({"type":"row","x":1e400})"})
+        corpus.emplace_back(text);
+
+    // Every record one served request emits.
+    const auto records = lines(serve(framed_request));
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_EQ(json::memberString(records[0], "type"), "accepted");
+    EXPECT_EQ(json::memberString(records[1], "type"), "row");
+    EXPECT_EQ(json::memberString(records[3], "type"), "done");
+    EXPECT_EQ(json::memberString(records[1], "id"), "a");
+    corpus.insert(corpus.end(), records.begin(), records.end());
+
+    for (const auto &text : corpus)
+        for (const char *key : {"type", "id", "", "typ", "a"})
+            EXPECT_EQ(json::memberString(text, key),
+                      domMemberString(text, key))
+                << "key " << key << " in " << text;
+    EXPECT_EQ(json::memberString(R"({"type":"a","type":"b"})", "type"),
+              "b");
+    EXPECT_EQ(json::memberString(R"({"\u0074ype":"r\u006fw"})", "type"),
+              "row");
+}
+
+TEST(Service, RecordBytesArePinned)
+{
+    // One row holding every Cell alternative: each escape class in
+    // text, non-finite doubles (null), the 64-bit extremes and
+    // shortest-form doubles down to the smallest subnormal.
+    const std::vector<std::string> columns = {
+        "text", "in\"f", "neg_inf", "nan", "int_min", "uint_max",
+        "tenth", "tiny", "subnormal", "small", "unsigned"};
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<sweep::Cell> cells = {
+        sweep::Cell(std::string("q\"b\\n\nr\rt\t\x01/\x1f\xc3\xa9")),
+        sweep::Cell(inf),
+        sweep::Cell(-inf),
+        sweep::Cell(std::numeric_limits<double>::quiet_NaN()),
+        sweep::Cell(std::numeric_limits<std::int64_t>::min()),
+        sweep::Cell(std::numeric_limits<std::uint64_t>::max()),
+        sweep::Cell(0.1),
+        sweep::Cell(1e-300),
+        sweep::Cell(5e-324),
+        sweep::Cell(-7),
+        sweep::Cell(7u)};
+    const std::string id = "id\"\\\n\x01";
+    EXPECT_EQ(
+        api::recordRow(id, 3, columns, cells),
+        R"({"type":"row","id":"id\"\\\n\u0001","index":3,"cells":{)"
+        R"("text":"q\"b\\n\nr\rt\t\u0001/\u001f)" "\xc3\xa9" R"(",)"
+        R"("in\"f":null,"neg_inf":null,"nan":null,)"
+        R"("int_min":-9223372036854775808,)"
+        R"("uint_max":18446744073709551615,)"
+        R"("tenth":0.1,"tiny":1e-300,"subnormal":5e-324,)"
+        R"("small":-7,"unsigned":7}})");
+    EXPECT_EQ(api::recordRow("", 0, {}, {}),
+              R"({"type":"row","id":"","index":0,"cells":{}})");
+    EXPECT_EQ(
+        api::recordAccepted(id, 18446744073709551615u, columns),
+        R"({"type":"accepted","id":"id\"\\\n\u0001",)"
+        R"("total":18446744073709551615,"columns":["text","in\"f",)"
+        R"("neg_inf","nan","int_min","uint_max","tenth","tiny",)"
+        R"("subnormal","small","unsigned"]})");
+    EXPECT_EQ(api::recordAccepted("r", 0, {}),
+              R"({"type":"accepted","id":"r","total":0,"columns":[]})");
+    EXPECT_EQ(
+        api::recordError(id, api::Error{api::ErrorCode::InvalidSpec,
+                                        "bad \"spec\"\t",
+                                        {"specs[0]: x\\y", "\r"}}),
+        R"({"type":"error","id":"id\"\\\n\u0001","code":"invalid_spec",)"
+        R"("message":"bad \"spec\"\t","details":["specs[0]: x\\y","\r"]})");
+    EXPECT_EQ(api::recordError("e", api::Error{api::ErrorCode::BadRequest,
+                                               "", {}}),
+              R"({"type":"error","id":"e","code":"bad_request",)"
+              R"("message":"","details":[]})");
+    EXPECT_EQ(api::recordDone(id, 2, 5, true),
+              R"({"type":"done","id":"id\"\\\n\u0001","rows":2,)"
+              R"("total":5,"cancelled":true})");
+    EXPECT_EQ(api::recordDone("d", 0, 0, false),
+              R"({"type":"done","id":"d","rows":0,"total":0,)"
+              R"("cancelled":false})");
+    // The wrappers and the append forms are one escaper.
+    EXPECT_EQ(sweep::jsonQuote(id), R"("id\"\\\n\u0001")");
+    std::string appended = "x";
+    sweep::appendJsonQuoted(appended, id);
+    cells[0].appendJson(appended);
+    EXPECT_EQ(appended, "x" + sweep::jsonQuote(id) + cells[0].toJson());
 }
 
 TEST(Service, LimitCancelsAndReportsTruncation)
