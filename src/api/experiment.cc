@@ -224,7 +224,9 @@ const KindTable<TraceKindResult> trace_table = {
         config.cycles_per_line = spec.cycles_per_line;
         config.latency = prepared.plan().latencyModel();
         return TraceKindResult{
-            trace::runTrace(prepared, config, spec.params()), capacity};
+            slot ? slot->runTrace(prepared, config, spec)
+                 : trace::runTrace(prepared, config, spec.params()),
+            capacity};
     },
     {SPEC_COLUMN(workload), SPEC_COLUMN(n), SPEC_COLUMN(blocks),
      SPEC_COLUMN(transfers), RESULT_COLUMN(capacity),

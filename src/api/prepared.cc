@@ -28,6 +28,37 @@ PreparedSlot::get(const ExperimentSpec &spec, Random &rng) const
     return *_prepared;
 }
 
+trace::TraceResult
+PreparedSlot::runTrace(const trace::PreparedWorkload &prepared,
+                       const trace::TraceConfig &config,
+                       const ExperimentSpec &spec) const
+{
+    auto key = config;
+    key.transfers = 0;
+    {
+        std::lock_guard<std::mutex> lock(_runs_mutex);
+        for (const auto &run : _runs)
+            if (run.config == key && run.machine == spec.machine)
+                if (auto reused =
+                        trace::atTransfers(run.result, config.transfers))
+                    return *std::move(reused);
+    }
+    // Simulated outside the lock: two points that could share a run
+    // may both simulate it when they run concurrently, which costs
+    // time but never changes a row.
+    auto result = trace::runTrace(prepared, config, spec.params());
+    std::lock_guard<std::mutex> lock(_runs_mutex);
+    _runs.push_back({key, spec.machine, result});
+    return result;
+}
+
+std::size_t
+PreparedSlot::simulatedRuns() const
+{
+    std::lock_guard<std::mutex> lock(_runs_mutex);
+    return _runs.size();
+}
+
 void
 sharePreparedWorkloads(
     const std::vector<std::unique_ptr<Experiment>> &experiments)

@@ -17,14 +17,23 @@
  *  - the first point to run builds the slot's trace::PreparedWorkload;
  *    points running concurrently wait for that one build, later points
  *    reuse it;
+ *  - a slot also keeps the group's finished trace runs: a trace point
+ *    that differs from a finished run only in `transfers`, where that
+ *    run is exact (trace::atTransfers — no transfer ever waited for a
+ *    channel, and the count is at least the run's peak channels in
+ *    service), takes the run restated at its count instead of
+ *    simulating it again. Run in grid order on one worker, 27 of the
+ *    48 points of the Table 5 / Fig. 7 grid simulate;
  *  - each point drops its slot reference when its run ends, so the
- *    prepared data is freed as soon as the last point using it
- *    retires, not when the job is destroyed.
+ *    prepared data and the finished runs are freed as soon as the
+ *    last point using them retires, not when the job is destroyed.
  *
  * Generators that draw from the point's rng (WorkloadGenerator::seeded
  * — today only random) never share: two points with equal inputs still
  * get different circuits, and each point's rng sequence stays exactly
- * what it is without sharing. Rows are byte-identical either way.
+ * what it is without sharing. Rows are byte-identical either way:
+ * a reused run is the run the point would have simulated, event for
+ * event, so even events_executed matches.
  */
 
 #ifndef QMH_API_PREPARED_HH
@@ -34,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "api/experiment.hh"
@@ -76,10 +86,34 @@ class PreparedSlot
     /** Block counts whose flat baseline the slot prepares, sorted. */
     const std::vector<unsigned> &blocks() const { return _blocks; }
 
+    /**
+     * trace::runTrace of @p prepared (this slot's, from get()) under
+     * @p config on @p spec's machine — or, when a finished run of the
+     * slot has the same config but for `transfers` and is exact at
+     * config.transfers, that run restated there (trace::atTransfers).
+     * Simulated runs join the slot's list.
+     */
+    trace::TraceResult runTrace(const trace::PreparedWorkload &prepared,
+                                const trace::TraceConfig &config,
+                                const ExperimentSpec &spec) const;
+
+    /** Trace runs simulated through runTrace() so far. */
+    std::size_t simulatedRuns() const;
+
   private:
+    /** A finished run and what it ran under; transfers zeroed. */
+    struct FinishedRun
+    {
+        trace::TraceConfig config;
+        std::string machine;
+        trace::TraceResult result;
+    };
+
     std::vector<unsigned> _blocks;
     mutable std::mutex _mutex;
     mutable std::optional<trace::PreparedWorkload> _prepared;
+    mutable std::mutex _runs_mutex;
+    mutable std::vector<FinishedRun> _runs;
 };
 
 /**

@@ -206,13 +206,25 @@ JobHandle::pollRow(std::vector<sweep::Cell> &row)
 JobResult
 JobHandle::wait()
 {
+    return settle(true);
+}
+
+JobResult
+JobHandle::waitCounts()
+{
+    return settle(false);
+}
+
+JobResult
+JobHandle::settle(bool rows)
+{
     auto &state = *_state;
     std::unique_lock<std::mutex> lock(state.mutex);
     state.retired.wait(lock, [&state]() { return state.finished; });
 
     JobResult result;
     result.table = sweep::ResultTable(state.columns);
-    for (std::size_t i = 0; i < state.prefix; ++i)
+    for (std::size_t i = 0; rows && i < state.prefix; ++i)
         result.table.addRow(state.rows[i]);
     result.completed = state.prefix;
     result.executed = state.done + state.failed;

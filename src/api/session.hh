@@ -12,7 +12,8 @@
  *    while later points are still running;
  *  - cancel() — cooperative: in-flight points finish, unclaimed
  *    points are skipped;
- *  - wait() — blocks for retirement and returns the result table.
+ *  - wait() — blocks for retirement and returns the result table
+ *    (waitCounts() — the same without the rows).
  *
  * Determinism contract: each point's Random stream derives from
  * (base seed, index), so the *contiguous completed prefix* of rows —
@@ -122,8 +123,19 @@ class JobHandle
      */
     JobResult wait();
 
+    /**
+     * wait() without the rows: the same counters and failure over a
+     * table holding only the columns, for a caller that streamed the
+     * rows it needs and would otherwise pay for a copy of each.
+     */
+    JobResult waitCounts();
+
   private:
     friend class Session;
+
+    /** wait(), copying the completed rows only when @p rows. */
+    JobResult settle(bool rows);
+
     explicit JobHandle(std::shared_ptr<detail::JobState> state)
         : _state(std::move(state))
     {

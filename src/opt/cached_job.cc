@@ -197,7 +197,7 @@ CachedJob::retire(bool block)
 void
 CachedJob::settle()
 {
-    const auto result = _job->wait();
+    const auto result = _job->waitCounts();
     _simulated = result.executed;
     _failure = result.failure;
     _retired = true;

@@ -39,12 +39,20 @@ TokenPool::release()
         qmh_panic("token pool: release without acquire");
     --_in_use;
     // Wake parked ports in parking order until one actually takes the
-    // token (a parked port may have drained its queue meanwhile).
-    while (!_waiters.empty() && _in_use < _capacity) {
-        Port *next = _waiters.front();
-        _waiters.erase(_waiters.begin());
+    // token (a parked port may have drained its queue meanwhile). A
+    // woken port may park again, appending behind the rest.
+    while (_next_waiter < _waiters.size() && _in_use < _capacity) {
+        Port *next = _waiters[_next_waiter++];
         next->_parked = false;
         next->pump();
+    }
+    // Drop the woken prefix once it is at least half the vector, so
+    // each parking is moved at most once on average.
+    if (_next_waiter > 0 && 2 * _next_waiter >= _waiters.size()) {
+        _waiters.erase(_waiters.begin(),
+                       _waiters.begin() +
+                           static_cast<std::ptrdiff_t>(_next_waiter));
+        _next_waiter = 0;
     }
 }
 
@@ -96,14 +104,14 @@ Port::submit(Tick service, Completion done)
     if (_count >= _buffer_limit)
         ++_stats.buffer_overflows;
     pushBack({service, _owner.now(), done});
-    pump();
+    startQueued();
     // Peak is measured after the pump so an uncontended request that
     // went straight into service never counts as queue occupancy.
     _stats.peak_queue = std::max(_stats.peak_queue, queued());
 }
 
 void
-Port::pump()
+Port::startQueued()
 {
     while (_in_service < _width && _count > 0) {
         if (_tokens && !_tokens->tryAcquire()) {
@@ -136,6 +144,7 @@ void
 Port::start(Tick service, Completion done)
 {
     ++_in_service;
+    _stats.peak_in_service = std::max(_stats.peak_in_service, _in_service);
     _stats.busy_ticks += service;
     const auto slot = static_cast<std::uint32_t>(
         _free_slots.empty() ? _slots.size() : _free_slots.back());

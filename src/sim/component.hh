@@ -98,7 +98,10 @@ class TokenPool
 
     unsigned _capacity;
     unsigned _in_use = 0;
-    std::vector<Port *> _waiters;   ///< parked ports, FIFO
+    /** Parked ports, FIFO from _next_waiter; the woken prefix is
+     *  dropped in bulk rather than one front erase per wake. */
+    std::vector<Port *> _waiters;
+    std::size_t _next_waiter = 0;
 };
 
 /**
@@ -128,6 +131,8 @@ class Port final : private CompletionSink
         Tick stall_ticks = 0;         ///< total queued waiting time
         Tick busy_ticks = 0;          ///< total server-time held
         std::size_t peak_queue = 0;   ///< max waiting (buffer+overflow)
+        /** Max requests holding a server at once. */
+        unsigned peak_in_service = 0;
         double queue_integral = 0.0;  ///< time-weighted queued requests
     };
 
@@ -188,8 +193,15 @@ class Port final : private CompletionSink
 
     friend class TokenPool;
 
-    /** Start as many queued requests as servers/tokens allow. */
-    void pump();
+    /** Start as many queued requests as servers/tokens allow. Inline
+     *  so the common nothing-to-start case costs no call. */
+    void
+    pump()
+    {
+        if (_count > 0 && _in_service < _width)
+            startQueued();
+    }
+    void startQueued();
     void startFront();
     void start(Tick service, Completion done);
     void pushBack(const Request &request);

@@ -18,12 +18,12 @@ TransferChannels::transfer(Tick hold, Tick busy, Completion done)
 }
 
 double
-TransferChannels::utilization(Tick makespan) const
+TransferChannels::utilization(Tick busy, Tick makespan, unsigned capacity)
 {
     const double capacity_ticks = static_cast<double>(makespan) *
-                                  static_cast<double>(capacity());
+                                  static_cast<double>(capacity);
     return capacity_ticks > 0.0
-               ? static_cast<double>(_busy) / capacity_ticks
+               ? static_cast<double>(busy) / capacity_ticks
                : 0.0;
 }
 

@@ -77,6 +77,12 @@ class TransferChannels : public Component
     /** Highest queue occupancy the channel port reached. */
     std::size_t peakQueue() const { return _port.stats().peak_queue; }
 
+    /** Most channels in service at once so far. */
+    unsigned peakInService() const
+    {
+        return _port.stats().peak_in_service;
+    }
+
     /**
      * Time-weighted mean queued transfers over @p makespan (0 when
      * the makespan is zero).
@@ -91,7 +97,18 @@ class TransferChannels : public Component
      * Returns 0 when makespan or capacity is zero — never a division
      * by zero.
      */
-    double utilization(Tick makespan) const;
+    double utilization(Tick makespan) const
+    {
+        return utilization(_busy, makespan, capacity());
+    }
+
+    /**
+     * The same fraction for @p busy channel-ticks over @p makespan on
+     * @p capacity channels, so a result can be restated at another
+     * channel count with the exact bytes a run at that count gives.
+     */
+    static double utilization(Tick busy, Tick makespan,
+                              unsigned capacity);
 
     /** The underlying channel port (introspection/tests). */
     const Port &port() const { return _port; }

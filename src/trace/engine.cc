@@ -1,6 +1,7 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -232,6 +233,18 @@ PreparedWorkload::flatMakespan(unsigned blocks) const
     return std::nullopt;
 }
 
+std::optional<TraceResult>
+atTransfers(const TraceResult &run, unsigned transfers)
+{
+    if (transfers < run.exact_transfers_lo ||
+        transfers > run.exact_transfers_hi)
+        return std::nullopt;
+    TraceResult result = run;
+    result.transfer_utilization = sim::TransferChannels::utilization(
+        run.channel_busy_ticks, run.makespan_ticks, transfers);
+    return result;
+}
+
 TraceResult
 runTrace(const circuit::Workload &workload, const TraceConfig &config,
          const iontrap::Params &params)
@@ -258,6 +271,9 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
     const auto m = static_cast<std::uint32_t>(program.size());
     TraceResult result;
     result.instructions = m;
+    // An empty program never touches a channel.
+    result.exact_transfers_lo = 1;
+    result.exact_transfers_hi = std::numeric_limits<unsigned>::max();
 
     const auto code = ecc::Code::byKind(config.code);
     auto flat_makespan = prepared.flatMakespan(config.blocks);
@@ -320,6 +336,14 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
                           : 0.0;
 
     result.transfer_utilization = channels.utilization(makespan);
+    result.channel_busy_ticks = channels.busyTicks();
+    result.makespan_ticks = makespan;
+    if (channels.peakQueue() == 0)
+        result.exact_transfers_lo =
+            std::max(1u, channels.peakInService());
+    else
+        result.exact_transfers_lo = result.exact_transfers_hi =
+            config.transfers;
 
     result.mem_requests = memory.requests();
     result.writebacks = ctx.writebacks;

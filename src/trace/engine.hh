@@ -79,6 +79,8 @@ struct TraceConfig
     Tick cycles_per_line = 0;
     /** Per-gate-kind latencies in gate-steps. */
     sched::LatencyModel latency{};
+
+    bool operator==(const TraceConfig &) const = default;
 };
 
 /** Measured outcomes of one trace run. */
@@ -124,6 +126,15 @@ struct TraceResult
     double mean_in_flight = 0.0;
 
     std::uint64_t events_executed = 0;
+
+    // Not row columns: what restating the result at another channel
+    // count (atTransfers) needs.
+    /** Channel counts [lo, hi] whose run is this one, event for
+     *  event; see atTransfers. */
+    unsigned exact_transfers_lo = 0;
+    unsigned exact_transfers_hi = 0;
+    Tick channel_busy_ticks = 0;  ///< channel-time charged busy
+    Tick makespan_ticks = 0;
 };
 
 /**
@@ -171,6 +182,23 @@ class PreparedWorkload
 TraceResult runTrace(const PreparedWorkload &prepared,
                      const TraceConfig &config,
                      const iontrap::Params &params);
+
+/**
+ * @p run restated at @p transfers channels, or nullopt when @p run is
+ * not exact there (outside [exact_transfers_lo, exact_transfers_hi]).
+ *
+ * A run whose channel port never queued a transfer is exact for every
+ * count from its peak number of channels in service up: each transfer
+ * then took a free channel the moment it was requested, which any
+ * count at least that peak also offers, so the run makes the same
+ * schedule() calls in the same order — every event and every result
+ * field but transfer_utilization is the same. That one is recomputed
+ * with the formula TransferChannels uses, so its bytes match a direct
+ * run too. A run that queued a transfer is exact only at its own
+ * count.
+ */
+std::optional<TraceResult> atTransfers(const TraceResult &run,
+                                       unsigned transfers);
 
 /** One-shot form: prepares @p workload for @p config, then runs it. */
 TraceResult runTrace(const circuit::Workload &workload,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -232,6 +234,150 @@ TEST(PreparedWorkload, RowsMatchPerPointRunTraceAtOneAndNThreads)
         EXPECT_EQ(table.cell(i, column("events_executed")).toString(),
                   std::to_string(direct.events_executed))
             << i;
+    }
+}
+
+/** Every row of @p experiments run as one job, seed cell included. */
+std::vector<std::vector<sweep::Cell>>
+rowsOf(std::vector<std::unique_ptr<Experiment>> experiments,
+       unsigned threads)
+{
+    Session session({.threads = threads, .base_seed = 11});
+    auto job = session.submit(std::move(experiments));
+    EXPECT_TRUE(job.ok());
+    std::vector<std::vector<sweep::Cell>> rows;
+    while (auto row = job.value().nextRow())
+        rows.push_back(std::move(*row));
+    EXPECT_FALSE(job.value().wait().failure.has_value());
+    return rows;
+}
+
+/** Same alternative and, for reals, the same bits. */
+bool
+sameCell(const sweep::Cell &a, const sweep::Cell &b)
+{
+    if (a.typeTag() != b.typeTag())
+        return false;
+    if (!a.isReal())
+        return a.toString() == b.toString();
+    return std::bit_cast<std::uint64_t>(a.asNumber().value()) ==
+           std::bit_cast<std::uint64_t>(b.asNumber().value());
+}
+
+TEST(PreparedWorkload, ReusedRunsMatchDirectRunTrace)
+{
+    // Grids wide enough to reach both sides of the reuse rule: one
+    // channel (always binds on a miss), counts past every peak, single
+    // banks and ports, tiny buffers, per-line bank costs and caches
+    // from a quarter to twice the working set.
+    for (const auto &generator : workloadRegistry()) {
+        if (generator.seeded)
+            continue;
+        const int n = generator.name == "draper" ||
+                              generator.name == "ripple"
+                          ? 24
+                          : 12;
+        SpecGrid grid;
+        grid.base = parseSpec("experiment=trace workload=" +
+                              generator.name + " n=" + std::to_string(n))
+                        .spec;
+        grid.axis("capacity_x", {"0.25", "1", "2"});
+        grid.axis("mem_banks", {"1", "4", "16"});
+        grid.axis("mem_ports", {"1", "2", "8"});
+        grid.axis("mem_buffer", {"1", "8"});
+        grid.axis("cycles_per_line", {"0", "3"});
+        grid.axis("transfers", {"1", "2", "3", "5", "8", "20"});
+        const auto specs = grid.expand();
+        ASSERT_EQ(specs.size(), 648u);
+        const auto direct = rowsOf(unshared(specs), 1);
+        ASSERT_EQ(direct.size(), specs.size());
+        for (const unsigned threads : {1u, 4u}) {
+            auto experiments = validated(specs);
+            const auto slot = preparedSlot(*experiments.front());
+            ASSERT_NE(slot, nullptr);
+            const auto rows = rowsOf(std::move(experiments), threads);
+            ASSERT_EQ(rows.size(), direct.size());
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                ASSERT_EQ(rows[i].size(), direct[i].size());
+                for (std::size_t c = 0; c < rows[i].size(); ++c)
+                    EXPECT_TRUE(sameCell(rows[i][c], direct[i][c]))
+                        << generator.name << " threads=" << threads
+                        << " row " << i << " column " << c << ": "
+                        << rows[i][c].toString() << " vs "
+                        << direct[i][c].toString();
+            }
+            // The grid must exercise reuse, not only the fallback.
+            EXPECT_LT(slot->simulatedRuns(), specs.size())
+                << generator.name << " threads=" << threads;
+        }
+    }
+}
+
+TEST(PreparedWorkload, ReuseCountOnTheSweepSharedGrid)
+{
+    // Run in grid order (transfers slowest), the 48 points of each
+    // circuit take 21 distinct trajectories; the exact rule simulates
+    // 27 of them and restates the other 21. A slot that never reuses
+    // a run would report 48.
+    for (const char *base : {"experiment=trace workload=draper n=32",
+                             "experiment=trace workload=ripple n=64",
+                             "experiment=trace workload=modexp n=16"}) {
+        auto experiments = validated(designGrid(base));
+        const auto slot = preparedSlot(*experiments.front());
+        ASSERT_NE(slot, nullptr);
+        EXPECT_EQ(rowsOf(std::move(experiments), 1).size(), 48u);
+        EXPECT_EQ(slot->simulatedRuns(), 27u) << base;
+    }
+}
+
+TEST(PreparedWorkload, BoundChannelsAreNotReused)
+{
+    const auto spec =
+        parseSpec("experiment=trace workload=draper n=32 capacity=4").spec;
+    Random rng(1);
+    const auto workload = buildWorkload(spec, rng);
+    trace::TraceConfig config;
+    config.capacity = 4;
+    const auto at = [&](unsigned transfers) {
+        config.transfers = transfers;
+        return trace::runTrace(workload, config, spec.params());
+    };
+
+    // One channel queues the misses: the run holds at one only.
+    const auto bound = at(1);
+    EXPECT_EQ(bound.exact_transfers_lo, 1u);
+    EXPECT_EQ(bound.exact_transfers_hi, 1u);
+    EXPECT_TRUE(trace::atTransfers(bound, 1).has_value());
+    EXPECT_FALSE(trace::atTransfers(bound, 2).has_value());
+
+    // Twenty channels never queue, but hold more than two at once:
+    // exact from that peak up, and not below it.
+    const auto wide = at(20);
+    ASSERT_GT(wide.exact_transfers_lo, 2u);
+    EXPECT_EQ(wide.exact_transfers_hi,
+              std::numeric_limits<unsigned>::max());
+    EXPECT_FALSE(trace::atTransfers(wide, 2).has_value());
+    const auto restated = trace::atTransfers(wide, 50);
+    ASSERT_TRUE(restated.has_value());
+    const auto direct = at(50);
+    EXPECT_EQ(restated->events_executed, direct.events_executed);
+    EXPECT_EQ(restated->makespan_s, direct.makespan_s);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  restated->transfer_utilization),
+              std::bit_cast<std::uint64_t>(direct.transfer_utilization));
+
+    // Through a slot: neither the point after a bound run nor the one
+    // below a wider run's peak reuses it.
+    for (const auto &axis : {std::vector<std::string>{"1", "2"},
+                             std::vector<std::string>{"20", "2"}}) {
+        SpecGrid grid;
+        grid.base = spec;
+        grid.axis("transfers", axis);
+        auto experiments = validated(grid.expand());
+        const auto slot = preparedSlot(*experiments.front());
+        ASSERT_NE(slot, nullptr);
+        EXPECT_EQ(rowsOf(std::move(experiments), 1).size(), 2u);
+        EXPECT_EQ(slot->simulatedRuns(), 2u) << axis.front();
     }
 }
 

@@ -509,6 +509,37 @@ TEST(Session, ThrowingExperimentRetiresJobWithTypedFailure)
     EXPECT_EQ(next.wait().completed, 2u);
 }
 
+TEST(Session, WaitCountsIsWaitWithoutTheRows)
+{
+    Session session({.threads = 2, .base_seed = 7});
+    auto job = session.submit(montecarloSpecs(5)).value();
+    const auto counts = job.waitCounts();
+    const auto full = job.wait();
+    EXPECT_EQ(counts.table.rows(), 0u);
+    EXPECT_EQ(counts.table.columnNames(), full.table.columnNames());
+    EXPECT_EQ(full.table.rows(), 5u);
+    EXPECT_EQ(counts.completed, full.completed);
+    EXPECT_EQ(counts.executed, full.executed);
+    EXPECT_EQ(counts.skipped, full.skipped);
+    EXPECT_EQ(counts.cancelled, full.cancelled);
+    EXPECT_FALSE(counts.failure.has_value());
+
+    // A failure reaches it too.
+    auto failing = session
+                       .submit(scriptedBatch(
+                           3,
+                           [](std::size_t index) -> double {
+                               if (index == 1)
+                                   throw std::runtime_error("boom");
+                               return 1.0;
+                           }))
+                       .value();
+    const auto failed = failing.waitCounts();
+    ASSERT_TRUE(failed.failure.has_value());
+    EXPECT_EQ(failed.failure->code, ErrorCode::ExecutionFailed);
+    EXPECT_EQ(failed.executed, failing.wait().executed);
+}
+
 TEST(Session, WrongRowWidthIsAnExecutionFailure)
 {
     class WrongWidth final : public Experiment

@@ -284,6 +284,81 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
               3u);
 }
 
+TEST(SimTokenPool, RepeatedWakesKeepParkingOrder)
+{
+    // Three ports re-park after every grant, so the pool wakes and
+    // re-parks many times over: the rotation a, b, c must hold for
+    // every round, however the woken entries are dropped.
+    EventQueue eq;
+    ClosureSink fns(eq);
+    Component owner(eq, "memory");
+    TokenPool tokens(1);
+    Port a(owner, "a", 1, 8, &tokens);
+    Port b(owner, "b", 1, 8, &tokens);
+    Port c(owner, "c", 1, 8, &tokens);
+
+    RecordingSink sink(eq);
+    constexpr int kRounds = 6;
+    fns.at(0, [&]() {
+        for (int round = 0; round < kRounds; ++round) {
+            a.submit(5, sink(3 * round));
+            b.submit(5, sink(3 * round + 1));
+            c.submit(5, sink(3 * round + 2));
+        }
+    });
+    eq.run();
+    std::vector<int> expected;
+    for (int id = 0; id < 3 * kRounds; ++id)
+        expected.push_back(id);
+    EXPECT_EQ(sink.ids(), expected);
+    EXPECT_EQ(eq.now(), Tick{5 * 3 * kRounds});
+    EXPECT_EQ(tokens.inUse(), 0u);
+}
+
+TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
+{
+    // Three overlapping requests on four servers hold three at once;
+    // later ones that overlap fewer never raise the peak, and a burst
+    // past the width stops at the width while the rest queue.
+    EventQueue eq;
+    ClosureSink fns(eq);
+    Component owner(eq, "wire");
+    Port port(owner, "p0", /*width=*/4, /*buffer_limit=*/8);
+
+    RecordingSink sink(eq);
+    fns.at(0, [&]() {
+        for (int id = 0; id < 3; ++id)
+            port.submit(10, sink(id));
+    });
+    fns.at(20, [&]() {
+        port.submit(10, sink(3));
+        port.submit(10, sink(4));
+    });
+    fns.at(40, [&]() { port.submit(10, sink(5)); });
+    eq.run();
+    EXPECT_EQ(port.stats().peak_in_service, 3u);
+    EXPECT_EQ(port.stats().peak_queue, 0u);
+
+    fns.at(60, [&]() {
+        for (int id = 6; id < 12; ++id)
+            port.submit(10, sink(id));
+    });
+    eq.run();
+    EXPECT_EQ(port.stats().peak_in_service, 4u);
+    EXPECT_EQ(port.stats().peak_queue, 2u);
+    EXPECT_EQ(sink.tags.size(), 12u);
+
+    // The transfer channels surface the same count.
+    TransferChannels channels(eq, 8);
+    fns.at(100, [&]() {
+        channels.transfer(5, 5, sink(12));
+        channels.transfer(5, 5, sink(13));
+    });
+    eq.run();
+    EXPECT_EQ(channels.peakInService(), 2u);
+    EXPECT_EQ(channels.peakQueue(), 0u);
+}
+
 TEST(SimBankedMemory, AddressesHashToBanksByModulo)
 {
     EventQueue eq;
