@@ -1,5 +1,7 @@
 /** @file CQLA area/performance/hierarchy model tests (Tables 4, 5). */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "cqla/area_model.hh"
@@ -200,39 +202,100 @@ TEST(PerformanceModelDeath, UnknownSizeRejected)
                 ::testing::ExitedWithCode(1), "Table 4");
 }
 
-struct HierRow
+/** One paper cell: its value and the model's band around it, in
+ *  percent of the paper value. */
+struct PaperCell
 {
-    ecc::CodeKind code;
-    int n;
-    unsigned channels;
-    double paper_s1;
+    double value;
+    double band_pct;
 };
 
-class Table5Level1 : public ::testing::TestWithParam<HierRow>
-{};
-
-TEST_P(Table5Level1, WithinFifteenPercentOfPaper)
+/**
+ * One Table-5 row of the paper (arXiv quant-ph/0604070, Sec. 5) at
+ * the block count paperBlocks() pairs with its size. Each band is the
+ * model's present distance from the paper rounded down to a whole
+ * percent, plus two points, so a model change that moves any cell by
+ * a couple of percent of the paper value shows here. The wide bands
+ * are the outliers EXPERIMENTS.md names with their suspected causes.
+ */
+struct Table5Paper
 {
-    HierarchyModel hier(params);
-    const auto row = GetParam();
-    const double s1 = hier.level1Speedup(ecc::Code::byKind(row.code),
-                                         row.n, row.channels);
-    EXPECT_NEAR(s1, row.paper_s1, 0.15 * row.paper_s1);
+    ecc::CodeKind code;
+    unsigned channels;
+    int n;
+    PaperCell s1, s2, adder, area, gain;
+};
+
+void
+PrintTo(const Table5Paper &row, std::ostream *os)
+{
+    *os << (row.code == ecc::CodeKind::Steane713 ? "steane" : "bacon_shor")
+        << "_" << row.channels << "ch_n" << row.n;
 }
 
+class Table5Row : public ::testing::TestWithParam<Table5Paper>
+{};
+
+TEST_P(Table5Row, EveryCellWithinItsBand)
+{
+    HierarchyModel hier(params);
+    const auto &paper = GetParam();
+    const auto row = hier.row(ecc::Code::byKind(paper.code), paper.n,
+                              paper.channels,
+                              HierarchyModel::paperBlocks(paper.n));
+    const auto expect = [](const char *column, double model,
+                           PaperCell cell) {
+        EXPECT_NEAR(model, cell.value, cell.band_pct / 100.0 * cell.value)
+            << column;
+    };
+    expect("level1_speedup", row.level1_speedup, paper.s1);
+    expect("level2_speedup", row.level2_speedup, paper.s2);
+    expect("adder_speedup", row.adder_speedup, paper.adder);
+    expect("area_reduced", row.area_reduced, paper.area);
+    expect("gain_product", row.gain_product, paper.gain);
+}
+
+constexpr auto steane = ecc::CodeKind::Steane713;
+constexpr auto bacon_shor = ecc::CodeKind::BaconShor913;
+
 INSTANTIATE_TEST_SUITE_P(
-    PaperRows, Table5Level1,
+    PaperRows, Table5Row,
     ::testing::Values(
-        HierRow{ecc::CodeKind::Steane713, 256, 10, 17.417},
-        HierRow{ecc::CodeKind::Steane713, 512, 10, 17.41},
-        HierRow{ecc::CodeKind::Steane713, 1024, 10, 18.18},
-        HierRow{ecc::CodeKind::Steane713, 256, 5, 10.409},
-        HierRow{ecc::CodeKind::Steane713, 1024, 5, 10.96},
-        HierRow{ecc::CodeKind::BaconShor913, 256, 10, 9.61},
-        HierRow{ecc::CodeKind::BaconShor913, 512, 10, 9.61},
-        HierRow{ecc::CodeKind::BaconShor913, 1024, 10, 10.15},
-        HierRow{ecc::CodeKind::BaconShor913, 256, 5, 5.17},
-        HierRow{ecc::CodeKind::BaconShor913, 1024, 5, 5.49}));
+        Table5Paper{steane, 10, 256, {17.417, 5}, {0.98, 4}, {6.25, 2},
+                    {5.07, 6}, {31.68, 6}},
+        Table5Paper{steane, 10, 512, {17.41, 8}, {0.97, 5}, {6.33, 9},
+                    {6.06, 7}, {38.38, 3}},
+        // Outliers: S2 (the paper's Table 4 has 0.80 here), adder and
+        // gain (the paper's adder cell implies a level-1 share of 0.23).
+        Table5Paper{steane, 10, 1024, {18.18, 12}, {0.88, 15},
+                    {4.93, 47}, {9.14, 6}, {45.06, 40}},
+        // Outlier: gain (the paper's 24.99 is not its 5.07 x 4.05).
+        Table5Paper{steane, 5, 256, {10.409, 13}, {0.98, 4}, {4.05, 10},
+                    {5.07, 6}, {24.99, 30}},
+        Table5Paper{steane, 5, 512, {10.408, 4}, {0.97, 5}, {4.04, 2},
+                    {6.06, 7}, {24.48, 6}},
+        // Outliers: as at 10 channels (implied level-1 share 0.20).
+        Table5Paper{steane, 5, 1024, {10.96, 4}, {0.88, 15}, {2.94, 45},
+                    {9.14, 6}, {26.87, 39}},
+        // Outliers: S2 (the paper's Table 4 has 2.98 here) and the
+        // adder cell that mixes it in.
+        Table5Paper{bacon_shor, 10, 256, {9.61, 8}, {1.53, 98},
+                    {5.92, 20}, {7.43, 9}, {43.99, 11}},
+        // Outliers: S2 (Table 4: 2.91), adder and gain (the paper's
+        // adder cell exceeds the 2/3 mix of its own S1 and S2).
+        Table5Paper{bacon_shor, 10, 512, {9.61, 6}, {2.28, 33},
+                    {8.82, 15}, {8.87, 10}, {78.23, 22}},
+        // Outlier: S2 (Table 4: 2.19).
+        Table5Paper{bacon_shor, 10, 1024, {10.15, 9}, {2.00, 16},
+                    {8.10, 2}, {13.40, 10}, {108.53, 10}},
+        Table5Paper{bacon_shor, 5, 256, {5.17, 9}, {1.53, 98},
+                    {3.66, 16}, {7.43, 9}, {27.19, 7}},
+        // Outliers: as at 10 channels; here the paper's adder cell
+        // exceeds its own S1.
+        Table5Paper{bacon_shor, 5, 512, {5.17, 5}, {2.28, 33},
+                    {5.45, 18}, {8.87, 10}, {48.37, 25}},
+        Table5Paper{bacon_shor, 5, 1024, {5.49, 9}, {2.00, 16},
+                    {4.99, 8}, {13.40, 10}, {66.90, 16}}));
 
 TEST(HierarchyModel, MoreChannelsFasterLevel1)
 {
