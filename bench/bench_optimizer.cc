@@ -15,20 +15,20 @@ using namespace qmh;
 namespace {
 
 /** The Table-5-style reference design space the optimizer refines. */
-const opt::FrontierAxis axis_fraction{"l1_fraction", 0.2, 0.8, 3};
 const opt::FrontierAxis axis_transfers{"transfers", 2, 16, 3};
+const opt::FrontierAxis axis_blocks{"blocks", 4, 64, 3};
 
 api::ExperimentSpec
 referenceBase()
 {
-    return api::parseSpec("experiment=hierarchy adders=60 n=64").spec;
+    return api::parseSpec("experiment=hierarchy n=64").spec;
 }
 
 opt::FrontierOptions
 referenceOptions()
 {
     opt::FrontierOptions options;
-    options.objective = "mean_adder_speedup";
+    options.objective = "gain_product";
     options.max_depth = 2;
     options.budget = 40;
     options.frontier = 3;
@@ -41,7 +41,7 @@ bruteForceSpecs(const opt::FrontierOptions &options)
 {
     api::SpecGrid grid;
     grid.base = referenceBase();
-    for (const auto *axis : {&axis_fraction, &axis_transfers}) {
+    for (const auto *axis : {&axis_transfers, &axis_blocks}) {
         const bool integer = opt::frontierAxisIsInteger(axis->key);
         std::vector<std::string> values;
         for (const double v : opt::frontierAxisLattice(
@@ -81,12 +81,12 @@ printOptimizer()
     // In-memory: the warm pass replays it.
     opt::ResultCache cache(runner.options().base_seed);
     const auto cold = opt::frontierSearch(
-        runner, base, {axis_fraction, axis_transfers}, options, &cache);
+        runner, base, {axis_transfers, axis_blocks}, options, &cache);
     const auto warm = opt::frontierSearch(
-        runner, base, {axis_fraction, axis_transfers}, options, &cache);
+        runner, base, {axis_transfers, axis_blocks}, options, &cache);
 
     AsciiTable t;
-    t.setCaption("hierarchy design space: l1_fraction x transfers, "
+    t.setCaption("hierarchy design space: transfers x blocks, "
                  "objective " + options.objective);
     t.setHeader({"run", "points simulated", "best objective"});
     t.setAlign(0, Align::Left);
@@ -117,7 +117,7 @@ BM_FrontierSearchCold(benchmark::State &state)
         {.threads = static_cast<unsigned>(state.range(0))});
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
-            runner, base, {axis_fraction, axis_transfers}, options);
+            runner, base, {axis_transfers, axis_blocks}, options);
         benchmark::DoNotOptimize(found.best_objective);
     }
 }
@@ -131,11 +131,11 @@ BM_FrontierSearchWarmCache(benchmark::State &state)
     const auto options = referenceOptions();
     sweep::SweepRunner runner({.threads = 2});
     opt::ResultCache cache(runner.options().base_seed);
-    opt::frontierSearch(runner, base, {axis_fraction, axis_transfers},
+    opt::frontierSearch(runner, base, {axis_transfers, axis_blocks},
                         options, &cache);
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
-            runner, base, {axis_fraction, axis_transfers}, options,
+            runner, base, {axis_transfers, axis_blocks}, options,
             &cache);
         benchmark::DoNotOptimize(found.best_objective);
     }

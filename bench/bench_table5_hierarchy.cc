@@ -7,7 +7,6 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "cqla/hierarchy.hh"
-#include "cqla/hierarchy_sim.hh"
 #include "sweep/sweep.hh"
 
 using namespace qmh;
@@ -41,21 +40,18 @@ const PaperRow paper_rows[] = {
 
 /**
  * Design-space grid around the paper's Table-5 operating points:
- * 2 codes x 3 adder widths x 3 channel counts x 2 block counts x
- * 3 level-1 fractions = 108 event-driven simulations, expressed as a
- * generic qmh::api spec grid.
+ * 2 codes x 3 adder widths x 4 channel counts x 4 block counts = 96
+ * hierarchy rows, expressed as a generic qmh::api spec grid.
  */
 std::vector<api::ExperimentSpec>
 table5Grid()
 {
     api::SpecGrid grid;
-    grid.base =
-        api::parseSpec("experiment=hierarchy adders=300").spec;
+    grid.base = api::parseSpec("experiment=hierarchy").spec;
     grid.axis("code", {"steane", "bacon-shor"});
     grid.axis("n", {"256", "512", "1024"});
-    grid.axis("transfers", {"2", "5", "10"});
-    grid.axis("blocks", {"49", "100"});
-    grid.axis("l1_fraction", {"0.333", "0.5", "0.666"});
+    grid.axis("transfers", {"2", "5", "10", "20"});
+    grid.axis("blocks", {"49", "81", "100", "121"});
     return grid.expand();
 }
 
@@ -91,17 +87,16 @@ printTable5()
     }
     t.print(std::cout);
 
-    // Event-driven design-space sweep across every core, routed
-    // through the qmh::api facade (one spec grid, one sweep call).
+    // Design-space sweep across every core, routed through the
+    // qmh::api facade (one spec grid, one sweep call).
     const auto specs = table5Grid();
     sweep::SweepRunner runner;
     auto table = runSweep(runner, specs);
 
-    std::printf("\nDES design-space sweep: %zu points on %u threads; "
-                "top configurations by makespan speedup:\n",
+    std::printf("\nDesign-space sweep: %zu points on %u threads; "
+                "top configurations by adder speedup:\n",
                 table.rows(), runner.threadCount());
-    table.sortRowsByColumnDesc(
-        *table.findColumn("makespan_speedup"));
+    table.sortRowsByColumnDesc(*table.findColumn("adder_speedup"));
     sweep::toAsciiTable(table, 5, {"spec", "seed"})
         .print(std::cout);
 
@@ -121,23 +116,8 @@ BM_HierarchyRow(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchyRow);
 
-void
-BM_HierarchyDes(benchmark::State &state)
-{
-    const auto params = iontrap::Params::future();
-    cqla::HierarchySimConfig cfg;
-    cfg.code = ecc::CodeKind::BaconShor913;
-    cfg.n_bits = 256;
-    cfg.blocks = 49;
-    cfg.total_adders = 120;
-    cfg.level1_fraction = 2.0 / 3.0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runHierarchySim(cfg, params));
-}
-BENCHMARK(BM_HierarchyDes);
-
 /**
- * The full 108-point Table-5 grid at varying thread counts: the
+ * The full 96-point Table-5 grid at varying thread counts: the
  * speedup of the 8-thread row over the 1-thread row is the sweep
  * engine's wall-clock scaling (real time, not CPU time).
  */

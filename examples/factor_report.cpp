@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "api/experiment.hh"
 #include "cli_util.hh"
 #include "common/units.hh"
 #include "cqla/apps.hh"
@@ -84,31 +83,6 @@ main(int argc, char **argv)
         const auto q = qft.totalTimes(n);
         std::printf("QFT: %.0f s computation, %.0f s communication\n\n",
                     q.computation_s, q.communication_s);
-
-        // Event-driven cross-check through the facade: the same
-        // machine as one hierarchy ExperimentSpec.
-        api::ExperimentSpec spec;
-        spec.kind = api::ExperimentKind::Hierarchy;
-        spec.code = kind;
-        spec.n = n;
-        spec.blocks = blocks.second;
-        spec.adders = 120;
-        const auto experiment = api::makeExperiment(spec);
-        Random rng(1);
-        const auto cells = experiment->run(rng);
-        const auto columns = experiment->columns();
-        double makespan_speedup = 0.0;
-        double adder_speedup = 0.0;
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            if (columns[c] == "makespan_speedup")
-                makespan_speedup = cells[c].asNumber().value_or(0.0);
-            if (columns[c] == "mean_adder_speedup")
-                adder_speedup = cells[c].asNumber().value_or(0.0);
-        }
-        std::printf("DES cross-check (%s): makespan speedup %.2f, "
-                    "adder speedup %.2f\n\n",
-                    api::printSpec(spec).c_str(), makespan_speedup,
-                    adder_speedup);
     }
     return 0;
 }

@@ -34,8 +34,9 @@ printUsage(const char *prog)
         "  --axis key=lo:hi[:coarse]\n"
         "                     numeric axis to optimize; repeatable\n"
         "  --objective COLUMN result column to optimize (defaults:\n"
-        "                     hierarchy mean_adder_speedup, cache "
-        "hit_rate)\n"
+        "                     hierarchy adder_speedup, cache "
+        "hit_rate,\n"
+        "                     trace speedup)\n"
         "  --minimize         minimize the objective instead\n"
         "  --budget N         max points to evaluate (default 256)\n"
         "  --depth D          bisection generations per interval "
@@ -187,7 +188,7 @@ main(int argc, char **argv)
 
     if (options.objective.empty()) {
         if (base.kind == api::ExperimentKind::Hierarchy)
-            options.objective = "mean_adder_speedup";
+            options.objective = "adder_speedup";
         else if (base.kind == api::ExperimentKind::Cache)
             options.objective = "hit_rate";
         else if (base.kind == api::ExperimentKind::Trace)

@@ -47,21 +47,19 @@ printUsage(const char *prog)
         prog);
 }
 
-/** The PR-1 hierarchy demo grids, now expressed as spec axes. */
+/** The built-in hierarchy grids of --points small | full. */
 void
 addDefaultHierarchyAxes(qmh::api::SpecGrid &grid, bool small_grid)
 {
     grid.axis("code", {"steane", "bacon-shor"});
     if (small_grid) {
-        grid.base.adders = 60;
         grid.axis("n", {"64", "128"});
         grid.axis("transfers", {"5", "10"});
-        grid.axis("l1_fraction", {"0.333", "0.666"});
+        grid.axis("blocks", {"25", "49"});
     } else {
         grid.axis("n", {"256", "512", "1024"});
         grid.axis("transfers", {"2", "5", "10", "20"});
         grid.axis("blocks", {"25", "49", "100"});
-        grid.axis("l1_fraction", {"0.25", "0.333", "0.5", "0.666"});
     }
 }
 
@@ -215,7 +213,7 @@ main(int argc, char **argv)
 
     if (rank_column.empty() &&
         grid.base.kind == api::ExperimentKind::Hierarchy)
-        rank_column = "makespan_speedup";
+        rank_column = "adder_speedup";
     if (rank_column.empty() &&
         grid.base.kind == api::ExperimentKind::Trace)
         rank_column = "speedup";

@@ -8,7 +8,7 @@
 #include "api/prepared.hh"
 #include "api/workload.hh"
 #include "common/logging.hh"
-#include "cqla/hierarchy_sim.hh"
+#include "cqla/hierarchy.hh"
 #include "ecc/montecarlo.hh"
 #include "net/bandwidth.hh"
 #include "trace/engine.hh"
@@ -89,37 +89,25 @@ resolveCapacity(const ExperimentSpec &spec, const Workload &workload)
                                       workload.pe_qubits));
 }
 
-/** Event-driven CQLA memory-hierarchy simulation (Table 5). */
-const KindTable<cqla::HierarchySimResult> hierarchy_table = {
+/**
+ * The analytic memory-hierarchy row of paper Table 5: S1, S2, the
+ * fidelity-budget level-1 share, their adder-speedup mix, area
+ * reduction and gain product (cqla::HierarchyModel).
+ */
+const KindTable<cqla::Table5Row> hierarchy_table = {
     "hierarchy",
     {{"machine"}, {"code"}, {"n", 8, 4096}, {"transfers", 1},
-     {"blocks", 1}, {"mem_banks", 1}, {"mem_ports", 1},
-     {"mem_buffer", 1}, {"cycles_per_line"}, {"adders", 1},
-     {"l1_fraction", 0, 1, true}, {"chain_fraction", 0, 1}},
+     {"blocks", 1}},
     [](const ExperimentSpec &spec, Random &, const PreparedSlot *) {
-        cqla::HierarchySimConfig config;
-        config.code = spec.code;
-        config.n_bits = spec.n;
-        config.parallel_transfers = spec.transfers;
-        config.blocks = spec.blocks;
-        config.total_adders = spec.adders;
-        config.level1_fraction = spec.l1_fraction;
-        config.chain_dependent_fraction = spec.chain_fraction;
-        config.mem_banks = spec.mem_banks;
-        config.mem_ports = spec.mem_ports;
-        config.mem_buffer = static_cast<std::size_t>(spec.mem_buffer);
-        config.cycles_per_line = spec.cycles_per_line;
-        return cqla::runHierarchySim(config, spec.params());
+        return cqla::HierarchyModel(spec.params())
+            .row(ecc::Code::byKind(spec.code), spec.n, spec.transfers,
+                 spec.blocks);
     },
     {CODE_COLUMN, SPEC_COLUMN(n), SPEC_COLUMN(transfers),
-     SPEC_COLUMN(blocks), SPEC_COLUMN(mem_banks), SPEC_COLUMN(mem_ports),
-     SPEC_COLUMN(l1_fraction), RESULT_COLUMN(makespan_s),
-     RESULT_COLUMN(baseline_s), RESULT_COLUMN(makespan_speedup),
-     RESULT_COLUMN(mean_adder_speedup), RESULT_COLUMN(level1_adds),
-     RESULT_COLUMN(level2_adds), RESULT_COLUMN(transfer_utilization),
-     RESULT_COLUMN(bank_conflicts), RESULT_COLUMN(mem_stall_ticks),
-     RESULT_COLUMN(mem_peak_queue), RESULT_COLUMN(mem_mean_queue),
-     RESULT_COLUMN(mem_utilization), RESULT_COLUMN(events_executed)}};
+     SPEC_COLUMN(blocks), RESULT_COLUMN(level1_speedup),
+     RESULT_COLUMN(level2_speedup), RESULT_COLUMN(level1_add_fraction),
+     RESULT_COLUMN(adder_speedup), RESULT_COLUMN(area_reduced),
+     RESULT_COLUMN(gain_product)}};
 
 /** Quantum cache simulation over a registry workload (Fig. 7). */
 const KindTable<cache::CacheSimResult> cache_table = {

@@ -3,9 +3,9 @@
  * Polymorphic experiment facade over the simulator families.
  *
  * makeExperiment() turns an ExperimentSpec into the matching
- * Experiment (hierarchy DES, cache simulator, bandwidth model,
- * error-correction Monte Carlo, trace pipeline). The existing free
- * functions (cqla::runHierarchySim, cache::simulateCache,
+ * Experiment (analytic hierarchy model, cache simulator, bandwidth
+ * model, error-correction Monte Carlo, trace pipeline). The existing
+ * engines (cqla::HierarchyModel, cache::simulateCache,
  * net::BandwidthModel, ecc::EcMonteCarlo, trace::runTrace) stay the
  * internal engines; this layer gives them one contract — validate()
  * -> diagnostics, run(Random&) -> one result-table row — so every

@@ -189,12 +189,6 @@ const FieldDef field_defs[] = {
      SpecKeyKind::Int, QMH_INT_FIELD(mem_buffer, 1, 65536)},
     {"cycles_per_line", "extra bank service ticks per line",
      SpecKeyKind::Int, QMH_INT_FIELD(cycles_per_line, 0, 1000000000)},
-    {"adders", "additions in the hierarchy stream", SpecKeyKind::UInt,
-     QMH_U64_FIELD(adders)},
-    {"l1_fraction", "share of additions routed to level 1",
-     SpecKeyKind::Real, QMH_DOUBLE_FIELD(l1_fraction)},
-    {"chain_fraction", "serially dependent share of additions",
-     SpecKeyKind::Real, QMH_DOUBLE_FIELD(chain_fraction)},
     {"capacity", "cache capacity in qubits (0 = capacity_x * PE)",
      SpecKeyKind::UInt, QMH_U64_FIELD(capacity)},
     {"capacity_x", "auto-capacity multiplier of the PE count",

@@ -2,8 +2,9 @@
  * @file
  * The unified experiment specification of the qmh facade.
  *
- * Every simulator family in the repo (hierarchy DES, cache simulator,
- * bandwidth model, error-correction Monte Carlo) is driven from one
+ * Every simulator family in the repo (hierarchy model, cache
+ * simulator, bandwidth model, error-correction Monte Carlo, trace
+ * engine) is driven from one
  * value type, ExperimentSpec: a machine (technology preset + code), a
  * workload (named generator + parameters) and an experiment kind with
  * its knobs. Specs speak one textual language — whitespace-separated
@@ -35,7 +36,7 @@ namespace api {
 
 /** The simulator family an ExperimentSpec drives. */
 enum class ExperimentKind {
-    Hierarchy,   ///< event-driven CQLA memory-hierarchy simulation
+    Hierarchy,   ///< analytic memory-hierarchy row (Table 5)
     Cache,       ///< quantum cache simulator (Fig. 7)
     Bandwidth,   ///< superblock perimeter-bandwidth model (Fig. 6b)
     MonteCarlo,  ///< error-correction Monte Carlo (Table 2 validation)
@@ -93,11 +94,8 @@ struct ExperimentSpec
     // --- hierarchy / trace knobs ---
     unsigned transfers = 10;          ///< parallel transfer channels
     unsigned blocks = 49;             ///< compute blocks
-    std::uint64_t adders = 300;       ///< additions in the stream
-    double l1_fraction = 1.0 / 3.0;   ///< share routed to level 1
-    double chain_fraction = 0.0;      ///< serially dependent share
 
-    // --- banked level-2 memory (hierarchy / trace kinds) ---
+    // --- banked level-2 memory (trace kind) ---
     unsigned mem_banks = 8;           ///< memory banks (addr % banks)
     unsigned mem_ports = 4;           ///< concurrent requests served
     std::uint64_t mem_buffer = 8;     ///< bounded request deque per bank

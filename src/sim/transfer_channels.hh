@@ -10,11 +10,6 @@
  * queue (deterministic backpressure) instead of growing an unbounded
  * FIFO — and the port's contention statistics (conflict stalls, stall
  * ticks, peak/mean queue occupancy) are surfaced directly.
- *
- * Shared by the abstract adder-stream hierarchy model
- * (cqla::runHierarchySim, paper Table 5) and the instruction-level
- * trace engine (trace/engine.hh) so the two charge transfer capacity
- * identically.
  */
 
 #ifndef QMH_SIM_TRANSFER_CHANNELS_HH

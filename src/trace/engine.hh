@@ -3,10 +3,9 @@
  * Trace-driven memory-hierarchy engine: one event-driven pipeline
  * from circuit to cache to transfer network.
  *
- * Where cqla::runHierarchySim models an *abstract* stream of whole
- * additions (the paper's Table-5 granularity), this engine executes a
- * real logical circuit instruction by instruction through the full
- * hierarchy:
+ * Where cqla::HierarchyModel gives the paper's closed-form Table-5
+ * row for a whole addition, this engine executes a real logical
+ * circuit instruction by instruction through the full hierarchy:
  *
  *  - the list scheduler's issue policy (sched::IncrementalScheduler,
  *    critical-path priority) maps ready instructions onto B level-1
@@ -17,9 +16,8 @@
  *    (sim::BankedMemory — the qubit hashes to a bank, bounded
  *    per-bank buffers, a shared port issue-width, deterministic FIFO
  *    arbitration) and then pull the qubit through the counted
- *    code-transfer channels (sim::TransferChannels — the same
- *    resource the abstract model charges) at the Table-3 transfer
- *    latency of the configured code. Qubits evicted by a fill write
+ *    code-transfer channels (sim::TransferChannels) at the Table-3
+ *    transfer latency of the configured code. Qubits evicted by a fill write
  *    back through the same banks as fire-and-forget traffic;
  *  - once all operands are resident the gate computes for its
  *    gate-step latency at the level-1 step time, then releases its

@@ -11,7 +11,7 @@
 #include "api/grid.hh"
 #include "api/spec.hh"
 #include "api/workload.hh"
-#include "cqla/hierarchy_sim.hh"
+#include "cqla/hierarchy.hh"
 #include "run_table.hh"
 
 namespace qmh {
@@ -42,10 +42,10 @@ TEST(Spec, PrintParsesBackExactly)
     spec.warm = true;
     spec.policy = cache::FetchPolicy::InOrder;
     spec.capacity_x = 0.1 + 0.2;  // not representable as "0.3"
-    spec.l1_fraction = 2.0 / 3.0;
-    spec.chain_fraction = -0.0;   // equals the default 0, prints apart
+    spec.utilization = 2.0 / 3.0;
+    spec.p0 = -0.0;               // prints as "-0" and parses back
     const auto text = printSpec(spec);
-    EXPECT_NE(text.find("chain_fraction=-0"), std::string::npos) << text;
+    EXPECT_NE(text.find("p0=-0"), std::string::npos) << text;
     const auto parsed = parseSpec(text);
     ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
     EXPECT_TRUE(parsed.spec == spec) << text;
@@ -92,7 +92,7 @@ TEST(Spec, DoubleRoundTripFuzz)
             << formatDouble(value);
 
         ExperimentSpec spec;
-        spec.l1_fraction = value;
+        spec.utilization = value;
         const auto parsed = parseSpec(printSpec(spec));
         ASSERT_TRUE(parsed.ok()) << printSpec(spec);
         EXPECT_TRUE(parsed.spec == spec) << printSpec(spec);
@@ -106,9 +106,9 @@ TEST(Spec, NonRepresentableDecimalRoundTrips)
     // must still emit a string that parses back to the same bits (and
     // stays the human-friendly shortest form, not 0.1000000000000000055…).
     ExperimentSpec spec;
-    ASSERT_EQ(specSet(spec, "l1_fraction", "0.1"), "");
-    EXPECT_EQ(specGet(spec, "l1_fraction"), "0.1");
-    EXPECT_EQ(spec.l1_fraction, 0.1);
+    ASSERT_EQ(specSet(spec, "utilization", "0.1"), "");
+    EXPECT_EQ(specGet(spec, "utilization"), "0.1");
+    EXPECT_EQ(spec.utilization, 0.1);
     const auto parsed = parseSpec(printSpec(spec));
     ASSERT_TRUE(parsed.ok());
     EXPECT_TRUE(parsed.spec == spec);
@@ -121,7 +121,7 @@ TEST(Spec, RejectsNonFiniteReals)
     // setters must refuse what parseDouble itself accepts.
     ExperimentSpec spec;
     EXPECT_NE(specSet(spec, "capacity_x", "inf"), "");
-    EXPECT_NE(specSet(spec, "l1_fraction", "-inf"), "");
+    EXPECT_NE(specSet(spec, "utilization", "-inf"), "");
     EXPECT_NE(specSet(spec, "p0", "nan"), "");
     EXPECT_NE(specSet(spec, "noise_factor", "NAN"), "");
     EXPECT_TRUE(spec == ExperimentSpec{});
@@ -131,9 +131,9 @@ TEST(Spec, EveryKeyReportsItsKind)
 {
     for (const auto &key : specKeys())
         EXPECT_TRUE(specKeyKind(key).has_value()) << key;
-    EXPECT_EQ(specKeyKind("l1_fraction"), SpecKeyKind::Real);
+    EXPECT_EQ(specKeyKind("utilization"), SpecKeyKind::Real);
     EXPECT_EQ(specKeyKind("transfers"), SpecKeyKind::Int);
-    EXPECT_EQ(specKeyKind("adders"), SpecKeyKind::UInt);
+    EXPECT_EQ(specKeyKind("trials"), SpecKeyKind::UInt);
     EXPECT_EQ(specKeyKind("warm"), SpecKeyKind::Bool);
     EXPECT_EQ(specKeyKind("policy"), SpecKeyKind::Text);
     EXPECT_EQ(specKeyKind("no_such_key"), std::nullopt);
@@ -219,7 +219,7 @@ TEST(Experiments, ValidateCatchesBadRanges)
 {
     ExperimentSpec spec;
     spec.kind = ExperimentKind::Hierarchy;
-    spec.l1_fraction = 0.0;
+    spec.n = 5000;
     EXPECT_FALSE(makeExperiment(spec)->validate().empty());
 
     spec = ExperimentSpec{};
@@ -258,7 +258,7 @@ TEST(Experiments, DefaultsPassEveryKindUnderEveryGenerator)
 TEST(Experiments, EveryKindRunsAndMatchesItsColumns)
 {
     for (const char *text :
-         {"experiment=hierarchy n=64 adders=40",
+         {"experiment=hierarchy n=64 transfers=5",
           "experiment=cache workload=draper n=32",
           "experiment=bandwidth blocks=36",
           "experiment=montecarlo trials=2000",
@@ -328,8 +328,7 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     // The acceptance sweep: a *cache* experiment grid (random
     // workload, so the per-point RNG stream matters) must emit a
     // bit-identical table on 1 vs N threads. So must a hierarchy grid
-    // over the Table 5 design space (code x size x channels x blocks
-    // x level-1 fraction).
+    // over the Table 5 design space (code x size x channels x blocks).
     SpecGrid grid;
     grid.base =
         parseSpec("experiment=cache workload=random n=24 gates=400")
@@ -341,14 +340,13 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     ASSERT_EQ(specs.size(), 12u);
 
     SpecGrid hierarchy;
-    hierarchy.base = parseSpec("experiment=hierarchy adders=40").spec;
+    hierarchy.base = parseSpec("experiment=hierarchy").spec;
     hierarchy.axis("code", {"steane", "bacon-shor"});
     hierarchy.axis("n", {"64", "128"});
     hierarchy.axis("transfers", {"5", "10"});
-    hierarchy.axis("blocks", {"25", "49"});
-    hierarchy.axis("l1_fraction", {"0.25", "0.75"});
+    hierarchy.axis("blocks", {"25", "49", "100"});
     const auto hierarchy_specs = hierarchy.expand();
-    ASSERT_EQ(hierarchy_specs.size(), 32u);
+    ASSERT_EQ(hierarchy_specs.size(), 24u);
 
     // The 1-thread table, checked against 2, 4 and 8 threads.
     const auto pinned = [](const std::vector<ExperimentSpec> &points) {
@@ -399,30 +397,49 @@ TEST(SpecSweep, EmptySpecListYieldsEmptyTable)
     EXPECT_EQ(table.rows(), 0u);
 }
 
-TEST(SpecSweep, HierarchyMatchesDirectEngineCall)
+TEST(SpecSweep, HierarchyRowsEqualTheModelAtTable5Points)
 {
-    // The facade is a veneer: a hierarchy row must equal the internal
-    // engine's result for the same config.
-    const auto parsed = parseSpec(
-        "experiment=hierarchy code=bacon-shor n=64 adders=40 "
-        "transfers=5 blocks=25 l1_fraction=0.5");
-    ASSERT_TRUE(parsed.ok());
-    const auto table = tests::runTable({parsed.spec}, {.threads = 1});
+    // The facade is a veneer: at each of the paper's 12 Table-5
+    // points a hierarchy row equals HierarchyModel::row() cell for
+    // cell.
+    SpecGrid grid;
+    grid.base = parseSpec("experiment=hierarchy").spec;
+    grid.axis("code", {"steane", "bacon-shor"});
+    grid.axis("transfers", {"10", "5"});
+    std::vector<ExperimentSpec> specs;
+    for (auto spec : grid.expand())
+        for (const int n : {256, 512, 1024}) {
+            spec.n = n;
+            spec.blocks = cqla::HierarchyModel::paperBlocks(n);
+            specs.push_back(spec);
+        }
+    ASSERT_EQ(specs.size(), 12u);
+    const auto table = tests::runTable(specs, {.threads = 2});
+    ASSERT_EQ(table.rows(), specs.size());
 
-    cqla::HierarchySimConfig config;
-    config.code = ecc::CodeKind::BaconShor913;
-    config.n_bits = 64;
-    config.total_adders = 40;
-    config.parallel_transfers = 5;
-    config.blocks = 25;
-    config.level1_fraction = 0.5;
-    const auto direct =
-        cqla::runHierarchySim(config, iontrap::Params::future());
-
-    const auto speedup_col = table.findColumn("makespan_speedup");
-    ASSERT_TRUE(speedup_col.has_value());
-    EXPECT_EQ(table.cell(0, *speedup_col).asNumber().value(),
-              direct.makespan_speedup);
+    cqla::HierarchyModel model(iontrap::Params::future());
+    const auto number = [&](std::size_t row, const char *column) {
+        return table.cell(row, *table.findColumn(column)).asNumber();
+    };
+    for (std::size_t r = 0; r < specs.size(); ++r) {
+        const auto &spec = specs[r];
+        const auto code = ecc::Code::byKind(spec.code);
+        const auto direct =
+            model.row(code, spec.n, spec.transfers, spec.blocks);
+        SCOPED_TRACE(printSpec(spec));
+        EXPECT_EQ(table.cell(r, *table.findColumn("code")).toString(),
+                  code.name());
+        EXPECT_EQ(number(r, "n"), direct.n_bits);
+        EXPECT_EQ(number(r, "transfers"), direct.parallel_transfers);
+        EXPECT_EQ(number(r, "blocks"), direct.blocks);
+        EXPECT_EQ(number(r, "level1_speedup"), direct.level1_speedup);
+        EXPECT_EQ(number(r, "level2_speedup"), direct.level2_speedup);
+        EXPECT_EQ(number(r, "level1_add_fraction"),
+                  direct.level1_add_fraction);
+        EXPECT_EQ(number(r, "adder_speedup"), direct.adder_speedup);
+        EXPECT_EQ(number(r, "area_reduced"), direct.area_reduced);
+        EXPECT_EQ(number(r, "gain_product"), direct.gain_product);
+    }
 }
 
 /** CSV of a one-point run of @p text at base seed 9, plus one line

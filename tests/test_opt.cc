@@ -266,7 +266,7 @@ TEST(CachedSweep, RefusesAStoreBuiltForAnotherBaseSeed)
 
 TEST(Frontier, LatticeIsTheCoarseGridPlusDyadicMidpoints)
 {
-    const FrontierAxis real{"l1_fraction", 0.25, 1.0, 3};
+    const FrontierAxis real{"utilization", 0.25, 1.0, 3};
     const auto lattice = frontierAxisLattice(real, false, 2);
     ASSERT_EQ(lattice.size(), 9u);
     EXPECT_EQ(lattice.front(), 0.25);
@@ -287,34 +287,39 @@ TEST(Frontier, ValidationCatchesBadConfigurations)
 {
     const auto base = api::parseSpec("experiment=hierarchy").spec;
     FrontierOptions options;
-    options.objective = "mean_adder_speedup";
+    options.objective = "adder_speedup";
     EXPECT_FALSE(validateFrontier(base, {}, options).empty());
     EXPECT_FALSE(
         validateFrontier(base, {{"bogus", 0, 1, 3}}, options).empty());
     EXPECT_FALSE(
         validateFrontier(base, {{"policy", 0, 1, 3}}, options).empty());
     EXPECT_FALSE(
-        validateFrontier(base, {{"l1_fraction", 0.8, 0.2, 3}}, options)
+        validateFrontier(base, {{"transfers", 16, 2, 3}}, options)
             .empty());
     FrontierOptions bad_objective = options;
     bad_objective.objective = "hit_rate";  // a cache column
     EXPECT_FALSE(
-        validateFrontier(base, {{"l1_fraction", 0.2, 0.8, 3}},
-                         bad_objective)
+        validateFrontier(base, {{"transfers", 2, 16, 3}}, bad_objective)
             .empty());
-    FrontierOptions deep = options;
-    deep.max_depth = 20;  // 64 * 2^20 + 1 lattice values: rejected
+    // 64 * 2^20 + 1 lattice values on a real axis: rejected.
+    const auto bandwidth = api::parseSpec("experiment=bandwidth").spec;
+    FrontierOptions deep;
+    deep.objective = "required_draper_qps";
+    deep.max_depth = 20;
     EXPECT_FALSE(
-        validateFrontier(base, {{"l1_fraction", 0.0, 1.0, 65}}, deep)
+        validateFrontier(bandwidth, {{"utilization", 0.01, 1.0, 65}},
+                         deep)
             .empty());
     // The same depth is fine on an integer axis with a narrow range:
     // the lattice saturates at the integer spacing.
     EXPECT_TRUE(
-        validateFrontier(base, {{"transfers", 2, 16, 3}}, deep)
+        validateFrontier(bandwidth, {{"blocks", 2, 16, 3}}, deep)
             .empty());
-    EXPECT_TRUE(
-        validateFrontier(base, {{"l1_fraction", 0.2, 0.8, 3}}, options)
-            .empty());
+    EXPECT_TRUE(validateFrontier(base,
+                                 {{"transfers", 2, 16, 3},
+                                  {"blocks", 4, 64, 3}},
+                                 options)
+                    .empty());
 }
 
 /**
@@ -378,41 +383,36 @@ TEST(Frontier, ExhaustiveBudgetEqualsBruteForce)
  */
 TEST(Frontier, GreedySearchReachesBruteOptimumWithFewerPoints)
 {
-    const auto base =
-        api::parseSpec("experiment=hierarchy adders=60 n=64").spec;
-    const FrontierAxis fraction{"l1_fraction", 0.2, 0.8, 3};
+    const auto base = api::parseSpec("experiment=hierarchy n=64").spec;
     const FrontierAxis transfers{"transfers", 2, 16, 3};
+    const FrontierAxis blocks{"blocks", 4, 64, 3};
     FrontierOptions options;
-    options.objective = "mean_adder_speedup";
+    options.objective = "gain_product";
     options.max_depth = 2;
     options.budget = 40;
     options.frontier = 3;
 
     api::SpecGrid brute;
     brute.base = base;
-    std::vector<std::string> fraction_values;
-    for (const double v :
-         frontierAxisLattice(fraction, false, options.max_depth))
-        fraction_values.push_back(frontierAxisValueText(v, false));
-    std::vector<std::string> transfer_values;
-    for (const double v :
-         frontierAxisLattice(transfers, true, options.max_depth))
-        transfer_values.push_back(frontierAxisValueText(v, true));
-    brute.axis("l1_fraction", fraction_values);
-    brute.axis("transfers", transfer_values);
+    for (const auto *axis : {&transfers, &blocks}) {
+        std::vector<std::string> values;
+        for (const double v :
+             frontierAxisLattice(*axis, true, options.max_depth))
+            values.push_back(frontierAxisValueText(v, true));
+        brute.axis(axis->key, values);
+    }
 
     sweep::SweepRunner runner({.threads = 2});
     api::Session session(runner);
     const auto brute_table = runCached(session, brute.expand()).table;
-    const auto obj = *brute_table.findColumn("mean_adder_speedup");
+    const auto obj = *brute_table.findColumn("gain_product");
     double brute_best = -1.0;
     for (std::size_t r = 0; r < brute_table.rows(); ++r)
         brute_best =
             std::max(brute_best, *brute_table.cell(r, obj).asNumber());
 
-    const auto found = frontierSearch(runner, base,
-                                      {fraction, transfers}, options,
-                                      nullptr);
+    const auto found = frontierSearch(runner, base, {transfers, blocks},
+                                      options, nullptr);
     EXPECT_DOUBLE_EQ(found.best_objective, brute_best);
     EXPECT_LT(found.simulated, brute_table.rows());
 }

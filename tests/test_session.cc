@@ -132,13 +132,11 @@ nonDefaultValues()
          {"transfers", "4"},        {"blocks", "16"},
          {"mem_banks", "2"},        {"mem_ports", "2"},
          {"mem_buffer", "4"},       {"cycles_per_line", "1"},
-         {"adders", "50"},          {"l1_fraction", "0.5"},
-         {"chain_fraction", "0.5"}, {"capacity", "64"},
-         {"capacity_x", "2"},       {"policy", "inorder"},
-         {"warm", "1"},             {"mask_data", "0"},
-         {"level", "1"},            {"utilization", "0.5"},
-         {"p0", "0.001"},           {"trials", "100"},
-         {"noise_factor", "3"}};
+         {"capacity", "64"},        {"capacity_x", "2"},
+         {"policy", "inorder"},     {"warm", "1"},
+         {"mask_data", "0"},        {"level", "1"},
+         {"utilization", "0.5"},    {"p0", "0.001"},
+         {"trials", "100"},         {"noise_factor", "3"}};
     return values;
 }
 

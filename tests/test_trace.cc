@@ -443,22 +443,17 @@ TEST(TraceMemoryApi, ValidateCatchesBadMemoryKnobs)
 {
     // A C++-built spec can hold zeros the parser would reject; the
     // facade must turn them into typed diagnostics, not engine
-    // fatals, for both experiments that own a banked memory.
-    for (const char *kind : {"trace", "hierarchy"}) {
-        auto spec = api::parseSpec(std::string("experiment=") + kind)
-                        .spec;
-        spec.mem_banks = 0;
-        EXPECT_FALSE(api::makeExperiment(spec)->validate().empty())
-            << kind;
-        spec = api::parseSpec(std::string("experiment=") + kind).spec;
-        spec.mem_ports = 0;
-        EXPECT_FALSE(api::makeExperiment(spec)->validate().empty())
-            << kind;
-        spec = api::parseSpec(std::string("experiment=") + kind).spec;
-        spec.mem_buffer = 0;
-        EXPECT_FALSE(api::makeExperiment(spec)->validate().empty())
-            << kind;
-    }
+    // fatals, for the experiment that owns a banked memory.
+    const auto base = api::parseSpec("experiment=trace").spec;
+    auto spec = base;
+    spec.mem_banks = 0;
+    EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
+    spec = base;
+    spec.mem_ports = 0;
+    EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
+    spec = base;
+    spec.mem_buffer = 0;
+    EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
 }
 
 TEST(TraceGolden, MidSizeRunReproducesCheckedInRowExactly)
@@ -529,8 +524,7 @@ TEST(KindSweep, EveryExperimentKindIsBitIdenticalAcrossThreads)
         const char *base;
         const char *axis;
     } kinds[] = {
-        {"experiment=hierarchy n=64 adders=8 mem_banks=2 mem_ports=1",
-         "blocks=4,9"},
+        {"experiment=hierarchy n=64 transfers=5", "blocks=4,9"},
         {"experiment=cache workload=random n=24 gates=300",
          "capacity=8,16"},
         {"experiment=bandwidth", "blocks=16,36"},
