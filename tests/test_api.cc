@@ -465,22 +465,15 @@ TEST(KindGolden, HierarchyRowAndTagsMatchCheckedIn)
 {
     EXPECT_EQ(
         goldenOf("experiment=hierarchy code=bacon-shor n=64 transfers=5 "
-                 "blocks=25 mem_banks=2 mem_ports=1 mem_buffer=4 "
-                 "cycles_per_line=3 adders=40 l1_fraction=0.5 "
-                 "chain_fraction=0.25"),
-        "spec,code,n,transfers,blocks,mem_banks,mem_ports,l1_fraction,"
-        "makespan_s,baseline_s,makespan_speedup,mean_adder_speedup,"
-        "level1_adds,level2_adds,transfer_utilization,bank_conflicts,"
-        "mem_stall_ticks,mem_peak_queue,mem_mean_queue,mem_utilization,"
-        "events_executed,seed\n"
+                 "blocks=25"),
+        "spec,code,n,transfers,blocks,level1_speedup,level2_speedup,"
+        "level1_add_fraction,adder_speedup,area_reduced,gain_product,"
+        "seed\n"
         "experiment=hierarchy code=bacon-shor n=64 transfers=5 "
-        "blocks=25 mem_banks=2 mem_ports=1 mem_buffer=4 "
-        "cycles_per_line=3 adders=40 l1_fraction=0.5 "
-        "chain_fraction=0.25,\"Bacon-Shor [[9,1,3]]\",64,5,25,2,1,0.5,"
-        "724.66246,1448.4344,1.9987711244211548,3.3178684882353204,20,"
-        "20,0.26254430235009,0,0,0,0,0.011933834201926232,82,"
-        "12587370737594032228\n"
-        "ssiuuuuddddduuduuudduu\n");
+        "blocks=25,\"Bacon-Shor [[9,1,3]]\",64,5,25,3.636336796524625,"
+        "2.9994001799460155,0.6666666666666666,3.4240245909984215,"
+        "3.5325904647487403,12.095676621226229,12587370737594032228\n"
+        "ssiuuddddddu\n");
 }
 
 TEST(KindGolden, CacheRowAndTagsMatchCheckedIn)
