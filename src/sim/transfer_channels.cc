@@ -11,10 +11,9 @@ TransferChannels::TransferChannels(EventQueue &eq, unsigned capacity,
 }
 
 void
-TransferChannels::transfer(Tick hold, Tick busy, Completion done)
+TransferChannels::transfer(Tick ticks, Completion done)
 {
-    _busy += busy;
-    _port.submit(hold, done);
+    _port.submit(ticks, done);
 }
 
 double

@@ -38,21 +38,17 @@ class TransferChannels : public Component
 
     /**
      * Request one channel (FIFO when all are busy), hold it for
-     * @p hold ticks once granted, then release it and report to
-     * @p done. @p busy ticks are charged to the busy accounting at
-     * request time — a pipelined batch holds one channel for its wave
-     * latency while keeping every wire of the batch busy, so the two
-     * can legitimately differ (single transfers pass hold == busy).
+     * @p ticks once granted, then release it and report to @p done.
      */
-    void transfer(Tick hold, Tick busy, Completion done);
+    void transfer(Tick ticks, Completion done);
 
     unsigned capacity() const { return _port.width(); }
 
     /** Transfers started so far. */
     std::uint64_t transfers() const { return _port.stats().requests; }
 
-    /** Channel-time charged busy so far. */
-    Tick busyTicks() const { return _busy; }
+    /** Channel-time of the transfers granted so far. */
+    Tick busyTicks() const { return _port.stats().busy_ticks; }
 
     /** Transfers whose channel grant was delayed by contention. */
     std::uint64_t conflicts() const
@@ -94,7 +90,7 @@ class TransferChannels : public Component
      */
     double utilization(Tick makespan) const
     {
-        return utilization(_busy, makespan, capacity());
+        return utilization(busyTicks(), makespan, capacity());
     }
 
     /**
@@ -110,7 +106,6 @@ class TransferChannels : public Component
 
   private:
     Port _port;
-    Tick _busy = 0;
 };
 
 } // namespace sim

@@ -106,8 +106,7 @@ struct EngineCtx final : sim::CompletionSink
         const auto index = static_cast<std::uint32_t>(tag >> 2);
         switch (static_cast<Stage>(tag & 3)) {
           case Bank:
-            channels.transfer(per_transfer, per_transfer,
-                              {this, tagOf(index, Wire)});
+            channels.transfer(per_transfer, {this, tagOf(index, Wire)});
             return;
           case Wire:
             if (--waiting[index] == 0)

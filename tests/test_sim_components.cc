@@ -351,8 +351,8 @@ TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
     // The transfer channels surface the same count.
     TransferChannels channels(eq, 8);
     fns.at(100, [&]() {
-        channels.transfer(5, 5, sink(12));
-        channels.transfer(5, 5, sink(13));
+        channels.transfer(5, sink(12));
+        channels.transfer(5, sink(13));
     });
     eq.run();
     EXPECT_EQ(channels.peakInService(), 2u);
@@ -524,7 +524,7 @@ TEST(SimTransferChannels, SurfacesPortContentionStats)
     RecordingSink sink(eq);
     fns.at(0, [&]() {
         for (int id = 0; id < 3; ++id)
-            channels.transfer(10, 10, sink(id));
+            channels.transfer(10, sink(id));
     });
     eq.run();
     const auto order = sink.ids();
