@@ -44,9 +44,9 @@ ScheduleFidelity::analyze(const circuit::Program &program,
 
 FidelityReport
 ScheduleFidelity::analyzeMixed(const circuit::Program &program,
-                               double level1_fraction) const
+                               double level1_share) const
 {
-    if (level1_fraction < 0.0 || level1_fraction > 1.0)
+    if (level1_share < 0.0 || level1_share > 1.0)
         qmh_panic("analyzeMixed: fraction out of range");
 
     FidelityReport report;
@@ -54,7 +54,7 @@ ScheduleFidelity::analyzeMixed(const circuit::Program &program,
         report.logical_slots += slotsFor(inst.kind);
 
     report.level1_slots = static_cast<std::uint64_t>(std::llround(
-        level1_fraction * static_cast<double>(report.logical_slots)));
+        level1_share * static_cast<double>(report.logical_slots)));
     report.level2_slots = report.logical_slots - report.level1_slots;
 
     const double p1 = slotFailureRate(1);

@@ -50,12 +50,12 @@ class ScheduleFidelity
 
     /**
      * Analyze the hierarchy execution: the first
-     * @p level1_fraction of the program's slots run at level 1, the
+     * @p level1_share of the program's slots run at level 1, the
      * rest at level 2 (the paper interleaves whole additions; the
      * failure arithmetic only depends on the totals).
      */
     FidelityReport analyzeMixed(const circuit::Program &program,
-                                double level1_fraction) const;
+                                double level1_share) const;
 
     /**
      * Monte-Carlo run: sample per-slot logical failures; returns true
