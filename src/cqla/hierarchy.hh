@@ -83,8 +83,6 @@ class HierarchyModel
     /** Block counts the paper's Table 5 pairs with each size. */
     static unsigned paperBlocks(int n_bits);
 
-    PerformanceModel &perf() { return _perf; }
-
   private:
     iontrap::Params _params;
     PerformanceModel _perf;
