@@ -491,26 +491,39 @@ TEST(TraceGolden, MidSizeRunReproducesCheckedInRowExactly)
 
 TEST(TraceSweep, MemoryAxesAreBitIdenticalAcrossThreadCounts)
 {
-    // The mem knobs join the determinism contract: sweeping them over
-    // a seed-sensitive workload must stay bit-identical however many
-    // threads run the grid.
-    api::SpecGrid grid;
-    grid.base = api::parseSpec(
-                    "experiment=trace workload=random n=24 gates=300 "
-                    "blocks=8 capacity=12")
-                    .spec;
-    grid.axis("mem_banks", {"1", "8"});
-    grid.axis("mem_ports", {"1", "4"});
-    grid.axis("cycles_per_line", {"0", "3"});
-    const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), 8u);
-    const auto serial =
-        tests::runTable(specs, {.threads = 1, .base_seed = 17});
-    for (const unsigned threads : {2u, 8u}) {
-        const auto parallel = tests::runTable(
-            specs, {.threads = threads, .base_seed = 17});
-        EXPECT_EQ(csvOf(serial), csvOf(parallel))
-            << threads << " threads diverged";
+    // The mem knobs join the determinism contract: sweeping them must
+    // stay bit-identical however many threads run the grid, both over
+    // a seed-sensitive workload and over a bank-contended one (16
+    // blocks fed through one to 64 banks, where fills queue).
+    const struct
+    {
+        const char *base;
+        std::vector<std::string> banks, ports, cycles;
+        std::size_t points;
+    } grids[] = {
+        {"experiment=trace workload=random n=24 gates=300 blocks=8 "
+         "capacity=12",
+         {"1", "8"}, {"1", "4"}, {"0", "3"}, 8},
+        {"experiment=trace workload=draper n=64 blocks=16 transfers=8 "
+         "capacity=16",
+         {"1", "4", "16", "64"}, {"1", "8"}, {"0", "2"}, 16},
+    };
+    for (const auto &g : grids) {
+        api::SpecGrid grid;
+        grid.base = api::parseSpec(g.base).spec;
+        grid.axis("mem_banks", g.banks);
+        grid.axis("mem_ports", g.ports);
+        grid.axis("cycles_per_line", g.cycles);
+        const auto specs = grid.expand();
+        ASSERT_EQ(specs.size(), g.points) << g.base;
+        const auto serial =
+            tests::runTable(specs, {.threads = 1, .base_seed = 17});
+        for (const unsigned threads : {2u, 8u}) {
+            const auto parallel = tests::runTable(
+                specs, {.threads = threads, .base_seed = 17});
+            EXPECT_EQ(csvOf(serial), csvOf(parallel))
+                << g.base << ": " << threads << " threads diverged";
+        }
     }
 }
 
