@@ -60,6 +60,22 @@ secondsToHours(double s)
     return s / 3600.0;
 }
 
+/**
+ * Busy fraction of @p servers identical servers over @p span:
+ * busy / (span x servers). Returns 0 when span or servers is zero —
+ * a resource that never ran has no utilization, not a division by
+ * zero. Every utilization the simulator reports is this one
+ * expression, so a result restated at another server count has the
+ * exact bytes of a direct run at that count.
+ */
+constexpr double
+busyFraction(std::uint64_t busy, std::uint64_t span, std::uint64_t servers)
+{
+    const double capacity =
+        static_cast<double>(span) * static_cast<double>(servers);
+    return capacity > 0.0 ? static_cast<double>(busy) / capacity : 0.0;
+}
+
 } // namespace units
 
 } // namespace qmh

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace qmh {
 namespace sched {
@@ -143,10 +144,7 @@ ScheduleResult::utilization() const
     const unsigned blocks =
         blocks_requested == unlimited_blocks ? blocks_used
                                              : blocks_requested;
-    if (blocks == 0 || makespan == 0)
-        return 0.0;
-    return static_cast<double>(busy_block_steps) /
-           (static_cast<double>(blocks) * static_cast<double>(makespan));
+    return units::busyFraction(busy_block_steps, makespan, blocks);
 }
 
 SchedulePlan::SchedulePlan(const circuit::Program &program,
@@ -395,9 +393,8 @@ listSchedule(const circuit::Program &program, const LatencyModel &latency,
 }
 
 ScheduleResult
-roundSchedule(const circuit::Program &program,
-              const circuit::DependencyGraph &dag,
-              const LatencyModel &latency, unsigned blocks)
+roundSchedule(const circuit::Program &program, const LatencyModel &latency,
+              unsigned blocks)
 {
     const auto &insts = program.instructions();
     const auto m = static_cast<std::uint32_t>(insts.size());
@@ -440,7 +437,6 @@ roundSchedule(const circuit::Program &program,
                 qubit_round[q.value()] = current;
         }
     }
-    (void)dag;
 
     const bool capped = blocks != unlimited_blocks;
     std::uint64_t now = 0;
@@ -487,14 +483,6 @@ roundSchedule(const circuit::Program &program,
     result.makespan = now;
     result.blocks_used = capped ? blocks : widest_round;
     return result;
-}
-
-ScheduleResult
-roundSchedule(const circuit::Program &program, const LatencyModel &latency,
-              unsigned blocks)
-{
-    circuit::DependencyGraph dag(program);
-    return roundSchedule(program, dag, latency, blocks);
 }
 
 } // namespace sched

@@ -122,7 +122,6 @@ struct ScheduleResult
   private:
     friend ScheduleResult listSchedule(const SchedulePlan &, unsigned);
     friend ScheduleResult roundSchedule(const circuit::Program &,
-                                        const circuit::DependencyGraph &,
                                         const LatencyModel &, unsigned);
     std::vector<std::uint32_t> _latency;  // per-gate, for profiles
 };
@@ -236,14 +235,8 @@ class IncrementalScheduler
     /** Instructions claimed so far. */
     std::uint32_t claimedCount() const { return _claimed; }
 
-    /** Claims not yet completed. */
-    std::uint32_t inFlight() const { return _in_flight; }
-
     /** True once every instruction has been claimed and completed. */
     bool finished() const { return _completed == _plan.size(); }
-
-    /** True when no instruction is ready to claim right now. */
-    bool readyEmpty() const { return _ready.empty(); }
 
     /**
      * Blocks in use by the schedule so far: the requested count in
@@ -329,12 +322,6 @@ ScheduleResult listSchedule(const SchedulePlan &plan, unsigned blocks);
  * listSchedule() is the more aggressive overlapped mode used for
  * ablation studies.
  */
-ScheduleResult roundSchedule(const circuit::Program &program,
-                             const circuit::DependencyGraph &dag,
-                             const LatencyModel &latency,
-                             unsigned blocks);
-
-/** Convenience overload building the DAG internally. */
 ScheduleResult roundSchedule(const circuit::Program &program,
                              const LatencyModel &latency,
                              unsigned blocks);

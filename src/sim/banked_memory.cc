@@ -1,29 +1,27 @@
 #include "banked_memory.hh"
 
 #include <algorithm>
-#include <utility>
+#include <string>
 
 #include "common/logging.hh"
 
 namespace qmh {
 namespace sim {
 
-BankedMemory::BankedMemory(EventQueue &eq, std::string name,
+BankedMemory::BankedMemory(EventQueue &eq,
                            const BankedMemoryConfig &config)
-    : Component(eq, std::move(name)), _config(config),
-      _tokens(config.ports)
+    : _config(config), _tokens(config.ports)
 {
     if (config.banks == 0)
-        qmh_fatal("banked memory '", this->name(),
-                  "' must have at least one bank");
+        qmh_fatal("banked memory must have at least one bank");
     if (config.cycles_per_request == 0)
-        qmh_fatal("banked memory '", this->name(),
-                  "' must charge at least one tick per request");
+        qmh_fatal("banked memory must charge at least one tick per "
+                  "request");
     _banks.reserve(config.banks);
     for (unsigned b = 0; b < config.banks; ++b)
         _banks.push_back(std::make_unique<Port>(
-            *this, "bank" + std::to_string(b), /*width=*/1,
-            config.buffer, &_tokens));
+            eq, "bank" + std::to_string(b), /*width=*/1, config.buffer,
+            &_tokens));
 }
 
 void
@@ -36,67 +34,24 @@ BankedMemory::request(std::uint64_t address, unsigned lines,
     _banks[bankOf(address)]->submit(service, done);
 }
 
-std::uint64_t
-BankedMemory::requests() const
+Port::Stats
+BankedMemory::stats() const
 {
-    std::uint64_t total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().requests;
+    Port::Stats total;
+    for (const auto &bank : _banks) {
+        const auto &s = bank->stats();
+        total.requests += s.requests;
+        total.served += s.served;
+        total.conflict_stalls += s.conflict_stalls;
+        total.buffer_overflows += s.buffer_overflows;
+        total.stall_ticks += s.stall_ticks;
+        total.busy_ticks += s.busy_ticks;
+        total.peak_queue = std::max(total.peak_queue, s.peak_queue);
+        total.peak_in_service =
+            std::max(total.peak_in_service, s.peak_in_service);
+        total.queue_integral += s.queue_integral;
+    }
     return total;
-}
-
-std::uint64_t
-BankedMemory::served() const
-{
-    std::uint64_t total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().served;
-    return total;
-}
-
-std::uint64_t
-BankedMemory::bankConflicts() const
-{
-    std::uint64_t total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().conflict_stalls;
-    return total;
-}
-
-std::uint64_t
-BankedMemory::bufferOverflows() const
-{
-    std::uint64_t total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().buffer_overflows;
-    return total;
-}
-
-Tick
-BankedMemory::stallTicks() const
-{
-    Tick total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().stall_ticks;
-    return total;
-}
-
-Tick
-BankedMemory::busyTicks() const
-{
-    Tick total = 0;
-    for (const auto &bank : _banks)
-        total += bank->stats().busy_ticks;
-    return total;
-}
-
-std::size_t
-BankedMemory::peakQueue() const
-{
-    std::size_t peak = 0;
-    for (const auto &bank : _banks)
-        peak = std::max(peak, bank->stats().peak_queue);
-    return peak;
 }
 
 double
@@ -104,22 +59,13 @@ BankedMemory::meanQueue(Tick makespan) const
 {
     if (makespan == 0)
         return 0.0;
+    // Per-bank quotients summed in bank order (not the summed
+    // integral over the makespan), so the reported bytes stay those
+    // of the per-bank means.
     double total = 0.0;
     for (const auto &bank : _banks)
         total += bank->meanQueue(makespan);
     return total;
-}
-
-double
-BankedMemory::utilization(Tick makespan) const
-{
-    if (makespan == 0 || _banks.empty())
-        return 0.0;
-    double busy = 0.0;
-    for (const auto &bank : _banks)
-        busy += static_cast<double>(bank->stats().busy_ticks);
-    return busy / (static_cast<double>(makespan) *
-                   static_cast<double>(_banks.size()));
 }
 
 } // namespace sim

@@ -1,11 +1,10 @@
 /**
  * @file
- * Banked memory component: per-bank queueing, bounded buffers, a
- * shared port issue-width, and deterministic bank-conflict
- * accounting.
+ * Banked memory: per-bank queueing, bounded buffers, a shared port
+ * issue-width, and deterministic bank-conflict accounting.
  *
  * This is the ported mgsim BankedMemory/ParallelMemory shape on the
- * component kernel (component.hh): a request for @p address hashes to
+ * resource kernel (component.hh): a request for @p address hashes to
  * bank `address % banks`; each bank is a width-1 Port that serves one
  * request at a time for `cycles_per_request + cycles_per_line x
  * lines` ticks out of a bounded request deque. All banks share a
@@ -16,11 +15,11 @@
  * and is admitted in strict FIFO order when a slot frees.
  *
  * Everything above the cache boundary reads its contention truth from
- * here: per-bank busy ticks, peak and time-weighted mean queue
- * occupancy, conflict-stall counts (requests whose service start was
- * delayed) and the total stall ticks. A run without contention —
- * enough banks, ports and buffer for the traffic — reports zero
- * conflict stalls, which tests pin.
+ * here, as one Port::Stats summed over the banks: busy ticks, peak
+ * and time-weighted mean queue occupancy, conflict-stall counts
+ * (requests whose service start was delayed) and the total stall
+ * ticks. A run without contention — enough banks, ports and buffer
+ * for the traffic — reports zero conflict stalls, which tests pin.
  */
 
 #ifndef QMH_SIM_BANKED_MEMORY_HH
@@ -48,11 +47,13 @@ struct BankedMemoryConfig
 };
 
 /** Banked memory with bounded per-bank buffers and FIFO arbitration. */
-class BankedMemory : public Component
+class BankedMemory
 {
   public:
-    BankedMemory(EventQueue &eq, std::string name,
-                 const BankedMemoryConfig &config);
+    BankedMemory(EventQueue &eq, const BankedMemoryConfig &config);
+
+    BankedMemory(const BankedMemory &) = delete;
+    BankedMemory &operator=(const BankedMemory &) = delete;
 
     /**
      * Request @p lines lines at @p address; @p done (a null sink for
@@ -78,40 +79,19 @@ class BankedMemory : public Component
     /** The bank port itself (stats, queue introspection). */
     const Port &bank(unsigned index) const { return *_banks[index]; }
 
-    // --- aggregated contention statistics ---
-
-    /** Requests submitted so far. */
-    std::uint64_t requests() const;
-
-    /** Requests completed so far. */
-    std::uint64_t served() const;
-
-    /** Requests whose service start was delayed by contention. */
-    std::uint64_t bankConflicts() const;
-
-    /** Submissions that found a bank buffer full (backpressure). */
-    std::uint64_t bufferOverflows() const;
-
-    /** Total ticks requests spent waiting for a bank to serve them. */
-    Tick stallTicks() const;
-
-    /** Total bank service time charged so far. */
-    Tick busyTicks() const;
-
-    /** Highest queue occupancy any single bank reached. */
-    std::size_t peakQueue() const;
+    /**
+     * The banks' statistics as one: counts and ticks summed over the
+     * banks; peak_queue and peak_in_service the largest any single
+     * bank reached.
+     */
+    Port::Stats stats() const;
 
     /**
      * Time-weighted mean queued requests across the whole memory over
-     * @p makespan (0 when the makespan is zero).
+     * @p makespan (0 when the makespan is zero): the sum of the
+     * banks' means, in bank order.
      */
     double meanQueue(Tick makespan) const;
-
-    /**
-     * Busy fraction of total bank capacity over @p makespan (0 when
-     * the makespan is zero — never a division by zero).
-     */
-    double utilization(Tick makespan) const;
 
   private:
     BankedMemoryConfig _config;

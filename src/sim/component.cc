@@ -8,11 +8,6 @@
 namespace qmh {
 namespace sim {
 
-Component::Component(EventQueue &eq, std::string name)
-    : _eq(eq), _name(std::move(name))
-{
-}
-
 // ---------------------------------------------------------------------------
 // TokenPool
 // ---------------------------------------------------------------------------
@@ -69,17 +64,15 @@ TokenPool::enlist(Port &port)
 // Port
 // ---------------------------------------------------------------------------
 
-Port::Port(Component &owner, std::string name, unsigned width,
+Port::Port(EventQueue &eq, std::string name, unsigned width,
            std::size_t buffer_limit, TokenPool *tokens)
-    : _owner(owner), _name(std::move(name)), _width(width),
+    : _eq(eq), _name(std::move(name)), _width(width),
       _buffer_limit(buffer_limit), _tokens(tokens)
 {
     if (width == 0)
-        qmh_fatal("port '", _owner.name(), ".", _name,
-                  "' must have nonzero width");
+        qmh_fatal("port '", _name, "' must have nonzero width");
     if (buffer_limit == 0)
-        qmh_fatal("port '", _owner.name(), ".", _name,
-                  "' must have a nonzero buffer limit");
+        qmh_fatal("port '", _name, "' must have a nonzero buffer limit");
 }
 
 void
@@ -103,7 +96,7 @@ Port::submit(Tick service, Completion done)
     // of the port and is admitted FIFO when a slot frees.
     if (_count >= _buffer_limit)
         ++_stats.buffer_overflows;
-    pushBack({service, _owner.now(), done});
+    pushBack({service, _eq.now(), done});
     startQueued();
     // Peak is measured after the pump so an uncontended request that
     // went straight into service never counts as queue occupancy.
@@ -132,7 +125,7 @@ Port::startFront()
     _head = (_head + 1) & (_ring.size() - 1);
     --_count;
 
-    const Tick waited = _owner.now() - request.submitted;
+    const Tick waited = _eq.now() - request.submitted;
     if (waited > 0) {
         ++_stats.conflict_stalls;
         _stats.stall_ticks += waited;
@@ -154,7 +147,7 @@ Port::start(Tick service, Completion done)
         _free_slots.pop_back();
         _slots[slot] = done;
     }
-    _owner.queue().scheduleAfter(service, {this, slot});
+    _eq.scheduleAfter(service, {this, slot});
 }
 
 void
@@ -177,7 +170,7 @@ void
 Port::complete(std::uint64_t tag)
 {
     if (_in_service == 0)
-        qmh_panic("port '", _owner.name(), ".", _name,
+        qmh_panic("port '", _name,
                   "': completion without a request in service");
     const auto slot = static_cast<std::uint32_t>(tag);
     const Completion done = _slots[slot];
@@ -194,21 +187,11 @@ Port::complete(std::uint64_t tag)
 void
 Port::noteQueueChange()
 {
-    const Tick now = _owner.now();
+    const Tick now = _eq.now();
     _stats.queue_integral += static_cast<double>(queued()) *
                              static_cast<double>(now -
                                                  _last_queue_change);
     _last_queue_change = now;
-}
-
-double
-Port::utilization(Tick makespan) const
-{
-    const double capacity_ticks = static_cast<double>(makespan) *
-                                  static_cast<double>(_width);
-    return capacity_ticks > 0.0
-               ? static_cast<double>(_stats.busy_ticks) / capacity_ticks
-               : 0.0;
 }
 
 double

@@ -1,22 +1,19 @@
 /**
  * @file
- * Component kernel for the discrete-event simulator.
+ * Resource kernel for the discrete-event simulator.
  *
  * The EventQueue dispatches {sink, tag} events (event_queue.hh);
- * everything above it in the hierarchy stack is built from three
- * small pieces modeled on mgsim's component/port architecture
+ * every contended resource of the hierarchy — the level-2 memory
+ * banks and the counted code-transfer channels — is built from two
+ * small pieces modeled on mgsim's port architecture
  * (ParallelMemory/BankedMemory):
  *
- *  - Component: a named simulation object attached to one EventQueue.
- *    Components never share state across queues, so every simulation
- *    run stays an isolated, deterministic world.
- *
- *  - Port: a named service point owned by a component. A port has
+ *  - Port: a named service point on one EventQueue. A port has
  *    `width` identical servers and one FIFO of waiting requests, of
  *    which the first `buffer_limit` form the *bounded* request buffer
  *    and the rest the overflow that models backpressure to the
  *    requester: a submission that finds the buffer full waits outside
- *    the component and is admitted — in strict FIFO order — only when
+ *    the resource and is admitted — in strict FIFO order — only when
  *    a slot frees. A request completes to a Completion: a sink and a
  *    tag, as mgsim's memories complete to an IMemoryCallback and a
  *    MemTag, so a request is plain data. The port is the sink of its
@@ -24,17 +21,20 @@
  *    table that grows with the requests actually in service, never
  *    with the width. Arbitration is deterministic: same-tick
  *    submissions are served in submission order, never in hash or
- *    pointer order.
+ *    pointer order. Ports never share state across queues, so every
+ *    simulation run stays an isolated, deterministic world.
  *
- *  - TokenPool: a counted issue-width shared by several ports of one
- *    component (e.g. the memory ports in front of the banks). A port
- *    that cannot take a token parks itself in the pool's FIFO and is
- *    woken in parking order when a token returns.
+ *  - TokenPool: a counted issue-width shared by several ports (e.g.
+ *    the memory ports in front of the banks). A port that cannot
+ *    take a token parks itself in the pool's FIFO and is woken in
+ *    parking order when a token returns.
  *
  * Every port keeps the contention statistics the honest-contention
- * models need: busy server-time, peak and time-weighted mean queue
- * occupancy, conflict-stall counts (requests whose service start was
- * delayed) and the total ticks those requests waited.
+ * models need (Port::Stats): busy server-time, peak and time-weighted
+ * mean queue occupancy, conflict-stall counts (requests whose service
+ * start was delayed) and the total ticks those requests waited. The
+ * busy fraction of a port is units::busyFraction(busy_ticks, span,
+ * width).
  */
 
 #ifndef QMH_SIM_COMPONENT_HH
@@ -49,31 +49,12 @@
 namespace qmh {
 namespace sim {
 
-/** A named simulation object attached to one EventQueue. */
-class Component
-{
-  public:
-    Component(EventQueue &eq, std::string name);
-    virtual ~Component() = default;
-
-    Component(const Component &) = delete;
-    Component &operator=(const Component &) = delete;
-
-    const std::string &name() const { return _name; }
-    EventQueue &queue() { return _eq; }
-    Tick now() const { return _eq.now(); }
-
-  private:
-    EventQueue &_eq;
-    std::string _name;
-};
-
 class Port;
 
 /**
- * A counted pool of issue tokens shared by the ports of one
- * component. Ports that find the pool empty park in FIFO order and
- * are woken — in that order — as tokens return.
+ * A counted pool of issue tokens shared by several ports. Ports
+ * that find the pool empty park in FIFO order and are woken — in
+ * that order — as tokens return.
  */
 class TokenPool
 {
@@ -113,7 +94,7 @@ class TokenPool
  * @p service ticks, then its completion's sink is told its tag.
  * Requests are always served in submission order. A submission that
  * finds the bounded buffer full waits in the overflow queue — the
- * component's backpressure to the requester — and both the
+ * port's backpressure to the requester — and both the
  * occurrence and the waiting time are counted.
  */
 class Port final : private CompletionSink
@@ -137,13 +118,13 @@ class Port final : private CompletionSink
     };
 
     /**
-     * @param owner        component this port belongs to
+     * @param eq           event queue the port runs on
      * @param name         port name (diagnostics only)
      * @param width        identical servers (must be nonzero)
      * @param buffer_limit bounded request-buffer size (must be nonzero)
      * @param tokens       optional shared issue-width pool
      */
-    Port(Component &owner, std::string name, unsigned width,
+    Port(EventQueue &eq, std::string name, unsigned width,
          std::size_t buffer_limit, TokenPool *tokens = nullptr);
 
     Port(const Port &) = delete;
@@ -169,13 +150,6 @@ class Port final : private CompletionSink
     unsigned inService() const { return _in_service; }
 
     const Stats &stats() const { return _stats; }
-
-    /**
-     * Busy fraction of total server capacity over @p makespan.
-     * Returns 0 when the makespan (or the width) is zero — a port
-     * that never ran has no utilization, not a division by zero.
-     */
-    double utilization(Tick makespan) const;
 
     /**
      * Time-weighted mean queue occupancy over @p makespan (0 when the
@@ -209,7 +183,7 @@ class Port final : private CompletionSink
     void complete(std::uint64_t tag) override;
     void noteQueueChange();
 
-    Component &_owner;
+    EventQueue &_eq;
     std::string _name;
     unsigned _width;
     std::size_t _buffer_limit;

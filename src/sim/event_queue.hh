@@ -41,7 +41,7 @@
 namespace qmh {
 namespace sim {
 
-/** Receiver of events and of component request completions. */
+/** Receiver of events and of port request completions. */
 class CompletionSink
 {
   public:

@@ -10,8 +10,8 @@
 #include "common/units.hh"
 #include "net/transfer.hh"
 #include "sim/banked_memory.hh"
+#include "sim/component.hh"
 #include "sim/event_queue.hh"
-#include "sim/transfer_channels.hh"
 
 namespace qmh {
 namespace trace {
@@ -43,11 +43,11 @@ struct EngineCtx final : sim::CompletionSink
     }
 
     EngineCtx(const circuit::Program &program, sim::EventQueue &eq,
-              sim::TransferChannels &channels, sim::BankedMemory &memory,
+              sim::Port &wire, sim::BankedMemory &memory,
               cache::CacheState &cache,
               sched::IncrementalScheduler &scheduler, Tick step1,
               Tick per_transfer)
-        : program(program), eq(eq), channels(channels), memory(memory),
+        : program(program), eq(eq), wire(wire), memory(memory),
           cache(cache), scheduler(scheduler), step1(step1),
           per_transfer(per_transfer), claims(program.size()),
           waiting(program.size(), 0)
@@ -58,7 +58,7 @@ struct EngineCtx final : sim::CompletionSink
 
     const circuit::Program &program;
     sim::EventQueue &eq;
-    sim::TransferChannels &channels;
+    sim::Port &wire;
     sim::BankedMemory &memory;
     cache::CacheState &cache;
     sched::IncrementalScheduler &scheduler;
@@ -106,7 +106,7 @@ struct EngineCtx final : sim::CompletionSink
         const auto index = static_cast<std::uint32_t>(tag >> 2);
         switch (static_cast<Stage>(tag & 3)) {
           case Bank:
-            channels.transfer(per_transfer, {this, tagOf(index, Wire)});
+            wire.submit(per_transfer, {this, tagOf(index, Wire)});
             return;
           case Wire:
             if (--waiting[index] == 0)
@@ -239,7 +239,7 @@ atTransfers(const TraceResult &run, unsigned transfers)
         transfers > run.exact_transfers_hi)
         return std::nullopt;
     TraceResult result = run;
-    result.transfer_utilization = sim::TransferChannels::utilization(
+    result.transfer_utilization = units::busyFraction(
         run.channel_busy_ticks, run.makespan_ticks, transfers);
     return result;
 }
@@ -294,7 +294,9 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
         code.transferChannelCost());
 
     sim::EventQueue eq;
-    sim::TransferChannels channels(eq, config.transfers);
+    // The counted code-transfer channels: one server per channel,
+    // 64 transfers buffered before backpressure.
+    sim::Port wire(eq, "wire", config.transfers, 64);
     sim::BankedMemoryConfig mem_config;
     mem_config.banks = config.mem_banks;
     mem_config.ports = config.mem_ports;
@@ -303,12 +305,12 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
     // wire takes over (never zero: the component charges real time).
     mem_config.cycles_per_request = std::max<Tick>(1, per_transfer);
     mem_config.cycles_per_line = config.cycles_per_line;
-    sim::BankedMemory memory(eq, "l2-memory", mem_config);
+    sim::BankedMemory memory(eq, mem_config);
     cache::CacheState cache(config.capacity, workload.cacheable,
                             static_cast<std::size_t>(program.qubitCount()));
     sched::IncrementalScheduler scheduler(prepared.plan(), config.blocks);
 
-    EngineCtx ctx(program, eq, channels, memory, cache, scheduler, step1,
+    EngineCtx ctx(program, eq, wire, memory, cache, scheduler, step1,
                   per_transfer);
 
     eq.schedule(0, {&ctx, EngineCtx::tagOf(0, EngineCtx::Start)});
@@ -334,37 +336,31 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
                                 static_cast<double>(result.accesses)
                           : 0.0;
 
-    result.transfer_utilization = channels.utilization(makespan);
-    result.channel_busy_ticks = channels.busyTicks();
+    const auto &channel = wire.stats();
+    result.transfer_utilization = units::busyFraction(
+        channel.busy_ticks, makespan, config.transfers);
+    result.channel_busy_ticks = channel.busy_ticks;
     result.makespan_ticks = makespan;
-    if (channels.peakQueue() == 0)
-        result.exact_transfers_lo =
-            std::max(1u, channels.peakInService());
+    if (channel.peak_queue == 0)
+        result.exact_transfers_lo = std::max(1u, channel.peak_in_service);
     else
         result.exact_transfers_lo = result.exact_transfers_hi =
             config.transfers;
 
-    result.mem_requests = memory.requests();
+    const auto bank = memory.stats();
+    result.mem_requests = bank.requests;
     result.writebacks = ctx.writebacks;
-    result.bank_conflicts = memory.bankConflicts();
-    result.mem_stall_ticks = memory.stallTicks();
-    result.mem_peak_queue = memory.peakQueue();
+    result.bank_conflicts = bank.conflict_stalls;
+    result.mem_stall_ticks = bank.stall_ticks;
+    result.mem_peak_queue = bank.peak_queue;
     result.mem_mean_queue = memory.meanQueue(makespan);
-    result.mem_utilization = memory.utilization(makespan);
+    result.mem_utilization =
+        units::busyFraction(bank.busy_ticks, makespan, memory.banks());
 
     result.blocks_used = scheduler.blocksUsed();
-
-    const Tick busy = ctx.busy;
-    const double block_capacity =
-        static_cast<double>(makespan) *
-        static_cast<double>(result.blocks_used);
     result.block_utilization =
-        block_capacity > 0.0 ? static_cast<double>(busy) / block_capacity
-                             : 0.0;
-    result.mean_in_flight =
-        makespan > 0 ? static_cast<double>(busy) /
-                           static_cast<double>(makespan)
-                     : 0.0;
+        units::busyFraction(ctx.busy, makespan, result.blocks_used);
+    result.mean_in_flight = units::busyFraction(ctx.busy, makespan, 1);
     result.peak_in_flight = ctx.peakInFlight();
 
     result.events_executed = eq.executed();

@@ -16,9 +16,10 @@
  *    (sim::BankedMemory — the qubit hashes to a bank, bounded
  *    per-bank buffers, a shared port issue-width, deterministic FIFO
  *    arbitration) and then pull the qubit through the counted
- *    code-transfer channels (sim::TransferChannels) at the Table-3
- *    transfer latency of the configured code. Qubits evicted by a fill write
- *    back through the same banks as fire-and-forget traffic;
+ *    code-transfer channels (one sim::Port, a server per channel) at
+ *    the Table-3 transfer latency of the configured code. Qubits
+ *    evicted by a fill write back through the same banks as
+ *    fire-and-forget traffic;
  *  - once all operands are resident the gate computes for its
  *    gate-step latency at the level-1 step time, then releases its
  *    block and readies its dependents.
@@ -191,9 +192,9 @@ TraceResult runTrace(const PreparedWorkload &prepared,
  * count at least that peak also offers, so the run makes the same
  * schedule() calls in the same order — every event and every result
  * field but transfer_utilization is the same. That one is recomputed
- * with the formula TransferChannels uses, so its bytes match a direct
- * run too. A run that queued a transfer is exact only at its own
- * count.
+ * with units::busyFraction, the formula a direct run uses, so its
+ * bytes match a direct run too. A run that queued a transfer is exact
+ * only at its own count.
  */
 std::optional<TraceResult> atTransfers(const TraceResult &run,
                                        unsigned transfers);

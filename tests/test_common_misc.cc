@@ -64,6 +64,16 @@ TEST(Units, HoursConversion)
     EXPECT_DOUBLE_EQ(units::secondsToHours(7200.0), 2.0);
 }
 
+TEST(Units, BusyFractionGuardsZeroSpanOrServers)
+{
+    // 30 busy ticks on 2 servers over 20 ticks: 30 / 40.
+    EXPECT_DOUBLE_EQ(units::busyFraction(30, 20, 2), 0.75);
+    // A resource that never ran (or has no servers) reports 0, not a
+    // division by zero.
+    EXPECT_DOUBLE_EQ(units::busyFraction(0, 0, 4), 0.0);
+    EXPECT_DOUBLE_EQ(units::busyFraction(0, 10, 0), 0.0);
+}
+
 TEST(Logging, LevelsAreOrdered)
 {
     setLogLevel(LogLevel::Silent);

@@ -93,7 +93,7 @@ TEST_P(ScheduleFuzz, RoundScheduleValidOnRandomCircuits)
     const circuit::DependencyGraph dag(prog);
     const sched::LatencyModel lat;
     for (unsigned blocks : {1u, 4u, sched::unlimited_blocks}) {
-        const auto s = sched::roundSchedule(prog, dag, lat, blocks);
+        const auto s = sched::roundSchedule(prog, lat, blocks);
         ASSERT_TRUE(scheduleIsValid(prog, dag, s, lat))
             << "blocks=" << blocks;
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Component-kernel tests: Port arbitration determinism, TokenPool
+ * Resource-kernel tests: Port arbitration determinism, TokenPool
  * FIFO wake order, bounded-buffer backpressure, the banked memory's
- * conflict accounting, and the division guards on every utilization
- * and mean-queue report.
+ * conflict accounting and summed stats, and the division guards on
+ * every utilization and mean-queue report.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "closure_sink.hh"
+#include "common/units.hh"
 #include "sim/banked_memory.hh"
 #include "sim/component.hh"
 #include "sim/event_queue.hh"
-#include "sim/transfer_channels.hh"
 
 namespace qmh {
 namespace sim {
@@ -59,8 +59,7 @@ TEST(SimPort, UncontendedRequestIsNeverAConflict)
 {
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
-    Port port(owner, "p0", /*width=*/2, /*buffer_limit=*/4);
+    Port port(eq, "p0", /*width=*/2, /*buffer_limit=*/4);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -81,7 +80,9 @@ TEST(SimPort, UncontendedRequestIsNeverAConflict)
     // a waiting request, so peak occupancy is zero by construction.
     EXPECT_EQ(port.stats().peak_queue, 0u);
     EXPECT_EQ(port.stats().busy_ticks, 20u);
-    EXPECT_DOUBLE_EQ(port.utilization(10), 1.0);
+    EXPECT_DOUBLE_EQ(
+        units::busyFraction(port.stats().busy_ticks, 10, port.width()),
+        1.0);
 }
 
 TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
@@ -92,8 +93,7 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     // order, nothing to vary between runs or hosts.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
-    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/8);
+    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/8);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -117,10 +117,9 @@ TEST(SimPort, BoundedBufferBackpressuresFifo)
 {
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
     // Width 1, buffer 1: the third same-tick submission finds the
     // buffer full and waits in the overflow queue.
-    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/1);
+    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/1);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -148,8 +147,7 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
     // and every statistic must come out exact.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
-    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2);
+    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/2);
 
     RecordingSink sink(eq);
     const auto submitIds = [&](int first, int last) {
@@ -185,8 +183,7 @@ TEST(SimPort, FireAndForgetSubmissionCompletes)
 {
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
-    Port port(owner, "p0", 1, 4);
+    Port port(eq, "p0", 1, 4);
     fns.at(0, [&]() { port.submit(7, {}); });
     eq.run();
     EXPECT_EQ(port.stats().served, 1u);
@@ -204,10 +201,9 @@ TEST(SimPort, TaggedCompletionsReportInServiceOrder)
     // rest.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
     TokenPool tokens(1);
-    Port holder(owner, "holder", 1, 8, &tokens);
-    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/2, &tokens);
+    Port holder(eq, "holder", 1, 8, &tokens);
+    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/2, &tokens);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -235,18 +231,18 @@ TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
 {
     // A port that never ran reports 0, not a division by zero.
     EventQueue eq;
-    Component owner(eq, "memory");
-    Port port(owner, "p0", 3, 4);
-    EXPECT_DOUBLE_EQ(port.utilization(0), 0.0);
+    Port port(eq, "p0", 3, 4);
+    EXPECT_DOUBLE_EQ(
+        units::busyFraction(port.stats().busy_ticks, 0, port.width()),
+        0.0);
     EXPECT_DOUBLE_EQ(port.meanQueue(0), 0.0);
 }
 
 TEST(SimPortDeath, ZeroWidthOrBufferIsFatal)
 {
     EventQueue eq;
-    Component owner(eq, "memory");
-    EXPECT_DEATH(Port(owner, "p0", 0, 4), "nonzero width");
-    EXPECT_DEATH(Port(owner, "p0", 1, 0), "nonzero buffer limit");
+    EXPECT_DEATH(Port(eq, "p0", 0, 4), "nonzero width");
+    EXPECT_DEATH(Port(eq, "p0", 1, 0), "nonzero buffer limit");
     EXPECT_DEATH(TokenPool(0), "nonzero capacity");
 }
 
@@ -256,10 +252,9 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
     // parking order (a, b, a, b), never by pointer or hash order.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
     TokenPool tokens(1);
-    Port a(owner, "a", 1, 8, &tokens);
-    Port b(owner, "b", 1, 8, &tokens);
+    Port a(eq, "a", 1, 8, &tokens);
+    Port b(eq, "b", 1, 8, &tokens);
 
     const std::string names[] = {"a0", "b0", "a1", "b1"};
     RecordingSink sink(eq);
@@ -291,11 +286,10 @@ TEST(SimTokenPool, RepeatedWakesKeepParkingOrder)
     // every round, however the woken entries are dropped.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "memory");
     TokenPool tokens(1);
-    Port a(owner, "a", 1, 8, &tokens);
-    Port b(owner, "b", 1, 8, &tokens);
-    Port c(owner, "c", 1, 8, &tokens);
+    Port a(eq, "a", 1, 8, &tokens);
+    Port b(eq, "b", 1, 8, &tokens);
+    Port c(eq, "c", 1, 8, &tokens);
 
     RecordingSink sink(eq);
     constexpr int kRounds = 6;
@@ -322,8 +316,7 @@ TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
     // past the width stops at the width while the rest queue.
     EventQueue eq;
     ClosureSink fns(eq);
-    Component owner(eq, "wire");
-    Port port(owner, "p0", /*width=*/4, /*buffer_limit=*/8);
+    Port port(eq, "p0", /*width=*/4, /*buffer_limit=*/8);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -347,16 +340,6 @@ TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
     EXPECT_EQ(port.stats().peak_in_service, 4u);
     EXPECT_EQ(port.stats().peak_queue, 2u);
     EXPECT_EQ(sink.tags.size(), 12u);
-
-    // The transfer channels surface the same count.
-    TransferChannels channels(eq, 8);
-    fns.at(100, [&]() {
-        channels.transfer(5, sink(12));
-        channels.transfer(5, sink(13));
-    });
-    eq.run();
-    EXPECT_EQ(channels.peakInService(), 2u);
-    EXPECT_EQ(channels.peakQueue(), 0u);
 }
 
 TEST(SimBankedMemory, AddressesHashToBanksByModulo)
@@ -365,7 +348,7 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 4;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     EXPECT_EQ(memory.banks(), 4u);
     EXPECT_EQ(memory.bankOf(0), 0u);
     EXPECT_EQ(memory.bankOf(5), 1u);
@@ -374,8 +357,8 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     fns.at(0, [&]() { memory.request(6, 1, {}); });
     eq.run();
     EXPECT_EQ(memory.bank(2).stats().requests, 1u);
-    EXPECT_EQ(memory.requests(), 1u);
-    EXPECT_EQ(memory.served(), 1u);
+    EXPECT_EQ(memory.stats().requests, 1u);
+    EXPECT_EQ(memory.stats().served, 1u);
 }
 
 TEST(SimBankedMemory, ServiceTimeIsPerRequestPlusPerLine)
@@ -386,11 +369,11 @@ TEST(SimBankedMemory, ServiceTimeIsPerRequestPlusPerLine)
     config.banks = 2;
     config.cycles_per_request = 10;
     config.cycles_per_line = 3;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     fns.at(0, [&]() { memory.request(1, 4, {}); });
     eq.run();
     EXPECT_EQ(eq.now(), 22u);  // 10 + 3 * 4
-    EXPECT_EQ(memory.busyTicks(), 22u);
+    EXPECT_EQ(memory.stats().busy_ticks, 22u);
 }
 
 TEST(SimBankedMemory, ConflictsAreZeroWithoutContention)
@@ -403,17 +386,19 @@ TEST(SimBankedMemory, ConflictsAreZeroWithoutContention)
     config.banks = 4;
     config.ports = 4;
     config.cycles_per_request = 10;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
             memory.request(address, 1, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(memory.bankConflicts(), 0u);
-    EXPECT_EQ(memory.stallTicks(), 0u);
-    EXPECT_EQ(memory.peakQueue(), 0u);
-    EXPECT_DOUBLE_EQ(memory.utilization(10), 1.0);
+    EXPECT_EQ(memory.stats().conflict_stalls, 0u);
+    EXPECT_EQ(memory.stats().stall_ticks, 0u);
+    EXPECT_EQ(memory.stats().peak_queue, 0u);
+    EXPECT_DOUBLE_EQ(units::busyFraction(memory.stats().busy_ticks, 10,
+                                         memory.banks()),
+                     1.0);
 }
 
 TEST(SimBankedMemory, SingleBankSinglePortSerializesAndCounts)
@@ -426,18 +411,18 @@ TEST(SimBankedMemory, SingleBankSinglePortSerializesAndCounts)
     config.banks = 1;
     config.ports = 1;
     config.cycles_per_request = 10;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
             memory.request(address, 1, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 40u);
-    EXPECT_EQ(memory.bankConflicts(), 3u);
-    EXPECT_EQ(memory.stallTicks(), 60u);  // 10 + 20 + 30
-    EXPECT_EQ(memory.peakQueue(), 3u);
+    EXPECT_EQ(memory.stats().conflict_stalls, 3u);
+    EXPECT_EQ(memory.stats().stall_ticks, 60u);  // 10 + 20 + 30
+    EXPECT_EQ(memory.stats().peak_queue, 3u);
     EXPECT_GT(memory.meanQueue(40), 0.0);
-    EXPECT_EQ(memory.bufferOverflows(), 0u);
+    EXPECT_EQ(memory.stats().buffer_overflows, 0u);
 }
 
 TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
@@ -450,15 +435,18 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
     config.banks = 8;
     config.ports = 2;
     config.cycles_per_request = 10;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 8; ++address)
             memory.request(address, 1, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 40u);  // ceil(8 / 2) waves of 10
-    EXPECT_EQ(memory.bankConflicts(), 6u);
-    EXPECT_EQ(memory.served(), 8u);
+    EXPECT_EQ(memory.stats().conflict_stalls, 6u);
+    EXPECT_EQ(memory.stats().served, 8u);
+    // Six requests wait at once, but each in its own bank: the
+    // deepest single-bank queue is one, not the sum over banks.
+    EXPECT_EQ(memory.stats().peak_queue, 1u);
 }
 
 TEST(SimBankedMemory, FullBankBufferBackpressures)
@@ -470,7 +458,7 @@ TEST(SimBankedMemory, FullBankBufferBackpressures)
     config.ports = 1;
     config.buffer = 2;
     config.cycles_per_request = 5;
-    BankedMemory memory(eq, "mem", config);
+    BankedMemory memory(eq, config);
     RecordingSink sink(eq);
     fns.at(0, [&]() {
         for (int id = 0; id < 5; ++id)
@@ -480,15 +468,17 @@ TEST(SimBankedMemory, FullBankBufferBackpressures)
     const auto order = sink.ids();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
     // In service + 2 buffered; the remaining 2 overflowed.
-    EXPECT_EQ(memory.bufferOverflows(), 2u);
-    EXPECT_EQ(memory.served(), 5u);
+    EXPECT_EQ(memory.stats().buffer_overflows, 2u);
+    EXPECT_EQ(memory.stats().served, 5u);
 }
 
 TEST(SimBankedMemory, ReportsGuardZeroMakespan)
 {
     EventQueue eq;
-    BankedMemory memory(eq, "mem", {});
-    EXPECT_DOUBLE_EQ(memory.utilization(0), 0.0);
+    BankedMemory memory(eq, {});
+    EXPECT_DOUBLE_EQ(
+        units::busyFraction(memory.stats().busy_ticks, 0, memory.banks()),
+        0.0);
     EXPECT_DOUBLE_EQ(memory.meanQueue(0), 0.0);
 }
 
@@ -497,44 +487,12 @@ TEST(SimBankedMemoryDeath, MalformedConfigIsFatal)
     EventQueue eq;
     BankedMemoryConfig no_banks;
     no_banks.banks = 0;
-    EXPECT_DEATH(BankedMemory(eq, "mem", no_banks),
+    EXPECT_DEATH(BankedMemory(eq, no_banks),
                  "at least one bank");
     BankedMemoryConfig free_service;
     free_service.cycles_per_request = 0;
-    EXPECT_DEATH(BankedMemory(eq, "mem", free_service),
+    EXPECT_DEATH(BankedMemory(eq, free_service),
                  "at least one tick per request");
-}
-
-TEST(SimTransferChannels, UtilizationGuardsZeroMakespan)
-{
-    // The regression the refactor must not lose: utilization of an
-    // empty run is 0.0, never a division by zero.
-    EventQueue eq;
-    TransferChannels channels(eq, 4);
-    EXPECT_DOUBLE_EQ(channels.utilization(0), 0.0);
-    EXPECT_DOUBLE_EQ(channels.meanQueue(0), 0.0);
-    EXPECT_EQ(channels.transfers(), 0u);
-}
-
-TEST(SimTransferChannels, SurfacesPortContentionStats)
-{
-    EventQueue eq;
-    ClosureSink fns(eq);
-    TransferChannels channels(eq, 1);
-    RecordingSink sink(eq);
-    fns.at(0, [&]() {
-        for (int id = 0; id < 3; ++id)
-            channels.transfer(10, sink(id));
-    });
-    eq.run();
-    const auto order = sink.ids();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(channels.transfers(), 3u);
-    EXPECT_EQ(channels.conflicts(), 2u);
-    EXPECT_EQ(channels.stallTicks(), 30u);  // 10 + 20
-    EXPECT_EQ(channels.peakQueue(), 2u);
-    EXPECT_EQ(channels.busyTicks(), 30u);
-    EXPECT_DOUBLE_EQ(channels.utilization(30), 1.0);
 }
 
 } // namespace
