@@ -302,7 +302,7 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
     mem_config.ports = config.mem_ports;
     mem_config.buffer = config.mem_buffer;
     // The bank holds the line for the transfer latency before the
-    // wire takes over (never zero: the component charges real time).
+    // wire takes over (never zero: a bank request charges real time).
     mem_config.cycles_per_request = std::max<Tick>(1, per_transfer);
     mem_config.cycles_per_line = config.cycles_per_line;
     sim::BankedMemory memory(eq, mem_config);
