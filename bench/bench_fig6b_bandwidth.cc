@@ -27,8 +27,8 @@ printFig6b()
     grid.axis("code", {"steane", "bacon-shor"});
     grid.axis("blocks", {"10", "20", "30", "40", "50", "60", "70",
                          "80"});
-    sweep::SweepRunner runner;
-    const auto table = runSweep(runner, grid.expand());
+    api::Session session;
+    const auto table = runSweep(session, grid.expand());
 
     auto steane_only = sweep::toAsciiTable(
         table, 8, {"spec", "seed", "code", "level", "utilization",

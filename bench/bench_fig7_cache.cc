@@ -47,8 +47,8 @@ printFig7()
                 "cache hit rate, in-order vs optimized fetch, cache "
                 "size in {1, 1.5, 2} x PE");
 
-    sweep::SweepRunner runner;
-    const auto table = runSweep(runner, fig7Grid());
+    api::Session session;
+    const auto table = runSweep(session, fig7Grid());
     const auto rate_col = *table.findColumn("hit_rate");
 
     // Reshape the flat sweep into the paper's figure layout: one row

@@ -61,12 +61,11 @@ printOptimizer()
 
     const auto base = referenceBase();
     const auto options = referenceOptions();
-    sweep::SweepRunner runner;
+    api::Session session;
 
     // The brute force runs the search's spec-seeded points, uncached;
     // the reference grid is valid by construction.
     const auto brute = bruteForceSpecs(options);
-    api::Session session(runner);
     opt::CachedJob brute_run(api::validateExperiments(brute).value(),
                              api::SeedMode::Spec, session.baseSeed());
     brute_run.start(session);
@@ -79,11 +78,11 @@ printOptimizer()
         brute_best = std::max(brute_best, *(*row)[obj].asNumber());
 
     // In-memory: the warm pass replays it.
-    opt::ResultCache cache(runner.options().base_seed);
+    opt::ResultCache cache(session.baseSeed());
     const auto cold = opt::frontierSearch(
-        runner, base, {axis_transfers, axis_blocks}, options, &cache);
+        session, base, {axis_transfers, axis_blocks}, options, &cache);
     const auto warm = opt::frontierSearch(
-        runner, base, {axis_transfers, axis_blocks}, options, &cache);
+        session, base, {axis_transfers, axis_blocks}, options, &cache);
 
     AsciiTable t;
     t.setCaption("hierarchy design space: transfers x blocks, "
@@ -113,11 +112,11 @@ BM_FrontierSearchCold(benchmark::State &state)
 {
     const auto base = referenceBase();
     const auto options = referenceOptions();
-    sweep::SweepRunner runner(
+    api::Session session(
         {.threads = static_cast<unsigned>(state.range(0))});
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
-            runner, base, {axis_transfers, axis_blocks}, options);
+            session, base, {axis_transfers, axis_blocks}, options);
         benchmark::DoNotOptimize(found.best_objective);
     }
 }
@@ -129,13 +128,13 @@ BM_FrontierSearchWarmCache(benchmark::State &state)
 {
     const auto base = referenceBase();
     const auto options = referenceOptions();
-    sweep::SweepRunner runner({.threads = 2});
-    opt::ResultCache cache(runner.options().base_seed);
-    opt::frontierSearch(runner, base, {axis_transfers, axis_blocks},
+    api::Session session({.threads = 2});
+    opt::ResultCache cache(session.baseSeed());
+    opt::frontierSearch(session, base, {axis_transfers, axis_blocks},
                         options, &cache);
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
-            runner, base, {axis_transfers, axis_blocks}, options,
+            session, base, {axis_transfers, axis_blocks}, options,
             &cache);
         benchmark::DoNotOptimize(found.best_objective);
     }

@@ -90,12 +90,12 @@ printTable5()
     // Design-space sweep across every core, routed through the
     // qmh::api facade (one spec grid, one sweep call).
     const auto specs = table5Grid();
-    sweep::SweepRunner runner;
-    auto table = runSweep(runner, specs);
+    api::Session session;
+    auto table = runSweep(session, specs);
 
     std::printf("\nDesign-space sweep: %zu points on %u threads; "
                 "top configurations by adder speedup:\n",
-                table.rows(), runner.threadCount());
+                table.rows(), session.threadCount());
     table.sortRowsByColumnDesc(*table.findColumn("adder_speedup"));
     sweep::toAsciiTable(table, 5, {"spec", "seed"})
         .print(std::cout);
@@ -126,9 +126,9 @@ BM_HierarchySweep(benchmark::State &state)
 {
     const auto specs = table5Grid();
     const auto threads = static_cast<unsigned>(state.range(0));
-    sweep::SweepRunner runner({.threads = threads});
+    api::Session session({.threads = threads});
     for (auto _ : state) {
-        const auto table = runSweep(runner, specs);
+        const auto table = runSweep(session, specs);
         benchmark::DoNotOptimize(table.rows());
     }
     state.counters["points"] =

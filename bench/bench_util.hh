@@ -50,12 +50,12 @@ maybeWriteSweepOutputs(const qmh::sweep::ResultTable &table,
 }
 
 /**
- * Run @p specs as one Session job on @p runner's pool and return its
- * table. A bench's grid is fixed, so a rejected batch or a failed
- * point is a bug: print the typed error and exit 1.
+ * Run @p specs as one job on @p session and return its table. A
+ * bench's grid is fixed, so a rejected batch or a failed point is a
+ * bug: print the typed error and exit 1.
  */
 inline qmh::sweep::ResultTable
-runSweep(qmh::sweep::SweepRunner &runner,
+runSweep(qmh::api::Session &session,
          const std::vector<qmh::api::ExperimentSpec> &specs)
 {
     const auto fail = [](const qmh::api::Error &error) {
@@ -63,7 +63,6 @@ runSweep(qmh::sweep::SweepRunner &runner,
                      error.describe().c_str());
         std::exit(1);
     };
-    qmh::api::Session session(runner);
     auto submitted = session.submit(specs);
     if (!submitted.ok())
         fail(submitted.error());

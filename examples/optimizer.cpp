@@ -209,7 +209,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    sweep::SweepRunner runner({.threads = threads, .base_seed = seed});
+    api::Session session({.threads = threads, .base_seed = seed});
     opt::ResultCache cache(seed);
     if (!cache_path.empty()) {
         const auto error = cache.open(cache_path);
@@ -235,12 +235,12 @@ main(int argc, char **argv)
                 "budget %zu)...\n",
                 options.maximize ? "maximizing" : "minimizing",
                 options.objective.c_str(), axes.size(),
-                runner.threadCount(),
+                session.threadCount(),
                 static_cast<unsigned long long>(seed), options.budget);
     // qmh-lint: allow(no-wallclock): elapsed-seconds display only — never feeds a row, a seed or a cache entry
     const auto start = std::chrono::steady_clock::now();
     const auto found = opt::frontierSearch(
-        runner, base, axes, options,
+        session, base, axes, options,
         cache_path.empty() ? nullptr : &cache);
     const auto elapsed =
         std::chrono::duration<double>(

@@ -239,13 +239,7 @@ JobHandle::settle(bool rows)
 // ---------------------------------------------------------------------------
 
 Session::Session(sweep::SweepOptions options)
-    : _owned(std::make_unique<sweep::SweepRunner>(options)),
-      _pool(&_owned->pool()), _base_seed(options.base_seed)
-{
-}
-
-Session::Session(sweep::SweepRunner &runner)
-    : _pool(&runner.pool()), _base_seed(runner.options().base_seed)
+    : _pool(options.threads), _base_seed(options.base_seed)
 {
 }
 
@@ -260,7 +254,7 @@ Session::~Session()
 unsigned
 Session::threadCount() const
 {
-    return _pool->threadCount();
+    return _pool.threadCount();
 }
 
 Outcome<JobHandle>
@@ -331,9 +325,9 @@ Session::startJob(std::vector<std::unique_ptr<Experiment>> experiments,
     }
 
     const std::size_t n_workers =
-        std::min<std::size_t>(_pool->threadCount(), state->total);
+        std::min<std::size_t>(_pool.threadCount(), state->total);
     for (std::size_t t = 0; t < n_workers; ++t)
-        _pool->submit([state]() { detail::runJobWorker(state); });
+        _pool.submit([state]() { detail::runJobWorker(state); });
     return JobHandle(std::move(state));
 }
 

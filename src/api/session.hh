@@ -25,10 +25,8 @@
  * pool's queue is FIFO: a job submits up to threadCount() claim-loop
  * tasks, so a later job's tasks queue behind an earlier unfinished
  * job's (cancel() frees the pool quickly when the earlier job is
- * obsolete), and a ThreadPool::wait() on a shared runner waits for
- * every queued task, not one job's. A Session cancels its unfinished
- * jobs on destruction; handles outliving the session see a cancelled
- * job.
+ * obsolete). A Session cancels its unfinished jobs on destruction and
+ * drains its pool; handles outliving the session see a cancelled job.
  */
 
 #ifndef QMH_API_SESSION_HH
@@ -165,18 +163,14 @@ struct SubmitOptions
     std::function<void()> on_retire;
 };
 
-/** Owns (or borrows) a worker pool and runs jobs on it. */
+/** Owns a worker pool and runs jobs on it. */
 class Session
 {
   public:
     /** Own a pool built from @p options. */
     explicit Session(sweep::SweepOptions options = {});
 
-    /** Share @p runner's pool and base seed; @p runner must outlive
-     *  every task of every job submitted here. */
-    explicit Session(sweep::SweepRunner &runner);
-
-    /** Cancels unfinished jobs (and, when owning, drains the pool). */
+    /** Cancels unfinished jobs, then drains the pool. */
     ~Session();
 
     Session(const Session &) = delete;
@@ -211,8 +205,7 @@ class Session
     startJob(std::vector<std::unique_ptr<Experiment>> experiments,
              SubmitOptions options);
 
-    std::unique_ptr<sweep::SweepRunner> _owned;
-    sweep::ThreadPool *_pool;
+    sweep::ThreadPool _pool;
     std::uint64_t _base_seed;
 
     std::mutex _jobs_mutex;

@@ -111,14 +111,6 @@ CacheState::CacheState(std::size_t capacity,
 {
 }
 
-std::vector<circuit::QubitId>
-CacheState::missingOperands(const circuit::Instruction &inst) const
-{
-    std::vector<circuit::QubitId> missing;
-    missingOperandsInto(inst, missing);
-    return missing;
-}
-
 void
 CacheState::missingOperandsInto(
     const circuit::Instruction &inst,
@@ -128,14 +120,6 @@ CacheState::missingOperandsInto(
     for (const auto &q : inst.operands())
         if (isCacheable(q) && !_cache.contains(q))
             out.push_back(q);
-}
-
-std::vector<circuit::QubitId>
-CacheState::access(const circuit::Instruction &inst)
-{
-    std::vector<circuit::QubitId> evicted;
-    accessInto(inst, evicted);
-    return evicted;
 }
 
 void
@@ -164,28 +148,31 @@ CacheState::resetCounters()
 
 namespace {
 
+/** Scratch for the qubits one issue evicts; the drivers ignore them. */
+using Evicted = std::vector<circuit::QubitId>;
+
 /** Issue one instruction through the state, recording the order. */
 void
 issue(const circuit::Instruction &inst, CacheState &state,
-      CacheSimResult &result, std::uint32_t index)
+      CacheSimResult &result, std::uint32_t index, Evicted &evicted)
 {
-    state.access(inst);
+    state.accessInto(inst, evicted);
     result.issue_order.push_back(index);
 }
 
 void
 runInOrder(const circuit::Program &program, CacheState &state,
-           CacheSimResult &result)
+           CacheSimResult &result, Evicted &evicted)
 {
     const auto &insts = program.instructions();
     for (std::uint32_t i = 0; i < insts.size(); ++i)
-        issue(insts[i], state, result, i);
+        issue(insts[i], state, result, i, evicted);
 }
 
 void
 runOptimized(const circuit::Program &program,
              const circuit::DependencyGraph &dag, CacheState &state,
-             CacheSimResult &result)
+             CacheSimResult &result, Evicted &evicted)
 {
     const auto &insts = program.instructions();
     const auto m = static_cast<std::uint32_t>(insts.size());
@@ -234,7 +221,7 @@ runOptimized(const circuit::Program &program,
         const auto idx = ready[best_pos];
         ready[best_pos] = ready.back();
         ready.pop_back();
-        issue(insts[idx], state, result, idx);
+        issue(insts[idx], state, result, idx, evicted);
         ++issued;
         for (const auto s : dag.successors(idx)) {
             if (--remaining[s] == 0)
@@ -264,13 +251,14 @@ simulateCache(const circuit::Program &program, std::size_t capacity,
     result.policy = policy;
     result.capacity = capacity;
 
+    Evicted evicted;
     for (int pass = warm_start ? 0 : 1; pass < 2; ++pass) {
         state.resetCounters();
         result.issue_order.clear();
         if (policy == FetchPolicy::InOrder)
-            runInOrder(program, state, result);
+            runInOrder(program, state, result, evicted);
         else
-            runOptimized(program, *dag, state, result);
+            runOptimized(program, *dag, state, result, evicted);
     }
     result.accesses = state.accesses();
     result.hits = state.hits();

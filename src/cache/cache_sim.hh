@@ -137,16 +137,10 @@ class CacheState
     }
 
     /**
-     * Cacheable operands of @p inst not currently resident — the
-     * transfers an issue of @p inst would trigger. Non-mutating.
-     */
-    std::vector<circuit::QubitId>
-    missingOperands(const circuit::Instruction &inst) const;
-
-    /**
-     * missingOperands() into a caller-owned scratch vector (cleared
-     * first), so per-gate issue loops reuse capacity instead of
-     * allocating a fresh vector per instruction.
+     * Set @p out (cleared first) to the cacheable operands of @p inst
+     * not currently resident — the transfers an issue of @p inst
+     * would trigger. Non-mutating; @p out is a caller-owned scratch
+     * vector, so per-gate issue loops reuse its capacity.
      */
     void missingOperandsInto(const circuit::Instruction &inst,
                              std::vector<circuit::QubitId> &out) const;
@@ -154,14 +148,11 @@ class CacheState
     /**
      * Issue @p inst against the cache: touch every cacheable operand,
      * counting hits and misses; missing operands are brought in
-     * (evicting LRU entries when full). Returns the qubits evicted by
-     * this access, in eviction order — the writeback traffic the
-     * issue generated. Callers that do not model writebacks may
-     * ignore the return value.
+     * (evicting LRU entries when full). Sets @p evicted (a
+     * caller-owned scratch vector, cleared first) to the qubits this
+     * access evicted, in eviction order — the writeback traffic the
+     * issue generated.
      */
-    std::vector<circuit::QubitId> access(const circuit::Instruction &inst);
-
-    /** access() into a caller-owned scratch vector (cleared first). */
     void accessInto(const circuit::Instruction &inst,
                     std::vector<circuit::QubitId> &evicted);
 

@@ -27,7 +27,6 @@ class Program
     Program(std::string name, int qubits);
 
     const std::string &name() const { return _name; }
-    void setName(std::string name) { _name = std::move(name); }
 
     int qubitCount() const { return _qubits; }
 

@@ -36,7 +36,6 @@ class Value
 
     Type type() const { return _type; }
     bool isNull() const { return _type == Type::Null; }
-    bool isBool() const { return _type == Type::Bool; }
     bool isNumber() const { return _type == Type::Number; }
     bool isString() const { return _type == Type::String; }
     bool isArray() const { return _type == Type::Array; }
@@ -126,8 +125,6 @@ class LineSplitter
         : _max_line(max_line)
     {
     }
-
-    std::size_t maxLine() const { return _max_line; }
 
     /** Append a received chunk (may contain any number of lines). */
     void feed(std::string_view chunk);

@@ -8,7 +8,8 @@
  *  - fatal(): the simulation cannot continue because of a user error
  *    (bad configuration, invalid argument); exits with status 1.
  *
- * warn()/inform() report conditions that do not stop the simulation.
+ * warn() reports a condition that does not stop the simulation; it
+ * always prints to stderr.
  */
 
 #ifndef QMH_COMMON_LOGGING_HH
@@ -19,19 +20,6 @@
 
 namespace qmh {
 
-/** Verbosity levels accepted by setLogLevel(). */
-enum class LogLevel {
-    Silent,  ///< suppress inform() and warn()
-    Warn,    ///< show warn() only
-    Info     ///< show warn() and inform()
-};
-
-/** Set the global verbosity. Defaults to LogLevel::Info. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
@@ -39,7 +27,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Concatenate a mixed argument pack into one string. */
 template <typename... Args>
@@ -69,14 +56,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace qmh

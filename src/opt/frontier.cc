@@ -348,7 +348,7 @@ validateFrontier(const api::ExperimentSpec &base,
 }
 
 FrontierOutcome
-frontierSearch(sweep::SweepRunner &runner,
+frontierSearch(api::Session &session,
                const api::ExperimentSpec &base,
                const std::vector<FrontierAxis> &axes,
                const FrontierOptions &options, ResultCache *cache)
@@ -360,7 +360,6 @@ frontierSearch(sweep::SweepRunner &runner,
     }
 
     auto states = buildAxisStates(axes, options.max_depth);
-    api::Session session(runner);
 
     const auto columns = api::makeExperiment(base)->columns();
     const std::size_t objective_col = static_cast<std::size_t>(

@@ -22,9 +22,10 @@
  * greedy frontier reaches the same optimum on well-behaved
  * objectives with a fraction of the simulations.
  *
- * Each round runs as one CachedJob: points are keyed and seeded by
- * canonical spec string, so a ResultCache makes repeated searches
- * incremental and results are bit-identical on 1 or N threads.
+ * Each round runs as one CachedJob on the caller's api::Session:
+ * points are keyed and seeded by canonical spec string, so a
+ * ResultCache makes repeated searches incremental and results are
+ * bit-identical on 1 or N threads.
  */
 
 #ifndef QMH_OPT_FRONTIER_HH
@@ -129,7 +130,7 @@ validateFrontier(const api::ExperimentSpec &base,
 /**
  * Run the adaptive search (panics on validateFrontier diagnostics;
  * call it first for recoverable errors). @p cache may be null, and
- * a store built for another base seed than the runner's is not
+ * a store built for another base seed than @p session's is not
  * consulted.
  * Deterministic for a fixed (base spec, axes, options, base seed):
  * the same points are evaluated in the same order on any thread
@@ -140,7 +141,7 @@ validateFrontier(const api::ExperimentSpec &base,
  * simulating the whole round and discarding the excess.
  */
 FrontierOutcome
-frontierSearch(sweep::SweepRunner &runner,
+frontierSearch(api::Session &session,
                const api::ExperimentSpec &base,
                const std::vector<FrontierAxis> &axes,
                const FrontierOptions &options,

@@ -141,7 +141,6 @@ class Port final : private CompletionSink
 
     const std::string &name() const { return _name; }
     unsigned width() const { return _width; }
-    std::size_t bufferLimit() const { return _buffer_limit; }
 
     /** Requests waiting to start (bounded buffer + overflow). */
     std::size_t queued() const { return _count; }

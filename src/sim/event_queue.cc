@@ -9,57 +9,43 @@ namespace sim {
 
 namespace {
 
-/// No pending event has this key (a rank never fills the top bits).
-constexpr std::uint64_t no_key = ~std::uint64_t(0);
-
-/// Stat, Default, Late -> 0, 10, 20: order-preserving and < 32.
-std::uint64_t
-rankOf(Priority prio)
-{
-    return static_cast<std::uint64_t>(static_cast<int>(prio) -
-                                      static_cast<int>(Priority::Stat));
-}
+/// No pending event has this seq.
+constexpr std::uint64_t no_seq = ~std::uint64_t(0);
 
 } // namespace
 
-std::uint64_t
-EventQueue::schedule(Tick when, Completion event, Priority prio)
+void
+EventQueue::schedule(Tick when, Completion event)
 {
     if (when < _now)
         qmh_panic("scheduling event in the past: when=", when,
                   " now=", _now);
     if (event.sink == nullptr)
         qmh_panic("scheduling an event without a sink");
-    const auto seq = _next_seq++;
-    const auto rank = rankOf(prio);
-    const Entry entry{when, rank << seq_bits | seq, event.sink, event.tag};
+    const Entry entry{when, _next_seq++, event.sink, event.tag};
     ++_pending;
 
-    // The lane of this (delay, priority) pair, else an empty lane
-    // rebound to it, else a lane never used, else the heap.
+    // The lane of this delay, else an empty lane rebound to it, else
+    // a lane never used, else the heap.
     const Tick delay = when - _now;
-    if (delay < (Tick(1) << seq_bits)) {
-        const std::uint64_t selector = delay << 5 | rank;
-        for (std::size_t i = 0; i < _lanes_used; ++i) {
-            if (_selector[i] == selector) {
-                pushLane(i, entry);
-                return seq;
-            }
+    for (std::size_t i = 0; i < _lanes_used; ++i) {
+        if (_delay[i] == delay) {
+            pushLane(i, entry);
+            return;
         }
-        std::size_t lane = 0;
-        while (lane < _lanes_used && _head_key[lane] != no_key)
-            ++lane;
-        if (lane == _lanes_used && _lanes_used < lane_count)
-            ++_lanes_used;
-        if (lane < _lanes_used) {
-            _selector[lane] = selector;
-            pushLane(lane, entry);
-            return seq;
-        }
+    }
+    std::size_t lane = 0;
+    while (lane < _lanes_used && _head_seq[lane] != no_seq)
+        ++lane;
+    if (lane == _lanes_used && _lanes_used < lane_count)
+        ++_lanes_used;
+    if (lane < _lanes_used) {
+        _delay[lane] = delay;
+        pushLane(lane, entry);
+        return;
     }
     _heap.push_back(entry);
     std::push_heap(_heap.begin(), _heap.end(), Later{});
-    return seq;
 }
 
 void
@@ -77,7 +63,7 @@ EventQueue::pushLane(std::size_t lane, const Entry &entry)
     l.ring[(l.head + l.count) & (l.ring.size() - 1)] = entry;
     if (l.count++ == 0) {
         _head_when[lane] = entry.when;
-        _head_key[lane] = entry.key;
+        _head_seq[lane] = entry.seq;
     }
 }
 
@@ -89,10 +75,10 @@ EventQueue::popLane(std::size_t lane)
     l.head = (l.head + 1) & (l.ring.size() - 1);
     if (--l.count == 0) {
         _head_when[lane] = max_tick;
-        _head_key[lane] = no_key;
+        _head_seq[lane] = no_seq;
     } else {
         _head_when[lane] = l.ring[l.head].when;
-        _head_key[lane] = l.ring[l.head].key;
+        _head_seq[lane] = l.ring[l.head].seq;
     }
     return entry;
 }
@@ -107,26 +93,26 @@ EventQueue::popHeap()
 }
 
 bool
-EventQueue::dispatchNext(Tick limit)
+EventQueue::dispatchNext()
 {
     // The least of the heap top and the lane heads; from == lane_count
     // names the heap.
     Tick when = max_tick;
-    std::uint64_t key = no_key;
+    std::uint64_t seq = no_seq;
     std::size_t from = lane_count;
     if (!_heap.empty()) {
         when = _heap.front().when;
-        key = _heap.front().key;
+        seq = _heap.front().seq;
     }
     for (std::size_t i = 0; i < _lanes_used; ++i) {
         if (_head_when[i] < when ||
-            (_head_when[i] == when && _head_key[i] < key)) {
+            (_head_when[i] == when && _head_seq[i] < seq)) {
             when = _head_when[i];
-            key = _head_key[i];
+            seq = _head_seq[i];
             from = i;
         }
     }
-    if (key == no_key || when > limit)
+    if (seq == no_seq)
         return false;
 
     const Entry entry = from == lane_count ? popHeap() : popLane(from);
@@ -137,20 +123,11 @@ EventQueue::dispatchNext(Tick limit)
     return true;
 }
 
-bool
-EventQueue::step()
+void
+EventQueue::run()
 {
-    return dispatchNext(max_tick);
-}
-
-Tick
-EventQueue::run(Tick limit)
-{
-    while (dispatchNext(limit)) {
+    while (dispatchNext()) {
     }
-    if (_now < limit && limit != max_tick)
-        _now = limit;
-    return _now;
 }
 
 std::size_t

@@ -11,21 +11,20 @@
  * tests and benches can run many independent simulations in one
  * process.
  *
- * Dispatch order is the strict total order (tick, priority, seq),
- * where seq is the order of submission, so events of one tick and
- * priority run first-scheduled first. The storage layout below is
- * unobservable.
+ * Dispatch order is the strict total order (tick, seq), where seq is
+ * the order of submission, so events of one tick run first-scheduled
+ * first. The storage layout below is unobservable.
  *
- * Pending events live in FIFO lanes, one per (delay, priority) pair
- * in use. now() never decreases, so appending an event at
- * now() + delay to its pair's lane keeps every lane in (tick, seq)
- * order by construction; the next event is the least lane head,
- * found by a scan, with no sift. A simulation uses a handful of
- * distinct delays (a trace run: zero, bank service, wire transfer and
- * gate compute), so a fixed table of lane_count lanes takes them; an
- * empty lane is rebound to a new pair on demand. An event whose pair
- * finds no lane goes to one binary heap, so an arbitrary schedule
- * stays correct at O(log n) per event.
+ * Pending events live in FIFO lanes, one per delay in use. now()
+ * never decreases, so appending an event at now() + delay to its
+ * delay's lane keeps every lane in (tick, seq) order by construction;
+ * the next event is the least lane head, found by a scan, with no
+ * sift. A simulation uses a handful of distinct delays (a trace run:
+ * zero, bank service, wire transfer and gate compute), so a fixed
+ * table of lane_count lanes takes them; an empty lane is rebound to a
+ * new delay on demand. An event whose delay finds no lane goes to one
+ * binary heap, so an arbitrary schedule stays correct at O(log n) per
+ * event.
  */
 
 #ifndef QMH_SIM_EVENT_QUEUE_HH
@@ -67,13 +66,6 @@ struct Completion
     std::uint64_t tag = 0;
 };
 
-/** Dispatch priority for events scheduled at the same tick. */
-enum class Priority : int {
-    Stat = -10,    ///< sampled before any same-tick state change
-    Default = 0,
-    Late = 10      ///< runs after all Default events of the tick
-};
-
 /**
  * Time-ordered event queue. Sinks may schedule further events while
  * handling one (including at the current tick).
@@ -81,7 +73,7 @@ enum class Priority : int {
 class EventQueue
 {
   public:
-    /** FIFO lanes; (delay, priority) pairs beyond them use the heap. */
+    /** FIFO lanes; delays beyond them use the heap. */
     static constexpr std::size_t lane_count = 8;
 
     /** Current simulation time. */
@@ -90,33 +82,21 @@ class EventQueue
     /**
      * Schedule @p event at absolute time @p when (>= now()); its sink
      * must be non-null.
-     * @return a monotonically increasing sequence id (for debugging).
      */
-    std::uint64_t schedule(Tick when, Completion event,
-                           Priority prio = Priority::Default);
+    void schedule(Tick when, Completion event);
 
     /** Schedule @p event @p delay ticks after now(). */
-    std::uint64_t
-    scheduleAfter(Tick delay, Completion event,
-                  Priority prio = Priority::Default)
+    void
+    scheduleAfter(Tick delay, Completion event)
     {
-        return schedule(_now + delay, event, prio);
+        schedule(_now + delay, event);
     }
 
     /** True when no events remain. */
     bool empty() const { return _pending == 0; }
 
-    /** Number of pending events. */
-    std::size_t pending() const { return _pending; }
-
-    /** Execute the single next event; returns false if none remain. */
-    bool step();
-
-    /**
-     * Run until the queue drains or simulated time would pass
-     * @p limit. Returns the final simulation time.
-     */
-    Tick run(Tick limit = max_tick);
+    /** Run until the queue drains; now() is then the last event's tick. */
+    void run();
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
@@ -125,35 +105,32 @@ class EventQueue
     std::size_t capacity() const;
 
   private:
-    /** A pending event; key is priority rank << seq_bits | seq. */
+    /** A pending event; seq is its order of submission. */
     struct Entry {
         Tick when;
-        std::uint64_t key;
+        std::uint64_t seq;
         CompletionSink *sink;
         std::uint64_t tag;
     };
     static_assert(sizeof(Entry) == 32, "an entry is four words");
 
-    /** A ring FIFO (power-of-two capacity) of one (delay, priority). */
+    /** A ring FIFO (power-of-two capacity) of one delay. */
     struct Lane {
         std::vector<Entry> ring;
         std::size_t head = 0;
         std::size_t count = 0;
     };
 
-    /// Low key bits holding seq; the priority rank sits above them.
-    static constexpr unsigned seq_bits = 58;
-
-    /// "a dispatches after b" under the (tick, key) order.
+    /// "a dispatches after b" under the (tick, seq) order.
     struct Later {
         bool
         operator()(const Entry &a, const Entry &b) const
         {
-            return a.when != b.when ? a.when > b.when : a.key > b.key;
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
         }
     };
 
-    bool dispatchNext(Tick limit);
+    bool dispatchNext();
     void pushLane(std::size_t lane, const Entry &entry);
     Entry popLane(std::size_t lane);
     Entry popHeap();
@@ -166,11 +143,11 @@ class EventQueue
     /// Lanes ever bound; the head scan stops here.
     std::size_t _lanes_used = 0;
     std::array<Lane, lane_count> _lanes{};
-    /// Per bound lane: its pair as delay << 5 | priority rank.
-    std::array<std::uint64_t, lane_count> _selector{};
-    /// Per lane head (tick, key); (max_tick, ~0) when the lane is empty.
+    /// Per bound lane: its delay.
+    std::array<Tick, lane_count> _delay{};
+    /// Per lane head (tick, seq); (max_tick, ~0) when the lane is empty.
     std::array<Tick, lane_count> _head_when{};
-    std::array<std::uint64_t, lane_count> _head_key{};
+    std::array<std::uint64_t, lane_count> _head_seq{};
 
     std::vector<Entry> _heap;   ///< events no lane took, min-heap
 };

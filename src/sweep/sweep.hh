@@ -5,9 +5,9 @@
  *
  * Experiment points are embarrassingly parallel: every point owns its
  * EventQueue (there is no global singleton by design), so a grid fans
- * across cores with no shared mutable state. api::Session runs jobs
- * on a SweepRunner's pool and stores each row at its index, so the
- * output is independent of task completion order.
+ * across cores with no shared mutable state. api::Session owns the
+ * worker pool, runs jobs on it and stores each row at its index, so
+ * the output is independent of task completion order.
  *
  * Determinism contract: each point receives its own qmh::Random seeded
  * from (base_seed, index) via pointSeed(), or from (base_seed, key)
@@ -53,32 +53,6 @@ std::uint64_t pointSeed(std::uint64_t base_seed, std::size_t index);
  * request order, batching or thread count.
  */
 std::uint64_t keySeed(std::uint64_t base_seed, std::string_view key);
-
-/** Fans grid points across a worker pool; results land by index. */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions options = {})
-        : _options(options), _pool(options.threads)
-    {
-    }
-
-    /** Worker threads actually running. */
-    unsigned threadCount() const { return _pool.threadCount(); }
-
-    const SweepOptions &options() const { return _options; }
-
-    /**
-     * The underlying pool, for job-oriented execution layered on a
-     * shared runner (api::Session). Note the pool's wait() covers
-     * every queued task, not one caller's batch.
-     */
-    ThreadPool &pool() { return _pool; }
-
-  private:
-    SweepOptions _options;
-    ThreadPool _pool;
-};
 
 } // namespace sweep
 } // namespace qmh

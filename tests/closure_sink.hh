@@ -26,21 +26,19 @@ class ClosureSink final : public CompletionSink
   public:
     explicit ClosureSink(EventQueue &eq) : _eq(eq) {}
 
-    /** Run @p fn at absolute time @p when; returns the event's seq. */
-    std::uint64_t
-    at(Tick when, std::function<void()> fn,
-       Priority prio = Priority::Default)
+    /** Run @p fn at absolute time @p when. */
+    void
+    at(Tick when, std::function<void()> fn)
     {
         _fns.push_back(std::move(fn));
-        return _eq.schedule(when, {this, _fns.size() - 1}, prio);
+        _eq.schedule(when, {this, _fns.size() - 1});
     }
 
     /** Run @p fn @p delay ticks after now(). */
-    std::uint64_t
-    after(Tick delay, std::function<void()> fn,
-          Priority prio = Priority::Default)
+    void
+    after(Tick delay, std::function<void()> fn)
     {
-        return at(_eq.now() + delay, std::move(fn), prio);
+        at(_eq.now() + delay, std::move(fn));
     }
 
     void

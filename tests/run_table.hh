@@ -36,15 +36,6 @@ runTable(api::Session &session,
     return std::move(result.table);
 }
 
-/** Same, on a session sharing @p runner's pool and base seed. */
-inline sweep::ResultTable
-runTable(sweep::SweepRunner &runner,
-         const std::vector<api::ExperimentSpec> &specs)
-{
-    api::Session session(runner);
-    return runTable(session, specs);
-}
-
 /** Same, on a session owning a pool built from @p options. */
 inline sweep::ResultTable
 runTable(const std::vector<api::ExperimentSpec> &specs,

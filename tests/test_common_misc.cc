@@ -1,9 +1,6 @@
-/** @file Tests for logging levels, strong ids and unit conversions. */
+/** @file Tests for logging, strong ids and unit conversions. */
 
 #include <gtest/gtest.h>
-
-#include <thread>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/strong_id.hh"
@@ -72,33 +69,6 @@ TEST(Units, BusyFractionGuardsZeroSpanOrServers)
     // division by zero.
     EXPECT_DOUBLE_EQ(units::busyFraction(0, 0, 4), 0.0);
     EXPECT_DOUBLE_EQ(units::busyFraction(0, 10, 0), 0.0);
-}
-
-TEST(Logging, LevelsAreOrdered)
-{
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(LogLevel::Info);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-}
-
-TEST(Logging, LevelChangesWhileWorkersLog)
-{
-    // Worker threads read the level through inform() while another
-    // thread sets it; under ThreadSanitizer this pins the level as a
-    // data-race-free atomic. Neither level lets inform() print.
-    std::vector<std::thread> workers;
-    for (int t = 0; t < 2; ++t)
-        workers.emplace_back([] {
-            for (int i = 0; i < 1000; ++i)
-                inform("worker ", i);
-        });
-    for (int i = 0; i < 1000; ++i)
-        setLogLevel(i % 2 ? LogLevel::Warn : LogLevel::Silent);
-    for (auto &worker : workers)
-        worker.join();
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    setLogLevel(LogLevel::Info);
 }
 
 TEST(LoggingDeath, PanicAborts)

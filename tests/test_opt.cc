@@ -352,8 +352,7 @@ TEST(Frontier, ExhaustiveBudgetEqualsBruteForce)
     brute.axis("utilization", util_values);
     brute.axis("blocks", block_values);
 
-    sweep::SweepRunner runner({.threads = 2});
-    api::Session session(runner);
+    api::Session session({.threads = 2});
     const auto brute_table = runCached(session, brute.expand()).table;
     const auto obj = *brute_table.findColumn("required_draper_qps");
     const auto spec_col = *brute_table.findColumn("spec");
@@ -368,7 +367,7 @@ TEST(Frontier, ExhaustiveBudgetEqualsBruteForce)
     }
 
     const auto found =
-        frontierSearch(runner, base, {util, blocks}, options, nullptr);
+        frontierSearch(session, base, {util, blocks}, options, nullptr);
     EXPECT_EQ(found.evaluated, brute_table.rows());
     EXPECT_EQ(found.simulated, brute_table.rows());
     EXPECT_EQ(found.rounds > 1, true);
@@ -402,8 +401,7 @@ TEST(Frontier, GreedySearchReachesBruteOptimumWithFewerPoints)
         brute.axis(axis->key, values);
     }
 
-    sweep::SweepRunner runner({.threads = 2});
-    api::Session session(runner);
+    api::Session session({.threads = 2});
     const auto brute_table = runCached(session, brute.expand()).table;
     const auto obj = *brute_table.findColumn("gain_product");
     double brute_best = -1.0;
@@ -411,7 +409,7 @@ TEST(Frontier, GreedySearchReachesBruteOptimumWithFewerPoints)
         brute_best =
             std::max(brute_best, *brute_table.cell(r, obj).asNumber());
 
-    const auto found = frontierSearch(runner, base, {transfers, blocks},
+    const auto found = frontierSearch(session, base, {transfers, blocks},
                                       options, nullptr);
     EXPECT_DOUBLE_EQ(found.best_objective, brute_best);
     EXPECT_LT(found.simulated, brute_table.rows());
@@ -437,9 +435,9 @@ TEST(Frontier, ProgressStreamsMonotonicallyAndObservesEveryPoint)
         last_evaluated = p.evaluated;
         return true;
     };
-    sweep::SweepRunner runner({.threads = 2});
+    api::Session session({.threads = 2});
     const auto found =
-        frontierSearch(runner, base, axes, options, nullptr);
+        frontierSearch(session, base, axes, options, nullptr);
     EXPECT_FALSE(found.cancelled);
     EXPECT_EQ(calls, found.evaluated);
     EXPECT_EQ(last_evaluated, found.evaluated);
@@ -449,7 +447,7 @@ TEST(Frontier, ProgressStreamsMonotonicallyAndObservesEveryPoint)
     FrontierOptions plain = options;
     plain.on_progress = nullptr;
     const auto reference =
-        frontierSearch(runner, base, axes, plain, nullptr);
+        frontierSearch(session, base, axes, plain, nullptr);
     EXPECT_EQ(csvOf(found.table), csvOf(reference.table));
 }
 
@@ -467,8 +465,8 @@ TEST(Frontier, ProgressCallbackCancelsDeterministically)
     options.on_progress = [](const FrontierProgress &p) {
         return p.evaluated < stop_after;
     };
-    sweep::SweepRunner one({.threads = 1});
-    sweep::SweepRunner many({.threads = 4});
+    api::Session one({.threads = 1});
+    api::Session many({.threads = 4});
     const auto a = frontierSearch(one, base, axes, options, nullptr);
     const auto b = frontierSearch(many, base, axes, options, nullptr);
     EXPECT_TRUE(a.cancelled);
@@ -492,23 +490,23 @@ TEST(Frontier, WarmCacheRerunSimulatesNothingAndMatches)
     options.max_depth = 2;
     options.budget = 30;
 
-    sweep::SweepRunner runner({.threads = 2});
+    api::Session session({.threads = 2});
     std::string cold_csv;
     std::size_t cold_evaluated = 0;
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
         const auto cold =
-            frontierSearch(runner, base, axes, options, &cache);
+            frontierSearch(session, base, axes, options, &cache);
         EXPECT_GT(cold.simulated, 0u);
         cold_csv = csvOf(cold.table);
         cold_evaluated = cold.evaluated;
     }
     {
-        ResultCache cache(runner.options().base_seed);
+        ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
         const auto warm =
-            frontierSearch(runner, base, axes, options, &cache);
+            frontierSearch(session, base, axes, options, &cache);
         EXPECT_EQ(warm.simulated, 0u);
         EXPECT_EQ(warm.cached, warm.evaluated);
         EXPECT_EQ(warm.evaluated, cold_evaluated);

@@ -594,19 +594,6 @@ TEST(Session, ExplicitSeedsDriveThePointStreams)
               result.table.cell(2, failures).toString());
 }
 
-TEST(Session, SessionOverSharedRunnerUsesItsPoolAndSeed)
-{
-    sweep::SweepRunner runner({.threads = 2, .base_seed = 4242});
-    Session session(runner);
-    EXPECT_EQ(session.threadCount(), 2u);
-    EXPECT_EQ(session.baseSeed(), 4242u);
-    const auto specs = montecarloSpecs(4);
-    const auto via_session =
-        session.submit(specs).value().wait().table;
-    const auto via_runner = tests::runTable(runner, specs);
-    EXPECT_EQ(csvOf(via_session), csvOf(via_runner));
-}
-
 } // namespace
 } // namespace api
 } // namespace qmh
