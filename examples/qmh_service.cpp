@@ -14,17 +14,18 @@
  *   {"type":"row","id":"r1","index":0,"cells":{...}}
  *   {"type":"done","id":"r1","rows":1,"total":1,"cancelled":false}
  *
- * The protocol lives in api/service.hh; this binary only owns the
- * process concerns (flags, stdio, the exit summary).
+ * The protocol lives in api/service.hh and its serve loop in
+ * server/connection.hh; this binary only owns the process concerns
+ * (flags, stdio, the exit summary).
  */
 
 #include <cstdio>
 #include <iostream>
 #include <string>
 
-#include "api/service.hh"
 #include "cli_util.hh"
 #include "server/client.hh"
+#include "server/connection.hh"
 
 namespace {
 
@@ -143,8 +144,7 @@ main(int argc, char **argv)
         return runRemote(*connect);
 
     api::Session session({.threads = threads, .base_seed = seed});
-    const auto stats =
-        api::runService(session, std::cin, std::cout);
+    const auto stats = server::runService(session, std::cin, std::cout);
     std::fprintf(stderr,
                  "qmh_service: served %zu request(s), %zu row(s), "
                  "%zu error record(s)\n",

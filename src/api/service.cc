@@ -2,12 +2,9 @@
 
 #include <charconv>
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "common/json.hh"
 #include "sweep/emit.hh"
-#include "sweep/sweep.hh"
 
 namespace qmh {
 namespace api {
@@ -52,11 +49,76 @@ appendCount(std::string &out, std::size_t count)
     out.append(buffer, written.ptr);
 }
 
-void
-writeError(std::ostream &out, const std::string &id,
-           const Error &error)
+/** parseServiceRequest over an already-parsed JSON document. */
+Outcome<ServiceRequest>
+decodeServiceRequest(const json::Value &root)
 {
-    out << recordError(id, error) << std::endl;
+    if (!root.isObject())
+        return badRequest("request must be a JSON object");
+
+    ServiceRequest request;
+    if (const auto *id = root.find("id")) {
+        if (!id->isString())
+            return badRequest("'id' must be a string");
+        request.id = id->string();
+    }
+    if (const auto *op = root.find("op")) {
+        if (!op->isString())
+            return badRequest(
+                "unknown op (\"sweep\" and \"shutdown\" are served)");
+        if (op->string() == "shutdown")
+            request.op = ServiceOp::Shutdown;
+        else if (op->string() != "sweep")
+            return badRequest(
+                "unknown op (\"sweep\" and \"shutdown\" are served)");
+    }
+    if (request.op == ServiceOp::Shutdown)
+        return request;  // no further fields apply
+
+    if (const auto *seed = root.find("seed")) {
+        const auto value = asUInt(*seed);
+        if (!value)
+            return badRequest("'seed' must be a non-negative integer");
+        request.seed = *value;
+    }
+    if (const auto *mode = root.find("seed_mode")) {
+        if (mode->isString() && mode->string() == "index")
+            request.seed_mode = SeedMode::Index;
+        else if (mode->isString() && mode->string() == "spec")
+            request.seed_mode = SeedMode::Spec;
+        else
+            return badRequest(
+                "'seed_mode' must be \"index\" or \"spec\"");
+    }
+    if (const auto *limit = root.find("limit")) {
+        const auto value = asUInt(*limit);
+        if (!value)
+            return badRequest(
+                "'limit' must be a non-negative integer");
+        request.limit = static_cast<std::size_t>(*value);
+    }
+
+    const auto *specs = root.find("specs");
+    if (!specs || !specs->isArray())
+        return badRequest("'specs' must be an array of spec strings");
+    std::vector<std::string> diagnostics;
+    for (std::size_t i = 0; i < specs->items().size(); ++i) {
+        const auto &item = specs->items()[i];
+        if (!item.isString())
+            return badRequest("specs[" + std::to_string(i) +
+                              "] is not a string");
+        const auto spec = parseSpec(item.string());
+        for (const auto &problem : spec.errors)
+            diagnostics.push_back("specs[" + std::to_string(i) +
+                                  "]: " + problem);
+        request.specs.push_back(spec.spec);
+    }
+    if (!diagnostics.empty())
+        return Error{ErrorCode::InvalidSpec,
+                     std::to_string(diagnostics.size()) +
+                         " spec parse error(s)",
+                     std::move(diagnostics)};
+    return request;
 }
 
 } // namespace
@@ -141,22 +203,6 @@ recordDone(const std::string &id, std::size_t rows, std::size_t total,
     return out;
 }
 
-std::vector<std::uint64_t>
-requestSeeds(const ServiceRequest &request, std::uint64_t session_base)
-{
-    if (request.seed_mode == SeedMode::Index)
-        return {};
-    const std::uint64_t base = request.seed.value_or(session_base);
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(request.specs.size());
-    for (const auto &spec : request.specs)
-        // sweep::keySeed over the canonical spec string — the same
-        // derivation opt::specSeed forwards to, so service rows stay
-        // interchangeable with optimizer cache entries.
-        seeds.push_back(sweep::keySeed(base, printSpec(spec)));
-    return seeds;
-}
-
 Outcome<ServiceRequest>
 parseServiceRequest(const std::string &line)
 {
@@ -180,156 +226,6 @@ decodeServiceLine(const std::string &line)
         id = found->string();
     return ServiceLine{std::move(id),
                        decodeServiceRequest(parsed.value)};
-}
-
-Outcome<ServiceRequest>
-decodeServiceRequest(const json::Value &root)
-{
-    if (!root.isObject())
-        return badRequest("request must be a JSON object");
-
-    ServiceRequest request;
-    if (const auto *id = root.find("id")) {
-        if (!id->isString())
-            return badRequest("'id' must be a string");
-        request.id = id->string();
-    }
-    if (const auto *op = root.find("op")) {
-        if (!op->isString())
-            return badRequest(
-                "unknown op (\"sweep\" and \"shutdown\" are served)");
-        if (op->string() == "shutdown")
-            request.op = ServiceOp::Shutdown;
-        else if (op->string() != "sweep")
-            return badRequest(
-                "unknown op (\"sweep\" and \"shutdown\" are served)");
-    }
-    if (request.op == ServiceOp::Shutdown)
-        return request;  // no further fields apply
-
-    if (const auto *seed = root.find("seed")) {
-        const auto value = asUInt(*seed);
-        if (!value)
-            return badRequest("'seed' must be a non-negative integer");
-        request.seed = *value;
-    }
-    if (const auto *mode = root.find("seed_mode")) {
-        if (mode->isString() && mode->string() == "index")
-            request.seed_mode = SeedMode::Index;
-        else if (mode->isString() && mode->string() == "spec")
-            request.seed_mode = SeedMode::Spec;
-        else
-            return badRequest(
-                "'seed_mode' must be \"index\" or \"spec\"");
-    }
-    if (const auto *limit = root.find("limit")) {
-        const auto value = asUInt(*limit);
-        if (!value)
-            return badRequest(
-                "'limit' must be a non-negative integer");
-        request.limit = static_cast<std::size_t>(*value);
-    }
-
-    const auto *specs = root.find("specs");
-    if (!specs || !specs->isArray())
-        return badRequest("'specs' must be an array of spec strings");
-    std::vector<std::string> diagnostics;
-    for (std::size_t i = 0; i < specs->items().size(); ++i) {
-        const auto &item = specs->items()[i];
-        if (!item.isString())
-            return badRequest("specs[" + std::to_string(i) +
-                              "] is not a string");
-        const auto spec = parseSpec(item.string());
-        for (const auto &problem : spec.errors)
-            diagnostics.push_back("specs[" + std::to_string(i) +
-                                  "]: " + problem);
-        request.specs.push_back(spec.spec);
-    }
-    if (!diagnostics.empty())
-        return Error{ErrorCode::InvalidSpec,
-                     std::to_string(diagnostics.size()) +
-                         " spec parse error(s)",
-                     std::move(diagnostics)};
-    return request;
-}
-
-void
-serveRequest(Session &session, const ServiceRequest &request,
-             std::ostream &out, ServiceStats &stats)
-{
-    SubmitOptions options;
-    options.base_seed = request.seed;
-    options.seeds = requestSeeds(request, session.baseSeed());
-    auto submitted = session.submit(request.specs, std::move(options));
-    if (!submitted.ok()) {
-        writeError(out, request.id, submitted.error());
-        ++stats.errors;
-        return;
-    }
-    auto job = submitted.value();
-
-    const auto &columns = job.columns();
-    out << recordAccepted(request.id, job.totalPoints(), columns)
-        << std::endl;
-
-    std::size_t streamed = 0;
-    bool stream_ended = false;  // nextRow ran dry before the limit
-    while (request.limit == 0 || streamed < request.limit) {
-        auto row = job.nextRow();
-        if (!row) {
-            stream_ended = true;
-            break;
-        }
-        out << recordRow(request.id, streamed, columns, *row)
-            << std::endl;
-        ++streamed;
-    }
-    job.cancel();  // no-op when every row was streamed
-    const auto result = job.wait();
-    // Report a failure only when it cut the requested stream short.
-    // A point that failed in the cancelled tail (claimed in-flight
-    // after a limit cutoff, timing-dependent) concerns rows the
-    // caller never asked for — surfacing it would make the response
-    // scheduling-dependent and mislabel a satisfied request.
-    if (stream_ended && result.failure) {
-        writeError(out, request.id, *result.failure);
-        ++stats.errors;
-    }
-
-    // "cancelled" reports the caller-visible contract — were any rows
-    // withheld? — not the internal flag, which is also set by the
-    // harmless cancel() above after a fully streamed job.
-    const bool truncated = streamed < job.totalPoints();
-    out << recordDone(request.id, streamed, job.totalPoints(),
-                      truncated)
-        << std::endl;
-    stats.rows += streamed;
-}
-
-ServiceStats
-runService(Session &session, std::istream &in, std::ostream &out)
-{
-    ServiceStats stats;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto decoded = decodeServiceLine(line);
-        if (!decoded)
-            continue;
-        const auto &request = decoded->request;
-        if (!request.ok()) {
-            writeError(out, decoded->id, request.error());
-            ++stats.errors;
-            continue;
-        }
-        ++stats.requests;
-        if (request.value().op == ServiceOp::Shutdown) {
-            out << recordDone(request.value().id, 0, 0, false)
-                << std::endl;
-            break;
-        }
-        serveRequest(session, request.value(), out, stats);
-    }
-    return stats;
 }
 
 } // namespace api

@@ -1,7 +1,9 @@
 /**
  * @file
- * JSONL request/response protocol over a Session: the servable
- * backend behind examples/qmh_service.cpp.
+ * JSONL request/response protocol: its request decoder and its four
+ * record writers. Both transports serve it through the same request
+ * steps (src/server/connection.hh): server::runService on stdio
+ * (examples/qmh_service.cpp), server::Connection over TCP.
  *
  * One request per input line, one JSON record per output line:
  *
@@ -15,10 +17,10 @@
  *
  * Rows stream in index order as points complete, so a slow sweep
  * produces output long before it finishes. "limit" caps the streamed
- * rows: once reached the job is cancelled cooperatively and the done
- * record reports "cancelled":true. Any caller mistake — malformed
- * JSON, unknown op, a spec that fails validation — emits a structured
- * error record ({"type":"error","id":...,"code":...,"message":...,
+ * rows: points past it never run, and the done record reports
+ * "cancelled":true. Any caller mistake — malformed JSON, unknown op,
+ * a spec that fails validation — emits a structured error record
+ * ({"type":"error","id":...,"code":...,"message":...,
  * "details":[...]}) and the loop keeps serving; the process never
  * aborts on bad input.
  *
@@ -37,36 +39,29 @@
  *    sits in the spec list;
  *  - "spec" — opt::specSeed(base, canonical spec string): a row is a
  *    function of the spec alone, independent of list position, batch
- *    composition, or which client asked. This is the mode the
- *    experiment server's shared result cache memoizes (an
- *    index-seeded row is not reusable across requests), and it makes
- *    a server response byte-identical to a stdio run of the same
- *    request line.
+ *    composition, or which client asked. Equal specs in one request
+ *    run once. This is the mode the experiment server's shared result
+ *    cache memoizes (an index-seeded row is not reusable across
+ *    requests), and it makes a server response byte-identical to a
+ *    stdio run of the same request line.
  *
  * A {"op":"shutdown","id":...} request answers with an empty "done"
  * record and ends the serve loop — the line-mode twin of EOF, so a
  * remote client can end a server session the same way closing stdin
  * ends a stdio one.
- *
- * The record writers (recordAccepted/recordRow/recordError/
- * recordDone) are exposed so the socket server (src/server/) emits
- * bytes through the exact same formatters as the stdio loop; the two
- * transports cannot drift apart.
  */
 
 #ifndef QMH_API_SERVICE_HH
 #define QMH_API_SERVICE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "api/outcome.hh"
-#include "api/session.hh"
 #include "api/spec.hh"
-#include "common/json.hh"
+#include "sweep/emit.hh"
 
 namespace qmh {
 namespace api {
@@ -103,10 +98,6 @@ struct ServiceRequest
 [[nodiscard]] Outcome<ServiceRequest>
 parseServiceRequest(const std::string &line);
 
-/** parseServiceRequest over an already-parsed JSON document. */
-[[nodiscard]] Outcome<ServiceRequest>
-decodeServiceRequest(const json::Value &root);
-
 /** One input line of a serve loop, decoded. */
 struct ServiceLine
 {
@@ -124,19 +115,9 @@ struct ServiceLine
  */
 std::optional<ServiceLine> decodeServiceLine(const std::string &line);
 
-/** Statistics of one runService loop. */
-struct ServiceStats
-{
-    std::size_t requests = 0;  ///< well-formed requests served
-    std::size_t errors = 0;    ///< error records emitted (any source)
-    std::size_t rows = 0;      ///< row records streamed
-};
-
 /**
  * The wire records, one formatter per type, newline excluded. Every
- * byte a transport emits goes through these four functions — the
- * stdio loop below and the socket server share them, which is what
- * the cross-transport byte-identity tests pin.
+ * byte the serve loops emit goes through these four functions.
  */
 std::string recordAccepted(const std::string &id, std::size_t total,
                            const std::vector<std::string> &columns);
@@ -146,30 +127,6 @@ std::string recordRow(const std::string &id, std::size_t index,
 std::string recordError(const std::string &id, const Error &error);
 std::string recordDone(const std::string &id, std::size_t rows,
                        std::size_t total, bool cancelled);
-
-/**
- * The explicit per-point seeds of @p request under its seed mode:
- * empty for Index (the session derives pointSeed itself), one
- * opt::specSeed per spec for Spec. @p session_base is used when the
- * request carries no seed override.
- */
-std::vector<std::uint64_t>
-requestSeeds(const ServiceRequest &request,
-             std::uint64_t session_base);
-
-/**
- * Run one request on @p session, streaming records to @p out and
- * accumulating row/error record counts into @p stats.
- */
-void serveRequest(Session &session, const ServiceRequest &request,
-                  std::ostream &out, ServiceStats &stats);
-
-/**
- * Serve JSONL requests from @p in until EOF (blank lines ignored),
- * writing records to @p out. Errors are records, not exits.
- */
-ServiceStats runService(Session &session, std::istream &in,
-                        std::ostream &out);
 
 } // namespace api
 } // namespace qmh

@@ -136,6 +136,7 @@ CacheState::accessInto(const circuit::Instruction &inst,
         else
             ++_misses;
     }
+    _evictions += evicted.size();
 }
 
 void
@@ -144,6 +145,7 @@ CacheState::resetCounters()
     _accesses = 0;
     _hits = 0;
     _misses = 0;
+    _evictions = 0;
 }
 
 namespace {

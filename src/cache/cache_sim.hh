@@ -162,8 +162,7 @@ class CacheState
     std::uint64_t accesses() const { return _accesses; }
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
-    /** Cumulative evictions over the cache's whole lifetime. */
-    std::uint64_t evictions() const { return _cache.evictions(); }
+    std::uint64_t evictions() const { return _evictions; }
 
     const QubitCache &cache() const { return _cache; }
 
@@ -173,6 +172,7 @@ class CacheState
     std::uint64_t _accesses = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
+    std::uint64_t _evictions = 0;
 };
 
 /** Result of a cache simulation run. */

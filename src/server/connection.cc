@@ -1,5 +1,7 @@
 #include "connection.hh"
 
+#include <istream>
+#include <ostream>
 #include <utility>
 
 #include <poll.h>
@@ -21,7 +23,107 @@ badRequest(std::string message)
                       {}};
 }
 
+// The steps both loops take. Each writes its records through @p emit,
+// one record per call, newline excluded.
+
+/**
+ * The well-formed request of @p line (counted), or nullopt for a blank
+ * line or one its error record answers. A shutdown request is
+ * answered here with its empty done record; the caller ends its loop.
+ */
+template <typename Emit>
+std::optional<api::ServiceRequest>
+admitLine(const std::string &line, ConnectionStats &stats,
+          const Emit &emit)
+{
+    auto decoded = api::decodeServiceLine(line);
+    if (!decoded)
+        return std::nullopt;
+    if (!decoded->request.ok()) {
+        emit(api::recordError(decoded->id, decoded->request.error()));
+        ++stats.errors;
+        return std::nullopt;
+    }
+    ++stats.requests;
+    if (decoded->request.value().op == api::ServiceOp::Shutdown)
+        emit(api::recordDone(decoded->request.value().id, 0, 0, false));
+    return std::move(decoded->request).value();
+}
+
+/**
+ * Validate @p request, engage @p job as its CachedJob over @p cache
+ * (may be null) and emit the accepted record. A batch that fails
+ * validation gets its error record instead and leaves @p job empty.
+ */
+template <typename Emit>
+void
+openRequest(const api::ServiceRequest &request, api::Session &session,
+            opt::ResultCache *cache, std::optional<opt::CachedJob> &job,
+            ConnectionStats &stats, const Emit &emit)
+{
+    auto validated = api::validateExperiments(request.specs);
+    if (!validated.ok()) {
+        emit(api::recordError(request.id, validated.error()));
+        ++stats.errors;
+        return;
+    }
+    job.emplace(std::move(validated).value(), request.seed_mode,
+                request.seed.value_or(session.baseSeed()), cache,
+                request.limit);
+    emit(api::recordAccepted(request.id, job->totalPoints(),
+                             job->columns()));
+}
+
+/**
+ * The tail of request @p id once its row stream has ended: wait for
+ * @p job, then emit the error record of a failure that ended the
+ * stream, and the done record.
+ */
+template <typename Emit>
+void
+closeRequest(opt::CachedJob &job, const std::string &id,
+             ConnectionStats &stats, const Emit &emit)
+{
+    const auto result = job.wait();
+    stats.simulated += result.simulated;
+    if (result.failure) {
+        emit(api::recordError(id, *result.failure));
+        ++stats.errors;
+    }
+    const std::size_t total = job.totalPoints();
+    emit(api::recordDone(id, result.rows, total, result.rows < total));
+    stats.rows += result.rows;
+}
+
 } // namespace
+
+ConnectionStats
+runService(api::Session &session, std::istream &in, std::ostream &out)
+{
+    ConnectionStats stats;
+    const auto emit = [&out](const std::string &record) {
+        out << record << std::endl;
+    };
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto request = admitLine(line, stats, emit);
+        if (!request)
+            continue;
+        if (request->op == api::ServiceOp::Shutdown)
+            break;
+        std::optional<opt::CachedJob> job;
+        openRequest(*request, session, nullptr, job, stats, emit);
+        if (!job)
+            continue;
+        job->start(session);
+        std::size_t streamed = 0;
+        while (const auto row = job->next())
+            emit(api::recordRow(request->id, streamed++, job->columns(),
+                                *row));
+        closeRequest(*job, request->id, stats, emit);
+    }
+    return stats;
+}
 
 Connection::Connection(Fd socket, api::Session &session,
                        EventLoop &loop, opt::ResultCache *cache,
@@ -92,42 +194,29 @@ Connection::serveNextLine()
         ++_stats.errors;
         return;
     }
-    auto decoded = api::decodeServiceLine(line.text);
-    if (!decoded)
+    auto request = admitLine(
+        line.text, _stats,
+        [this](const std::string &record) { emit(record); });
+    if (!request)
         return;
-    if (!decoded->request.ok()) {
-        emit(api::recordError(decoded->id, decoded->request.error()));
-        ++_stats.errors;
-        return;
-    }
-    auto request = std::move(decoded->request).value();
-    ++_stats.requests;
-    if (request.op == api::ServiceOp::Shutdown) {
-        emit(api::recordDone(request.id, 0, 0, false));
+    if (request->op == api::ServiceOp::Shutdown) {
         _shutdown = true;
         _read_closed = true;
         _lines.clear();
         return;
     }
-    startRequest(std::move(request));
+    startRequest(std::move(*request));
 }
 
 void
 Connection::startRequest(api::ServiceRequest request)
 {
-    auto validated = api::validateExperiments(request.specs);
-    if (!validated.ok()) {
-        emit(api::recordError(request.id, validated.error()));
-        ++_stats.errors;
+    openRequest(request, _session, _cache, _job, _stats,
+                [this](const std::string &record) { emit(record); });
+    if (!_job)
         return;
-    }
     _request_id = std::move(request.id);
     _streamed = 0;
-    _job.emplace(std::move(validated).value(), request.seed_mode,
-                 request.seed.value_or(_session.baseSeed()), _cache,
-                 request.limit);
-    emit(api::recordAccepted(_request_id, _job->totalPoints(),
-                             _job->columns()));
 
     // Put the leading resolved rows (store hits and their repeats) on
     // the wire before the misses wake a worker, so the first row never
@@ -167,16 +256,8 @@ Connection::advanceRequest()
 void
 Connection::finishRequest()
 {
-    const auto result = _job->wait();
-    _stats.simulated += result.simulated;
-    if (result.failure) {
-        emit(api::recordError(_request_id, *result.failure));
-        ++_stats.errors;
-    }
-    const std::size_t total = _job->totalPoints();
-    emit(api::recordDone(_request_id, _streamed, total,
-                         _streamed < total));
-    _stats.rows += _streamed;
+    closeRequest(*_job, _request_id, _stats,
+                 [this](const std::string &record) { emit(record); });
     _job.reset();
 }
 

@@ -1,16 +1,21 @@
 /**
  * @file
- * One client of the experiment server: a non-blocking socket speaking
- * the JSONL protocol of api/service.hh, mapped onto api::Session jobs
- * and the server's result store (opt::ResultCache).
+ * The one request path of the JSONL protocol (api/service.hh), on
+ * both transports: runService serves stdio, and a Connection serves
+ * one client of the experiment server over a non-blocking socket.
+ * Both serve each request as one opt::CachedJob, through the same
+ * steps: decode the line, validate and emit the accepted record, hand
+ * out rows in request order, then wait for the job and emit the
+ * error record of a failure that ended the stream and the done
+ * record. A Connection also has the server's result store
+ * (opt::ResultCache); runService has none.
  *
  * Byte contract: for any input a client could also pipe into
- * `qmh_service` on stdio, the records this connection writes are
- * byte-identical to that stdio run — same formatters (api::record*),
- * same framing, same error text, same prefix semantics when a point
- * fails. The only divergences are wire-only conditions stdio cannot
- * hit (an oversized line, the max-clients rejection), which surface
- * as "unavailable"/"bad_request" error records.
+ * `qmh_service` on stdio, the records a connection writes are
+ * byte-identical to that stdio run. The only divergences are
+ * wire-only conditions stdio cannot hit (an oversized line, the
+ * max-clients rejection), which surface as "unavailable"/
+ * "bad_request" error records.
  *
  * Requests are served strictly in arrival order, one at a time per
  * connection (the stdio loop is sequential; matching it is what makes
@@ -21,13 +26,13 @@
  * connection only; job rows keep landing in the JobState and other
  * clients keep streaming.
  *
- * Cache path: each request is one opt::CachedJob, the cached sweep
- * frontierSearch also runs. In seed_mode "spec" it replays store hits
- * and intra-request repeats and runs only the misses; in "index" mode
- * every point runs. The accepted record and the leading resolved rows
- * are flushed before the misses are submitted, so the first row never
- * waits behind simulation work. Rows go out in request order, and a
- * failed miss ends the stream exactly where stdio would.
+ * Cache path: in seed_mode "spec" a CachedJob replays store hits and
+ * intra-request repeats and runs only the misses; in "index" mode
+ * every point runs. Misses past the request's limit never run. A
+ * connection flushes the accepted record and the leading resolved
+ * rows before the misses are submitted, so the first row never waits
+ * behind simulation work. Rows go out in request order, and a failed
+ * miss ends the stream exactly where stdio would.
  */
 
 #ifndef QMH_SERVER_CONNECTION_HH
@@ -35,6 +40,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,7 +63,8 @@ struct ConnectionConfig
     std::size_t max_pending_lines = 8;    ///< parsed-but-unserved cap
 };
 
-/** What one connection contributed (read after it finishes). */
+/** What one serve loop contributed: a connection (read after it
+ *  finishes) or a runService call. */
 struct ConnectionStats
 {
     std::size_t requests = 0;  ///< well-formed requests served
@@ -65,6 +72,14 @@ struct ConnectionStats
     std::size_t errors = 0;    ///< error records written
     std::size_t simulated = 0; ///< points actually run (not replayed)
 };
+
+/**
+ * Serve JSONL requests from @p in until EOF or a shutdown request
+ * (blank lines ignored), writing each record to @p out as it is
+ * produced. Errors are records, not exits.
+ */
+ConnectionStats runService(api::Session &session, std::istream &in,
+                           std::ostream &out);
 
 class Connection
 {

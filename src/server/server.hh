@@ -15,9 +15,10 @@
  * Capacity: at most max_clients concurrent connections; an accept
  * beyond that is answered with a single "unavailable" error record
  * and closed — a typed refusal, not a silent drop. Every client's
- * bytes follow the api/service.hh protocol exactly (same formatters
- * as stdio qmh_service), and a {"op":"shutdown"} request from any
- * client stops serve() once its done record is flushed.
+ * bytes follow the api/service.hh protocol exactly (the request
+ * steps of stdio qmh_service, connection.hh), and a
+ * {"op":"shutdown"} request from any client stops serve() once its
+ * done record is flushed.
  *
  * Destruction order matters and is pinned by member order: the
  * EventLoop is declared first (destroyed last) because pool workers

@@ -4,7 +4,7 @@
  * issue-width, and deterministic bank-conflict accounting.
  *
  * This is the ported mgsim BankedMemory/ParallelMemory shape on the
- * resource kernel (component.hh): a request for @p address hashes to
+ * resource kernel (port.hh): a request for @p address hashes to
  * bank `address % banks`; each bank is a width-1 Port that serves one
  * request at a time for `cycles_per_request + cycles_per_line x
  * lines` ticks out of a bounded request deque. All banks share a
@@ -29,7 +29,7 @@
 #include <memory>
 #include <vector>
 
-#include "component.hh"
+#include "port.hh"
 
 namespace qmh {
 namespace sim {

@@ -23,7 +23,6 @@ EventQueue::schedule(Tick when, Completion event)
     if (event.sink == nullptr)
         qmh_panic("scheduling an event without a sink");
     const Entry entry{when, _next_seq++, event.sink, event.tag};
-    ++_pending;
 
     // The lane of this delay, else an empty lane rebound to it, else
     // a lane never used, else the heap.
@@ -116,7 +115,6 @@ EventQueue::dispatchNext()
         return false;
 
     const Entry entry = from == lane_count ? popHeap() : popLane(from);
-    --_pending;
     _now = entry.when;
     ++_executed;
     entry.sink->complete(entry.tag);

@@ -92,9 +92,6 @@ class EventQueue
         schedule(_now + delay, event);
     }
 
-    /** True when no events remain. */
-    bool empty() const { return _pending == 0; }
-
     /** Run until the queue drains; now() is then the last event's tick. */
     void run();
 
@@ -138,7 +135,6 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
-    std::size_t _pending = 0;
 
     /// Lanes ever bound; the head scan stops here.
     std::size_t _lanes_used = 0;

@@ -1,4 +1,4 @@
-#include "component.hh"
+#include "port.hh"
 
 #include <algorithm>
 #include <utility>

@@ -37,8 +37,8 @@
  * width).
  */
 
-#ifndef QMH_SIM_COMPONENT_HH
-#define QMH_SIM_COMPONENT_HH
+#ifndef QMH_SIM_PORT_HH
+#define QMH_SIM_PORT_HH
 
 #include <cstdint>
 #include <string>
@@ -213,4 +213,4 @@ class Port final : private CompletionSink
 } // namespace sim
 } // namespace qmh
 
-#endif // QMH_SIM_COMPONENT_HH
+#endif // QMH_SIM_PORT_HH

@@ -10,8 +10,8 @@
 #include "common/units.hh"
 #include "net/transfer.hh"
 #include "sim/banked_memory.hh"
-#include "sim/component.hh"
 #include "sim/event_queue.hh"
+#include "sim/port.hh"
 
 namespace qmh {
 namespace trace {

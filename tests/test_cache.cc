@@ -337,6 +337,23 @@ TEST(CacheState, SteppingInProgramOrderMatchesInOrderDriver)
     EXPECT_EQ(state.evictions(), driver.evictions);
 }
 
+TEST(CacheSim, EvictionsNeverExceedMisses)
+{
+    // Every eviction makes room for a missed operand, so a run's
+    // evictions are at most its misses — a warm start included, whose
+    // warm-up pass is not part of the measured run.
+    const auto prog = gen::draperAdder(64);
+    for (const auto policy :
+         {FetchPolicy::InOrder, FetchPolicy::OptimizedLookahead}) {
+        for (const bool warm : {false, true}) {
+            const auto r = simulateCache(prog, 16, policy, warm);
+            EXPECT_GT(r.evictions, 0u);
+            EXPECT_LE(r.evictions, r.misses)
+                << fetchPolicyName(policy) << (warm ? " warm" : " cold");
+        }
+    }
+}
+
 TEST(CacheState, MissingOperandsPredictsAccessOutcome)
 {
     Program p("m", 3);

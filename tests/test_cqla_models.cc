@@ -47,6 +47,12 @@ struct AreaRow
     double paper_bacon_shor;
 };
 
+void
+PrintTo(const AreaRow &row, std::ostream *os)
+{
+    *os << "n" << row.n << "_" << row.blocks << "blocks";
+}
+
 class Table4Area : public ::testing::TestWithParam<AreaRow>
 {};
 
@@ -105,6 +111,12 @@ struct SpeedRow
     double paper_steane;
     double paper_bacon_shor;
 };
+
+void
+PrintTo(const SpeedRow &row, std::ostream *os)
+{
+    *os << "n" << row.n << "_" << row.blocks << "blocks";
+}
 
 class Table4Speedup : public ::testing::TestWithParam<SpeedRow>
 {};

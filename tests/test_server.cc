@@ -24,6 +24,7 @@
 #include "api/experiment.hh"
 #include "api/service.hh"
 #include "server/client.hh"
+#include "server/connection.hh"
 #include "server/event_loop.hh"
 #include "server/server.hh"
 #include "sweep/emit.hh"
@@ -64,7 +65,7 @@ stdioReference(const std::string &lines, unsigned threads = 2)
     api::Session session({.threads = threads, .base_seed = kSeed});
     std::istringstream in(lines);
     std::ostringstream out;
-    api::runService(session, in, out);
+    server::runService(session, in, out);
     return out.str();
 }
 

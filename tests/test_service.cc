@@ -10,7 +10,9 @@
 #include "api/service.hh"
 #include "common/json.hh"
 #include "opt/result_cache.hh"
+#include "server/connection.hh"
 #include "sweep/emit.hh"
+#include "sweep/sweep.hh"
 
 namespace qmh {
 namespace {
@@ -225,31 +227,6 @@ TEST(Service, ParsesAShutdownRequestWithoutSpecs)
     EXPECT_EQ(parsed.value().id, "bye");
 }
 
-TEST(Service, RequestSeedsFollowTheSeedMode)
-{
-    const auto parsed = api::parseServiceRequest(
-        R"({"seed":9,"seed_mode":"spec",)"
-        R"("specs":["experiment=cache n=64","experiment=cache"]})");
-    ASSERT_TRUE(parsed.ok());
-    const auto seeds = api::requestSeeds(parsed.value(), 1);
-    ASSERT_EQ(seeds.size(), 2u);
-    // Spec mode: each seed is a function of the spec alone, so it
-    // must agree with opt::specSeed over the canonical print.
-    EXPECT_EQ(seeds[0],
-              opt::specSeed(9,
-                            api::printSpec(parsed.value().specs[0])));
-    EXPECT_EQ(seeds[1],
-              opt::specSeed(9,
-                            api::printSpec(parsed.value().specs[1])));
-    EXPECT_NE(seeds[0], seeds[1]);
-
-    // Index mode (the default) leaves derivation to the session.
-    const auto indexed = api::parseServiceRequest(
-        R"({"specs":["experiment=cache n=64"]})");
-    ASSERT_TRUE(indexed.ok());
-    EXPECT_TRUE(api::requestSeeds(indexed.value(), 1).empty());
-}
-
 TEST(Service, RequestErrorsAreTyped)
 {
     using api::ErrorCode;
@@ -281,7 +258,7 @@ TEST(Service, RequestErrorsAreTyped)
 }
 
 // ---------------------------------------------------------------------------
-// runService
+// server::runService
 // ---------------------------------------------------------------------------
 
 std::string
@@ -290,7 +267,7 @@ serve(const std::string &requests, unsigned threads = 2)
     api::Session session({.threads = threads});
     std::istringstream in(requests);
     std::ostringstream out;
-    api::runService(session, in, out);
+    server::runService(session, in, out);
     return out.str();
 }
 
@@ -303,6 +280,97 @@ lines(const std::string &text)
     while (std::getline(in, line))
         result.push_back(line);
     return result;
+}
+
+TEST(Service, RequestSeedsFollowTheSeedMode)
+{
+    const std::vector<std::string> specs = {"experiment=cache n=64",
+                                            "experiment=cache"};
+    const auto served = [&](const std::string &mode) {
+        return lines(serve("{\"id\":\"s\",\"seed\":9,\"seed_mode\":\"" +
+                           mode + "\",\"specs\":[\"" + specs[0] +
+                           "\",\"" + specs[1] + "\"]}\n"));
+    };
+    const auto by_spec = served("spec");
+    const auto by_index = served("index");
+    ASSERT_EQ(by_spec.size(), 4u);
+    ASSERT_EQ(by_index.size(), 4u);
+    // The seed is a row's last cell, so its record ends with it.
+    const auto seed_cell = [](std::uint64_t seed) {
+        return "\"seed\":" + std::to_string(seed) + "}}";
+    };
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto &spec_row = by_spec[1 + i];
+        const auto &index_row = by_index[1 + i];
+        // Spec mode: each seed is a function of the spec alone, so it
+        // must agree with opt::specSeed over the canonical print.
+        const auto canonical =
+            api::printSpec(api::parseSpec(specs[i]).spec);
+        EXPECT_TRUE(
+            spec_row.ends_with(seed_cell(opt::specSeed(9, canonical))))
+            << spec_row;
+        // Index mode: a function of the position in the request.
+        EXPECT_TRUE(
+            index_row.ends_with(seed_cell(sweep::pointSeed(9, i))))
+            << index_row;
+    }
+    EXPECT_NE(by_spec[1].substr(by_spec[1].rfind("\"seed\"")),
+              by_spec[2].substr(by_spec[2].rfind("\"seed\"")));
+}
+
+/** What one runService call wrote, and its counters. */
+struct Served
+{
+    std::vector<std::string> records;
+    server::ConnectionStats stats;
+};
+
+Served
+serveCounted(const std::string &requests, unsigned threads)
+{
+    api::Session session({.threads = threads});
+    std::istringstream in(requests);
+    std::ostringstream out;
+    const auto stats = server::runService(session, in, out);
+    return {lines(out.str()), stats};
+}
+
+TEST(Service, LimitRunsOnlyTheRowsItStreams)
+{
+    // limit=2 over six points: the four past it never run, whatever
+    // the thread count.
+    std::string request = "{\"id\":\"l\",\"limit\":2,\"specs\":[";
+    for (int i = 0; i < 6; ++i)
+        request += std::string(i ? "," : "") +
+                   "\"experiment=montecarlo trials=" +
+                   std::to_string(400 + i) + "\"";
+    request += "]}\n";
+    const auto served = serveCounted(request, 4);
+    EXPECT_EQ(served.stats.simulated, 2u);
+    EXPECT_EQ(served.stats.rows, 2u);
+    ASSERT_EQ(served.records.size(), 4u);
+    EXPECT_NE(served.records.back().find(
+                  "\"rows\":2,\"total\":6,\"cancelled\":true"),
+              std::string::npos);
+}
+
+TEST(Service, SpecModeRunsARepeatedSpecOnce)
+{
+    const auto served = serveCounted(
+        "{\"id\":\"r\",\"seed_mode\":\"spec\",\"specs\":["
+        "\"experiment=montecarlo trials=400\","
+        "\"experiment=montecarlo trials=400\","
+        "\"experiment=montecarlo trials=400\"]}\n",
+        4);
+    EXPECT_EQ(served.stats.simulated, 1u);
+    EXPECT_EQ(served.stats.rows, 3u);
+    const auto &records = served.records;
+    ASSERT_EQ(records.size(), 5u);
+    const auto cells = [](const std::string &record) {
+        return record.substr(record.find("\"cells\""));
+    };
+    EXPECT_EQ(cells(records[1]), cells(records[2]));
+    EXPECT_EQ(cells(records[1]), cells(records[3]));
 }
 
 /** Two bandwidth points: accepted, two rows, done. */

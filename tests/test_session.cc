@@ -13,6 +13,7 @@
 #include "api/session.hh"
 #include "api/workload.hh"
 #include "run_table.hh"
+#include "server/connection.hh"
 
 namespace qmh {
 namespace api {
@@ -190,7 +191,7 @@ TEST(SpecKeys, EveryKindRejectsEveryKeyItDoesNotRead)
     requests += "{\"id\":\"after\",\"specs\":[\"experiment=bandwidth\"]}\n";
     std::istringstream in(requests);
     std::ostringstream out;
-    runService(session, in, out);
+    server::runService(session, in, out);
     std::istringstream records(out.str());
     std::size_t invalid = 0;
     std::string record;

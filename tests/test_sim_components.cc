@@ -15,8 +15,8 @@
 #include "closure_sink.hh"
 #include "common/units.hh"
 #include "sim/banked_memory.hh"
-#include "sim/component.hh"
 #include "sim/event_queue.hh"
+#include "sim/port.hh"
 
 namespace qmh {
 namespace sim {

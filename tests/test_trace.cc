@@ -13,6 +13,7 @@
 #include "api/workload.hh"
 #include "circuit/text_format.hh"
 #include "run_table.hh"
+#include "server/connection.hh"
 #include "trace/engine.hh"
 
 namespace qmh {
@@ -279,7 +280,7 @@ TEST(TraceService, SweepRequestStreamsRowsAndDone)
         "\"experiment=trace workload=qft n=12 blocks=4 transfers=2 "
         "capacity=12\"]}\n");
     std::ostringstream out;
-    api::runService(session, in, out);
+    server::runService(session, in, out);
     const auto output = out.str();
     EXPECT_NE(output.find("\"type\":\"accepted\",\"id\":\"t\","
                           "\"total\":2"),
