@@ -73,7 +73,6 @@ QubitCache::touch(circuit::QubitId qubit,
         n = _tail;
         const auto victim = _nodes[n].qubit;
         _where[victim.value()] = npos;
-        ++_evictions;
         if (evicted)
             evicted->push_back(victim);
         unlink(n);

@@ -66,7 +66,6 @@ class QubitCache
 
     std::size_t capacity() const { return _capacity; }
     std::size_t size() const { return _nodes.size(); }
-    std::uint64_t evictions() const { return _evictions; }
 
     /**
      * Resident qubits in recency order, most recent first. Read from
@@ -98,7 +97,6 @@ class QubitCache
     std::vector<std::uint32_t> _where;
     std::uint32_t _head = npos;
     std::uint32_t _tail = npos;
-    std::uint64_t _evictions = 0;
 };
 
 /**

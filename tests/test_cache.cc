@@ -15,14 +15,15 @@ using circuit::QubitId;
 TEST(QubitCache, LruEviction)
 {
     QubitCache c(2);
-    EXPECT_FALSE(c.touch(QubitId(0)));
-    EXPECT_FALSE(c.touch(QubitId(1)));
-    EXPECT_TRUE(c.touch(QubitId(0)));   // refresh 0: LRU is now 1
-    EXPECT_FALSE(c.touch(QubitId(2)));  // evicts 1
+    std::vector<QubitId> evicted;
+    EXPECT_FALSE(c.touch(QubitId(0), &evicted));
+    EXPECT_FALSE(c.touch(QubitId(1), &evicted));
+    EXPECT_TRUE(c.touch(QubitId(0), &evicted));   // refresh 0: LRU is 1
+    EXPECT_FALSE(c.touch(QubitId(2), &evicted));  // evicts 1
     EXPECT_TRUE(c.contains(QubitId(0)));
     EXPECT_FALSE(c.contains(QubitId(1)));
     EXPECT_TRUE(c.contains(QubitId(2)));
-    EXPECT_EQ(c.evictions(), 1u);
+    EXPECT_EQ(evicted, std::vector<QubitId>{QubitId(1)});
 }
 
 TEST(QubitCache, ResidentsReportRecencyOrderNotHashOrder)
@@ -81,16 +82,16 @@ TEST(QubitCache, ResidentsTrackInterleavedHitMissEvictSequences)
     const std::vector<QubitId> victims = {QubitId(2), QubitId(4),
                                           QubitId(2)};
     EXPECT_EQ(evicted, victims);
-    EXPECT_EQ(c.evictions(), 3u);
 }
 
 TEST(QubitCache, CapacityRespected)
 {
     QubitCache c(3);
+    std::vector<QubitId> evicted;
     for (int i = 0; i < 10; ++i)
-        c.touch(QubitId(static_cast<unsigned>(i)));
+        c.touch(QubitId(static_cast<unsigned>(i)), &evicted);
     EXPECT_EQ(c.size(), 3u);
-    EXPECT_EQ(c.evictions(), 7u);
+    EXPECT_EQ(evicted.size(), 7u);
 }
 
 TEST(CacheSim, SequentialReuseHits)

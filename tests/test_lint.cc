@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -262,17 +261,17 @@ TEST(LintLockDiscipline, BlockingCallsUnderALiveLockAreFlagged)
 {
     const auto text = fixtureText("lock_discipline.cc");
 
-    // Both concurrent domains, same findings: the three blocking
+    // Every concurrent domain, same findings: the three blocking
     // calls under the guard and the foreign (non-cv) wait. The
     // released-scope read and the cv.wait(lock) stay clean.
     const Findings expect = {{12, "lock-discipline"},
                              {13, "lock-discipline"},
                              {14, "lock-discipline"},
                              {39, "lock-discipline"}};
-    const auto server = lintText("src/server/fixture.cc", text);
-    EXPECT_EQ(findings(server), expect);
-    const auto sweep = lintText("src/sweep/fixture.cc", text);
-    EXPECT_EQ(findings(sweep), expect);
+    for (const char *path :
+         {"src/server/fixture.cc", "src/sweep/fixture.cc",
+          "src/api/fixture.cc", "src/opt/fixture.cc"})
+        EXPECT_EQ(findings(lintText(path, text)), expect) << path;
 
     // Outside the concurrent domains the rule is off.
     const auto engine = lintText("src/sim/fixture.cc", text);
@@ -379,87 +378,6 @@ TEST(LintUncheckedOutcome, DiscardFlaggedAmbiguousAndBoundSkipped)
     EXPECT_NE(discard.message.find("fetchThing"), std::string::npos);
 }
 
-namespace {
-
-std::string
-renderReport(const Report &report)
-{
-    std::string out;
-    for (const auto &diagnostic : report.diagnostics) {
-        out += diagnostic.format();
-        out += "\n";
-    }
-    return out;
-}
-
-std::vector<std::string>
-realTreeRoots()
-{
-    return {QMH_LINT_SOURCE_DIR "/src", QMH_LINT_SOURCE_DIR "/bench",
-            QMH_LINT_SOURCE_DIR "/examples",
-            QMH_LINT_SOURCE_DIR "/tests"};
-}
-
-} // namespace
-
-TEST(LintTreeEngine, ReportIsByteIdenticalAcrossThreadCounts)
-{
-    // The sweep determinism contract applied to the linter itself:
-    // 1 worker and 8 workers must produce identical reports, down to
-    // the SARIF bytes.
-    TreeOptions one;
-    one.threads = 1;
-    TreeOptions eight;
-    eight.threads = 8;
-    const auto serial = lintTree(realTreeRoots(), one);
-    const auto parallel = lintTree(realTreeRoots(), eight);
-    EXPECT_EQ(serial.files_scanned, parallel.files_scanned);
-    EXPECT_EQ(renderReport(serial), renderReport(parallel));
-    EXPECT_EQ(toSarif(serial), toSarif(parallel));
-}
-
-TEST(LintTreeEngine, WarmCacheParsesZeroFilesAndMatchesCold)
-{
-    const std::string cache_path =
-        ::testing::TempDir() + "qmh_lint_facts_cache.jsonl";
-    std::remove(cache_path.c_str());
-
-    TreeOptions options;
-    options.cache_path = cache_path;
-    const auto cold = lintTree(realTreeRoots(), options);
-    EXPECT_EQ(cold.files_cached, 0u);
-    EXPECT_EQ(cold.files_parsed, cold.files_scanned);
-
-    // Second run over the unchanged tree: every file served from the
-    // facts cache, zero parsed, identical report.
-    const auto warm = lintTree(realTreeRoots(), options);
-    EXPECT_EQ(warm.files_parsed, 0u);
-    EXPECT_EQ(warm.files_cached, warm.files_scanned);
-    EXPECT_EQ(warm.files_scanned, cold.files_scanned);
-    EXPECT_EQ(renderReport(cold), renderReport(warm));
-    std::remove(cache_path.c_str());
-}
-
-TEST(LintTreeEngine, CorruptCacheIsIgnoredNotTrusted)
-{
-    const std::string cache_path =
-        ::testing::TempDir() + "qmh_lint_corrupt_cache.jsonl";
-    {
-        std::ofstream out(cache_path, std::ios::trunc);
-        out << "{\"format\":\"qmh-lint-facts-v1\"}\n"
-            << "this is not json\n"
-            << "{\"path\":\"x\"}\n";
-    }
-    TreeOptions options;
-    options.cache_path = cache_path;
-    const auto report =
-        lintTree({fixturePath("cycle_tree")}, options);
-    // Unusable entries are cache misses, not failures.
-    EXPECT_EQ(report.files_cached, 0u);
-    EXPECT_EQ(report.files_parsed, report.files_scanned);
-    std::remove(cache_path.c_str());
-}
-
 TEST(LintSarif, CarriesRuleMetadataAndFindings)
 {
     TreeOptions options;
@@ -485,6 +403,20 @@ TEST(LintTree, SingleFileRootIsScanned)
         lintTree({fixturePath("wallclock_clean.cc")});
     EXPECT_EQ(report.files_scanned, 1u);
     EXPECT_TRUE(report.clean());
+}
+
+TEST(LintTree, MissingRootIsAnIoError)
+{
+    // A typo'd root must never read as a clean tree.
+    const std::string missing =
+        fixturePath("no_such_directory_anywhere");
+    const auto report =
+        lintTree({missing, fixturePath("wallclock_clean.cc")});
+    EXPECT_EQ(report.files_scanned, 1u);
+    ASSERT_EQ(report.diagnostics.size(), 1u);
+    EXPECT_EQ(report.diagnostics[0].file, missing);
+    EXPECT_EQ(report.diagnostics[0].rule, "io-error");
+    EXPECT_FALSE(report.clean());
 }
 
 TEST(LintTree, TheRealTreeIsCleanWithJustifiedSuppressionsOnly)

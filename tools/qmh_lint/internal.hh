@@ -2,21 +2,17 @@
  * @file
  * qmh-lint internals: the seam between the per-file engine (lint.cc —
  * scrubber, tokenizer, token rules, fact extraction) and the
- * whole-tree engine (tree.cc — layering, unchecked-outcome, the
- * parallel driver and the facts cache).
+ * whole-tree engine (tree.cc — the file walk, layering and
+ * unchecked-outcome).
  *
  * The unit of work is FileFacts: everything the tree passes need from
- * one file, extracted in a single scrub+tokenize visit. Facts are a
- * pure function of (path, file bytes, companion-header bytes), which
- * is what makes them cacheable by content hash and the parallel lint
- * deterministic — cross-file analysis happens later, over the facts
- * alone, in sorted path order.
+ * one file, extracted in a single scrub+tokenize visit. Cross-file
+ * analysis happens later, over the facts alone, in sorted path order.
  */
 
 #ifndef QMH_TOOLS_LINT_INTERNAL_HH
 #define QMH_TOOLS_LINT_INTERNAL_HH
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,7 +54,6 @@ struct TreeSuppression
 struct FileFacts
 {
     std::string path;
-    std::uint64_t hash = 0;  ///< content hash incl. companion header
 
     /** Per-file rule findings, suppression-resolved. */
     std::vector<Diagnostic> local_diags;
@@ -77,54 +72,22 @@ struct FileFacts
     bool io_error = false;  ///< file could not be read
 };
 
-/** FNV-1a 64 over @p text (the facts-cache content hash). */
-std::uint64_t contentHash(std::string_view text);
-
 /** Canonical report order: (file, line, rule, message), deduped. */
 void sortUniqueDiagnostics(std::vector<Diagnostic> &diagnostics);
-
-/** Raw bytes of a file plus its companion header (same stem, .hh/.h;
- * empty when the file is a header or has no companion). */
-struct FileInput
-{
-    std::string text;
-    std::string header_text;
-    bool ok = false;  ///< the file itself was readable
-};
-
-/** Read @p path and its companion header from disk. */
-FileInput readFileInput(const std::string &path);
-
-/** The facts-cache key for @p input: content hash of the file folded
- * with the companion header's (facts depend on both). */
-std::uint64_t inputHash(const FileInput &input);
-
-/** analyzeText over already-read bytes; @p input.ok must be true. */
-FileFacts analyzeInput(const std::string &path,
-                       const FileInput &input);
 
 /**
  * Extract facts from @p text as the file @p policy_path.
  * @p header_names seeds ordered-iteration with unordered-container
- * members declared in the companion header; @p header_hash folds the
- * companion's bytes into the content hash (facts depend on both).
+ * members declared in the companion header.
  */
 FileFacts analyzeText(std::string_view policy_path,
                       std::string_view text,
-                      const std::vector<std::string> &header_names,
-                      std::uint64_t header_hash);
+                      const std::vector<std::string> &header_names);
 
 /** analyzeText over a file from disk, companion header included.
  * Unreadable files come back with io_error set and an "io-error"
  * diagnostic. */
 FileFacts analyzeFile(const std::string &path);
-
-/** One JSONL cache line for @p facts (no trailing newline). */
-std::string factsToJson(const FileFacts &facts);
-
-/** Inverse of factsToJson; false on malformed input (the caller
- * treats that entry as a cache miss). */
-bool factsFromJson(const std::string &line, FileFacts &facts);
 
 } // namespace detail
 } // namespace lint

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -47,10 +46,10 @@ constexpr RuleInfo rule_infos[] = {
      "headers that exist to break the other rules (<ctime>, <random>, "
      "<sys/time.h>) stay out of the tree"},
     {"lock-discipline",
-     "src/server and src/sweep never block (poll/read/write/wait/"
-     "simulate/runSpecSweep/->run()) while a lock_guard/unique_lock/"
-     "scoped_lock is live; condition-variable waits ON the lock are "
-     "the sanctioned exception"},
+     "src/api, src/opt, src/server and src/sweep never block (poll/"
+     "read/write/wait/simulate/->run()) while a lock_guard/"
+     "unique_lock/scoped_lock is live; condition-variable waits ON "
+     "the lock are the sanctioned exception"},
     {"layering",
      "the src/ include graph respects the declared layer policy: no "
      "upward includes, no forbidden facade-bypass edges, no include "
@@ -137,10 +136,14 @@ policyFor(std::string_view path)
     // enforced in strict mode there.
     if (path.find("src/sim/") != std::string_view::npos)
         policy.ordered_iteration_strict = true;
-    // The concurrent domains: the multi-client server and the worker
-    // pool. A blocking call under a held lock serializes every other
-    // client/worker, so it is a finding there.
-    if (path.find("src/server/") != std::string_view::npos ||
+    // The concurrent domains: the session's worker claim loop and
+    // prepared slots (api), the result store and CachedJob (opt), the
+    // multi-client server and the worker pool (sweep). A blocking
+    // call under a held lock serializes every other client/worker,
+    // so it is a finding there.
+    if (path.find("src/api/") != std::string_view::npos ||
+        path.find("src/opt/") != std::string_view::npos ||
+        path.find("src/server/") != std::string_view::npos ||
         path.find("src/sweep/") != std::string_view::npos)
         policy.lock_discipline = true;
     return policy;
@@ -952,8 +955,8 @@ ruleLockDiscipline(const std::string &file,
                 continue;
         }
         std::string what;
-        if (inSet(t.text, {"poll", "read", "write", "wait", "simulate",
-                           "runSpecSweep"}) &&
+        if (inSet(t.text,
+                  {"poll", "read", "write", "wait", "simulate"}) &&
             i + 1 < tokens.size() && tokens[i + 1].is("("))
             what = std::string(t.text) + "()";
         else if (t.is("run") && i > 0 && tokens[i - 1].is("->") &&
@@ -1220,17 +1223,6 @@ ruleDescription(std::string_view rule)
 
 namespace detail {
 
-std::uint64_t
-contentHash(std::string_view text)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
-
 void
 sortUniqueDiagnostics(std::vector<Diagnostic> &diagnostics)
 {
@@ -1256,12 +1248,10 @@ sortUniqueDiagnostics(std::vector<Diagnostic> &diagnostics)
 
 FileFacts
 analyzeText(std::string_view policy_path, std::string_view text,
-            const std::vector<std::string> &header_names,
-            std::uint64_t header_hash)
+            const std::vector<std::string> &header_names)
 {
     FileFacts facts;
     facts.path = std::string(policy_path);
-    facts.hash = contentHash(text) * 0x100000001B3ULL ^ header_hash;
 
     const std::string file(policy_path);
     const Policy policy = policyFor(policy_path);
@@ -1326,23 +1316,26 @@ analyzeText(std::string_view policy_path, std::string_view text,
     return facts;
 }
 
-FileInput
-readFileInput(const std::string &path)
+FileFacts
+analyzeFile(const std::string &path)
 {
-    FileInput input;
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return input;
+    if (!in) {
+        FileFacts facts;
+        facts.path = path;
+        facts.io_error = true;
+        facts.local_diags.push_back(
+            {path, 0, "io-error", "cannot read file", ""});
+        return facts;
+    }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    input.text = buffer.str();
-    input.ok = true;
 
     // An implementation file iterates members its header declares;
     // per-file analysis would never see `std::unordered_map ... _m;`
-    // from foo.hh while checking foo.cc's range-fors, and the facts
-    // cache must invalidate when the header changes. Read the
-    // companion (same stem, .hh/.h) alongside.
+    // from foo.hh while checking foo.cc's range-fors. Scan the
+    // companion (same stem, .hh/.h) for unordered-container names.
+    std::vector<std::string> header_names;
     const auto ext = std::filesystem::path(path).extension().string();
     if (ext == ".cc" || ext == ".cpp") {
         for (const char *header_ext : {".hh", ".h"}) {
@@ -1353,47 +1346,15 @@ readFileInput(const std::string &path)
                 continue;
             std::ostringstream header_buffer;
             header_buffer << header.rdbuf();
-            input.header_text = header_buffer.str();
+            // Keep the scrub result alive while tokens (string_views
+            // into its code buffer) are read.
+            const auto header_scrubbed = scrub(header_buffer.str());
+            header_names =
+                unorderedNames(tokenize(header_scrubbed.code));
             break;
         }
     }
-    return input;
-}
-
-std::uint64_t
-inputHash(const FileInput &input)
-{
-    return contentHash(input.text) * 0x100000001B3ULL ^
-           contentHash(input.header_text);
-}
-
-FileFacts
-analyzeInput(const std::string &path, const FileInput &input)
-{
-    std::vector<std::string> header_names;
-    if (!input.header_text.empty()) {
-        // Keep the scrub result alive while tokens (string_views
-        // into its code buffer) are read.
-        const auto header_scrubbed = scrub(input.header_text);
-        header_names = unorderedNames(tokenize(header_scrubbed.code));
-    }
-    return analyzeText(path, input.text, header_names,
-                       contentHash(input.header_text));
-}
-
-FileFacts
-analyzeFile(const std::string &path)
-{
-    const FileInput input = readFileInput(path);
-    if (!input.ok) {
-        FileFacts facts;
-        facts.path = path;
-        facts.io_error = true;
-        facts.local_diags.push_back(
-            {path, 0, "io-error", "cannot read file", ""});
-        return facts;
-    }
-    return analyzeInput(path, input);
+    return analyzeText(path, buffer.str(), header_names);
 }
 
 } // namespace detail
@@ -1401,12 +1362,9 @@ analyzeFile(const std::string &path)
 Report
 lintText(std::string_view policy_path, std::string_view text)
 {
-    const auto facts =
-        detail::analyzeText(policy_path, text, {},
-                            detail::contentHash(std::string_view()));
+    const auto facts = detail::analyzeText(policy_path, text, {});
     Report report;
     report.files_scanned = 1;
-    report.files_parsed = 1;
     report.diagnostics = facts.local_diags;
     return report;
 }
@@ -1416,10 +1374,8 @@ lintFile(const std::string &path)
 {
     auto facts = detail::analyzeFile(path);
     Report report;
-    if (!facts.io_error) {
+    if (!facts.io_error)
         report.files_scanned = 1;
-        report.files_parsed = 1;
-    }
     report.diagnostics = std::move(facts.local_diags);
     return report;
 }

@@ -25,9 +25,9 @@
  *                       Outcome instead of panicking/throwing/exiting;
  *  - banned-headers     headers that exist only to break the rules
  *                       above (<ctime>, <random>, ...) stay out;
- *  - lock-discipline    src/server and src/sweep never make a
- *                       blocking call (poll/read/write/wait/simulate/
- *                       runSpecSweep/->run()) while a lock_guard /
+ *  - lock-discipline    src/api, src/opt, src/server and src/sweep
+ *                       never make a blocking call (poll/read/write/
+ *                       wait/simulate/->run()) while a lock_guard /
  *                       unique_lock / scoped_lock is live in an
  *                       enclosing scope (condition-variable waits ON
  *                       the lock are the sanctioned exception).
@@ -42,13 +42,9 @@
  *                       returning Outcome<...> is never discarded as
  *                       a bare expression-statement.
  *
- * The tree engine gets production treatment: files are linted in
- * parallel on the sweep::ThreadPool with diagnostics merged in
- * sorted-path order (bit-identical output at 1 or N threads — the
- * same contract as sweeps), per-file facts are memoized in a
- * content-hash JSONL cache (a warm re-lint of an unchanged tree
- * parses zero files), and reports can be emitted as SARIF 2.1.0 for
- * CI code-scanning annotations.
+ * The tree engine lints files one after another in sorted-path order,
+ * so the report is deterministic, and reports can be emitted as
+ * SARIF 2.1.0 for CI code-scanning annotations.
  *
  * Every rule is heuristic, so each supports inline suppression:
  *
@@ -89,8 +85,6 @@ struct Report
 {
     std::vector<Diagnostic> diagnostics;
     std::size_t files_scanned = 0;  ///< files visited this run
-    std::size_t files_parsed = 0;   ///< tokenized + analyzed fresh
-    std::size_t files_cached = 0;   ///< facts served from the cache
 
     bool clean() const { return diagnostics.empty(); }
 };
@@ -104,11 +98,12 @@ const char *ruleDescription(std::string_view rule);
 /**
  * Lint @p text as if it were the file @p policy_path, per-file rules
  * only. The path picks the per-directory policy (typed-errors only
- * under src/api/ and src/server/, lock-discipline under src/server/
- * and src/sweep/, no-raw-rand waived inside the sanctioned
- * src/common/random home), so tests can label fixture content into
- * any policy domain. Whole-tree rules (layering, unchecked-outcome)
- * need every file's facts and only run under lintTree.
+ * under src/api/ and src/server/, lock-discipline under src/api/,
+ * src/opt/, src/server/ and src/sweep/, no-raw-rand waived inside
+ * the sanctioned src/common/random home), so tests can label fixture
+ * content into any policy domain. Whole-tree rules (layering,
+ * unchecked-outcome) need every file's facts and only run under
+ * lintTree.
  */
 Report lintText(std::string_view policy_path, std::string_view text);
 
@@ -124,13 +119,6 @@ Report lintFile(const std::string &path);
 /** Options for whole-tree analysis. */
 struct TreeOptions
 {
-    /** Worker threads; 0 = one per hardware thread. The report is
-     * bit-identical at any thread count. */
-    unsigned threads = 0;
-    /** JSONL facts-cache path; empty = no incremental cache. The
-     * cache is keyed on (path, content hash incl. companion header)
-     * and rewritten wholesale after every run. */
-    std::string cache_path;
     /** Layer policy text (see defaultLayerPolicy() for the format);
      * empty = the built-in policy over the src/ modules. */
     std::string layer_policy;
@@ -156,13 +144,13 @@ const char *defaultLayerPolicy();
  * include graph, unchecked-outcome over the Outcome function index).
  * Directories named "lint_fixtures" are skipped: fixtures contain
  * intentional violations and are linted explicitly by the self-tests.
- * Files are processed in parallel but merged in sorted path order, so
- * the report is deterministic and thread-count independent.
+ * Files are analyzed in sorted path order, so the report is
+ * deterministic.
  */
 Report lintTree(const std::vector<std::string> &roots,
                 const TreeOptions &options);
 
-/** lintTree with default options (all hardware threads, no cache). */
+/** lintTree under the built-in layer policy. */
 Report lintTree(const std::vector<std::string> &roots);
 
 /**

@@ -11,16 +11,12 @@
  *   3  I/O error (a root or explicit file could not be read)
  *
  *   qmh_lint src bench examples tests
- *   qmh_lint --threads=8 --cache=build/lint_cache.jsonl src
  *   qmh_lint --format=sarif src > lint.sarif
- *   qmh_lint --layers=my_policy.txt src
  *   qmh_lint --list-rules
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,13 +32,7 @@ usage(std::ostream &out)
            "architecture contracts.\n"
         << "options:\n"
         << "  --list-rules        print every rule and exit\n"
-        << "  --threads=N         worker threads (0 = one per core; "
-           "report is identical at any N)\n"
-        << "  --cache=FILE        JSONL facts cache; warm re-lints "
-           "of an unchanged tree parse zero files\n"
         << "  --format=text|sarif output format (default text)\n"
-        << "  --layers=FILE       layer policy file (default: "
-           "built-in src/ policy; --print-layers shows it)\n"
         << "  --print-layers      print the built-in layer policy "
            "and exit\n"
         << "Suppress a finding with\n"
@@ -67,7 +57,6 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> roots;
-    qmh::lint::TreeOptions options;
     bool sarif = false;
     for (int i = 1; i < argc; ++i) {
         std::string value;
@@ -86,22 +75,6 @@ main(int argc, char **argv)
             std::cout << qmh::lint::defaultLayerPolicy();
             return 0;
         }
-        if (optValue(argv[i], "--threads", value)) {
-            char *end = nullptr;
-            const long threads = std::strtol(value.c_str(), &end, 10);
-            if (!end || *end != '\0' || threads < 0 ||
-                threads > 1024) {
-                std::cerr << "qmh_lint: bad --threads value '"
-                          << value << "'\n";
-                return 2;
-            }
-            options.threads = static_cast<unsigned>(threads);
-            continue;
-        }
-        if (optValue(argv[i], "--cache", value)) {
-            options.cache_path = value;
-            continue;
-        }
         if (optValue(argv[i], "--format", value)) {
             if (value == "sarif") {
                 sarif = true;
@@ -110,18 +83,6 @@ main(int argc, char **argv)
                           << "' (expected text or sarif)\n";
                 return 2;
             }
-            continue;
-        }
-        if (optValue(argv[i], "--layers", value)) {
-            std::ifstream in(value, std::ios::binary);
-            if (!in) {
-                std::cerr << "qmh_lint: cannot read layer policy '"
-                          << value << "'\n";
-                return 3;
-            }
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            options.layer_policy = buffer.str();
             continue;
         }
         if (argv[i][0] == '-') {
@@ -137,7 +98,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto report = qmh::lint::lintTree(roots, options);
+    const auto report = qmh::lint::lintTree(roots);
 
     // An explicit root the engine could not read is an invocation
     // problem, not a lint finding: report it on its own exit code so
@@ -155,8 +116,7 @@ main(int argc, char **argv)
     }
     std::cerr << "qmh_lint: " << report.diagnostics.size()
               << " finding(s) in " << report.files_scanned
-              << " file(s) (" << report.files_parsed << " parsed, "
-              << report.files_cached << " cached)\n";
+              << " file(s)\n";
     if (io_error)
         return 3;
     return report.clean() ? 0 : 1;

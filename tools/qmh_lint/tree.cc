@@ -1,13 +1,11 @@
 /**
  * @file
- * The whole-tree lint engine: parallel fact extraction over the
- * sweep::ThreadPool, the content-hash facts cache, and the two
- * cross-file passes (layering over the module include graph,
- * unchecked-outcome over the Outcome function index).
+ * The whole-tree lint engine: one sequential fact-extraction pass
+ * over the sorted file list, then the two cross-file passes
+ * (layering over the module include graph, unchecked-outcome over
+ * the Outcome function index).
  *
- * Determinism contract: the report is bit-identical at any thread
- * count and any cache temperature. Workers only fill slot i of a
- * pre-sized facts vector (files are sorted first), every cross-file
+ * Determinism: files are sorted before analysis, every cross-file
  * pass iterates facts in that order, and the merged diagnostics get
  * one final canonical sort.
  */
@@ -15,19 +13,13 @@
 #include "qmh_lint/lint.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
-#include "common/json.hh"
 #include "qmh_lint/internal.hh"
-#include "sweep/emit.hh"
-#include "sweep/thread_pool.hh"
 
 namespace qmh {
 namespace lint {
@@ -386,8 +378,8 @@ passUncheckedOutcome(const std::vector<detail::FileFacts> &all,
     // The index: names declared in src/ modules to return
     // Outcome<...>, minus any name also declared with another return
     // type (a token-level call site cannot type its receiver, so
-    // ambiguous names — ThreadPool::submit vs Session::submit — are
-    // left to the [[nodiscard]] attribute and the compiler).
+    // ambiguous names — the thread pool's submit vs Session::submit
+    // — are left to the [[nodiscard]] attribute and the compiler).
     std::set<std::string> outcome_names;
     std::set<std::string> plain_names;
     for (const auto &facts : all) {
@@ -420,65 +412,6 @@ passUncheckedOutcome(const std::vector<detail::FileFacts> &all,
                  "result truly does not matter, suppress with the "
                  "reason"});
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Facts cache (JSONL, content-hash keyed)
-// ---------------------------------------------------------------------------
-
-constexpr const char *kCacheFormat = "qmh-lint-facts-v1";
-
-std::string
-hashToHex(std::uint64_t hash)
-{
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buffer;
-}
-
-std::map<std::string, detail::FileFacts>
-loadCache(const std::string &path)
-{
-    std::map<std::string, detail::FileFacts> cache;
-    if (path.empty())
-        return cache;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return cache;
-    std::string line;
-    if (!std::getline(in, line))
-        return cache;
-    const auto header = json::parse(line);
-    if (!header.ok())
-        return cache;
-    const auto *format = header.value.find("format");
-    if (!format || !format->isString() ||
-        format->string() != kCacheFormat)
-        return cache;  // other versions: start cold
-    while (std::getline(in, line)) {
-        detail::FileFacts facts;
-        if (detail::factsFromJson(line, facts))
-            cache[facts.path] = std::move(facts);
-    }
-    return cache;
-}
-
-void
-writeCache(const std::string &path,
-           const std::vector<detail::FileFacts> &all)
-{
-    if (path.empty())
-        return;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return;  // an unwritable cache only costs the next warm run
-    out << "{\"format\":" << sweep::jsonQuote(kCacheFormat) << "}\n";
-    for (const auto &facts : all) {
-        if (facts.io_error)
-            continue;  // unreadable files are re-attempted every run
-        out << detail::factsToJson(facts) << "\n";
     }
 }
 
@@ -528,149 +461,6 @@ collectFiles(const std::vector<std::string> &roots,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Facts (de)serialization
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-std::string
-factsToJson(const FileFacts &facts)
-{
-    std::ostringstream out;
-    out << "{\"path\":" << sweep::jsonQuote(facts.path)
-        << ",\"hash\":\"" << hashToHex(facts.hash) << "\"";
-    out << ",\"diags\":[";
-    for (std::size_t i = 0; i < facts.local_diags.size(); ++i) {
-        const auto &d = facts.local_diags[i];
-        out << (i ? "," : "") << "[" << d.line << ","
-            << sweep::jsonQuote(d.rule) << ","
-            << sweep::jsonQuote(d.message) << ","
-            << sweep::jsonQuote(d.hint) << "]";
-    }
-    out << "],\"includes\":[";
-    for (std::size_t i = 0; i < facts.includes.size(); ++i)
-        out << (i ? "," : "") << "["
-            << sweep::jsonQuote(facts.includes[i].header) << ","
-            << facts.includes[i].line << "]";
-    out << "],\"outcome\":[";
-    for (std::size_t i = 0; i < facts.outcome_decls.size(); ++i)
-        out << (i ? "," : "")
-            << sweep::jsonQuote(facts.outcome_decls[i]);
-    out << "],\"plain\":[";
-    for (std::size_t i = 0; i < facts.plain_decls.size(); ++i)
-        out << (i ? "," : "")
-            << sweep::jsonQuote(facts.plain_decls[i]);
-    out << "],\"calls\":[";
-    for (std::size_t i = 0; i < facts.bare_calls.size(); ++i)
-        out << (i ? "," : "") << "["
-            << sweep::jsonQuote(facts.bare_calls[i].name) << ","
-            << facts.bare_calls[i].line << "]";
-    out << "],\"supp\":[";
-    for (std::size_t i = 0; i < facts.tree_suppressions.size(); ++i) {
-        const auto &s = facts.tree_suppressions[i];
-        out << (i ? "," : "") << "[" << sweep::jsonQuote(s.rule)
-            << "," << s.comment_line << "," << s.target_line << "]";
-    }
-    out << "]}";
-    return out.str();
-}
-
-bool
-factsFromJson(const std::string &line, FileFacts &facts)
-{
-    const auto parsed = json::parse(line);
-    if (!parsed.ok() || !parsed.value.isObject())
-        return false;
-    const auto &doc = parsed.value;
-
-    auto str = [](const json::Value *v, std::string &out) {
-        if (!v || !v->isString())
-            return false;
-        out = v->string();
-        return true;
-    };
-    auto num = [](const json::Value &v, int &out) {
-        if (!v.isNumber())
-            return false;
-        out = static_cast<int>(v.number());
-        return true;
-    };
-
-    std::string hash_hex;
-    if (!str(doc.find("path"), facts.path) ||
-        !str(doc.find("hash"), hash_hex))
-        return false;
-    facts.hash = std::strtoull(hash_hex.c_str(), nullptr, 16);
-
-    const auto *diags = doc.find("diags");
-    const auto *includes = doc.find("includes");
-    const auto *outcome = doc.find("outcome");
-    const auto *plain = doc.find("plain");
-    const auto *calls = doc.find("calls");
-    const auto *supp = doc.find("supp");
-    for (const auto *field :
-         {diags, includes, outcome, plain, calls, supp})
-        if (!field || !field->isArray())
-            return false;
-
-    for (const auto &item : diags->items()) {
-        if (!item.isArray() || item.items().size() != 4)
-            return false;
-        Diagnostic d;
-        d.file = facts.path;
-        if (!num(item.items()[0], d.line) ||
-            !str(&item.items()[1], d.rule) ||
-            !str(&item.items()[2], d.message) ||
-            !str(&item.items()[3], d.hint))
-            return false;
-        facts.local_diags.push_back(std::move(d));
-    }
-    for (const auto &item : includes->items()) {
-        if (!item.isArray() || item.items().size() != 2)
-            return false;
-        IncludeEdge edge;
-        if (!str(&item.items()[0], edge.header) ||
-            !num(item.items()[1], edge.line))
-            return false;
-        facts.includes.push_back(std::move(edge));
-    }
-    for (const auto &item : outcome->items()) {
-        std::string name;
-        if (!str(&item, name))
-            return false;
-        facts.outcome_decls.push_back(std::move(name));
-    }
-    for (const auto &item : plain->items()) {
-        std::string name;
-        if (!str(&item, name))
-            return false;
-        facts.plain_decls.push_back(std::move(name));
-    }
-    for (const auto &item : calls->items()) {
-        if (!item.isArray() || item.items().size() != 2)
-            return false;
-        BareCall call;
-        if (!str(&item.items()[0], call.name) ||
-            !num(item.items()[1], call.line))
-            return false;
-        facts.bare_calls.push_back(std::move(call));
-    }
-    for (const auto &item : supp->items()) {
-        if (!item.isArray() || item.items().size() != 3)
-            return false;
-        TreeSuppression marker;
-        if (!str(&item.items()[0], marker.rule) ||
-            !num(item.items()[1], marker.comment_line) ||
-            !num(item.items()[2], marker.target_line))
-            return false;
-        facts.tree_suppressions.push_back(std::move(marker));
-    }
-    return true;
-}
-
-} // namespace detail
-
-// ---------------------------------------------------------------------------
 // Public interface
 // ---------------------------------------------------------------------------
 
@@ -702,55 +492,21 @@ lintTree(const std::vector<std::string> &roots,
 {
     std::vector<std::string> missing_roots;
     const auto files = collectFiles(roots, missing_roots);
-    const auto cache = loadCache(options.cache_path);
-
-    // Parallel per-file analysis. Slot i belongs to files[i] alone,
-    // so no ordering decision ever depends on thread scheduling.
-    std::vector<detail::FileFacts> all(files.size());
-    std::vector<char> from_cache(files.size(), 0);
-    {
-        sweep::ThreadPool pool(options.threads);
-        for (std::size_t i = 0; i < files.size(); ++i)
-            pool.submit([&, i] {
-                const auto input = detail::readFileInput(files[i]);
-                if (!input.ok) {
-                    all[i].path = files[i];
-                    all[i].io_error = true;
-                    all[i].local_diags.push_back(
-                        {files[i], 0, "io-error", "cannot read file",
-                         ""});
-                    return;
-                }
-                const auto hash = detail::inputHash(input);
-                const auto hit = cache.find(files[i]);
-                if (hit != cache.end() &&
-                    hit->second.hash == hash) {
-                    all[i] = hit->second;
-                    from_cache[i] = 1;
-                    return;
-                }
-                all[i] = detail::analyzeInput(files[i], input);
-            });
-        pool.wait();
-    }
 
     Report report;
     for (const auto &root : missing_roots)
         report.diagnostics.push_back(
             {root, 0, "io-error", "no such file or directory", ""});
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        if (all[i].io_error)
-            continue;
-        ++report.files_scanned;
-        if (from_cache[i])
-            ++report.files_cached;
-        else
-            ++report.files_parsed;
-    }
-    for (const auto &facts : all)
+    std::vector<detail::FileFacts> all;
+    all.reserve(files.size());
+    for (const auto &file : files) {
+        const auto &facts = all.emplace_back(detail::analyzeFile(file));
+        if (!facts.io_error)
+            ++report.files_scanned;
         report.diagnostics.insert(report.diagnostics.end(),
                                   facts.local_diags.begin(),
                                   facts.local_diags.end());
+    }
 
     TreeSuppressions suppressions;
     suppressions.collect(all);
@@ -762,7 +518,6 @@ lintTree(const std::vector<std::string> &roots,
     suppressions.reportUnused(all, report.diagnostics);
 
     detail::sortUniqueDiagnostics(report.diagnostics);
-    writeCache(options.cache_path, all);
     return report;
 }
 
