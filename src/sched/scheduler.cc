@@ -265,20 +265,6 @@ IncrementalScheduler::freeBlock(std::uint32_t block)
     ++_free_count;
 }
 
-std::optional<IssueClaim>
-IncrementalScheduler::claim()
-{
-    if (_ready.empty())
-        return std::nullopt;
-    if (_capped && _free_count == 0)
-        return std::nullopt;
-    const auto index = popReady();
-    ++_claimed;
-    ++_in_flight;
-    _peak_in_flight = std::max(_peak_in_flight, _in_flight);
-    return IssueClaim{index, allocBlock(), _plan._latency[index]};
-}
-
 std::uint32_t
 IncrementalScheduler::claimBatch(std::vector<IssueClaim> &out)
 {

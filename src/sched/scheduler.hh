@@ -11,7 +11,7 @@
  *  - listSchedule() runs the whole program against an internal
  *    completion clock and returns the batch ScheduleResult;
  *  - IncrementalScheduler exposes the same claim/complete decisions
- *    one instruction at a time, so an external event loop (the trace
+ *    one ready front at a time, so an external event loop (the trace
  *    engine's discrete-event pipeline, trace/engine.hh) can interleave
  *    issue with cache residency and transfer-network latency.
  *
@@ -24,7 +24,6 @@
 #define QMH_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -191,13 +190,14 @@ class SchedulePlan
 
 /**
  * The list scheduler's issue policy in incremental form. The caller
- * owns time: claim() hands out the highest-priority ready instruction
- * while a block is free, complete() retires one and readies its
- * dependents. Driving claim-all / advance-to-next-completion /
- * complete-in-(finish, index)-order reproduces listSchedule() exactly
- * (the batch function is implemented on this class); an event-driven
- * caller may instead hold a claim through arbitrary stalls (operand
- * fetch, transfer-network queueing) before completing it.
+ * owns time: claimBatch() hands out the ready instructions, highest
+ * priority first, while blocks are free; complete() retires one and
+ * readies its dependents. Driving claim-all /
+ * advance-to-next-completion / complete-in-(finish, index)-order
+ * reproduces listSchedule() exactly (the batch function is
+ * implemented on this class); an event-driven caller may instead hold
+ * a claim through arbitrary stalls (operand fetch, transfer-network
+ * queueing) before completing it.
  */
 class IncrementalScheduler
 {
@@ -208,21 +208,13 @@ class IncrementalScheduler
     IncrementalScheduler(SchedulePlan &&, unsigned) = delete;
 
     /**
-     * Claim the highest-priority ready instruction, allocating a
-     * block; nullopt when nothing is ready or (capped mode) every
-     * block is busy. Loop until nullopt to issue everything currently
-     * issuable.
-     */
-    std::optional<IssueClaim> claim();
-
-    /**
      * Claim every currently issuable instruction — the whole ready
      * front, highest priority first, program order within a priority,
-     * bounded by free blocks in capped mode — appending to @p out.
-     * Exactly equivalent to looping claim() until nullopt (claims
-     * never ready new instructions; only complete() does), but issues
-     * whole fronts without per-gate heap churn. Returns the number
-     * claimed.
+     * bounded by free blocks in capped mode — allocating each a block
+     * and appending it to @p out. Claims never ready new instructions
+     * (only complete() does), so one call issues everything issuable
+     * now. Returns the number claimed (0: nothing ready, or every
+     * block busy).
      */
     std::uint32_t claimBatch(std::vector<IssueClaim> &out);
 

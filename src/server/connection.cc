@@ -126,9 +126,10 @@ runService(api::Session &session, std::istream &in, std::ostream &out)
 }
 
 Connection::Connection(Fd socket, api::Session &session,
-                       EventLoop &loop, opt::ResultCache *cache,
-                       ConnectionConfig config)
-    : _socket(std::move(socket)), _session(session), _loop(loop),
+                       std::function<void()> on_retire,
+                       opt::ResultCache *cache, ConnectionConfig config)
+    : _socket(std::move(socket)), _session(session),
+      _on_retire(std::move(on_retire)),
       _cache(cache), _config(config), _splitter(config.max_line)
 {
 }
@@ -225,10 +226,8 @@ Connection::startRequest(api::ServiceRequest request)
     // finishes the request with nothing to simulate.
     advanceRequest();
     flushSome();
-    if (_job) {
-        EventLoop *loop = &_loop;
-        _job->start(_session, [loop]() { loop->wakeup(); });
-    }
+    if (_job)
+        _job->start(_session, _on_retire);
 }
 
 void

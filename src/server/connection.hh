@@ -17,6 +17,11 @@
  * max-clients rejection), which surface as "unavailable"/
  * "bad_request" error records.
  *
+ * Server::serve() drives every Connection from its one poll loop:
+ * onEvent() when the socket is ready, pump() every round, and the
+ * on_retire hook the Server passes in (it rings the loop's wake pipe)
+ * for each job the connection starts.
+ *
  * Requests are served strictly in arrival order, one at a time per
  * connection (the stdio loop is sequential; matching it is what makes
  * the byte contract testable), but many connections interleave freely
@@ -40,6 +45,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -49,7 +55,6 @@
 #include "api/session.hh"
 #include "common/json.hh"
 #include "opt/cached_job.hh"
-#include "server/event_loop.hh"
 #include "server/socket.hh"
 
 namespace qmh {
@@ -84,22 +89,27 @@ ConnectionStats runService(api::Session &session, std::istream &in,
 class Connection
 {
   public:
-    /** @p cache may be null (no shared cache configured). */
-    Connection(Fd socket, api::Session &session, EventLoop &loop,
-               opt::ResultCache *cache, ConnectionConfig config);
+    /**
+     * @p on_retire is each job's SubmitOptions::on_retire: it runs on
+     * pool threads and must wake the loop that pumps this connection.
+     * @p cache may be null (no shared cache configured).
+     */
+    Connection(Fd socket, api::Session &session,
+               std::function<void()> on_retire, opt::ResultCache *cache,
+               ConnectionConfig config);
 
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
     int fd() const { return _socket.get(); }
 
-    /** poll() handler: bounded read and/or write for this cycle. */
+    /** Socket readiness: bounded read and/or write for this round. */
     void onEvent(short revents);
 
     /**
      * Make all progress that needs no fresh socket readiness: serve
      * queued lines, harvest retired job rows, emit records up to the
-     * buffer watermark, attempt a send. Runs every loop cycle (job
+     * buffer watermark, attempt a send. Runs every loop round (job
      * retirement wakeups land here).
      */
     void pump();
@@ -131,7 +141,7 @@ class Connection
 
     Fd _socket;
     api::Session &_session;
-    EventLoop &_loop;
+    std::function<void()> _on_retire;
     opt::ResultCache *_cache;
     ConnectionConfig _config;
 

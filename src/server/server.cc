@@ -1,6 +1,9 @@
 #include "server.hh"
 
+#include <cerrno>
+
 #include <poll.h>
+#include <unistd.h>
 
 #include "api/service.hh"
 
@@ -13,6 +16,13 @@ Server::Server(ServerConfig config)
                                    _config.base_seed}),
       _cache(_config.base_seed, _config.cache)
 {
+    int fds[2] = {-1, -1};
+    if (::pipe(fds) != 0)
+        return; // _wake_read stays invalid; create() refuses to run
+    _wake_read = Fd(fds[0]);
+    _wake_write = Fd(fds[1]);
+    setNonBlocking(_wake_read.get());
+    setNonBlocking(_wake_write.get());
 }
 
 Server::~Server() = default;
@@ -21,9 +31,9 @@ api::Outcome<std::unique_ptr<Server>>
 Server::create(ServerConfig config)
 {
     std::unique_ptr<Server> server(new Server(std::move(config)));
-    if (!server->_loop.valid())
+    if (!server->_wake_read.valid())
         return api::Error{api::ErrorCode::Unavailable,
-                          "cannot create the event-loop wakeup pipe",
+                          "cannot create the server's wake pipe",
                           {}};
     if (!server->_config.cache_path.empty()) {
         const auto problem =
@@ -67,13 +77,9 @@ Server::acceptPending()
             continue;
         }
         ++_stats.accepted;
-        auto connection = std::make_unique<Connection>(
-            std::move(client), _session, _loop, &_cache,
-            _config.connection);
-        Connection *raw = connection.get();
-        _loop.add(raw->fd(), raw->wantedEvents(),
-                  [raw](short revents) { raw->onEvent(revents); });
-        _connections.push_back(std::move(connection));
+        _connections.push_back(std::make_unique<Connection>(
+            std::move(client), _session, [this]() { wakeup(); },
+            &_cache, _config.connection));
     }
 }
 
@@ -90,39 +96,72 @@ void
 Server::cycle()
 {
     bool shutdown = false;
-    std::vector<std::unique_ptr<Connection>> alive;
-    alive.reserve(_connections.size());
-    for (auto &connection : _connections) {
+    for (const auto &connection : _connections) {
         connection->pump();
         if (connection->shutdownFlushed())
             shutdown = true;
-        if (connection->finished()) {
-            absorb(connection->stats());
-            _loop.remove(connection->fd());
-            continue; // destroys the connection (cancels its job)
-        }
-        _loop.setEvents(connection->fd(),
-                        connection->wantedEvents());
-        alive.push_back(std::move(connection));
     }
-    _connections = std::move(alive);
+    // Erasing destroys a finished connection (cancelling its job).
+    std::erase_if(_connections, [this](const auto &connection) {
+        if (!connection->finished())
+            return false;
+        absorb(connection->stats());
+        return true;
+    });
     if (shutdown)
-        _loop.stop();
+        _stop.store(true, std::memory_order_release);
+}
+
+void
+Server::wakeup()
+{
+    const char byte = 0;
+    // A full pipe already guarantees a pending wakeup; EAGAIN is
+    // success for this purpose, and other failures only cost latency
+    // (the next fd event still runs a round).
+    [[maybe_unused]] const auto ignored =
+        ::write(_wake_write.get(), &byte, 1);
 }
 
 void
 Server::serve()
 {
-    _loop.add(_listener.fd(), POLLIN,
-              [this](short) { acceptPending(); });
-    _loop.run([this]() { cycle(); });
-    _loop.remove(_listener.fd());
+    // Slot 0 is the wake pipe, slot 1 the listener, and slot 2 + i
+    // connection i. A connection accepted during dispatch has no slot
+    // yet; cycle() pumps it and the next round polls it.
+    std::vector<pollfd> fds;
+    while (!_stop.load(std::memory_order_acquire)) {
+        fds.clear();
+        fds.push_back(pollfd{_wake_read.get(), POLLIN, 0});
+        fds.push_back(pollfd{_listener.fd(), POLLIN, 0});
+        for (const auto &connection : _connections)
+            fds.push_back(pollfd{connection->fd(),
+                                 connection->wantedEvents(), 0});
+
+        const int ready = ::poll(fds.data(),
+                                 static_cast<nfds_t>(fds.size()), -1);
+        if (ready < 0 && errno != EINTR)
+            break; // poll itself failed: unrecoverable loop state
+        if (ready > 0) {
+            char sink[256];
+            if (fds[0].revents & POLLIN)
+                while (::read(_wake_read.get(), sink, sizeof sink) > 0) {
+                }
+            if (fds[1].revents != 0)
+                acceptPending();
+            for (std::size_t i = 2; i < fds.size(); ++i)
+                if (fds[i].revents != 0)
+                    _connections[i - 2]->onEvent(fds[i].revents);
+        }
+        cycle();
+    }
 }
 
 void
 Server::stop()
 {
-    _loop.stop();
+    _stop.store(true, std::memory_order_release);
+    wakeup();
 }
 
 ServerStats

@@ -7,10 +7,17 @@
  *
  *   Listener ──accept──▶ Connection (one per client)
  *       │                    │  parse → Session jobs → records
- *   EventLoop ◀─wakeup()─ pool workers (SubmitOptions::on_retire)
+ *   serve() ◀─wake pipe── pool workers (SubmitOptions::on_retire)
  *       │                    │
- *       └── cycle(): every connection pumps — bounded work each,
- *           registration order, so no client can starve another.
+ *       └── each round: poll(2) the wake pipe, the listener and every
+ *           connection, dispatch the ready ones (listener first, then
+ *           connections in accept order), then pump every connection
+ *           — bounded work each, so no client can starve another.
+ *
+ * Only stop() and the workers' wakeups cross threads; both write one
+ * byte to the self-pipe so a sleeping poll() returns, and the loop
+ * thread drains job rows in its next round — no busy-polling, no
+ * locks around connection state.
  *
  * Capacity: at most max_clients concurrent connections; an accept
  * beyond that is answered with a single "unavailable" error record
@@ -20,16 +27,17 @@
  * {"op":"shutdown"} request from any client stops serve() once its
  * done record is flushed.
  *
- * Destruction order matters and is pinned by member order: the
- * EventLoop is declared first (destroyed last) because pool workers
- * ring its wakeup pipe from on_retire hooks; the Session is
- * destroyed before the loop, and its teardown cancels jobs and joins
- * the pool, after which nothing can touch the pipe.
+ * Destruction order matters and is pinned by member order: the wake
+ * pipe is declared before the Session (destroyed after it) because
+ * pool workers ring it from on_retire hooks; the Session's teardown
+ * cancels jobs and joins the pool, after which nothing can touch the
+ * pipe.
  */
 
 #ifndef QMH_SERVER_SERVER_HH
 #define QMH_SERVER_SERVER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,7 +46,6 @@
 #include "api/session.hh"
 #include "opt/result_cache.hh"
 #include "server/connection.hh"
-#include "server/event_loop.hh"
 #include "server/socket.hh"
 
 namespace qmh {
@@ -74,7 +81,7 @@ class Server
     /**
      * Bind and get ready to serve. Typed errors (Unavailable) for a
      * refused bind, an unparseable host, an unopenable cache file or
-     * a failed self-pipe; never a panic for environment problems.
+     * a failed wake pipe; never a panic for environment problems.
      */
     [[nodiscard]] static api::Outcome<std::unique_ptr<Server>>
     create(ServerConfig config);
@@ -95,7 +102,10 @@ class Server
     /** Thread-safe: end serve() after its current cycle. */
     void stop();
 
-    /** Totals so far (call after serve() for the final numbers). */
+    /**
+     * Lifetime totals. Call only while serve() is not running: the
+     * loop thread owns the connection list until serve() returns.
+     */
     ServerStats stats() const;
 
     opt::ResultCache &cache() { return _cache; }
@@ -105,14 +115,18 @@ class Server
 
     void acceptPending();
     void cycle();
+    /** Ring the wake pipe. Thread-safe (pool workers, stop()). */
+    void wakeup();
     /** Fold a finished connection's counters into the totals. */
     void absorb(const ConnectionStats &stats);
 
     ServerConfig _config;
 
-    // Destroyed last: workers ring its pipe until the Session (and
-    // with it the pool) is torn down below.
-    EventLoop _loop;
+    // Destroyed after the Session: workers ring the pipe until the
+    // Session (and with it the pool) is torn down below.
+    Fd _wake_read;
+    Fd _wake_write;
+    std::atomic<bool> _stop{false}; ///< set anywhere; pipe wakes poll
     api::Session _session;
     opt::ResultCache _cache;
     Listener _listener;

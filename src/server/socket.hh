@@ -7,8 +7,9 @@
  * (ErrorCode::Unavailable — the transport refused, nothing about the
  * experiment was wrong); no call here throws or aborts.
  *
- * Only this file and socket.cc touch <sys/socket.h>; the event loop,
- * connections and clients above it deal in Fd values and IoStatus.
+ * Only this file and socket.cc touch <sys/socket.h>; the server's
+ * poll loop, connections and clients above it deal in Fd values and
+ * IoStatus.
  */
 
 #ifndef QMH_SERVER_SOCKET_HH

@@ -66,7 +66,6 @@ class BankedMemory
     {
         return static_cast<unsigned>(_banks.size());
     }
-    const BankedMemoryConfig &config() const { return _config; }
 
     /** Bank a request for @p address is served by. */
     unsigned

@@ -257,70 +257,29 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
 {
     // Claim-all / advance / complete-in-finish-order is exactly the
     // batch algorithm; driving the incremental form by hand must
-    // reproduce listSchedule's decisions.
-    const auto prog = gen::draperAdder(
-        16, true, nullptr, gen::UncomputeMode::CarriesLeftDirty);
-    circuit::DependencyGraph dag(prog);
-    LatencyModel lat;
-    const auto batch = listSchedule(prog, dag, lat, 4);
-
-    const SchedulePlan plan(prog, dag, lat);
-    IncrementalScheduler inc(plan, 4);
-    std::vector<std::uint64_t> start(prog.size(), 0);
-    // (finish, index) ordered retirement, like the batch driver.
-    std::vector<std::pair<std::uint64_t, IssueClaim>> running;
-    std::uint64_t now = 0;
-    while (!inc.finished()) {
-        while (const auto claimed = inc.claim()) {
-            start[claimed->index] = now;
-            running.push_back({now + claimed->latency, *claimed});
-        }
-        ASSERT_FALSE(running.empty());
-        std::sort(running.begin(), running.end(),
-                  [](const auto &a, const auto &b) {
-                      return std::make_pair(a.first, a.second.index) <
-                             std::make_pair(b.first, b.second.index);
-                  });
-        now = running.front().first;
-        while (!running.empty() && running.front().first == now) {
-            inc.complete(running.front().second);
-            running.erase(running.begin());
-        }
-    }
-    EXPECT_EQ(now, batch.makespan);
-    EXPECT_EQ(start, batch.start);
-    EXPECT_EQ(inc.blocksUsed(), batch.blocks_used);
-    EXPECT_EQ(inc.busyBlockSteps(), batch.busy_block_steps);
-}
-
-TEST(IncrementalSchedule, ClaimBatchMatchesRepeatedClaimExactly)
-{
-    // claimBatch is the engine's batch-issue path; it must hand out
-    // the same (index, block, latency) sequence as looping claim()
-    // until nullopt at every decision point of a real schedule.
+    // reproduce listSchedule's decisions, block assignments included.
     const auto prog = gen::draperAdder(
         16, true, nullptr, gen::UncomputeMode::CarriesLeftDirty);
     circuit::DependencyGraph dag(prog);
     LatencyModel lat;
     const SchedulePlan plan(prog, dag, lat);
-    for (const unsigned blocks : {0u, 3u, 8u}) {
-        IncrementalScheduler one(plan, blocks);
-        IncrementalScheduler batch(plan, blocks);
+    for (const unsigned blocks : {0u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(blocks);
+        const auto batch = listSchedule(prog, dag, lat, blocks);
+        IncrementalScheduler inc(plan, blocks);
+        std::vector<std::uint64_t> start(prog.size(), 0);
+        std::vector<std::uint32_t> block(prog.size(), 0);
+        // (finish, index) ordered retirement, like the batch driver.
         std::vector<std::pair<std::uint64_t, IssueClaim>> running;
+        std::vector<IssueClaim> front;
         std::uint64_t now = 0;
-        while (!one.finished()) {
-            std::vector<IssueClaim> singles;
-            while (const auto claimed = one.claim())
-                singles.push_back(*claimed);
-            std::vector<IssueClaim> front;
-            batch.claimBatch(front);
-            ASSERT_EQ(front.size(), singles.size());
-            for (std::size_t i = 0; i < front.size(); ++i) {
-                EXPECT_EQ(front[i].index, singles[i].index);
-                EXPECT_EQ(front[i].block, singles[i].block);
-                EXPECT_EQ(front[i].latency, singles[i].latency);
-                running.push_back(
-                    {now + singles[i].latency, singles[i]});
+        while (!inc.finished()) {
+            front.clear();
+            inc.claimBatch(front);
+            for (const auto &claimed : front) {
+                start[claimed.index] = now;
+                block[claimed.index] = claimed.block;
+                running.push_back({now + claimed.latency, claimed});
             }
             ASSERT_FALSE(running.empty());
             std::sort(running.begin(), running.end(),
@@ -332,13 +291,15 @@ TEST(IncrementalSchedule, ClaimBatchMatchesRepeatedClaimExactly)
                       });
             now = running.front().first;
             while (!running.empty() && running.front().first == now) {
-                one.complete(running.front().second);
-                batch.complete(running.front().second);
+                inc.complete(running.front().second);
                 running.erase(running.begin());
             }
         }
-        EXPECT_TRUE(batch.finished());
-        EXPECT_EQ(one.blocksUsed(), batch.blocksUsed());
+        EXPECT_EQ(now, batch.makespan);
+        EXPECT_EQ(start, batch.start);
+        EXPECT_EQ(block, batch.block);
+        EXPECT_EQ(inc.blocksUsed(), batch.blocks_used);
+        EXPECT_EQ(inc.busyBlockSteps(), batch.busy_block_steps);
     }
 }
 
@@ -353,20 +314,23 @@ TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
     const SchedulePlan plan(p, dag, lat);
     IncrementalScheduler inc(plan, 1);
 
-    const auto first = inc.claim();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_FALSE(inc.claim().has_value());  // single block busy
-    inc.complete(*first);
-    const auto second = inc.claim();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_NE(second->index, first->index);
-    inc.complete(*second);
-    const auto third = inc.claim();
-    ASSERT_TRUE(third.has_value());
-    EXPECT_EQ(third->index, 2u);  // only ready after both parents
-    inc.complete(*third);
+    std::vector<IssueClaim> front;
+    ASSERT_EQ(inc.claimBatch(front), 1u);  // two ready, one block
+    const auto first = front[0];
+    EXPECT_EQ(inc.claimBatch(front), 0u);  // single block busy
+    inc.complete(first);
+    front.clear();
+    ASSERT_EQ(inc.claimBatch(front), 1u);
+    const auto second = front[0];
+    EXPECT_NE(second.index, first.index);
+    inc.complete(second);
+    front.clear();
+    ASSERT_EQ(inc.claimBatch(front), 1u);
+    EXPECT_EQ(front[0].index, 2u);  // only ready after both parents
+    inc.complete(front[0]);
     EXPECT_TRUE(inc.finished());
-    EXPECT_FALSE(inc.claim().has_value());
+    EXPECT_EQ(inc.claimBatch(front), 0u);
+    EXPECT_EQ(front.size(), 1u);  // nothing appended
 }
 
 TEST(Schedules, WindowedProfileAverages)

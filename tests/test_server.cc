@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -25,7 +25,6 @@
 #include "api/service.hh"
 #include "server/client.hh"
 #include "server/connection.hh"
-#include "server/event_loop.hh"
 #include "server/server.hh"
 #include "sweep/emit.hh"
 
@@ -107,37 +106,6 @@ testConfig()
 }
 
 // ---------------------------------------------------------------------------
-// EventLoop
-// ---------------------------------------------------------------------------
-
-TEST(EventLoop, StopFromAnotherThreadEndsRun)
-{
-    server::EventLoop loop;
-    ASSERT_TRUE(loop.valid());
-    std::thread runner([&]() { loop.run([]() {}); });
-    // If stop() could not end a (possibly sleeping) run(), this join
-    // would hang the test.
-    loop.stop();
-    runner.join();
-    EXPECT_EQ(loop.watchedCount(), 0u);
-}
-
-TEST(EventLoop, WakeupReachesTheCycleHook)
-{
-    server::EventLoop loop;
-    ASSERT_TRUE(loop.valid());
-    std::atomic<std::size_t> cycles{0};
-    std::thread runner([&]() { loop.run([&]() { ++cycles; }); });
-    // Each wakeup must eventually produce a cycle; coalescing is
-    // fine, losing them forever is not.
-    while (cycles.load() < 3)
-        loop.wakeup();
-    loop.stop();
-    runner.join();
-    EXPECT_GE(cycles.load(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
 
@@ -150,6 +118,20 @@ TEST(Server, RefusesAnUnparseableHostWithATypedError)
     EXPECT_EQ(created.error().code, api::ErrorCode::Unavailable);
     EXPECT_EQ(api::errorCodeName(api::ErrorCode::Unavailable),
               "unavailable");
+}
+
+TEST(Server, StopFromAnotherThreadEndsAnIdleServe)
+{
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+    Serving serving(server);
+    // No client ever connects, so serve() sleeps in poll() (the pause
+    // gives it time to get there); if stop() could not wake it, this
+    // join would hang the test.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    serving.finish();
+    EXPECT_EQ(server.stats().accepted, 0u);
 }
 
 TEST(Server, ShutdownRequestAnswersDoneAndStopsServe)
