@@ -149,7 +149,8 @@ BM_ResultCacheLookup(benchmark::State &state)
     for (int i = 0; i < 512; ++i) {
         keys.push_back("experiment=hierarchy n=" + std::to_string(i));
         cache.insert(keys.back(), opt::specSeed(1, keys.back()),
-                     {sweep::Cell(double(i)), sweep::Cell(i)});
+                     std::vector<sweep::Cell>{sweep::Cell(double(i)),
+                                              sweep::Cell(i)});
     }
     std::size_t i = 0;
     for (auto _ : state) {

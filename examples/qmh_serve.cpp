@@ -142,10 +142,10 @@ main(int argc, char **argv)
                  stats.accepted, stats.rejected);
     std::fprintf(stderr,
                  "qmh_serve: cache %zu hit(s), %zu miss(es), "
-                 "%zu insert(s), %zu eviction(s); "
+                 "%zu insert(s), %zu eviction(s), %zu row byte(s); "
                  "simulated %zu point(s)\n",
                  stats.cache.hits, stats.cache.misses,
                  stats.cache.inserts, stats.cache.evictions,
-                 stats.simulated);
+                 stats.cache.row_bytes, stats.simulated);
     return 0;
 }

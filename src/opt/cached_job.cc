@@ -1,6 +1,7 @@
 #include "cached_job.hh"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -169,11 +170,12 @@ CachedJob::take(std::vector<sweep::Cell> &row, bool block)
         if (_cache) {
             // The store holds bare engine rows; the seed cell is
             // appended again on replay.
-            std::vector<sweep::Cell> bare(row.begin(), row.end() - 1);
+            const std::span<const sweep::Cell> bare(row.data(),
+                                                    row.size() - 1);
             if (point.stale)
-                _cache->upsert(point.key, point.seed, std::move(bare));
+                _cache->upsert(point.key, point.seed, bare);
             else
-                _cache->insert(point.key, point.seed, std::move(bare));
+                _cache->insert(point.key, point.seed, bare);
         }
         if (point.shared)
             point.row = row;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -35,18 +38,123 @@ parseUint(const json::Value *value, std::uint64_t &out)
 }
 
 std::string
-entryLine(const std::string &spec_key, const CachedResult &entry)
+entryLine(const std::string &spec_key, std::uint64_t seed,
+          std::span<const sweep::Cell> row)
 {
     std::string tags;
-    for (const auto &cell : entry.row)
+    for (const auto &cell : row)
         tags += cell.typeTag();
     std::string out = "{\"spec\":" + sweep::jsonQuote(spec_key) +
-                      ",\"seed\":" + quotedUint(entry.seed) +
+                      ",\"seed\":" + quotedUint(seed) +
                       ",\"tags\":" + sweep::jsonQuote(tags) +
                       ",\"row\":[";
-    for (std::size_t i = 0; i < entry.row.size(); ++i)
-        out += (i ? "," : "") + sweep::jsonQuote(entry.row[i].toString());
+    for (std::size_t i = 0; i < row.size(); ++i)
+        out += (i ? "," : "") + sweep::jsonQuote(row[i].toString());
     return out + "]}";
+}
+
+/** Packed tag of a text cell equal to its entry's key (no payload). */
+constexpr char key_tag = 'k';
+
+template <typename T>
+void
+appendRaw(std::string &out, T value)
+{
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    out.append(bytes, sizeof value);
+}
+
+template <typename T>
+T
+readRaw(const char *&at)
+{
+    T value;
+    std::memcpy(&value, at, sizeof value);
+    at += sizeof value;
+    return value;
+}
+
+/** @p row in the packed layout of the file comment of result_cache.hh. */
+std::string
+pack(std::string_view key, std::span<const sweep::Cell> row)
+{
+    // Sized exactly up front: a grown string's spare capacity would
+    // be held for the entry's lifetime.
+    std::size_t size = 0;
+    for (const auto &cell : row) {
+        const auto *text = std::get_if<std::string>(&cell.value());
+        size += 1 + (!text          ? sizeof(std::uint64_t)
+                     : *text == key ? 0
+                                    : sizeof(std::uint32_t) + text->size());
+    }
+    std::string out;
+    out.reserve(size);
+    for (const auto &cell : row) {
+        std::visit(
+            [&](const auto &value) {
+                using T = std::decay_t<decltype(value)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    if (value == key) {
+                        out += key_tag;
+                        return;
+                    }
+                    if (value.size() >
+                        std::numeric_limits<std::uint32_t>::max())
+                        qmh_panic("ResultCache: a ", value.size(),
+                                  "-byte text cell");
+                    out += 's';
+                    appendRaw(out,
+                              static_cast<std::uint32_t>(value.size()));
+                    out += value;
+                } else {
+                    out += cell.typeTag();
+                    appendRaw(out, value);
+                }
+            },
+            cell.value());
+    }
+    return out;
+}
+
+/** The cells pack(@p key, row) turned into @p packed. */
+std::vector<sweep::Cell>
+unpack(const std::string &key, std::string_view packed)
+{
+    const char *const end = packed.data() + packed.size();
+    std::size_t cells = 0;
+    for (const char *at = packed.data(); at != end; ++cells) {
+        const char tag = *at++;
+        if (tag == 's')
+            at += readRaw<std::uint32_t>(at);
+        else if (tag != key_tag)
+            at += sizeof(std::uint64_t);
+    }
+    std::vector<sweep::Cell> row;
+    row.reserve(cells);
+    for (const char *at = packed.data(); at != end;) {
+        switch (*at++) {
+        case key_tag:
+            row.emplace_back(key);
+            break;
+        case 's': {
+            const auto size = readRaw<std::uint32_t>(at);
+            row.emplace_back(std::string(at, size));
+            at += size;
+            break;
+        }
+        case 'd':
+            row.emplace_back(readRaw<double>(at));
+            break;
+        case 'i':
+            row.emplace_back(readRaw<std::int64_t>(at));
+            break;
+        default:
+            row.emplace_back(readRaw<std::uint64_t>(at));
+            break;
+        }
+    }
+    return row;
 }
 
 std::string
@@ -134,7 +242,8 @@ ResultCache::open(const std::string &path)
 
     // Parse the whole file before touching the store: a rejected file
     // must leave it unchanged and must never be appended to.
-    std::vector<std::pair<std::string, CachedResult>> loaded;
+    std::vector<std::pair<std::string, Entry>> loaded;
+    CachedResult parsed;
     bool saw_header = false;
     std::string line;
     for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
@@ -156,11 +265,13 @@ ResultCache::open(const std::string &path)
             continue;
         }
         auto &[spec_key, entry] = loaded.emplace_back();
-        if (!parseEntry(line, spec_key, entry))
+        if (!parseEntry(line, spec_key, parsed))
             return "corrupt cache entry at " + where;
-        if (entry.seed != specSeed(_base_seed, spec_key))
+        if (parsed.seed != specSeed(_base_seed, spec_key))
             return "cache entry at " + where +
                    " carries a seed that does not match its spec";
+        entry.seed = parsed.seed;
+        entry.packed = pack(spec_key, parsed.row);
     }
     if (in.bad())
         return "read error while loading cache file '" + path + "'";
@@ -170,7 +281,7 @@ ResultCache::open(const std::string &path)
     // key memoized before open() also takes the file's row, which the
     // seed check above proved replayable.
     for (auto &[spec_key, entry] : loaded)
-        touchLocked(spec_key).first->result = std::move(entry);
+        setLocked(spec_key, entry.seed, std::move(entry.packed));
     _path = path;
     _backed = true;
     _needs_header = !saw_header;
@@ -184,17 +295,6 @@ ResultCache::backed() const
     return _backed;
 }
 
-std::pair<ResultCache::Entry *, bool>
-ResultCache::touchLocked(const std::string &spec_key)
-{
-    const auto [it, fresh] = _entries.try_emplace(spec_key);
-    if (fresh)
-        it->second.recency = _recency.insert(_recency.begin(), &it->first);
-    else
-        _recency.splice(_recency.begin(), _recency, it->second.recency);
-    return {&it->second, fresh};
-}
-
 std::optional<CachedResult>
 ResultCache::lookup(const std::string &spec_key)
 {
@@ -206,39 +306,61 @@ ResultCache::lookup(const std::string &spec_key)
     }
     _recency.splice(_recency.begin(), _recency, found->second.recency);
     ++_stats.hits;
-    return found->second.result;
+    // Unpacked under the lock: once it is released, the entry may be
+    // evicted or replaced.
+    return CachedResult{found->second.seed,
+                        unpack(found->first, found->second.packed)};
 }
 
 bool
 ResultCache::insert(const std::string &spec_key, std::uint64_t seed,
-                    std::vector<sweep::Cell> row)
+                    std::span<const sweep::Cell> row)
 {
+    auto packed = pack(spec_key, row);
     std::lock_guard<std::mutex> lock(_mutex);
     if (_entries.count(spec_key))
         return false;
-    storeLocked(spec_key, CachedResult{seed, std::move(row)});
+    storeLocked(spec_key, seed, std::move(packed), row);
     return true;
 }
 
 void
 ResultCache::upsert(const std::string &spec_key, std::uint64_t seed,
-                    std::vector<sweep::Cell> row)
+                    std::span<const sweep::Cell> row)
 {
+    auto packed = pack(spec_key, row);
     std::lock_guard<std::mutex> lock(_mutex);
-    storeLocked(spec_key, CachedResult{seed, std::move(row)});
+    storeLocked(spec_key, seed, std::move(packed), row);
+}
+
+bool
+ResultCache::setLocked(const std::string &spec_key, std::uint64_t seed,
+                       std::string packed)
+{
+    const auto [it, fresh] = _entries.try_emplace(spec_key);
+    auto &entry = it->second;
+    if (fresh)
+        entry.recency = _recency.insert(_recency.begin(), &it->first);
+    else
+        _recency.splice(_recency.begin(), _recency, entry.recency);
+    _stats.row_bytes -= entry.packed.size();
+    _stats.row_bytes += packed.size();
+    entry.seed = seed;
+    entry.packed = std::move(packed);
+    return fresh;
 }
 
 void
 ResultCache::storeLocked(const std::string &spec_key,
-                         CachedResult result)
+                         std::uint64_t seed, std::string packed,
+                         std::span<const sweep::Cell> row)
 {
-    const auto [entry, fresh] = touchLocked(spec_key);
-    entry->result = std::move(result);
-    _stats.inserts += fresh;
+    _stats.inserts += setLocked(spec_key, seed, std::move(packed));
     // The new entry is the most recent, so it is never the victim.
     while (!_backed && _entries.size() > _capacity) {
         const auto victim = _entries.find(*_recency.back());
         _recency.pop_back();
+        _stats.row_bytes -= victim->second.packed.size();
         _entries.erase(victim);
         ++_stats.evictions;
     }
@@ -252,7 +374,7 @@ ResultCache::storeLocked(const std::string &spec_key,
     }
     // Flush per entry: a cancelled sweep keeps every point it already
     // paid for.
-    _append << entryLine(spec_key, entry->result) << '\n';
+    _append << entryLine(spec_key, seed, row) << '\n';
     _append.flush();
     if (!_append)
         warn("ResultCache: append to '", _path,
@@ -287,8 +409,11 @@ ResultCache::compact()
     {
         std::ofstream out(tmp, std::ios::trunc);
         out << headerLine(_base_seed) << '\n';
-        for (const auto *key : keys)
-            out << entryLine(*key, _entries.at(*key).result) << '\n';
+        for (const auto *key : keys) {
+            const auto &entry = _entries.at(*key);
+            out << entryLine(*key, entry.seed, unpack(*key, entry.packed))
+                << '\n';
+        }
         out.flush();
         if (!out)
             return "ResultCache: cannot write '" + tmp + "'";

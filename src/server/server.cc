@@ -10,6 +10,13 @@
 namespace qmh {
 namespace server {
 
+namespace {
+
+/** Pause before a paused accept is retried with no connection ended. */
+constexpr int accept_retry_ms = 100;
+
+} // namespace
+
 Server::Server(ServerConfig config)
     : _config(std::move(config)),
       _session(sweep::SweepOptions{_config.threads,
@@ -57,9 +64,13 @@ void
 Server::acceptPending()
 {
     for (;;) {
-        Fd client = _listener.accept();
-        if (!client.valid())
+        auto [client, exhausted] = _listener.accept();
+        if (!client.valid()) {
+            // The pending client keeps the listener readable; polling
+            // it again before a descriptor is freed would spin.
+            _accept_paused = exhausted;
             return;
+        }
         if (_connections.size() >= _config.max_clients) {
             // A typed refusal the client can parse; one best-effort
             // send — a refused client gets no flow control.
@@ -101,13 +112,15 @@ Server::cycle()
         if (connection->shutdownFlushed())
             shutdown = true;
     }
-    // Erasing destroys a finished connection (cancelling its job).
-    std::erase_if(_connections, [this](const auto &connection) {
-        if (!connection->finished())
-            return false;
-        absorb(connection->stats());
-        return true;
-    });
+    // Erasing destroys a finished connection (cancelling its job)
+    // and frees its descriptor for a client waiting to be accepted.
+    if (std::erase_if(_connections, [this](const auto &connection) {
+            if (!connection->finished())
+                return false;
+            absorb(connection->stats());
+            return true;
+        }))
+        _accept_paused = false;
     if (shutdown)
         _stop.store(true, std::memory_order_release);
 }
@@ -126,22 +139,30 @@ Server::wakeup()
 void
 Server::serve()
 {
-    // Slot 0 is the wake pipe, slot 1 the listener, and slot 2 + i
+    // Slot 0 is the wake pipe, slot 1 the listener (fd -1, which
+    // poll() skips, while accepting is paused), and slot 2 + i
     // connection i. A connection accepted during dispatch has no slot
     // yet; cycle() pumps it and the next round polls it.
     std::vector<pollfd> fds;
     while (!_stop.load(std::memory_order_acquire)) {
         fds.clear();
         fds.push_back(pollfd{_wake_read.get(), POLLIN, 0});
-        fds.push_back(pollfd{_listener.fd(), POLLIN, 0});
+        fds.push_back(
+            pollfd{_accept_paused ? -1 : _listener.fd(), POLLIN, 0});
         for (const auto &connection : _connections)
             fds.push_back(pollfd{connection->fd(),
                                  connection->wantedEvents(), 0});
 
-        const int ready = ::poll(fds.data(),
-                                 static_cast<nfds_t>(fds.size()), -1);
+        // A paused accept is also retried after a quiet interval: the
+        // descriptors may be held outside this server (ENFILE is
+        // system-wide), where no erased connection would free one.
+        const int ready =
+            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                   _accept_paused ? accept_retry_ms : -1);
         if (ready < 0 && errno != EINTR)
             break; // poll itself failed: unrecoverable loop state
+        if (ready == 0)
+            _accept_paused = false;
         if (ready > 0) {
             char sink[256];
             if (fds[0].revents & POLLIN)

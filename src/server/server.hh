@@ -25,7 +25,11 @@
  * bytes follow the api/service.hh protocol exactly (the request
  * steps of stdio qmh_service, connection.hh), and a
  * {"op":"shutdown"} request from any client stops serve() once its
- * done record is flushed.
+ * done record is flushed. When the process runs out of descriptors,
+ * a pending client cannot be accepted yet keeps the listener
+ * readable; the loop then leaves the listener out of its poll set
+ * until a connection ends (or 100 ms pass quietly), so it sleeps
+ * rather than spins.
  *
  * Destruction order matters and is pinned by member order: the wake
  * pipe is declared before the Session (destroyed after it) because
@@ -131,6 +135,8 @@ class Server
     opt::ResultCache _cache;
     Listener _listener;
     std::vector<std::unique_ptr<Connection>> _connections;
+    /** Out of descriptors: the listener is left out of the poll set. */
+    bool _accept_paused = false;
     ServerStats _stats;
 };
 

@@ -132,7 +132,7 @@ Listener::create(const std::string &host, std::uint16_t port,
     return listener;
 }
 
-Fd
+Listener::Accepted
 Listener::accept() const
 {
     for (;;) {
@@ -140,16 +140,16 @@ Listener::accept() const
         if (fd >= 0) {
             if (!setNonBlocking(fd)) {
                 ::close(fd);
-                return Fd();
+                return {};
             }
             const int enable = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable,
                          sizeof enable);
-            return Fd(fd);
+            return {Fd(fd)};
         }
         if (errno == EINTR)
             continue;
-        return Fd();
+        return {Fd(), errno == EMFILE || errno == ENFILE};
     }
 }
 

@@ -110,12 +110,24 @@ class Listener
     int fd() const { return _fd.get(); }
     std::uint16_t boundPort() const { return _port; }
 
+    /** One accept attempt (accept()). */
+    struct Accepted
+    {
+        Fd fd; ///< the connection, already non-blocking; or invalid
+        /**
+         * The process is out of descriptors (EMFILE, ENFILE): a
+         * client may still be pending, so the listener stays
+         * readable until a descriptor is freed.
+         */
+        bool exhausted = false;
+    };
+
     /**
-     * Accept one pending connection, already non-blocking; an
-     * invalid Fd means nothing was pending (or the attempt must be
-     * retried), never a fatal condition.
+     * Accept one pending connection. An invalid fd means nothing was
+     * pending (or the attempt must be retried), or, with exhausted
+     * set, that no descriptor is free; never a fatal condition.
      */
-    Fd accept() const;
+    Accepted accept() const;
 
   private:
     Fd _fd;

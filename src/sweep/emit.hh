@@ -29,6 +29,9 @@ namespace sweep {
 class Cell
 {
   public:
+    using Value =
+        std::variant<std::string, double, std::int64_t, std::uint64_t>;
+
     Cell(std::string text) : _value(std::move(text)) {}
     Cell(const char *text) : _value(std::string(text)) {}
     Cell(double v) : _value(v) {}
@@ -46,6 +49,12 @@ class Cell
     {
         return std::holds_alternative<double>(_value);
     }
+
+    /**
+     * The stored alternative itself: the one exact read of a 64-bit
+     * integer cell (asNumber() rounds it to a double).
+     */
+    const Value &value() const { return _value; }
 
     /** Numeric value as a double; nullopt for text cells. */
     std::optional<double> asNumber() const;
@@ -76,8 +85,7 @@ class Cell
     static std::optional<Cell> fromTagged(char tag, std::string text);
 
   private:
-    std::variant<std::string, double, std::int64_t, std::uint64_t>
-        _value;
+    Value _value;
 };
 
 /** Column-labelled result rows with CSV/JSON writers. */

@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "api/grid.hh"
@@ -26,6 +31,8 @@ namespace opt {
 namespace {
 
 constexpr std::uint64_t kBase = 7;
+
+using Row = std::vector<sweep::Cell>;
 
 std::string
 tempPath(const char *name)
@@ -44,7 +51,7 @@ fileBytes(const std::string &path)
     return os.str();
 }
 
-std::vector<sweep::Cell>
+Row
 rowFor(const std::string &key)
 {
     return {sweep::Cell(key), sweep::Cell(1.5),
@@ -58,6 +65,32 @@ cellBytes(const std::vector<sweep::Cell> &row)
     for (const auto &cell : row)
         joined += cell.toJson() + ",";
     return joined;
+}
+
+/** @p cell's alternative and exact bits, texts by their bytes. */
+std::string
+cellBits(const sweep::Cell &cell)
+{
+    return std::visit(
+        [&cell](const auto &value) {
+            using T = std::decay_t<decltype(value)>;
+            std::string bits(1, cell.typeTag());
+            if constexpr (std::is_same_v<T, std::string>)
+                return bits + value;
+            else
+                return bits + std::to_string(
+                                  std::bit_cast<std::uint64_t>(value));
+        },
+        cell.value());
+}
+
+std::vector<std::string>
+rowBits(const Row &row)
+{
+    std::vector<std::string> bits;
+    for (const auto &cell : row)
+        bits.push_back(cellBits(cell));
+    return bits;
 }
 
 bool
@@ -76,8 +109,8 @@ TEST(ResultCache, InMemoryInsertAndLookup)
     ResultCache cache(kBase);
     EXPECT_FALSE(cache.backed());
     EXPECT_FALSE(cache.lookup("k").has_value());
-    EXPECT_TRUE(cache.insert("k", 7, {sweep::Cell(1.5)}));
-    EXPECT_FALSE(cache.insert("k", 7, {sweep::Cell(9.9)}));
+    EXPECT_TRUE(cache.insert("k", 7, Row{sweep::Cell(1.5)}));
+    EXPECT_FALSE(cache.insert("k", 7, Row{sweep::Cell(9.9)}));
     const auto hit = cache.lookup("k");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->seed, 7u);
@@ -94,11 +127,11 @@ TEST(ResultCache, PersistsAndReloadsJsonl)
         ResultCache cache(42);
         ASSERT_EQ(cache.open(path), "");
         cache.insert(key, specSeed(42, key),
-                     {sweep::Cell("Steane [[7,1,3]]"), sweep::Cell(0.1),
+                     Row{sweep::Cell("Steane [[7,1,3]]"), sweep::Cell(0.1),
                       sweep::Cell(std::int64_t(-3)),
                       sweep::Cell(std::uint64_t(11))});
         cache.insert(nasty, specSeed(42, nasty),
-                     {sweep::Cell("line\nbreak\tand \"quotes\"")});
+                     Row{sweep::Cell("line\nbreak\tand \"quotes\"")});
     }
     // Every line of the backing file must be standalone JSON.
     std::ifstream in(path);
@@ -135,7 +168,7 @@ TEST(ResultCache, RefusesForeignAndMismatchedFiles)
     {
         ResultCache cache(1);
         ASSERT_EQ(cache.open(path), "");
-        cache.insert("k", specSeed(1, "k"), {sweep::Cell(1.0)});
+        cache.insert("k", specSeed(1, "k"), Row{sweep::Cell(1.0)});
     }
     ResultCache wrong_seed(2);
     EXPECT_NE(wrong_seed.open(path), "");
@@ -185,7 +218,7 @@ TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
         ResultCache cache(seed);
         ASSERT_EQ(cache.open(path), "");
         cache.insert(key, specSeed(seed, key),
-                     {sweep::Cell("stale")});  // wrong width
+                     Row{sweep::Cell("stale")});  // wrong width
         const auto outcome = tests::runCached(session, specs, &cache);
         EXPECT_EQ(outcome.result.simulated, specs.size()); // stale = miss
     }
@@ -203,10 +236,10 @@ TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
 TEST(ResultCache, SortedKeysAreAnOrderedSnapshot)
 {
     ResultCache cache(kBase);
-    cache.insert("m", 1, {sweep::Cell(1.0)});
-    cache.insert("a", 2, {sweep::Cell(2.0)});
-    cache.insert("z", 3, {sweep::Cell(3.0)});
-    cache.insert("b", 4, {sweep::Cell(4.0)});
+    cache.insert("m", 1, Row{sweep::Cell(1.0)});
+    cache.insert("a", 2, Row{sweep::Cell(2.0)});
+    cache.insert("z", 3, Row{sweep::Cell(3.0)});
+    cache.insert("b", 4, Row{sweep::Cell(4.0)});
     const std::vector<std::string> expect = {"a", "b", "m", "z"};
     EXPECT_EQ(cache.sortedKeys(), expect);
 }
@@ -227,16 +260,16 @@ TEST(ResultCache, CompactIsByteIdenticalAcrossInsertHistories)
     ResultCache a(42);
     ASSERT_EQ(a.open(path_a), "");
     for (const auto &key : keys)
-        a.insert(key, specSeed(42, key), {sweep::Cell(0.5)});
+        a.insert(key, specSeed(42, key), Row{sweep::Cell(0.5)});
     ASSERT_EQ(a.compact(), "");
 
     ResultCache b(42);
     ASSERT_EQ(b.open(path_b), "");
     for (auto it = keys.rbegin(); it != keys.rend(); ++it)
-        b.insert(*it, specSeed(42, *it), {sweep::Cell("stale")});
+        b.insert(*it, specSeed(42, *it), Row{sweep::Cell("stale")});
     // Repair every entry; the appended duplicates must vanish.
     for (const auto &key : keys)
-        b.upsert(key, specSeed(42, key), {sweep::Cell(0.5)});
+        b.upsert(key, specSeed(42, key), Row{sweep::Cell(0.5)});
     ASSERT_EQ(b.compact(), "");
 
     const auto bytes = fileBytes(path_a);
@@ -255,16 +288,110 @@ TEST(ResultCache, CompactIsByteIdenticalAcrossInsertHistories)
     }
     warm.insert("experiment=cache n=1024",
                 specSeed(42, "experiment=cache n=1024"),
-                {sweep::Cell(0.25)});
+                Row{sweep::Cell(0.25)});
     ResultCache again(42);
     ASSERT_EQ(again.open(path_a), "");
     EXPECT_EQ(again.stats().resident, keys.size() + 1);
 }
 
+TEST(ResultCache, ReplaysEveryCellAlternativeBitExactly)
+{
+    // The store packs each row into one byte string; lookup() must
+    // hand back the very cells it was given, alternative and bits.
+    const std::string key = "experiment=cache n=64";
+    const Row row = {
+        sweep::Cell(key), // the key in column 0 ...
+        sweep::Cell("text"),
+        sweep::Cell(std::string()),
+        sweep::Cell(std::string("nul\0inside", 10)),
+        sweep::Cell(0.1),
+        sweep::Cell(std::bit_cast<double>(0x7ff8'0000'0000'0123ULL)),
+        sweep::Cell(-0.0),
+        sweep::Cell(std::numeric_limits<double>::infinity()),
+        sweep::Cell(-std::numeric_limits<double>::infinity()),
+        sweep::Cell(std::numeric_limits<double>::denorm_min()),
+        sweep::Cell(std::numeric_limits<std::int64_t>::min()),
+        sweep::Cell(std::int64_t(-1)),
+        sweep::Cell(std::numeric_limits<std::uint64_t>::max()),
+        sweep::Cell(std::uint64_t(0)),
+        sweep::Cell(key), // ... and in a later column
+        sweep::Cell(key + " "),
+    };
+    ASSERT_TRUE(std::isnan(row[5].asNumber().value()));
+    const auto seed = specSeed(kBase, key);
+
+    ResultCache inserted(kBase);
+    ASSERT_TRUE(inserted.insert(key, seed, row));
+    const auto hit = inserted.lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->seed, seed);
+    EXPECT_EQ(rowBits(hit->row), rowBits(row));
+
+    ResultCache upserted(kBase);
+    upserted.upsert(key, seed, Row{sweep::Cell("stale")});
+    upserted.upsert(key, seed, row);
+    const auto repaired = upserted.lookup(key);
+    ASSERT_TRUE(repaired.has_value());
+    EXPECT_EQ(rowBits(repaired->row), rowBits(row));
+
+    // Through the log, a cell is what its (tag, text) form holds: the
+    // packed store adds no loss of its own (a NaN's payload is the
+    // one thing the text form drops).
+    Row logged;
+    for (const auto &cell : row)
+        logged.push_back(
+            sweep::Cell::fromTagged(cell.typeTag(), cell.toString())
+                .value());
+    const auto path = tempPath("opt_cache_bit_exact.jsonl");
+    {
+        ResultCache writer(kBase);
+        ASSERT_EQ(writer.open(path), "");
+        ASSERT_TRUE(writer.insert(key, seed, row));
+    }
+    const auto appended = fileBytes(path);
+    ResultCache reader(kBase);
+    ASSERT_EQ(reader.open(path), "");
+    const auto replayed = reader.lookup(key);
+    ASSERT_TRUE(replayed.has_value());
+    EXPECT_EQ(replayed->seed, seed);
+    EXPECT_EQ(rowBits(replayed->row), rowBits(logged));
+
+    // compact() writes each entry from its unpacked cells: for one
+    // entry, the bytes the append path wrote from the caller's cells.
+    ASSERT_EQ(reader.compact(), "");
+    EXPECT_EQ(fileBytes(path), appended);
+}
+
+TEST(ResultCache, RowBytesCountThePackedRows)
+{
+    // A trace row's spec column is its key, so it packs to one byte;
+    // the numbers take nine bytes each.
+    const auto spec =
+        api::parseSpec("experiment=trace workload=draper n=16").spec;
+    api::Session session({.threads = 1, .base_seed = kBase});
+    ResultCache cache(kBase, {.capacity_per_shard = 1});
+    tests::runCached(session, {spec}, &cache);
+    const auto key = api::printSpec(spec);
+    const auto hit = cache.lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_EQ(hit->row.size(), 28u);
+    ASSERT_EQ(hit->row[0].toString(), key);
+    const auto bytes = cache.stats().row_bytes;
+    EXPECT_GT(bytes, 0u);
+    EXPECT_LE(bytes, 300u);
+
+    // Replacing an entry or evicting it gives its bytes back.
+    cache.upsert(key, hit->seed, hit->row);
+    EXPECT_EQ(cache.stats().row_bytes, bytes);
+    ASSERT_TRUE(cache.insert("k", 1, Row{sweep::Cell(1.0)}));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.stats().row_bytes, 9u);
+}
+
 TEST(ResultCache, CompactRequiresABackingFile)
 {
     ResultCache cache(kBase);
-    cache.insert("k", 1, {sweep::Cell(1.0)});
+    cache.insert("k", 1, Row{sweep::Cell(1.0)});
     EXPECT_NE(cache.compact(), "");
 }
 
@@ -305,7 +432,7 @@ TEST(ResultCache, FirstWriterWinsOnDuplicateInsert)
     ResultCache cache(kBase, {.capacity_per_shard = 4});
     EXPECT_TRUE(cache.insert("k", specSeed(kBase, "k"), rowFor("k")));
     EXPECT_FALSE(cache.insert("k", specSeed(kBase, "k"),
-                              {sweep::Cell("imposter")}));
+                              Row{sweep::Cell("imposter")}));
     const auto hit = cache.lookup("k");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(cellBytes(hit->row), cellBytes(rowFor("k")));

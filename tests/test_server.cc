@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -613,6 +616,82 @@ TEST(Server, DisconnectCancelsTheJobAndFreesTheClient)
     ASSERT_TRUE(records.ok()) << records.error().describe();
     EXPECT_EQ(joined(records.value()), stdioReference(line + "\n"));
     ASSERT_TRUE(client.value().shutdownServer().ok());
+}
+
+/** CPU time (user + system) this process has used, in microseconds. */
+long long
+cpuMicros()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    const auto micros = [](const timeval &t) {
+        return t.tv_sec * 1'000'000LL + t.tv_usec;
+    };
+    return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+TEST(Server, OutOfDescriptorsDoesNotSpin)
+{
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+    const auto line = requestLine("waited", {"experiment=cache n=64"});
+    const auto reference = stdioReference(line + "\n");
+    Serving serving(server);
+
+    // Lower this process's soft descriptor limit (restored on every
+    // exit) and fill the table, keeping room for two served clients
+    // (their sockets and the server's ends) and one more socket.
+    rlimit original{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+    struct Restore
+    {
+        rlimit limit;
+        ~Restore() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+    } restore{original};
+    std::vector<server::Fd> filler;
+    filler.emplace_back(::open("/dev/null", O_RDONLY));
+    ASSERT_TRUE(filler.back().valid());
+    rlimit lowered = original;
+    lowered.rlim_cur = static_cast<rlim_t>(filler.back().get()) + 32;
+    ASSERT_LE(lowered.rlim_cur, original.rlim_max);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    for (;;) {
+        server::Fd fd(::open("/dev/null", O_RDONLY));
+        if (!fd.valid())
+            break;
+        filler.push_back(std::move(fd));
+    }
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_GE(filler.size(), 5u);
+    filler.resize(filler.size() - 5);
+
+    std::vector<server::Client> served;
+    for (const char *id : {"a", "b"}) {
+        auto client = server::Client::connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.error().describe();
+        // A served request proves the server holds its end.
+        ASSERT_TRUE(client.value()
+                        .request(requestLine(id, {"experiment=cache n=32"}))
+                        .ok());
+        served.push_back(std::move(client).value());
+    }
+
+    // This client takes the last descriptor, so the server cannot
+    // accept it; the listener stays readable all the while.
+    auto waiting = server::Client::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(waiting.ok()) << waiting.error().describe();
+    EXPECT_FALSE(server::Fd(::open("/dev/null", O_RDONLY)).valid());
+    const auto before = cpuMicros();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_LT(cpuMicros() - before, 100'000) << "serve() spun";
+
+    // A client that leaves frees its connection's descriptor; the
+    // waiting client is then accepted and served.
+    served.erase(served.begin());
+    const auto records = waiting.value().request(line);
+    ASSERT_TRUE(records.ok()) << records.error().describe();
+    EXPECT_EQ(joined(records.value()), reference);
 }
 
 } // namespace
