@@ -15,7 +15,7 @@ namespace detail {
  * the claim counter and the cancel flag are atomics so a worker can
  * claim-and-check without taking the lock, and the immutable fields
  * (experiments, seeds, columns) are published to the workers through
- * the pool's queue mutex.
+ * the session's queue mutex.
  */
 struct JobState
 {
@@ -67,7 +67,7 @@ retireLocked(JobState &state)
  * One worker's claim loop: pull the next unclaimed index, run it,
  * land the row. Exceptions (and wrong-width rows) become a typed
  * ExecutionFailed failure that cancels the rest of the job — they
- * never reach the pool, so a shared runner's wait() stays clean.
+ * never leave the claim loop.
  */
 void
 runJobWorker(const std::shared_ptr<JobState> &state)
@@ -239,22 +239,54 @@ JobHandle::settle(bool rows)
 // ---------------------------------------------------------------------------
 
 Session::Session(sweep::SweepOptions options)
-    : _pool(options.threads), _base_seed(options.base_seed)
+    : _base_seed(options.base_seed)
 {
+    unsigned threads = options.threads;
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    _workers.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        _workers.emplace_back([this]() { workerLoop(); });
 }
 
 Session::~Session()
 {
-    std::lock_guard<std::mutex> lock(_jobs_mutex);
-    for (const auto &weak : _jobs)
-        if (const auto state = weak.lock())
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        _stopping = true;
+        for (const auto &state : _queue)
             state->cancel.store(true, std::memory_order_relaxed);
+    }
+    _work_ready.notify_all();
+    for (auto &worker : _workers)
+        worker.join();
 }
 
 unsigned
 Session::threadCount() const
 {
-    return _pool.threadCount();
+    return static_cast<unsigned>(_workers.size());
+}
+
+void
+Session::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(_mutex);
+    for (;;) {
+        _work_ready.wait(lock, [this]() {
+            return _stopping || !_queue.empty();
+        });
+        if (_queue.empty())
+            return;  // stopping, and every queued job drained
+        const auto state = _queue.front();
+        lock.unlock();
+        detail::runJobWorker(state);
+        lock.lock();
+        // Every point is claimed now; the first worker back retires
+        // the job from the queue so the next one starts.
+        if (!_queue.empty() && _queue.front() == state)
+            _queue.pop_front();
+    }
 }
 
 Outcome<JobHandle>
@@ -315,19 +347,13 @@ Session::startJob(std::vector<std::unique_ptr<Experiment>> experiments,
     state->row_done.assign(state->total, 0);
     state->finished = state->total == 0;
 
-    {
-        std::lock_guard<std::mutex> lock(_jobs_mutex);
-        // Forget retired jobs so a long-lived session does not grow.
-        std::erase_if(_jobs, [](const auto &weak) {
-            return weak.expired();
-        });
-        _jobs.push_back(state);
+    if (state->total != 0) {
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _queue.push_back(state);
+        }
+        _work_ready.notify_all();
     }
-
-    const std::size_t n_workers =
-        std::min<std::size_t>(_pool.threadCount(), state->total);
-    for (std::size_t t = 0; t < n_workers; ++t)
-        _pool.submit([state]() { detail::runJobWorker(state); });
     return JobHandle(std::move(state));
 }
 

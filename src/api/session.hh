@@ -21,22 +21,27 @@
  * run. How far the prefix extends past the cancellation point depends
  * on scheduling; the content of row i never does.
  *
- * Jobs share the session's pool and retire independently, but the
- * pool's queue is FIFO: a job submits up to threadCount() claim-loop
- * tasks, so a later job's tasks queue behind an earlier unfinished
- * job's (cancel() frees the pool quickly when the earlier job is
- * obsolete). A Session cancels its unfinished jobs on destruction and
- * drains its pool; handles outliving the session see a cancelled job.
+ * Jobs share the session's workers and retire independently, but the
+ * session's job queue is FIFO: every worker claims points of the
+ * oldest queued job, so a later job starts only once every point of
+ * the earlier one is claimed (cancel() frees the workers quickly when
+ * the earlier job is obsolete). A Session cancels its queued jobs on
+ * destruction and joins its workers, which skip the unclaimed points,
+ * so a handle outliving the session sees its job finished (and
+ * cancelled, if it still had points to claim).
  */
 
 #ifndef QMH_API_SESSION_HH
 #define QMH_API_SESSION_HH
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "api/experiment.hh"
@@ -157,20 +162,24 @@ struct SubmitOptions
      * from the worker thread that retired it, outside the job lock.
      * An event loop hangs its wakeup here so it can poll rows only
      * when there is something new, instead of spinning. Must be
-     * cheap, non-blocking, and must not touch the job handle. Not
-     * invoked for an empty submission (it is born finished).
+     * cheap, non-blocking, must not throw, and must not touch the job
+     * handle. Not invoked for an empty submission (it is born
+     * finished).
      */
     std::function<void()> on_retire;
 };
 
-/** Owns a worker pool and runs jobs on it. */
+/**
+ * Owns the worker threads and a FIFO queue of jobs with unclaimed
+ * points; each worker runs the claim loop of the oldest queued job.
+ */
 class Session
 {
   public:
-    /** Own a pool built from @p options. */
+    /** Start options.threads workers (0: one per hardware thread). */
     explicit Session(sweep::SweepOptions options = {});
 
-    /** Cancels unfinished jobs, then drains the pool. */
+    /** Cancels queued jobs, then joins the workers once they drain. */
     ~Session();
 
     Session(const Session &) = delete;
@@ -205,11 +214,17 @@ class Session
     startJob(std::vector<std::unique_ptr<Experiment>> experiments,
              SubmitOptions options);
 
-    sweep::ThreadPool _pool;
+    /** One worker: run the front job's claim loop until stopping. */
+    void workerLoop();
+
     std::uint64_t _base_seed;
 
-    std::mutex _jobs_mutex;
-    std::vector<std::weak_ptr<detail::JobState>> _jobs;
+    std::mutex _mutex;
+    std::condition_variable _work_ready;
+    /** Jobs that may still have unclaimed points, oldest first. */
+    std::deque<std::shared_ptr<detail::JobState>> _queue;
+    bool _stopping = false;
+    std::vector<std::thread> _workers;
 };
 
 } // namespace api

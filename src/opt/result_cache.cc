@@ -130,8 +130,9 @@ unpack(const std::string &key, std::string_view packed)
         else if (tag != key_tag)
             at += sizeof(std::uint64_t);
     }
+    // One cell spare: every sweep row appends its seed column.
     std::vector<sweep::Cell> row;
-    row.reserve(cells);
+    row.reserve(cells + 1);
     for (const char *at = packed.data(); at != end;) {
         switch (*at++) {
         case key_tag:

@@ -115,7 +115,11 @@ class ResultCache
     bool backed() const;
     std::uint64_t baseSeed() const { return _base_seed; }
 
-    /** Cached result for @p spec_key; nullopt on miss. */
+    /**
+     * Cached result for @p spec_key; nullopt on miss. The row has
+     * room for one more cell, the seed column every sweep row
+     * appends, so appending it does not reallocate.
+     */
     std::optional<CachedResult> lookup(const std::string &spec_key);
 
     /**

@@ -1,13 +1,13 @@
 /**
  * @file
- * Multithreaded parameter-sweep engine: the worker pool and the
- * seeding primitives every sweep surface shares.
+ * Parameter-sweep options and the seeding primitives every sweep
+ * surface shares.
  *
  * Experiment points are embarrassingly parallel: every point owns its
  * EventQueue (there is no global singleton by design), so a grid fans
  * across cores with no shared mutable state. api::Session owns the
- * worker pool, runs jobs on it and stores each row at its index, so
- * the output is independent of task completion order.
+ * worker threads, runs jobs on them and stores each row at its index,
+ * so the output is independent of point completion order.
  *
  * Determinism contract: each point receives its own qmh::Random seeded
  * from (base_seed, index) via pointSeed(), or from (base_seed, key)
@@ -23,7 +23,6 @@
 #include <string_view>
 
 #include "sweep/emit.hh"
-#include "sweep/thread_pool.hh"
 
 namespace qmh {
 namespace sweep {

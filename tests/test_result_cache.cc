@@ -115,6 +115,8 @@ TEST(ResultCache, InMemoryInsertAndLookup)
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->seed, 7u);
     EXPECT_EQ(hit->row.at(0).toString(), "1.5");
+    // Room for the seed column a sweep row appends.
+    EXPECT_GE(hit->row.capacity(), hit->row.size() + 1);
     EXPECT_EQ(cache.stats().resident, 1u);
 }
 

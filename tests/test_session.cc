@@ -5,8 +5,13 @@
 #include <algorithm>
 #include <functional>
 #include <latch>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "api/grid.hh"
 #include "api/service.hh"
@@ -479,6 +484,94 @@ TEST(Session, CancelFinishesInFlightAndSkipsUnclaimed)
     // The stream drains the remaining prefix row, then ends.
     ASSERT_TRUE(job.nextRow().has_value());
     EXPECT_FALSE(job.nextRow().has_value());
+}
+
+/**
+ * The teardown promise: destroying a session cancels every queued job
+ * and its workers drain them, so handles that outlive the session see
+ * finished, cancelled jobs whose unclaimed points were skipped.
+ */
+TEST(Session, DestroyedSessionRetiresQueuedJobsAsCancelled)
+{
+    std::latch started{1};
+    std::latch gate{1};
+    auto session =
+        std::make_unique<Session>(sweep::SweepOptions{.threads = 1});
+    auto a = session
+                 ->submit(scriptedBatch(2,
+                                        [&](std::size_t index) {
+                                            if (index == 0) {
+                                                started.count_down();
+                                                gate.wait();
+                                            }
+                                            return 0.0;
+                                        }))
+                 .value();
+    auto b = session
+                 ->submit(scriptedBatch(
+                     3, [](std::size_t) { return 1.0; }))
+                 .value();
+    started.wait();  // the single worker is inside A's point 0
+
+    std::thread destroyer([&session]() { session.reset(); });
+    while (!a.progress().cancel_requested)
+        std::this_thread::yield();
+    gate.count_down();
+    destroyer.join();
+
+    const auto pa = a.progress();
+    EXPECT_EQ(pa.done, 1u);
+    EXPECT_EQ(pa.skipped, 1u);
+    EXPECT_TRUE(pa.finished);
+    EXPECT_TRUE(a.wait().cancelled);
+    const auto pb = b.progress();
+    EXPECT_EQ(pb.done, 0u);
+    EXPECT_EQ(pb.skipped, 3u);
+    EXPECT_TRUE(pb.finished);
+    EXPECT_TRUE(b.wait().cancelled);
+
+    ASSERT_TRUE(a.nextRow().has_value());  // A's finished point 0
+    EXPECT_FALSE(a.nextRow().has_value());
+    EXPECT_FALSE(b.nextRow().has_value());
+}
+
+/**
+ * The session's queue is FIFO: a later job starts only once every
+ * point of the earlier one is claimed. B and C both wait behind A,
+ * so a queue that served the newest job first would run C before B.
+ */
+TEST(Session, LaterJobRunsOnlyAfterEarlierJobIsClaimed)
+{
+    std::latch started{1};
+    std::latch gate{1};
+    std::mutex log_mutex;
+    std::vector<std::string> log;
+    const auto logged = [&](std::string job) {
+        return [&, job](std::size_t index) {
+            if (job == "A" && index == 0) {
+                started.count_down();
+                gate.wait();
+            }
+            std::lock_guard<std::mutex> lock(log_mutex);
+            log.push_back(job + std::to_string(index));
+            return static_cast<double>(index);
+        };
+    };
+
+    Session session({.threads = 1});
+    auto a = session.submit(scriptedBatch(2, logged("A"))).value();
+    started.wait();  // the single worker is inside A's point 0
+    auto b = session.submit(scriptedBatch(2, logged("B"))).value();
+    auto c = session.submit(scriptedBatch(1, logged("C"))).value();
+    EXPECT_EQ(b.progress().done, 0u);
+    EXPECT_EQ(c.progress().done, 0u);
+    gate.count_down();
+
+    EXPECT_EQ(a.wait().completed, 2u);
+    EXPECT_EQ(b.wait().completed, 2u);
+    EXPECT_EQ(c.wait().completed, 1u);
+    EXPECT_EQ(log, (std::vector<std::string>{"A0", "A1", "B0", "B1",
+                                             "C0"}));
 }
 
 TEST(Session, ThrowingExperimentRetiresJobWithTypedFailure)

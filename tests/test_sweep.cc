@@ -1,97 +1,14 @@
-/** @file Unit tests for the multithreaded sweep engine. */
+/** @file Unit tests for sweep seeding and result emission. */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
-#include <stdexcept>
 
 #include "sweep/emit.hh"
 #include "sweep/sweep.hh"
-#include "sweep/thread_pool.hh"
 
 namespace qmh {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    sweep::ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter]() { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    sweep::ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([&counter]() { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-    pool.submit([&counter]() { ++counter; });
-    pool.submit([&counter]() { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPool, PropagatesFirstTaskException)
-{
-    sweep::ThreadPool pool(2);
-    pool.submit([]() { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The pool stays usable after a failed batch.
-    std::atomic<int> counter{0};
-    pool.submit([&counter]() { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ThrowingTasksDoNotCorruptInFlightAccounting)
-{
-    // A task that throws must still count as retired: if _in_flight
-    // leaked, this wait() (and every later one) would hang instead
-    // of rethrowing, and the session layer above — which shares one
-    // pool across jobs — would stall with it.
-    sweep::ThreadPool pool(4);
-    std::atomic<int> survivors{0};
-    for (int i = 0; i < 64; ++i) {
-        if (i % 3 == 0)
-            pool.submit([]() { throw std::runtime_error("boom"); });
-        else
-            pool.submit([&survivors]() { ++survivors; });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(survivors.load(), 64 - 22);  // every non-thrower ran
-
-    // And a full second batch drains cleanly: no stale error, no
-    // stale in-flight count.
-    std::atomic<int> second{0};
-    for (int i = 0; i < 32; ++i)
-        pool.submit([&second]() { ++second; });
-    pool.wait();  // must not throw and must not hang
-    EXPECT_EQ(second.load(), 32);
-}
-
-TEST(ThreadPool, WaitRethrowsTheFirstErrorAndDropsTheRest)
-{
-    // One worker serializes execution, so "first" is well defined.
-    sweep::ThreadPool pool(1);
-    pool.submit([]() { throw std::runtime_error("first"); });
-    pool.submit([]() { throw std::logic_error("second"); });
-    try {
-        pool.wait();
-        FAIL() << "wait() did not rethrow";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-    // The second exception was dropped, not deferred to the next
-    // wait(): a later clean batch reports clean.
-    pool.submit([]() {});
-    EXPECT_NO_THROW(pool.wait());
-}
 
 TEST(Sweep, PointSeedIsDeterministicAndDistinct)
 {

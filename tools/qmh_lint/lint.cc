@@ -136,11 +136,11 @@ policyFor(std::string_view path)
     // enforced in strict mode there.
     if (path.find("src/sim/") != std::string_view::npos)
         policy.ordered_iteration_strict = true;
-    // The concurrent domains: the session's worker claim loop and
+    // The concurrent domains: the session's workers, claim loop and
     // prepared slots (api), the result store and CachedJob (opt), the
-    // multi-client server and the worker pool (sweep). A blocking
-    // call under a held lock serializes every other client/worker,
-    // so it is a finding there.
+    // multi-client server, and the sweep layer beneath them. A
+    // blocking call under a held lock serializes every other
+    // client/worker, so it is a finding there.
     if (path.find("src/api/") != std::string_view::npos ||
         path.find("src/opt/") != std::string_view::npos ||
         path.find("src/server/") != std::string_view::npos ||

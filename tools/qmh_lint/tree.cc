@@ -378,8 +378,8 @@ passUncheckedOutcome(const std::vector<detail::FileFacts> &all,
     // The index: names declared in src/ modules to return
     // Outcome<...>, minus any name also declared with another return
     // type (a token-level call site cannot type its receiver, so
-    // ambiguous names — the thread pool's submit vs Session::submit
-    // — are left to the [[nodiscard]] attribute and the compiler).
+    // ambiguous names — sim::Port::submit vs Session::submit — are
+    // left to the [[nodiscard]] attribute and the compiler).
     std::set<std::string> outcome_names;
     std::set<std::string> plain_names;
     for (const auto &facts : all) {
