@@ -96,7 +96,10 @@ main(int argc, char **argv)
                     .spec;
     grid.axis("code", {"steane", "bacon-shor"});
     grid.axis("transfers", {"5", "10", "20"});
-    auto table = cli::runTable(grid.expand());
+    const auto specs = cli::expandGrid(grid);
+    if (!specs)
+        return 1;
+    auto table = cli::runTable(*specs);
     if (!table)
         return 1;
     const auto speedup_col = table->findColumn("adder_speedup");

@@ -56,12 +56,14 @@ main(int argc, char **argv)
     grid.axis("policy", {"inorder", "optimized"});
     grid.axis("warm", {"0", "1"});
 
-    const auto specs = grid.expand();
-    const auto table = cli::runTable(specs);
+    const auto specs = cli::expandGrid(grid);
+    if (!specs)
+        return 1;
+    const auto table = cli::runTable(*specs);
     if (!table)
         return 1;
     std::printf("=== cache design space: %s (%zu points) ===\n",
-                api::printSpec(parsed.spec).c_str(), specs.size());
+                api::printSpec(parsed.spec).c_str(), specs->size());
     sweep::toAsciiTable(*table, table->rows(), {"spec", "seed"})
         .print(std::cout);
     std::printf("\nEach miss is one code transfer between memory (L2) "

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "api/grid.hh"
 #include "api/session.hh"
 #include "api/spec.hh"
 
@@ -117,6 +118,22 @@ printError(const api::Error &error)
                  error.message.c_str());
     for (const auto &detail : error.details)
         std::fprintf(stderr, "  %s\n", detail.c_str());
+}
+
+/**
+ * The points of @p grid, or nullopt after printing each of its
+ * validate() diagnostics (a bad value, a key swept twice, a grid over
+ * SpecGrid::max_points), so main() can exit 1.
+ */
+inline std::optional<std::vector<api::ExperimentSpec>>
+expandGrid(const api::SpecGrid &grid)
+{
+    const auto errors = grid.validate();
+    for (const auto &error : errors)
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+    if (!errors.empty())
+        return std::nullopt;
+    return grid.expand();
 }
 
 /**

@@ -166,7 +166,10 @@ main(int argc, char **argv)
         grid.base.kind == api::ExperimentKind::Hierarchy)
         addDefaultHierarchyAxes(grid, small_grid);
 
-    const auto specs = grid.expand();
+    const auto expanded = cli::expandGrid(grid);
+    if (!expanded)
+        return 1;
+    const auto &specs = *expanded;
 
     // Submit through a session: validation problems (an axis putting
     // later values out of range, or sweeping the experiment kind

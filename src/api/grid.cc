@@ -1,9 +1,33 @@
 #include "grid.hh"
 
+#include <algorithm>
+#include <set>
+
 #include "common/logging.hh"
 
 namespace qmh {
 namespace api {
+
+namespace {
+
+/** @p a x @p b, saturating at SpecGrid::max_points + 1. */
+std::size_t
+boundedProduct(std::size_t a, std::size_t b)
+{
+    constexpr std::size_t over = SpecGrid::max_points + 1;
+    if (b != 0 && a > over / b)
+        return over;
+    return std::min(a * b, over);
+}
+
+std::string
+tooManyPoints()
+{
+    return "grid has more than " + std::to_string(SpecGrid::max_points) +
+           " points";
+}
+
+} // namespace
 
 void
 SpecGrid::axis(std::string key, std::vector<std::string> values)
@@ -34,6 +58,11 @@ SpecGrid::addAxis(std::string_view text)
     }
     if (parsed.values.empty())
         return "axis '" + std::string(text) + "' has no values";
+    for (const auto &ax : axes)
+        if (ax.key == parsed.key)
+            return "axis '" + parsed.key + "' is swept twice";
+    if (boundedProduct(points(), parsed.values.size()) > max_points)
+        return "axis '" + parsed.key + "': " + tooManyPoints();
 
     // Reject bad keys/values up front so CLI callers get the
     // diagnostic at parse time, not at expansion.
@@ -51,7 +80,10 @@ std::vector<std::string>
 SpecGrid::validate() const
 {
     std::vector<std::string> errors;
+    std::set<std::string> seen, repeated;
     for (const auto &ax : axes) {
+        if (!seen.insert(ax.key).second && repeated.insert(ax.key).second)
+            errors.push_back("axis '" + ax.key + "' is swept twice");
         if (ax.values.empty()) {
             errors.push_back("axis '" + ax.key + "' has no values");
             continue;
@@ -63,6 +95,8 @@ SpecGrid::validate() const
                 errors.push_back(error);
         }
     }
+    if (points() > max_points)
+        errors.push_back(tooManyPoints());
     return errors;
 }
 
@@ -71,7 +105,7 @@ SpecGrid::points() const
 {
     std::size_t total = 1;
     for (const auto &ax : axes)
-        total *= ax.values.size();
+        total = boundedProduct(total, ax.values.size());
     return total;
 }
 
@@ -79,6 +113,9 @@ std::vector<ExperimentSpec>
 SpecGrid::expand() const
 {
     const std::size_t total = points();
+    if (total > max_points)
+        // qmh-lint: allow(typed-errors): addAxis() and validate() reject an oversized grid — expanding one is a caller bug
+        qmh_panic("SpecGrid::expand: ", tooManyPoints());
     std::vector<ExperimentSpec> specs;
     if (total == 0)
         return specs;

@@ -7,7 +7,9 @@
  * the shared key=value machinery. The cross product preserves axis
  * declaration order (first axis slowest, last fastest), so point
  * indices — and therefore the per-point RNG seeds of a Session job —
- * are a pure function of the grid.
+ * are a pure function of the grid. A grid names each key once and
+ * holds at most max_points points: addAxis() and validate() reject a
+ * repeated key and a larger grid.
  */
 
 #ifndef QMH_API_GRID_HH
@@ -31,6 +33,9 @@ struct SpecGrid
         std::vector<std::string> values;
     };
 
+    /** Most points a grid may hold (a fixed bound, not an option). */
+    static constexpr std::size_t max_points = 1'000'000;
+
     ExperimentSpec base;
     std::vector<Axis> axes;
 
@@ -40,23 +45,27 @@ struct SpecGrid
     /**
      * Parse an axis in CLI form, `key=v1,v2,v3`. Returns the empty
      * string and appends the axis on success, a diagnostic otherwise
-     * (unknown key, empty value list, malformed value).
+     * (unknown key, empty value list, malformed value, a key already
+     * swept, a grid growing past max_points).
      */
     std::string addAxis(std::string_view text);
 
     /**
-     * Check every axis value against the base spec without expanding;
-     * one diagnostic per problem, empty = ok.
+     * Check every axis value against the base spec without expanding,
+     * and the grid against a repeated key and max_points; one
+     * diagnostic per problem, empty = ok.
      */
     std::vector<std::string> validate() const;
 
-    /** Number of points the expansion produces. */
+    /** Number of points the expansion produces, saturating at
+     * max_points + 1. */
     std::size_t points() const;
 
     /**
      * Expand the cross product into concrete specs. Panics on an
-     * invalid key or value (run validate() first for recoverable
-     * diagnostics); an axis with no values contributes nothing.
+     * invalid key or value or a grid over max_points (run validate()
+     * first for recoverable diagnostics); an axis with no values
+     * contributes nothing.
      */
     std::vector<ExperimentSpec> expand() const;
 };

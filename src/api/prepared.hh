@@ -98,6 +98,7 @@ class PreparedSlot
                                 const ExperimentSpec &spec) const;
 
     /** Trace runs simulated through runTrace() so far. */
+    // qmh-lint: allow(test-only-api): the only window on run reuse, read by PreparedWorkload.ReuseCountOnTheSweepSharedGrid
     std::size_t simulatedRuns() const;
 
   private:
@@ -164,6 +165,7 @@ void sharePreparedWorkloads(
     const std::vector<std::unique_ptr<Experiment>> &experiments);
 
 /** The slot @p experiment shares with its batch; null when none. */
+// qmh-lint: allow(test-only-api): the only window on slot sharing, read by PreparedWorkload.GroupsByGeneratorInputs
 std::shared_ptr<const PreparedSlot>
 preparedSlot(const Experiment &experiment);
 

@@ -142,6 +142,7 @@ std::optional<SpecKeyKind> specKeyKind(std::string_view key);
 const char *specKeyHelp(std::string_view key);
 
 /** Canonical textual value of @p key; nullopt on unknown key. */
+// qmh-lint: allow(test-only-api): the per-key window Spec.GetAndSetCoverEveryKey checks specSet through
 std::optional<std::string> specGet(const ExperimentSpec &spec,
                                    std::string_view key);
 

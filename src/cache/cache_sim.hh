@@ -73,6 +73,7 @@ class QubitCache
      * never from the unordered index, so persisting or printing the
      * residency set cannot leak hash-map layout.
      */
+    // qmh-lint: allow(test-only-api): the only window on LRU order, read by QubitCache.ResidentsTrackInterleavedHitMissEvictSequences
     std::vector<circuit::QubitId> residents() const;
 
   private:

@@ -13,12 +13,10 @@ DependencyGraph::DependencyGraph(const Program &program)
     const auto &insts = program.instructions();
     const std::size_t m = insts.size();
     _in_degree.assign(m, 0);
-    _asap.assign(m, 0);
 
     // One flat (pred, succ) edge list in discovery order, converted
-    // to CSR in a second pass — predecessor edges of instruction i
-    // are contiguous, successor edges are gathered by a stable
-    // counting sort, and the whole build does a handful of
+    // to CSR in a second pass — successor edges are gathered by a
+    // stable counting sort, and the whole build does a handful of
     // allocations however many gates the program has.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
     edges.reserve(2 * m);
@@ -84,17 +82,6 @@ DependencyGraph::DependencyGraph(const Program &program)
         }
     }
 
-    // Predecessor CSR: edges were appended in ascending-instruction
-    // order, so each instruction's predecessors are already one
-    // contiguous run.
-    _pred_offset.assign(m + 1, 0);
-    for (std::size_t i = 0; i < m; ++i)
-        _pred_offset[i + 1] =
-            _pred_offset[i] + static_cast<std::uint32_t>(_in_degree[i]);
-    _pred_edges.resize(edges.size());
-    for (std::size_t e = 0; e < edges.size(); ++e)
-        _pred_edges[e] = edges[e].first;
-
     // Successor CSR: stable counting sort by source keeps each
     // node's successors in discovery (ascending) order.
     _succ_offset.assign(m + 1, 0);
@@ -107,24 +94,29 @@ DependencyGraph::DependencyGraph(const Program &program)
                                       _succ_offset.end() - 1);
     for (const auto &edge : edges)
         _succ_edges[cursor[edge.first]++] = edge.second;
+}
 
-    // ASAP levels: instructions are already in a valid topological
-    // order (program order), so one forward pass suffices.
-    for (std::size_t i = 0; i < m; ++i) {
-        std::uint32_t level = 0;
-        for (const auto p : predecessors(i))
-            level = std::max(level, _asap[p] + 1);
-        _asap[i] = level;
-        _depth = std::max(_depth, level + 1);
-    }
+std::uint32_t
+DependencyGraph::depth() const
+{
+    return static_cast<std::uint32_t>(parallelismProfile().size());
 }
 
 std::vector<std::uint32_t>
 DependencyGraph::parallelismProfile() const
 {
-    std::vector<std::uint32_t> profile(_depth, 0);
-    for (const auto level : _asap)
-        ++profile[level];
+    // ASAP level of each instruction under unit gate latency. Program
+    // order is a topological order, so one forward pass that pushes
+    // each level to the successors suffices.
+    std::vector<std::uint32_t> level(size(), 0);
+    std::vector<std::uint32_t> profile;
+    for (std::size_t i = 0; i < size(); ++i) {
+        for (const auto s : successors(i))
+            level[s] = std::max(level[s], level[i] + 1);
+        if (level[i] >= profile.size())
+            profile.resize(level[i] + 1, 0);
+        ++profile[level[i]];
+    }
     return profile;
 }
 

@@ -35,13 +35,6 @@ class DependencyGraph
     std::size_t size() const { return _in_degree.size(); }
 
     std::span<const std::uint32_t>
-    predecessors(std::size_t i) const
-    {
-        return {_pred_edges.data() + _pred_offset[i],
-                _pred_offset[i + 1] - _pred_offset[i]};
-    }
-
-    std::span<const std::uint32_t>
     successors(std::size_t i) const
     {
         return {_succ_edges.data() + _succ_offset[i],
@@ -63,18 +56,14 @@ class DependencyGraph
     /** Number of unfinished predecessors at the start (in-degree). */
     int inDegree(std::size_t i) const { return _in_degree[i]; }
 
-    /**
-     * ASAP level of each instruction under unit gate latency: the
-     * earliest timestep it can issue with unlimited resources.
-     */
-    const std::vector<std::uint32_t> &asapLevels() const { return _asap; }
-
     /** Critical-path length in gates (max ASAP level + 1); 0 if empty. */
-    std::uint32_t depth() const { return _depth; }
+    std::uint32_t depth() const;
 
     /**
-     * Per-level instruction counts: the unlimited-resources parallelism
-     * profile of the program (paper Fig. 2's upper curve).
+     * Per-level instruction counts, an instruction's level being its
+     * ASAP step under unit gate latency (the earliest step it can
+     * issue with unlimited resources): the unlimited-resources
+     * parallelism profile of the program (paper Fig. 2's upper curve).
      */
     std::vector<std::uint32_t> parallelismProfile() const;
 
@@ -82,16 +71,12 @@ class DependencyGraph
     std::uint32_t maxParallelism() const;
 
   private:
-    // Both adjacency directions in CSR form: one flat edge array plus
+    // Successor adjacency in CSR form: one flat edge array plus
     // per-node offsets, so construction is two passes over a flat
     // edge list instead of thousands of small vector allocations.
-    std::vector<std::uint32_t> _pred_offset;
-    std::vector<std::uint32_t> _pred_edges;
     std::vector<std::uint32_t> _succ_offset;
     std::vector<std::uint32_t> _succ_edges;
     std::vector<int> _in_degree;
-    std::vector<std::uint32_t> _asap;
-    std::uint32_t _depth = 0;
 };
 
 } // namespace circuit

@@ -12,12 +12,6 @@ Program::Program(std::string name, int qubits)
         qmh_fatal("Program '", _name, "': negative qubit count");
 }
 
-QubitId
-Program::addQubit()
-{
-    return QubitId(static_cast<QubitId::rep_type>(_qubits++));
-}
-
 void
 Program::append(Instruction inst)
 {
@@ -46,15 +40,6 @@ Program::gateHistogram() const
     for (const auto &inst : _insts)
         ++hist[inst.kind];
     return hist;
-}
-
-bool
-Program::isClassical() const
-{
-    for (const auto &inst : _insts)
-        if (!isClassicalGate(inst.kind))
-            return false;
-    return true;
 }
 
 void

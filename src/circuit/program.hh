@@ -30,9 +30,6 @@ class Program
 
     int qubitCount() const { return _qubits; }
 
-    /** Grow the qubit register; existing ids stay valid. */
-    QubitId addQubit();
-
     /** Append an instruction (operands validated against the register). */
     void append(Instruction inst);
 
@@ -42,10 +39,6 @@ class Program
     void h(QubitId a) { append(Instruction::makeOne(GateKind::H, a)); }
     void s(QubitId a) { append(Instruction::makeOne(GateKind::S, a)); }
     void t(QubitId a) { append(Instruction::makeOne(GateKind::T, a)); }
-    void measure(QubitId a)
-    {
-        append(Instruction::makeOne(GateKind::Measure, a));
-    }
     void
     cnot(QubitId control, QubitId target)
     {
@@ -79,9 +72,6 @@ class Program
 
     /** Gates by kind, for reporting. */
     std::map<GateKind, std::uint64_t> gateHistogram() const;
-
-    /** True when every gate is classical reversible logic. */
-    bool isClassical() const;
 
     /**
      * Concatenate another program over the same register width

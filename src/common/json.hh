@@ -35,6 +35,7 @@ class Value
     Value() = default;
 
     Type type() const { return _type; }
+    // qmh-lint: allow(test-only-api): the window Json.ParsesEveryValueKind reads a parsed null through
     bool isNull() const { return _type == Type::Null; }
     bool isNumber() const { return _type == Type::Number; }
     bool isString() const { return _type == Type::String; }
@@ -42,6 +43,7 @@ class Value
     bool isObject() const { return _type == Type::Object; }
 
     /** Typed accessors; panic on a type mismatch (check first). */
+    // qmh-lint: allow(test-only-api): the window Json.ParsesEveryValueKind reads a parsed true/false through
     bool boolean() const;
     double number() const;
     const std::string &string() const;

@@ -1,7 +1,5 @@
 #include "random.hh"
 
-#include <cmath>
-
 #include "logging.hh"
 
 namespace qmh {
@@ -98,57 +96,6 @@ Random::bernoulli(double p)
     if (p >= 1.0)
         return true;
     return uniform() < p;
-}
-
-std::uint64_t
-Random::binomial(std::uint64_t n, double p)
-{
-    if (p <= 0.0 || n == 0)
-        return 0;
-    if (p >= 1.0)
-        return n;
-
-    constexpr std::uint64_t direct_cutoff = 64;
-    if (n <= direct_cutoff) {
-        std::uint64_t count = 0;
-        for (std::uint64_t i = 0; i < n; ++i)
-            count += bernoulli(p) ? 1 : 0;
-        return count;
-    }
-
-    const double mean = static_cast<double>(n) * p;
-    if (mean < 32.0) {
-        // Poisson regime: the normal approximation is badly skewed
-        // here (it misestimates P[X = 0], the quantity the fidelity
-        // sampler depends on). Knuth's product method is exact for
-        // Poisson and the binomial->Poisson error is O(p).
-        const double threshold = std::exp(-mean);
-        std::uint64_t count = 0;
-        double product = uniform();
-        while (product > threshold) {
-            ++count;
-            product *= uniform();
-        }
-        return count < n ? count : n;
-    }
-
-    // Normal approximation with continuity correction, clamped to the
-    // valid range. For the bulk regime the mean is what matters; tails
-    // beyond ~6 sigma are irrelevant.
-    const double sigma = std::sqrt(mean * (1.0 - p));
-    // Box-Muller transform.
-    const double u1 = uniform();
-    const double u2 = uniform();
-    const double z =
-        std::sqrt(-2.0 * std::log(1.0 - u1)) * std::cos(6.28318530717958648 *
-                                                        u2);
-    double value = mean + sigma * z + 0.5;
-    if (value < 0.0)
-        value = 0.0;
-    const double max_value = static_cast<double>(n);
-    if (value > max_value)
-        value = max_value;
-    return static_cast<std::uint64_t>(value);
 }
 
 } // namespace qmh

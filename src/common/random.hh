@@ -38,13 +38,6 @@ class Random
     /** Bernoulli trial: true with probability p. */
     bool bernoulli(double p);
 
-    /**
-     * Sample a binomial(n, p) count. Uses direct simulation for small n
-     * and a normal approximation above the cutoff; accurate enough for
-     * error-injection statistics.
-     */
-    std::uint64_t binomial(std::uint64_t n, double p);
-
   private:
     std::uint64_t s[4];
 };

@@ -41,12 +41,6 @@ AsciiTable::addRow(std::vector<std::string> row)
 }
 
 void
-AsciiTable::addSeparator()
-{
-    _rows.emplace_back();
-}
-
-void
 AsciiTable::setAlign(std::size_t col, Align align)
 {
     if (col >= _align.size())
@@ -63,12 +57,9 @@ AsciiTable::print(std::ostream &os) const
     std::vector<std::size_t> widths(_header.size());
     for (std::size_t c = 0; c < _header.size(); ++c)
         widths[c] = _header[c].size();
-    for (const auto &row : _rows) {
-        if (row.empty())
-            continue;
+    for (const auto &row : _rows)
         for (std::size_t c = 0; c < row.size(); ++c)
             widths[c] = std::max(widths[c], row[c].size());
-    }
 
     auto print_sep = [&] {
         os << '+';
@@ -96,12 +87,8 @@ AsciiTable::print(std::ostream &os) const
     print_sep();
     print_cells(_header);
     print_sep();
-    for (const auto &row : _rows) {
-        if (row.empty())
-            print_sep();
-        else
-            print_cells(row);
-    }
+    for (const auto &row : _rows)
+        print_cells(row);
     print_sep();
 }
 

@@ -36,9 +36,6 @@ class AsciiTable
     /** Append a data row; must match the header width. */
     void addRow(std::vector<std::string> row);
 
-    /** Append a horizontal separator at the current position. */
-    void addSeparator();
-
     /** Set alignment for one column (default Right). */
     void setAlign(std::size_t col, Align align);
 
@@ -67,7 +64,7 @@ class AsciiTable
   private:
     std::string _caption;
     std::vector<std::string> _header;
-    std::vector<std::vector<std::string>> _rows;  // empty row = separator
+    std::vector<std::vector<std::string>> _rows;
     std::vector<Align> _align;
 };
 

@@ -29,7 +29,6 @@ Code::steane()
     c._layout_factor = 2.776;
     // Svore/Terhal/DiVincenzo local threshold with movement.
     c._threshold = 7.5e-5;
-    c._overlap_channels = 1;
     c._transfer_channel_cost = 1.0;
     c._l1_ancilla = 21;   // 7 syndrome + 7 verify + 7 (second syndrome)
     c._l2_ancilla = 441;  // Table 2
@@ -59,7 +58,6 @@ Code::baconShor()
     // Documented calibration; the paper says only "more favourable
     // due to a higher threshold".
     c._threshold = 1.5e-4;
-    c._overlap_channels = 3;
     c._transfer_channel_cost = 2.0;
     c._l1_ancilla = 12;
     c._l2_ancilla = 298;  // Table 2
@@ -107,12 +105,6 @@ Code::ancillaIons(Level level) const
     for (Level l = 3; l <= level; ++l)
         ions *= growth;
     return static_cast<std::int64_t>(ions);
-}
-
-std::int64_t
-Code::totalIons(Level level) const
-{
-    return dataIons(level) + ancillaIons(level);
 }
 
 double
@@ -164,12 +156,6 @@ Code::transversalGateTime(Level level, const iontrap::Params &params) const
 {
     // Paper Table 2 metric: EC before + gate + EC after.
     return ecTime(level, params) + gateStepTime(level, params);
-}
-
-double
-Code::toffoliTime(Level level, const iontrap::Params &params) const
-{
-    return toffoli_gate_steps * gateStepTime(level, params);
 }
 
 double

@@ -77,18 +77,12 @@ class Code
      */
     std::int64_t ancillaIons(Level level) const;
 
-    /** Data + ancilla ions under standard provisioning. */
-    std::int64_t totalIons(Level level) const;
-
     /**
      * Ions of a level-L data qubit provisioned with @p ancilla_ratio
      * logical ancilla qubits per data qubit (2.0 for compute regions,
      * 1/8 for the CQLA dense memory).
      */
     double ionsPerDataQubit(Level level, double ancilla_ratio) const;
-
-    /** Calibrated physical cycles per syndrome extraction at level 1. */
-    int level1CyclesPerSyndrome() const { return _l1_cycles_per_syndrome; }
 
     /** Number of syndromes per EC (bit-flip + phase-flip). */
     int syndromesPerEc() const { return 2; }
@@ -121,31 +115,12 @@ class Code
                                const iontrap::Params &params) const;
 
     /**
-     * Latency of a fault-tolerant Toffoli at @p level. The paper models
-     * it as fifteen two-qubit gate steps ("time to perform a single
-     * fault-tolerant toffoli is equal to the time for fifteen two qubit
-     * gates, each of which is followed by an error-correction step").
-     */
-    double toffoliTime(Level level, const iontrap::Params &params) const;
-
-    /** Two-qubit gate steps per fault-tolerant Toffoli. */
-    static constexpr int toffoli_gate_steps = 15;
-
-    /**
      * Area of a level-L logical qubit with @p ancilla_ratio logical
      * ancilla per data qubit, in mm^2. The default ratio 2.0 gives the
      * paper's Table 2 "qubit size".
      */
     double qubitAreaMm2(Level level, const iontrap::Params &params,
                         double ancilla_ratio = 2.0) const;
-
-    /**
-     * Layout compactness multiplier: converts raw ion area into tile
-     * area including intra-tile junctions and channels. Calibrated to
-     * the paper's Table 2 areas (Steane 3.4 mm^2, Bacon-Shor 2.4 mm^2
-     * at level 2).
-     */
-    double layoutFactor() const { return _layout_factor; }
 
     /**
      * Per-code fault-tolerance threshold used in the Gottesman local-
@@ -161,13 +136,6 @@ class Code
      * during teleportation", so Bacon-Shor pays more than Steane).
      */
     std::int64_t teleportIons(Level level) const { return dataIons(level); }
-
-    /**
-     * Channels required on the compute-block perimeter to overlap all
-     * communication with computation (paper Section 5.1: Steane 1,
-     * Bacon-Shor 3).
-     */
-    int overlapBandwidthChannels() const { return _overlap_channels; }
 
     /**
      * Transfer-network channel slots one logical transfer of this code
@@ -189,7 +157,6 @@ class Code
     double _serialization_ratio = 0.0;
     double _layout_factor = 0.0;
     double _threshold = 0.0;
-    int _overlap_channels = 0;
     double _transfer_channel_cost = 1.0;
     std::int64_t _l1_ancilla = 0;
     std::int64_t _l2_ancilla = 0;

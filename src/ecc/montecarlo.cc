@@ -66,7 +66,10 @@ EcMonteCarlo::analytic(Level level, double p0) const
     if (level < 1)
         qmh_panic("EcMonteCarlo: level must be >= 1");
     const double m = effectiveLocations();
-    // P[>= 2 of m locations err] to leading order, exact two-term form.
+    // P[>= 2 of m locations err] = 1 - P[none] - P[exactly one]: exact
+    // for the sampled model when m is whole (blockFails draws
+    // llround(m) locations), and exact per level above 1, where the n
+    // sub-blocks fail independently at the level below's rate.
     auto level_rate = [](double m_loc, double p) {
         const double none = std::pow(1.0 - p, m_loc);
         const double one = m_loc * p * std::pow(1.0 - p, m_loc - 1.0);

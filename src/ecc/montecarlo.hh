@@ -53,8 +53,12 @@ class EcMonteCarlo
                         Random &rng) const;
 
     /**
-     * Analytic leading-order prediction of the same quantity:
-     * failures of >= 2 of the n_eff error locations, recursed per level.
+     * Closed form of the same quantity: P[>= 2 of m locations err]
+     * with m = effectiveLocations(), then P[>= 2 of n sub-blocks fail]
+     * per level above 1. This is the exact failure probability of the
+     * model blockFails() samples, at every level, whenever m is a
+     * whole number; the sampler draws llround(m) locations, while
+     * this uses the real m.
      */
     double analytic(Level level, double p0) const;
 

@@ -48,14 +48,6 @@ FidelityBudget::failureRate(Level level) const
                             _code.threshold());
 }
 
-bool
-FidelityBudget::feasible(Level level) const
-{
-    // The computation succeeds with reasonable probability when the
-    // expected number of logical failures is at most one.
-    return _total_ops * failureRate(level) <= 1.0;
-}
-
 double
 FidelityBudget::maxLevel1OpsFraction() const
 {

@@ -69,9 +69,6 @@ class FidelityBudget
     /** Eq. 1 failure rate of this code at @p level. */
     double failureRate(Level level) const;
 
-    /** True if running *every* operation at @p level meets the budget. */
-    bool feasible(Level level) const;
-
     /**
      * Largest fraction of operations that may run at level 1 (with the
      * rest at level 2), clamped to [0, 1].
@@ -95,7 +92,6 @@ class FidelityBudget
      */
     double recommendedLevel1AddFraction() const;
 
-    double totalOps() const { return _total_ops; }
     const Code &code() const { return _code; }
 
   private:

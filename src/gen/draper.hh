@@ -34,6 +34,7 @@ struct AdderLayout
     int total_qubits = 0;
     bool keeps_carry = false;
     /** Index of the carry-out qubit (valid when keeps_carry). */
+    // qmh-lint: allow(test-only-api): the window the adder tests (tests/test_adders.cc) read the carry-out bit through
     int carryOutQubit() const { return carry_offset + bits - 1; }
 };
 

@@ -19,6 +19,7 @@ namespace gen {
  * A random classical reversible circuit (X/CNOT/SWAP/Toffoli) over
  * @p qubits qubits with @p gates gates.
  */
+// qmh-lint: allow(test-only-api): the random input of RandomCircuit.SelfInverseRoundTrip, the property test of circuit::ReversibleState
 circuit::Program randomReversible(int qubits, int gates, Random &rng);
 
 /**

@@ -1,10 +1,8 @@
 #include "geometry.hh"
 
-#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "common/units.hh"
 
 namespace qmh {
 namespace iontrap {
@@ -23,35 +21,10 @@ TrapGrid::TrapGrid(int width, int height, const Params &params)
                   height);
 }
 
-std::int64_t
-TrapGrid::regions() const
-{
-    return static_cast<std::int64_t>(_width) * _height;
-}
-
 bool
 TrapGrid::contains(GridCoord c) const
 {
     return c.x >= 0 && c.x < _width && c.y >= 0 && c.y < _height;
-}
-
-double
-TrapGrid::areaMm2() const
-{
-    return units::um2ToMm2(static_cast<double>(regions()) *
-                           _params.regionAreaUm2());
-}
-
-double
-TrapGrid::widthUm() const
-{
-    return _width * _params.regionDimUm();
-}
-
-double
-TrapGrid::heightUm() const
-{
-    return _height * _params.regionDimUm();
 }
 
 int
@@ -65,21 +38,6 @@ TrapGrid::moveLatencyCycles(GridCoord from, GridCoord to) const
     return _params.opCycles(PhysOp::Split) +
            hops * _params.opCycles(PhysOp::Move) +
            _params.opCycles(PhysOp::Cooling);
-}
-
-double
-TrapGrid::moveLatencyUs(GridCoord from, GridCoord to) const
-{
-    return moveLatencyCycles(from, to) * _params.cycle_us;
-}
-
-double
-TrapGrid::moveFailure(GridCoord from, GridCoord to) const
-{
-    const int hops = manhattan(from, to);
-    // 1 - (1-p)^hops, computed stably for small p.
-    const double p = _params.moveFailurePerRegion();
-    return -std::expm1(static_cast<double>(hops) * std::log1p(-p));
 }
 
 } // namespace iontrap

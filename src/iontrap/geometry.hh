@@ -2,14 +2,12 @@
  * @file
  * Abstraction of the planar ion-trap layout (paper Fig. 1(b)): a grid
  * of trapping regions joined by shared crossing junctions. Provides the
- * movement-latency and area primitives the tile and interconnect models
- * are built on.
+ * movement-latency primitive the tile and interconnect models are built
+ * on.
  */
 
 #ifndef QMH_IONTRAP_GEOMETRY_HH
 #define QMH_IONTRAP_GEOMETRY_HH
-
-#include <cstdint>
 
 #include "params.hh"
 
@@ -39,17 +37,9 @@ class TrapGrid
 
     int width() const { return _width; }
     int height() const { return _height; }
-    std::int64_t regions() const;
 
     /** True if @p c lies inside the grid. */
     bool contains(GridCoord c) const;
-
-    /** Physical area of the whole grid in mm^2. */
-    double areaMm2() const;
-
-    /** Side lengths of the grid in micrometres. */
-    double widthUm() const;
-    double heightUm() const;
 
     /**
      * Latency, in fundamental cycles, to ballistically shuttle an ion
@@ -57,15 +47,6 @@ class TrapGrid
      * and one cooling step at the destination.
      */
     int moveLatencyCycles(GridCoord from, GridCoord to) const;
-
-    /** Same, in microseconds. */
-    double moveLatencyUs(GridCoord from, GridCoord to) const;
-
-    /**
-     * Accumulated movement failure probability along the path
-     * (per-region failure x regions traversed).
-     */
-    double moveFailure(GridCoord from, GridCoord to) const;
 
     const Params &params() const { return _params; }
 

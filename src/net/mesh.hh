@@ -27,6 +27,7 @@ class Mesh
     int hops(int from, int to) const;
 
     /** Mean pairwise XY distance of the mesh (closed form: 2s/3). */
+    // qmh-lint: allow(test-only-api): the closed-form reference Mesh.HopsAndMeanDistance checks hops() against
     double meanDistance() const;
 
     /** Bisection width in links (all-port: 2 directions per link). */

@@ -112,6 +112,7 @@ class ResultCache
      */
     std::string open(const std::string &path);
 
+    // qmh-lint: allow(test-only-api): the window on whether open() bound the log, read by ResultCache.BackedStoreNeverEvicts
     bool backed() const;
     std::uint64_t baseSeed() const { return _base_seed; }
 
@@ -141,6 +142,7 @@ class ResultCache
      * Every key in sorted order: the only walk over the entries, so
      * hash-map layout never leaks into bytes.
      */
+    // qmh-lint: allow(test-only-api): the only window on the resident key set, read by ResultCache.EvictsTheLeastRecentlyUsedEntry
     std::vector<std::string> sortedKeys() const;
 
     /**
@@ -149,6 +151,7 @@ class ResultCache
      * byte-identical files whatever history built them. Returns "" on
      * success, else a diagnostic (unbacked store, failed write).
      */
+    // qmh-lint: allow(test-only-api): the only canonical dump of the whole store, read by ResultCache.CompactIsByteIdenticalAcrossInsertHistories
     std::string compact();
 
     ResultCacheStats stats() const;

@@ -88,17 +88,6 @@ ScheduleResult::inFlightSegments() const
     return buildProfileSegments(start, duration, makespan);
 }
 
-std::vector<std::uint32_t>
-ScheduleResult::inFlightProfile() const
-{
-    std::vector<std::uint32_t> profile(makespan, 0);
-    for (const auto &segment : inFlightSegments())
-        for (std::uint64_t t = segment.begin;
-             t < std::min(segment.end, makespan); ++t)
-            profile[t] = segment.in_flight;
-    return profile;
-}
-
 std::vector<double>
 ScheduleResult::windowedProfile(std::uint64_t window) const
 {

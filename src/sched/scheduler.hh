@@ -95,13 +95,6 @@ struct ScheduleResult
     std::vector<ProfileSegment> inFlightSegments() const;
 
     /**
-     * Gates in flight at each gate-step (size = makespan), expanded
-     * densely from inFlightSegments(). O(makespan) memory — use the
-     * segments directly for huge-latency schedules.
-     */
-    std::vector<std::uint32_t> inFlightProfile() const;
-
-    /**
      * The same profile aggregated into windows of @p window steps
      * (mean gates in flight), matching the paper's Toffoli-slot axis.
      * Computed from segments: O(gates + makespan / window).

@@ -63,6 +63,7 @@ class TokenPool
     explicit TokenPool(unsigned capacity);
 
     unsigned capacity() const { return _capacity; }
+    // qmh-lint: allow(test-only-api): the only window on held tokens, read by SimTokenPool.ParkedPortsWakeInParkingOrder
     unsigned inUse() const { return _in_use; }
 
   private:
@@ -146,6 +147,7 @@ class Port final : private CompletionSink
     std::size_t queued() const { return _count; }
 
     /** Requests currently holding a server. */
+    // qmh-lint: allow(test-only-api): the only window on busy servers, read by SimPort.TaggedCompletionsReportInServiceOrder
     unsigned inService() const { return _in_service; }
 
     const Stats &stats() const { return _stats; }

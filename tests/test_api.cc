@@ -323,6 +323,37 @@ TEST(SpecGrid, ValidateFlagsBadValues)
     EXPECT_EQ(grid.validate().size(), 2u);
 }
 
+TEST(SpecGrid, RejectsARepeatedKeyAndAnOversizedGrid)
+{
+    // 64 binary axes hold 2^64 points: the count saturates instead of
+    // wrapping to 0, and the grid is refused instead of expanded.
+    SpecGrid grid;
+    grid.base = parseSpec("experiment=cache n=8").spec;
+    for (int i = 0; i < 64; ++i)
+        grid.axis("warm", {"0", "1"});
+    EXPECT_EQ(grid.points(), SpecGrid::max_points + 1);
+    const std::vector<std::string> expect = {
+        "axis 'warm' is swept twice", "grid has more than 1000000 points"};
+    EXPECT_EQ(grid.validate(), expect);
+
+    SpecGrid parsed;
+    parsed.base = grid.base;
+    EXPECT_EQ(parsed.addAxis("warm=0,1"), "");
+    EXPECT_EQ(parsed.addAxis("warm=0,1"), "axis 'warm' is swept twice");
+    // Distinct keys are refused once their product passes the bound.
+    std::string n_axis = "n=1";
+    std::string gates_axis = "gates=1";
+    for (int v = 2; v <= 1000; ++v) {
+        n_axis += "," + std::to_string(v);
+        gates_axis += "," + std::to_string(v);
+    }
+    EXPECT_EQ(parsed.addAxis(n_axis), "");
+    EXPECT_NE(parsed.addAxis(gates_axis).find("grid has more than"),
+              std::string::npos);
+    EXPECT_EQ(parsed.points(), 2000u);
+    EXPECT_TRUE(parsed.validate().empty());
+}
+
 TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
 {
     // The acceptance sweep: a *cache* experiment grid (random

@@ -76,13 +76,6 @@ TEST(CodeTable2, QubitAreasMatchPaper)
     EXPECT_NEAR(bs.qubitAreaMm2(2, params), 2.4, 0.05);
 }
 
-TEST(Code, ToffoliIsFifteenGateSteps)
-{
-    const auto c = Code::steane();
-    EXPECT_DOUBLE_EQ(c.toffoliTime(2, params),
-                     15.0 * c.gateStepTime(2, params));
-}
-
 TEST(Code, GateStepDominatedByEc)
 {
     for (const auto kind :

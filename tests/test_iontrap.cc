@@ -84,16 +84,6 @@ INSTANTIATE_TEST_SUITE_P(AllOps, PhysOpNames,
                                            PhysOp::Split,
                                            PhysOp::Cooling));
 
-TEST(TrapGrid, AreaScalesWithRegions)
-{
-    const auto p = Params::future();
-    TrapGrid grid(10, 20, p);
-    EXPECT_EQ(grid.regions(), 200);
-    EXPECT_NEAR(grid.areaMm2(), 200 * 2500.0 * 1e-6, 1e-9);
-    EXPECT_DOUBLE_EQ(grid.widthUm(), 500.0);
-    EXPECT_DOUBLE_EQ(grid.heightUm(), 1000.0);
-}
-
 TEST(TrapGrid, MoveLatencyIncludesSplitAndCooling)
 {
     const auto p = Params::future();
@@ -103,17 +93,6 @@ TEST(TrapGrid, MoveLatencyIncludesSplitAndCooling)
     const int two_hops = grid.moveLatencyCycles({0, 0}, {1, 1});
     EXPECT_EQ(two_hops - one_hop, p.opCycles(PhysOp::Move));
     EXPECT_GT(one_hop, p.opCycles(PhysOp::Move));
-}
-
-TEST(TrapGrid, MoveFailureGrowsWithDistance)
-{
-    const auto p = Params::future();
-    TrapGrid grid(100, 100, p);
-    const double near = grid.moveFailure({0, 0}, {1, 0});
-    const double far = grid.moveFailure({0, 0}, {50, 50});
-    EXPECT_GT(far, near);
-    EXPECT_NEAR(near, p.moveFailurePerRegion(), 1e-9);
-    EXPECT_NEAR(far, 100 * p.moveFailurePerRegion(), 1e-6);
 }
 
 TEST(TrapGrid, Manhattan)

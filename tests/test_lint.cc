@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -55,6 +57,7 @@ TEST(LintRegistry, NamesAndDescriptionsCoverEveryRule)
         "ordered-iteration", "typed-errors",
         "banned-headers",    "lock-discipline",
         "layering",          "unchecked-outcome",
+        "unreachable-module", "test-only-api",
         "bad-suppression",   "unused-suppression"};
     EXPECT_EQ(names, expect);
     for (const auto &name : names)
@@ -378,6 +381,71 @@ TEST(LintUncheckedOutcome, DiscardFlaggedAmbiguousAndBoundSkipped)
     EXPECT_NE(discard.message.find("fetchThing"), std::string::npos);
 }
 
+/** lintTree over @p tree's src/, examples/ and tests/, the way the
+ * real tree is linted: any other entry directory is read, not linted. */
+Report
+lintReachTree(const std::string &tree)
+{
+    return lintTree({tree + "/src", tree + "/examples", tree + "/tests"});
+}
+
+TEST(LintReach, TestsNeverReachAModuleOrAFunction)
+{
+    const auto report = lintReachTree(fixturePath("reach_tree"));
+
+    // core/test_only is included only by a test; testOnly is called
+    // only by a test and calledNowhere by nothing. entryCall (called
+    // from examples/), moduleHelper (called from entryCall) and
+    // core/stale (included by used.cc) are reached. allowed.hh and
+    // allowedTestOnly are covered by their allow(); the allow() in
+    // stale.hh covers nothing and expires.
+    ASSERT_EQ(report.diagnostics.size(), 4u);
+    const auto &stale = report.diagnostics[0];
+    EXPECT_NE(stale.file.find("core/stale.hh"), std::string::npos);
+    EXPECT_EQ(stale.line, 2);
+    EXPECT_EQ(stale.rule, "unused-suppression");
+    const auto &module = report.diagnostics[1];
+    EXPECT_NE(module.file.find("core/test_only.hh"), std::string::npos);
+    EXPECT_EQ(module.line, 2);
+    EXPECT_EQ(module.rule, "unreachable-module");
+    EXPECT_NE(module.message.find("'core/test_only'"), std::string::npos);
+    const auto &test_only = report.diagnostics[2];
+    EXPECT_NE(test_only.file.find("core/used.hh"), std::string::npos);
+    EXPECT_EQ(test_only.line, 9);
+    EXPECT_EQ(test_only.rule, "test-only-api");
+    EXPECT_NE(test_only.message.find("'testOnly'"), std::string::npos);
+    const auto &nowhere = report.diagnostics[3];
+    EXPECT_EQ(nowhere.line, 10);
+    EXPECT_EQ(nowhere.rule, "test-only-api");
+    EXPECT_NE(nowhere.message.find("'calledNowhere'"), std::string::npos);
+}
+
+TEST(LintReach, PerfbenchCallerIsReadButNotLinted)
+{
+    // parseRequest's only non-test caller is perfbench/replay.cc,
+    // which is not a lint root: it counts as a reach, and its clock
+    // read is not reported.
+    const auto fixture = fixturePath("replay_tree");
+    const auto report = lintReachTree(fixture);
+    for (const auto &diagnostic : report.diagnostics)
+        ADD_FAILURE() << diagnostic.format();
+
+    // The same tree without that caller: parseRequest is test-only.
+    namespace fs = std::filesystem;
+    const auto copy = fs::path(::testing::TempDir()) / "qmh_lint_replay_tree";
+    fs::remove_all(copy);
+    fs::copy(fixture, copy, fs::copy_options::recursive);
+    fs::remove(copy / "perfbench" / "replay.cc");
+    const auto without = lintReachTree(copy.string());
+    fs::remove_all(copy);
+    ASSERT_EQ(without.diagnostics.size(), 1u);
+    const auto &finding = without.diagnostics[0];
+    EXPECT_NE(finding.file.find("api/service.hh"), std::string::npos);
+    EXPECT_EQ(finding.line, 6);
+    EXPECT_EQ(finding.rule, "test-only-api");
+    EXPECT_NE(finding.message.find("'parseRequest'"), std::string::npos);
+}
+
 TEST(LintSarif, CarriesRuleMetadataAndFindings)
 {
     TreeOptions options;
@@ -428,8 +496,38 @@ TEST(LintTree, TheRealTreeIsCleanWithJustifiedSuppressionsOnly)
                                   QMH_LINT_SOURCE_DIR "/examples",
                                   QMH_LINT_SOURCE_DIR "/tests"});
     EXPECT_GT(report.files_scanned, 100u);
-    for (const auto &diagnostic : report.diagnostics)
+    for (const auto &diagnostic : report.diagnostics) {
         ADD_FAILURE() << diagnostic.format();
+        // perfbench/ and tools/ are read for the reach passes only, so
+        // their per-file findings (perfbench's clock reads) never show.
+        EXPECT_EQ(diagnostic.file.find("/perfbench/"), std::string::npos);
+        EXPECT_EQ(diagnostic.file.find("/tools/"), std::string::npos);
+        EXPECT_EQ(diagnostic.message.find("'parseServiceRequest'"),
+                  std::string::npos);
+    }
+
+    // api::parseServiceRequest's only caller outside tests is
+    // perfbench/replay.cc, so the clean report shows that the reach
+    // passes read perfbench/ although it is not a lint root.
+    namespace fs = std::filesystem;
+    const fs::path source_dir(QMH_LINT_SOURCE_DIR);
+    std::vector<std::string> named_in;
+    for (const char *dir : {"src", "bench", "examples", "perfbench", "tools"})
+        for (const auto &entry :
+             fs::recursive_directory_iterator(source_dir / dir)) {
+            if (!entry.is_regular_file())
+                continue;
+            std::ifstream in(entry.path(), std::ios::binary);
+            std::ostringstream text;
+            text << in.rdbuf();
+            if (text.str().find("parseServiceRequest(") != std::string::npos)
+                named_in.push_back(fs::relative(entry.path(), source_dir)
+                                       .generic_string());
+        }
+    std::sort(named_in.begin(), named_in.end());
+    const std::vector<std::string> expect = {
+        "perfbench/replay.cc", "src/api/service.cc", "src/api/service.hh"};
+    EXPECT_EQ(named_in, expect);
 }
 
 } // namespace

@@ -35,28 +35,6 @@ TEST(Program, GateCountsAndHistogram)
     EXPECT_EQ(hist.size(), 2u);
 }
 
-TEST(Program, ClassicalDetection)
-{
-    Program classical("c", 3);
-    classical.toffoli(QubitId(0), QubitId(1), QubitId(2));
-    classical.barrier();
-    EXPECT_TRUE(classical.isClassical());
-
-    Program quantum("q", 2);
-    quantum.h(QubitId(0));
-    EXPECT_FALSE(quantum.isClassical());
-}
-
-TEST(Program, AddQubitGrowsRegister)
-{
-    Program p("t", 2);
-    const auto q = p.addQubit();
-    EXPECT_EQ(q, QubitId(2));
-    EXPECT_EQ(p.qubitCount(), 3);
-    p.x(q);  // must not panic
-    EXPECT_EQ(p.size(), 1u);
-}
-
 TEST(Program, ConcatAppendsSequentially)
 {
     Program a("a", 3);

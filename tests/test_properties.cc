@@ -32,11 +32,11 @@ scheduleIsValid(const circuit::Program &prog,
 {
     for (std::uint32_t i = 0; i < prog.size(); ++i) {
         const auto my_lat = lat.steps(prog[i].kind);
-        for (const auto p : dag.predecessors(i)) {
-            if (s.start[i] < s.start[p] + lat.steps(prog[p].kind))
+        for (const auto succ : dag.successors(i)) {
+            if (s.start[succ] < s.start[i] + my_lat)
                 return ::testing::AssertionFailure()
-                       << "instruction " << i << " starts before "
-                       << "predecessor " << p << " finishes";
+                       << "instruction " << succ << " starts before "
+                       << "predecessor " << i << " finishes";
         }
         if (s.start[i] + my_lat > s.makespan)
             return ::testing::AssertionFailure()

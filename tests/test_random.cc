@@ -147,33 +147,5 @@ TEST(Random, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / trials, 0.3, 0.01);
 }
 
-TEST(Random, BinomialSmallNMatchesMean)
-{
-    Random rng(17);
-    double sum = 0.0;
-    const int trials = 20000;
-    for (int i = 0; i < trials; ++i)
-        sum += static_cast<double>(rng.binomial(20, 0.25));
-    EXPECT_NEAR(sum / trials, 5.0, 0.1);
-}
-
-TEST(Random, BinomialLargeNMatchesMean)
-{
-    Random rng(19);
-    double sum = 0.0;
-    const int trials = 5000;
-    for (int i = 0; i < trials; ++i)
-        sum += static_cast<double>(rng.binomial(100000, 0.01));
-    EXPECT_NEAR(sum / trials, 1000.0, 10.0);
-}
-
-TEST(Random, BinomialDegenerateProbabilities)
-{
-    Random rng(23);
-    EXPECT_EQ(rng.binomial(1000, 0.0), 0u);
-    EXPECT_EQ(rng.binomial(1000, 1.0), 1000u);
-    EXPECT_EQ(rng.binomial(0, 0.5), 0u);
-}
-
 } // namespace
 } // namespace qmh

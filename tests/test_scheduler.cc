@@ -24,6 +24,24 @@ chainProgram(int gates)
     return p;
 }
 
+/**
+ * Gates in flight at each step of @p s, counted from each gate's start
+ * time and its latency under @p lat: the reference the segment profile
+ * is checked against.
+ */
+std::vector<std::uint32_t>
+countInFlight(const ScheduleResult &s, const Program &prog,
+              const LatencyModel &lat)
+{
+    std::vector<std::uint32_t> count(s.makespan, 0);
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+        const auto end = s.start[i] + lat.steps(prog[i].kind);
+        for (auto t = s.start[i]; t < end; ++t)
+            ++count[t];
+    }
+    return count;
+}
+
 TEST(ListSchedule, RespectsDependencies)
 {
     Program p("dep", 3);
@@ -61,9 +79,9 @@ TEST(ListSchedule, CapacityNeverExceeded)
         p.cnot(QubitId(2 * i), QubitId(2 * i + 1));
     LatencyModel lat;
     const auto s = listSchedule(p, lat, 2);
-    const auto profile = s.inFlightProfile();
-    for (const auto in_flight : profile)
+    for (const auto in_flight : countInFlight(s, p, lat))
         EXPECT_LE(in_flight, 2u);
+    EXPECT_EQ(s.peakParallelism(), 2u);
     EXPECT_EQ(s.makespan, 3u);  // 6 unit gates on 2 blocks
 }
 
@@ -195,10 +213,9 @@ TEST(Schedules, ProfilesAccountForAllWork)
     LatencyModel lat;
     for (const auto &s :
          {listSchedule(prog, lat, 4), roundSchedule(prog, lat, 4)}) {
-        const auto profile = s.inFlightProfile();
         std::uint64_t area = 0;
-        for (const auto v : profile)
-            area += v;
+        for (const auto &segment : s.inFlightSegments())
+            area += (segment.end - segment.begin) * segment.in_flight;
         EXPECT_EQ(area, s.busy_block_steps);
     }
 }
@@ -208,7 +225,7 @@ TEST(Schedules, SegmentsMatchDenseProfile)
     const auto prog = gen::draperAdder(16);
     LatencyModel lat;
     const auto s = listSchedule(prog, lat, 4);
-    const auto dense = s.inFlightProfile();
+    const auto dense = countInFlight(s, prog, lat);
     const auto segments = s.inFlightSegments();
     ASSERT_FALSE(segments.empty());
     // Segments tile [0, makespan) contiguously...
@@ -216,7 +233,7 @@ TEST(Schedules, SegmentsMatchDenseProfile)
     EXPECT_EQ(segments.back().end, s.makespan);
     for (std::size_t i = 1; i < segments.size(); ++i)
         EXPECT_EQ(segments[i].begin, segments[i - 1].end);
-    // ...and agree with the dense expansion everywhere.
+    // ...and agree with the gates counted in flight at every step.
     for (const auto &segment : segments)
         for (auto t = segment.begin; t < segment.end; ++t)
             EXPECT_EQ(dense[t], segment.in_flight) << "t=" << t;
@@ -228,9 +245,9 @@ TEST(Schedules, HugeLatencyProfilesStaySparse)
     // profile machinery must scale with the gate count, not the
     // schedule length. Before the segment refactor this test would
     // try to allocate makespan slots (tens of gigabytes) and die.
-    Program p("huge", 2);
-    for (int i = 0; i < 3; ++i)
-        p.toffoli(QubitId(0), QubitId(1), p.addQubit());
+    Program p("huge", 5);
+    for (int i = 2; i < 5; ++i)
+        p.toffoli(QubitId(0), QubitId(1), QubitId(i));
     LatencyModel lat;
     lat.toffoli = 2'000'000'000;  // 2e9 steps per gate
     const auto s = listSchedule(p, lat, 1);
@@ -335,8 +352,8 @@ TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
 
 TEST(Schedules, WindowedProfileAverages)
 {
-    Program p("w", 2);
-    p.toffoli(QubitId(0), QubitId(1), p.addQubit());
+    Program p("w", 3);
+    p.toffoli(QubitId(0), QubitId(1), QubitId(2));
     LatencyModel lat;
     const auto s = listSchedule(p, lat, 1);
     const auto w = s.windowedProfile(15);

@@ -43,23 +43,6 @@ TEST(AsciiTable, CaptionPrintedFirst)
     EXPECT_EQ(text.rfind("Table 4", 0), 0u);
 }
 
-TEST(AsciiTable, SeparatorAddsRule)
-{
-    AsciiTable t;
-    t.setHeader({"a"});
-    t.addRow({"1"});
-    t.addSeparator();
-    t.addRow({"2"});
-    const auto text = t.toString();
-    // header rule + top + separator + bottom = 4 rules
-    int rules = 0;
-    for (std::size_t pos = 0; (pos = text.find("+-", pos)) !=
-                              std::string::npos;
-         ++pos)
-        ++rules;
-    EXPECT_EQ(rules, 4);
-}
-
 TEST(AsciiTable, NumFormatting)
 {
     EXPECT_EQ(AsciiTable::num(3.14159, 2), "3.14");

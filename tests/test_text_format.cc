@@ -27,7 +27,7 @@ TEST(TextFormat, RoundTripPreservesProgram)
     p.cphase(4, QubitId(1), QubitId(2));
     p.barrier();
     p.swapq(QubitId(3), QubitId(4));
-    p.measure(QubitId(0));
+    p.append(Instruction::makeOne(GateKind::Measure, QubitId(0)));
 
     const auto parsed = parseText(writeText(p));
     ASSERT_TRUE(parsed.ok) << parsed.error;

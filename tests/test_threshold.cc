@@ -78,20 +78,20 @@ TEST(FidelityBudget, BaconShorMoreFavourable)
 
 TEST(FidelityBudget, Level2AlwaysFeasibleAtDesignPoint)
 {
+    // A level is feasible for the whole application when the expected
+    // number of logical failures, ops x Eq. 1 rate, is at most one.
+    const double ops = shorKqOps(1024);
     for (const auto kind :
          {CodeKind::Steane713, CodeKind::BaconShor913}) {
-        const FidelityBudget budget(Code::byKind(kind), params,
-                                    shorKqOps(1024));
-        EXPECT_TRUE(budget.feasible(2));
+        const FidelityBudget budget(Code::byKind(kind), params, ops);
+        EXPECT_LE(ops * budget.failureRate(2), 1.0);
     }
     // Steane cannot run everything at level 1; Bacon-Shor's higher
     // threshold just barely can ("more favourable").
-    const FidelityBudget steane(Code::steane(), params,
-                                shorKqOps(1024));
-    EXPECT_FALSE(steane.feasible(1));
-    const FidelityBudget bs(Code::baconShor(), params,
-                            shorKqOps(1024));
-    EXPECT_TRUE(bs.feasible(1));
+    const FidelityBudget steane(Code::steane(), params, ops);
+    EXPECT_GT(ops * steane.failureRate(1), 1.0);
+    const FidelityBudget bs(Code::baconShor(), params, ops);
+    EXPECT_LE(ops * bs.failureRate(1), 1.0);
 }
 
 TEST(FidelityBudget, TimeFractionMonotoneInOpsFraction)

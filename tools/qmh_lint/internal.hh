@@ -2,8 +2,8 @@
  * @file
  * qmh-lint internals: the seam between the per-file engine (lint.cc —
  * scrubber, tokenizer, token rules, fact extraction) and the
- * whole-tree engine (tree.cc — the file walk, layering and
- * unchecked-outcome).
+ * whole-tree engine (tree.cc — the file walk, layering,
+ * unchecked-outcome and the two reach passes).
  *
  * The unit of work is FileFacts: everything the tree passes need from
  * one file, extracted in a single scrub+tokenize visit. Cross-file
@@ -41,6 +41,17 @@ struct BareCall
     int line = 0;
 };
 
+/** A function declaration or definition: `<type> [Qual::]*name (`.
+ * The line is where its return type begins, so an allow() marker
+ * alone on the line above covers a declaration whose name sits on
+ * the line after its return type. */
+struct FunctionDecl
+{
+    std::string name;
+    int line = 0;
+    bool outcome = false;  ///< declared returning Outcome<...>
+};
+
 /** An `allow(rule)` marker for a whole-tree rule, deferred to the
  * tree pass (only it can tell used from stale). */
 struct TreeSuppression
@@ -59,15 +70,16 @@ struct FileFacts
     std::vector<Diagnostic> local_diags;
 
     std::vector<IncludeEdge> includes;
-    /** Function names declared returning Outcome<...>. */
-    std::vector<std::string> outcome_decls;
-    /** Function names declared with any other return type — used to
-     * drop ambiguous names (declared both ways somewhere in the
-     * tree) from the unchecked-outcome index, because a token-level
-     * call site cannot type its receiver. */
-    std::vector<std::string> plain_decls;
+    std::vector<FunctionDecl> decls;
+    /** Every identifier the code names outside a FunctionDecl's name
+     * position, sorted and unique: the reach passes' notion of a
+     * use. */
+    std::vector<std::string> uses;
     std::vector<BareCall> bare_calls;
     std::vector<TreeSuppression> tree_suppressions;
+    /** Line of the first token of code (1 for a file with none): the
+     * anchor of an unreachable-module finding. */
+    int first_code_line = 1;
 
     bool io_error = false;  ///< file could not be read
 };

@@ -24,7 +24,7 @@ struct RuleInfo
 };
 
 // The contract rules, in documentation order: six per-file token rules
-// followed by the two whole-tree rules (lintTree only). The two meta
+// followed by the four whole-tree rules (lintTree only). The two meta
 // rules (bad-suppression, unused-suppression) guard the suppression
 // mechanism itself and are always on and never suppressible.
 constexpr RuleInfo rule_infos[] = {
@@ -58,6 +58,16 @@ constexpr RuleInfo rule_infos[] = {
      "a call to a function returning Outcome<...> is never discarded "
      "as a bare statement — a dropped Outcome drops its failure "
      "(whole-tree rule; lintTree only)"},
+    {"unreachable-module",
+     "every src/ module (a header and its same-stem .cc) is reached "
+     "through includes from an entry point under examples/, bench/, "
+     "perfbench/ or tools/; tests never count (whole-tree rule; "
+     "lintTree only)"},
+    {"test-only-api",
+     "every function a src/ header declares is named, apart from its "
+     "own declarations and definitions, somewhere under src/ or an "
+     "entry point; tests never count (whole-tree rule; lintTree "
+     "only)"},
 };
 
 bool
@@ -74,7 +84,8 @@ isContractRule(std::string_view id)
 bool
 isTreeRule(std::string_view id)
 {
-    return id == "layering" || id == "unchecked-outcome";
+    return id == "layering" || id == "unchecked-outcome" ||
+           id == "unreachable-module" || id == "test-only-api";
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,20 +1056,40 @@ nonCalleeKeyword(std::string_view t)
             "defined"});
 }
 
-/**
- * Function declarations, split by return type: names declared to
- * return Outcome<...> vs anything else. The shape is
- * `<type> [&*const] [Qual::]*name (` — the plain side exists so the
- * tree pass can drop ambiguous names (declared both ways somewhere)
- * from the unchecked-outcome index: a token-level call site cannot
- * type its receiver, so only unambiguous names are actionable.
- */
-void
-collectDecls(const std::vector<Token> &tokens,
-             std::vector<std::string> &outcome_decls,
-             std::vector<std::string> &plain_decls)
+/** Whether the token before a return type's first token can precede
+ * a declaration: a statement or member boundary, the end of a
+ * template head or attribute, or a declaration specifier. */
+bool
+opensDeclaration(const std::vector<Token> &tokens, std::size_t head)
 {
+    if (head == 0)
+        return true;
+    const auto &before = tokens[head - 1];
+    if (before.ident())
+        return inSet(before.text,
+                     {"static", "inline", "virtual", "constexpr",
+                      "consteval", "explicit", "friend", "extern",
+                      "typename", "mutable", "const", "volatile",
+                      "unsigned", "signed", "long", "short", "struct",
+                      "class", "enum", "union"});
+    return inSet(before.text, {";", "{", "}", ":", ">", "]"});
+}
+
+/**
+ * Function declarations and definitions, shape
+ * `<type> [&*const] [Qual::]*name (`, each marked with whether its
+ * return type is Outcome<...>. @p is_name gets true at every token
+ * that is such a declaration's name, so every other identifier is a
+ * use. The unchecked-outcome pass drops names declared both ways
+ * somewhere in the tree (a token-level call site cannot type its
+ * receiver); the reach passes read what is left as uses.
+ */
+std::vector<detail::FunctionDecl>
+collectDecls(const std::vector<Token> &tokens, std::vector<bool> &is_name)
+{
+    std::vector<detail::FunctionDecl> decls;
     const std::size_t n = tokens.size();
+    is_name.assign(n, false);
     for (std::size_t i = 0; i < n; ++i) {
         if (!tokens[i].ident() || i + 1 >= n || !tokens[i + 1].is("("))
             continue;
@@ -1080,6 +1111,7 @@ collectDecls(const std::vector<Token> &tokens,
         if (tokens[q].is("&") || tokens[q].is("*") ||
             tokens[q].is("const"))
             continue;  // decorations ran into the file start
+        std::size_t head = q;
         if (tokens[q].is(">")) {
             // Template-id return type: find its head.
             std::size_t d = 1;
@@ -1093,15 +1125,22 @@ collectDecls(const std::vector<Token> &tokens,
             }
             if (d != 0 || r == 0 || !tokens[r - 1].ident())
                 continue;
-            if (tokens[r - 1].is("Outcome"))
-                outcome_decls.emplace_back(tokens[i].text);
-            else
-                plain_decls.emplace_back(tokens[i].text);
+            head = r - 1;
+        } else if (!tokens[q].ident() ||
+                   nonCalleeKeyword(tokens[q].text)) {
             continue;
         }
-        if (tokens[q].ident() && !nonCalleeKeyword(tokens[q].text))
-            plain_decls.emplace_back(tokens[i].text);
+        const bool outcome = tokens[head].is("Outcome");
+        while (head >= 2 && tokens[head - 1].is("::") &&
+               tokens[head - 2].ident())
+            head -= 2;
+        if (!opensDeclaration(tokens, head))
+            continue;  // an expression such as `a * f(x)`
+        decls.push_back(
+            {std::string(tokens[i].text), tokens[head].line, outcome});
+        is_name[i] = true;
     }
+    return decls;
 }
 
 /**
@@ -1275,8 +1314,17 @@ analyzeText(std::string_view policy_path, std::string_view text,
         ruleLockDiscipline(file, tokens, raw);
 
     facts.includes = collectIncludes(text, scrubbed.code);
-    collectDecls(tokens, facts.outcome_decls, facts.plain_decls);
+    std::vector<bool> is_decl_name;
+    facts.decls = collectDecls(tokens, is_decl_name);
+    for (std::size_t i = 0; i < tokens.size(); ++i)
+        if (tokens[i].ident() && !is_decl_name[i])
+            facts.uses.emplace_back(tokens[i].text);
+    std::sort(facts.uses.begin(), facts.uses.end());
+    facts.uses.erase(std::unique(facts.uses.begin(), facts.uses.end()),
+                     facts.uses.end());
     facts.bare_calls = collectBareCalls(tokens);
+    if (!tokens.empty())
+        facts.first_code_line = tokens.front().line;
 
     std::vector<Suppression> suppressions;
     collectSuppressions(file, scrubbed.comments, suppressions,

@@ -40,7 +40,21 @@
  *                       include cycles;
  *  - unchecked-outcome  a call to any function the tree declares as
  *                       returning Outcome<...> is never discarded as
- *                       a bare expression-statement.
+ *                       a bare expression-statement;
+ *  - unreachable-module every src/ module (a header and its same-stem
+ *                       .cc) is reached through includes from an
+ *                       entry point;
+ *  - test-only-api      every function a src/ header declares is
+ *                       named, apart from its own declarations and
+ *                       definitions, under src/ or in an entry point.
+ *
+ * The two reach passes count only entry points: the files under
+ * examples/, bench/, perfbench/ and tools/ next to the linted src/
+ * root. perfbench/ and tools/ (and src/ files outside the roots) are
+ * read for includes and identifiers only, never linted. Tests never
+ * count as a reach. Use is by name, so a name two declarations share
+ * is reached when either one is. A src/ root with no entry directory
+ * next to it is not judged.
  *
  * The tree engine lints files one after another in sorted-path order,
  * so the report is deterministic, and reports can be emitted as
@@ -102,8 +116,8 @@ const char *ruleDescription(std::string_view rule);
  * src/opt/, src/server/ and src/sweep/, no-raw-rand waived inside
  * the sanctioned src/common/random home), so tests can label fixture
  * content into any policy domain. Whole-tree rules (layering,
- * unchecked-outcome) need every file's facts and only run under
- * lintTree.
+ * unchecked-outcome, unreachable-module, test-only-api) need every
+ * file's facts and only run under lintTree.
  */
 Report lintText(std::string_view policy_path, std::string_view text);
 
@@ -141,7 +155,8 @@ const char *defaultLayerPolicy();
 /**
  * Recursively lint every C++ source under @p roots (.cc/.hh/.cpp/.h):
  * the per-file rules plus the whole-tree passes (layering over the
- * include graph, unchecked-outcome over the Outcome function index).
+ * include graph, unchecked-outcome over the Outcome function index,
+ * unreachable-module and test-only-api over entry-point reach).
  * Directories named "lint_fixtures" are skipped: fixtures contain
  * intentional violations and are linted explicitly by the self-tests.
  * Files are analyzed in sorted path order, so the report is

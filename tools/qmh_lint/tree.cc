@@ -1,9 +1,9 @@
 /**
  * @file
  * The whole-tree lint engine: one sequential fact-extraction pass
- * over the sorted file list, then the two cross-file passes
- * (layering over the module include graph, unchecked-outcome over
- * the Outcome function index).
+ * over the sorted file list, then the cross-file passes (layering
+ * over the module include graph, unchecked-outcome over the Outcome
+ * function index, and the two reach passes from the entry points).
  *
  * Determinism: files are sorted before analysis, every cross-file
  * pass iterates facts in that order, and the merged diagnostics get
@@ -30,14 +30,10 @@ namespace {
 // Module names
 // ---------------------------------------------------------------------------
 
-/**
- * The module a file belongs to: the path component right after the
- * last "src/" component ("src/api/spec.cc" -> "api"). Empty for files
- * outside any src/ tree (tests, benches, tools) — they are linted by
- * the per-file rules but take no part in the module graph.
- */
-std::string
-moduleOf(const std::string &path)
+/** Offset of the last "src/" path component of @p path; npos when
+ * the file lies outside any src/ tree. */
+std::size_t
+srcComponent(const std::string &path)
 {
     std::size_t pos = std::string::npos;
     std::size_t search = 0;
@@ -49,6 +45,19 @@ moduleOf(const std::string &path)
             pos = hit;
         search = hit + 1;
     }
+    return pos;
+}
+
+/**
+ * The module a file belongs to: the path component right after the
+ * last "src/" component ("src/api/spec.cc" -> "api"). Empty for files
+ * outside any src/ tree (tests, benches, tools) — they are linted by
+ * the per-file rules but take no part in the module graph.
+ */
+std::string
+moduleOf(const std::string &path)
+{
+    const std::size_t pos = srcComponent(path);
     if (pos == std::string::npos)
         return "";
     const std::size_t mod_begin = pos + 4;
@@ -172,7 +181,7 @@ parseLayerPolicy(std::string_view text)
 // Tree suppressions
 // ---------------------------------------------------------------------------
 
-/** Deferred allow(layering)/allow(unchecked-outcome) markers, matched
+/** Deferred allow() markers of the whole-tree rules, matched
  * here because only the tree passes know the findings. */
 struct TreeSuppressions
 {
@@ -385,10 +394,9 @@ passUncheckedOutcome(const std::vector<detail::FileFacts> &all,
     for (const auto &facts : all) {
         if (moduleOf(facts.path).empty())
             continue;
-        outcome_names.insert(facts.outcome_decls.begin(),
-                             facts.outcome_decls.end());
-        plain_names.insert(facts.plain_decls.begin(),
-                           facts.plain_decls.end());
+        for (const auto &decl : facts.decls)
+            (decl.outcome ? outcome_names : plain_names)
+                .insert(decl.name);
     }
     std::set<std::string> index;
     for (const auto &name : outcome_names)
@@ -458,6 +466,201 @@ collectFiles(const std::vector<std::string> &roots,
     return files;
 }
 
+// ---------------------------------------------------------------------------
+// Passes: unreachable-module and test-only-api
+// ---------------------------------------------------------------------------
+
+/** The directories next to a src/ root whose files are entry points:
+ * the programs built from the library. tests/ is deliberately not one
+ * of them — a module or a function only a test reaches ships unused. */
+constexpr const char *entry_dirs[] = {"examples", "bench", "perfbench",
+                                      "tools"};
+
+std::string
+normalPath(const std::filesystem::path &path)
+{
+    return std::filesystem::absolute(path).lexically_normal()
+        .generic_string();
+}
+
+bool
+isHeader(const std::string &path)
+{
+    const auto ext = std::filesystem::path(path).extension();
+    return ext == ".hh" || ext == ".h";
+}
+
+/** A file the reach passes read, keyed by its normalized path. Only
+ * linted files can carry findings; the others (entry directories and
+ * src/ files outside the roots) are read for includes and identifiers
+ * alone. */
+struct ReachFile
+{
+    const detail::FileFacts *facts;
+    bool linted;
+};
+
+/**
+ * Both reach passes over one src/ root. Reach is by include: an entry
+ * file reaches each src/ header it includes, and a reached module (a
+ * header and its same-stem .cc) reaches whatever either of them
+ * includes. Use is by name: a declared function counts as used when
+ * any src/ or entry file names it outside a declaration.
+ */
+void
+passReach(const std::string &src_root,
+          const std::map<std::string, ReachFile> &files,
+          TreeSuppressions &suppressions,
+          std::vector<Diagnostic> &diagnostics)
+{
+    namespace fs = std::filesystem;
+    const std::string src_prefix = src_root + "/";
+    const std::string parent = fs::path(src_root).parent_path()
+                                   .generic_string() + "/";
+    auto under = [](const std::string &path, const std::string &dir) {
+        return path.compare(0, dir.size(), dir) == 0;
+    };
+    auto isEntry = [&](const std::string &path) {
+        for (const char *dir : entry_dirs)
+            if (under(path, parent + dir + "/"))
+                return true;
+        return false;
+    };
+    auto unitOf = [&](const std::string &path) {
+        return fs::path(path).replace_extension().generic_string()
+            .substr(src_prefix.size());
+    };
+
+    std::map<std::string, std::vector<const ReachFile *>> units;
+    std::vector<const ReachFile *> queue;
+    std::set<std::string> used;
+    for (const auto &[path, file] : files) {
+        const bool in_src = under(path, src_prefix);
+        if (in_src)
+            units[unitOf(path)].push_back(&file);
+        else if (isEntry(path))
+            queue.push_back(&file);
+        else
+            continue;  // a test, or another tree's file
+        used.insert(file.facts->uses.begin(), file.facts->uses.end());
+    }
+
+    std::set<std::string> reached;
+    while (!queue.empty()) {
+        const auto *file = queue.back();
+        queue.pop_back();
+        const auto dir = fs::path(normalPath(file->facts->path))
+                             .parent_path();
+        for (const auto &include : file->facts->includes) {
+            for (const auto &candidate :
+                 {normalPath(fs::path(src_root) / include.header),
+                  normalPath(dir / include.header)}) {
+                if (!under(candidate, src_prefix) ||
+                    !files.count(candidate))
+                    continue;
+                const auto unit = unitOf(candidate);
+                if (reached.insert(unit).second)
+                    queue.insert(queue.end(), units[unit].begin(),
+                                 units[unit].end());
+            }
+        }
+    }
+
+    for (const auto &[unit, members] : units) {
+        // Report on the header when there is one (units list files
+        // in path order, so .cc comes before .hh).
+        const ReachFile *anchor = members.front();
+        for (const auto *member : members)
+            if (isHeader(member->facts->path))
+                anchor = member;
+        if (!reached.count(unit) && anchor->linted &&
+            !suppressions.covers(anchor->facts->path,
+                                 "unreachable-module",
+                                 anchor->facts->first_code_line))
+            diagnostics.push_back(
+                {anchor->facts->path, anchor->facts->first_code_line,
+                 "unreachable-module",
+                 "module '" + unit + "' is reached by no entry point: "
+                 "nothing under examples/, bench/, perfbench/ or "
+                 "tools/ includes it, directly or through src/",
+                 "delete it, or suppress naming the test that needs "
+                 "it"});
+        for (const auto *member : members) {
+            if (!member->linted || !isHeader(member->facts->path))
+                continue;
+            std::map<std::string, int> declared;  // name -> first line
+            for (const auto &decl : member->facts->decls)
+                declared.emplace(decl.name, decl.line);
+            for (const auto &[name, line] : declared) {
+                if (used.count(name) ||
+                    suppressions.covers(member->facts->path,
+                                        "test-only-api", line))
+                    continue;
+                diagnostics.push_back(
+                    {member->facts->path, line, "test-only-api",
+                     "'" + name + "' is named only by its own "
+                     "declarations, by tests, or nowhere: no src/ "
+                     "code and no entry point calls it",
+                     "delete it with the tests that check only it, or "
+                     "suppress naming the test that needs it as a "
+                     "reference"});
+            }
+        }
+    }
+}
+
+/**
+ * Runs both reach passes for every src/ root among the linted files
+ * that has at least one entry directory next to it (a root without
+ * any has nothing that could reach it, so it cannot be judged). Files
+ * of the root and of its entry directories that were not linted are
+ * read for their facts alone.
+ */
+void
+passesReach(const std::vector<detail::FileFacts> &all,
+            TreeSuppressions &suppressions,
+            std::vector<Diagnostic> &diagnostics)
+{
+    namespace fs = std::filesystem;
+    std::map<std::string, ReachFile> files;
+    std::set<std::string> src_roots;
+    for (const auto &facts : all) {
+        if (facts.io_error)
+            continue;
+        const auto path = normalPath(facts.path);
+        files.emplace(path, ReachFile{&facts, true});
+        const auto pos = srcComponent(path);
+        if (pos != std::string::npos)
+            src_roots.insert(path.substr(0, pos + 3));
+    }
+
+    std::vector<std::string> judged;
+    std::vector<std::string> scope;
+    for (const auto &root : src_roots) {
+        std::vector<std::string> dirs;
+        for (const char *dir : entry_dirs) {
+            const auto entry = fs::path(root).parent_path() / dir;
+            if (fs::is_directory(entry))
+                dirs.push_back(entry.string());
+        }
+        if (dirs.empty())
+            continue;
+        judged.push_back(root);
+        scope.push_back(root);
+        scope.insert(scope.end(), dirs.begin(), dirs.end());
+    }
+    std::vector<std::string> missing;  // stays empty: every dir exists
+    std::vector<detail::FileFacts> context;
+    for (const auto &path : collectFiles(scope, missing))
+        if (!files.count(normalPath(path)))
+            context.push_back(detail::analyzeFile(path));
+    for (const auto &facts : context)
+        if (!facts.io_error)
+            files.emplace(normalPath(facts.path), ReachFile{&facts, false});
+    for (const auto &root : judged)
+        passReach(root, files, suppressions, diagnostics);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -515,6 +718,7 @@ lintTree(const std::vector<std::string> &roots,
                                      : options.layer_policy.c_str());
     passLayering(all, policy, suppressions, report.diagnostics);
     passUncheckedOutcome(all, suppressions, report.diagnostics);
+    passesReach(all, suppressions, report.diagnostics);
     suppressions.reportUnused(all, report.diagnostics);
 
     detail::sortUniqueDiagnostics(report.diagnostics);
