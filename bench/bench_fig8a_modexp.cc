@@ -26,7 +26,7 @@ printFig8a()
                  "Comm/Comp"});
     for (const int n : {32, 128, 256, 512, 1024}) {
         const auto blocks =
-            cqla::PerformanceModel::paperBlockCounts(n).second;
+            cqla::PerformanceModel::paperBlockCounts(n).value().second;
         const auto times = model.totalTimes(n, blocks);
         t.addRow({std::to_string(n),
                   AsciiTable::num(

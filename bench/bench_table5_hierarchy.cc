@@ -70,8 +70,8 @@ printTable5()
     t.setAlign(0, Align::Left);
     for (const auto &p : paper_rows) {
         const auto code = ecc::Code::byKind(p.code);
-        const auto row = hier.row(code, p.n, p.channels,
-                                  cqla::HierarchyModel::paperBlocks(p.n));
+        const auto blocks = cqla::HierarchyModel::paperBlocks(p.n).value();
+        const auto row = hier.row(code, p.n, p.channels, blocks);
         auto cell = [](double model, double paper) {
             return AsciiTable::num(model, 2) + " (" +
                    AsciiTable::num(paper, 2) + ")";

@@ -28,15 +28,15 @@ main(int argc, char **argv)
         const auto parsed = cli::intArg(argv[1], 32, 1024);
         n = parsed ? *parsed : -1;
     }
-    if (n != 32 && n != 64 && n != 128 && n != 256 && n != 512 &&
-        n != 1024) {
+    const auto table4 = cqla::PerformanceModel::paperBlockCounts(n);
+    if (!table4) {
         std::fprintf(stderr,
                      "usage: %s [32|64|128|256|512|1024]\n", argv[0]);
         return 1;
     }
+    const auto blocks = *table4;
 
     const auto params = iontrap::Params::future();
-    const auto blocks = cqla::PerformanceModel::paperBlockCounts(n);
     std::printf("=== CQLA provisioning report: %d-bit Shor ===\n\n", n);
 
     for (const auto kind : {ecc::CodeKind::Steane713,

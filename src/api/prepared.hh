@@ -83,9 +83,6 @@ class PreparedSlot
     const trace::PreparedWorkload &get(const ExperimentSpec &spec,
                                        Random &rng) const;
 
-    /** Block counts whose flat baseline the slot prepares, sorted. */
-    const std::vector<unsigned> &blocks() const { return _blocks; }
-
     /**
      * trace::runTrace of @p prepared (this slot's, from get()) under
      * @p config on @p spec's machine — or, when a finished run of the

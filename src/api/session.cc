@@ -150,12 +150,6 @@ JobHandle::columns() const
     return _state->columns;
 }
 
-std::size_t
-JobHandle::totalPoints() const
-{
-    return _state->total;
-}
-
 JobProgress
 JobHandle::progress() const
 {

@@ -97,9 +97,6 @@ class JobHandle
     /** Column labels of the result table (trailing "seed" included). */
     const std::vector<std::string> &columns() const;
 
-    /** Points submitted. */
-    std::size_t totalPoints() const;
-
     JobProgress progress() const;
 
     /**

@@ -379,15 +379,6 @@ specKeyKind(std::string_view key)
     return field->kind;
 }
 
-std::optional<std::string>
-specGet(const ExperimentSpec &spec, std::string_view key)
-{
-    const auto *field = findField(key);
-    if (!field)
-        return std::nullopt;
-    return field->get(spec);
-}
-
 std::string
 specSet(ExperimentSpec &spec, std::string_view key,
         std::string_view value)

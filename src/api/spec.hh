@@ -141,11 +141,6 @@ std::optional<SpecKeyKind> specKeyKind(std::string_view key);
 /** One-line help text for @p key; nullptr on unknown key. */
 const char *specKeyHelp(std::string_view key);
 
-/** Canonical textual value of @p key; nullopt on unknown key. */
-// qmh-lint: allow(test-only-api): the per-key window Spec.GetAndSetCoverEveryKey checks specSet through
-std::optional<std::string> specGet(const ExperimentSpec &spec,
-                                   std::string_view key);
-
 /**
  * Set @p key from its textual form. Returns the empty string on
  * success, a diagnostic otherwise (unknown key, malformed value).

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "cqla/perf_model.hh"
 #include "gen/draper.hh"
 #include "gen/qft.hh"
 #include "gen/random_circuit.hh"
@@ -180,23 +181,15 @@ buildWorkload(const ExperimentSpec &spec, Random &rng)
 unsigned
 adderPeQubits(int n_bits)
 {
-    // Table-4 anchor points: blocks available to an n-bit adder.
-    switch (n_bits) {
-      case 32:   return 9 * 9;
-      case 64:   return 9 * 16;
-      case 128:  return 9 * 25;
-      case 256:  return 9 * 49;
-      case 512:  return 9 * 81;
-      case 1024: return 9 * 121;
-      default: {
-          // Off-table widths: the table's side lengths grow like
-          // ~0.35 * sqrt(n); round to the nearest square grid.
-          const double side = std::max(
-              2.0, std::round(0.35 * std::sqrt(
-                                  static_cast<double>(n_bits))));
-          return static_cast<unsigned>(9.0 * side * side);
-      }
-    }
+    // Table-4 anchor points: the larger block count the table lists
+    // for an n-bit adder.
+    if (const auto blocks = cqla::PerformanceModel::paperBlockCounts(n_bits))
+        return 9 * blocks->second;
+    // Off-table widths: the table's side lengths grow like
+    // ~0.35 * sqrt(n); round to the nearest square grid.
+    const double side = std::max(
+        2.0, std::round(0.35 * std::sqrt(static_cast<double>(n_bits))));
+    return static_cast<unsigned>(9.0 * side * side);
 }
 
 } // namespace api

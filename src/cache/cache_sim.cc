@@ -93,16 +93,6 @@ QubitCache::contains(circuit::QubitId qubit) const
            _where[qubit.value()] != npos;
 }
 
-std::vector<circuit::QubitId>
-QubitCache::residents() const
-{
-    std::vector<circuit::QubitId> out;
-    out.reserve(_nodes.size());
-    for (auto n = _head; n != npos; n = _nodes[n].next)
-        out.push_back(_nodes[n].qubit);
-    return out;
-}
-
 CacheState::CacheState(std::size_t capacity,
                        std::vector<bool> cacheable,
                        std::size_t qubit_ids)

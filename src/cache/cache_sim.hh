@@ -64,18 +64,6 @@ class QubitCache
     /** Non-mutating lookup. */
     bool contains(circuit::QubitId qubit) const;
 
-    std::size_t capacity() const { return _capacity; }
-    std::size_t size() const { return _nodes.size(); }
-
-    /**
-     * Resident qubits in recency order, most recent first. Read from
-     * the LRU list — a deterministic function of the access history —
-     * never from the unordered index, so persisting or printing the
-     * residency set cannot leak hash-map layout.
-     */
-    // qmh-lint: allow(test-only-api): the only window on LRU order, read by QubitCache.ResidentsTrackInterleavedHitMissEvictSequences
-    std::vector<circuit::QubitId> residents() const;
-
   private:
     static constexpr std::uint32_t npos = ~0u;
 
@@ -162,8 +150,6 @@ class CacheState
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     std::uint64_t evictions() const { return _evictions; }
-
-    const QubitCache &cache() const { return _cache; }
 
   private:
     QubitCache _cache;

@@ -35,9 +35,7 @@ class Program
 
     /** Convenience emitters. */
     void x(QubitId a) { append(Instruction::makeOne(GateKind::X, a)); }
-    void z(QubitId a) { append(Instruction::makeOne(GateKind::Z, a)); }
     void h(QubitId a) { append(Instruction::makeOne(GateKind::H, a)); }
-    void s(QubitId a) { append(Instruction::makeOne(GateKind::S, a)); }
     void t(QubitId a) { append(Instruction::makeOne(GateKind::T, a)); }
     void
     cnot(QubitId control, QubitId target)
@@ -64,7 +62,6 @@ class Program
 
     const std::vector<Instruction> &instructions() const { return _insts; }
     std::size_t size() const { return _insts.size(); }
-    bool empty() const { return _insts.empty(); }
     const Instruction &operator[](std::size_t i) const { return _insts[i]; }
 
     /** Number of gates of one kind. */

@@ -50,8 +50,6 @@ class ReversibleState
      */
     bool run(const Program &program);
 
-    const std::vector<bool> &bits() const { return _bits; }
-
   private:
     std::vector<bool> _bits;
 };

@@ -32,8 +32,6 @@ struct ParseResult
     Program program;
     std::string error;
     int line = 0;
-
-    explicit operator bool() const { return ok; }
 };
 
 /** Serialize @p program to the text format. */

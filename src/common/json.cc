@@ -36,14 +36,6 @@ typeMismatch(Value::Type actual, Value::Type wanted)
 
 } // namespace
 
-bool
-Value::boolean() const
-{
-    if (_type != Type::Bool)
-        typeMismatch(_type, Type::Bool);
-    return _bool;
-}
-
 double
 Value::number() const
 {
@@ -95,11 +87,10 @@ Value::makeNull()
 }
 
 Value
-Value::makeBool(bool b)
+Value::makeBool()
 {
     Value v;
     v._type = Type::Bool;
-    v._bool = b;
     return v;
 }
 
@@ -466,8 +457,7 @@ struct Parser
             if (!literal(word))
                 return false;
             if (out)
-                *out = c == 'n' ? Value::makeNull()
-                                : Value::makeBool(c == 't');
+                *out = c == 'n' ? Value::makeNull() : Value::makeBool();
             return true;
         }
         double number = 0.0;

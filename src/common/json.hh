@@ -35,16 +35,15 @@ class Value
     Value() = default;
 
     Type type() const { return _type; }
-    // qmh-lint: allow(test-only-api): the window Json.ParsesEveryValueKind reads a parsed null through
-    bool isNull() const { return _type == Type::Null; }
     bool isNumber() const { return _type == Type::Number; }
     bool isString() const { return _type == Type::String; }
     bool isArray() const { return _type == Type::Array; }
     bool isObject() const { return _type == Type::Object; }
 
-    /** Typed accessors; panic on a type mismatch (check first). */
-    // qmh-lint: allow(test-only-api): the window Json.ParsesEveryValueKind reads a parsed true/false through
-    bool boolean() const;
+    /**
+     * Typed accessors; panic on a type mismatch (check first). A
+     * Bool keeps only its type: no reader needs true from false.
+     */
     double number() const;
     const std::string &string() const;
     const std::vector<Value> &items() const;
@@ -58,7 +57,7 @@ class Value
 
     /** Construction helpers (used by the parser and by tests). */
     static Value makeNull();
-    static Value makeBool(bool b);
+    static Value makeBool();
     static Value makeNumber(double d);
     static Value makeString(std::string s);
     static Value makeArray(std::vector<Value> items);
@@ -67,7 +66,6 @@ class Value
 
   private:
     Type _type = Type::Null;
-    bool _bool = false;
     double _number = 0.0;
     std::string _string;
     std::vector<Value> _items;

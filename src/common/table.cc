@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <sstream>
 
 #include "logging.hh"
 
@@ -93,14 +92,6 @@ AsciiTable::print(std::ostream &os) const
 }
 
 std::string
-AsciiTable::toString() const
-{
-    std::ostringstream os;
-    print(os);
-    return os.str();
-}
-
-std::string
 AsciiTable::num(double v, int digits)
 {
     char buf[64];
@@ -110,12 +101,6 @@ AsciiTable::num(double v, int digits)
 
 std::string
 AsciiTable::num(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-std::string
-AsciiTable::num(int v)
 {
     return std::to_string(v);
 }

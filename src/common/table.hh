@@ -45,18 +45,11 @@ class AsciiTable
     /** Render to a stream. */
     void print(std::ostream &os) const;
 
-    /** Render to a string. */
-    std::string toString() const;
-
-    std::size_t rows() const { return _rows.size(); }
-    std::size_t columns() const { return _header.size(); }
-
     /** Format a double with @p digits significant decimal places. */
     static std::string num(double v, int digits = 2);
 
     /** Format an integer. */
     static std::string num(std::uint64_t v);
-    static std::string num(int v);
 
     /** Format a double in scientific notation, paper style (1.2e-3). */
     static std::string sci(double v, int digits = 1);

@@ -106,8 +106,6 @@ class AreaModel
     double areaReductionFactor(const ecc::Code &code, int n_bits,
                                unsigned blocks) const;
 
-    const iontrap::Params &params() const { return _params; }
-
   private:
     iontrap::Params _params;
 };

@@ -19,11 +19,8 @@ HierarchyModel::criticalTransferSeconds(
 {
     if (parallel_transfers == 0)
         qmh_fatal("hierarchy needs at least one transfer channel");
-    const net::Encoding src{code.kind(), 2};
-    const net::Encoding dst{code.kind(), 1};
-    const double per_qubit = _transfer.transferTime(src, dst) *
-                             code.transferChannelCost();
-    return critical_transfer_qubits * per_qubit /
+    return critical_transfer_qubits *
+           _transfer.level2To1ChannelTime(code) /
            static_cast<double>(parallel_transfers);
 }
 
@@ -88,7 +85,7 @@ HierarchyModel::row(const ecc::Code &code, int n_bits,
     return out;
 }
 
-unsigned
+std::optional<unsigned>
 HierarchyModel::paperBlocks(int n_bits)
 {
     // Table 5 pairs 256 and 512 with the larger Table-4 block count
@@ -98,7 +95,9 @@ HierarchyModel::paperBlocks(int n_bits)
       case 512:  return 81;
       case 1024: return 100;
       default:
-        return PerformanceModel::paperBlockCounts(n_bits).second;
+        if (const auto blocks = PerformanceModel::paperBlockCounts(n_bits))
+            return blocks->second;
+        return std::nullopt;
     }
 }
 

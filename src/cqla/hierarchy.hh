@@ -16,6 +16,8 @@
 #ifndef QMH_CQLA_HIERARCHY_HH
 #define QMH_CQLA_HIERARCHY_HH
 
+#include <optional>
+
 #include "ecc/code.hh"
 #include "ecc/threshold.hh"
 #include "iontrap/params.hh"
@@ -80,8 +82,11 @@ class HierarchyModel
     Table5Row row(const ecc::Code &code, int n_bits,
                   unsigned parallel_transfers, unsigned blocks);
 
-    /** Block counts the paper's Table 5 pairs with each size. */
-    static unsigned paperBlocks(int n_bits);
+    /**
+     * Block count the paper's Table 5 pairs with an @p n_bits adder;
+     * nullopt for a size Table 4 does not list.
+     */
+    static std::optional<unsigned> paperBlocks(int n_bits);
 
   private:
     iontrap::Params _params;

@@ -126,19 +126,17 @@ PerformanceModel::table4Row(int n_bits, unsigned blocks)
     return row;
 }
 
-std::pair<unsigned, unsigned>
+std::optional<std::pair<unsigned, unsigned>>
 PerformanceModel::paperBlockCounts(int n_bits)
 {
     switch (n_bits) {
-      case 32:   return {4, 9};
-      case 64:   return {9, 16};
-      case 128:  return {16, 25};
-      case 256:  return {36, 49};
-      case 512:  return {64, 81};
-      case 1024: return {100, 121};
-      default:
-        qmh_fatal("paperBlockCounts: size ", n_bits,
-                  " not in the paper's Table 4");
+      case 32:   return std::pair{4u, 9u};
+      case 64:   return std::pair{9u, 16u};
+      case 128:  return std::pair{16u, 25u};
+      case 256:  return std::pair{36u, 49u};
+      case 512:  return std::pair{64u, 81u};
+      case 1024: return std::pair{100u, 121u};
+      default:   return std::nullopt;
     }
 }
 

@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "ecc/code.hh"
 #include "iontrap/params.hh"
@@ -85,10 +87,12 @@ class PerformanceModel
     /** Complete Table-4 row (areas and gain products included). */
     Table4Row table4Row(int n_bits, unsigned blocks);
 
-    /** The paper's block counts per input size (Table 4 column 2). */
-    static std::pair<unsigned, unsigned> paperBlockCounts(int n_bits);
-
-    const iontrap::Params &params() const { return _params; }
+    /**
+     * The paper's two block counts for an @p n_bits adder (Table 4
+     * column 2); nullopt for a size the table does not list.
+     */
+    static std::optional<std::pair<unsigned, unsigned>>
+    paperBlockCounts(int n_bits);
 
   private:
     iontrap::Params _params;

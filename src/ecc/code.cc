@@ -16,8 +16,6 @@ Code::steane()
     c._name = "Steane [[7,1,3]]";
     c._short_name = "7";
     c._n = 7;
-    c._k = 1;
-    c._d = 3;
     // Paper Section 4.1: "the level 1 error correction circuit will
     // take 154 cycles" per syndrome; with two syndromes and a 10 us
     // cycle this reproduces the reported 3.1e-3 s level-1 EC latency.
@@ -43,8 +41,6 @@ Code::baconShor()
     c._name = "Bacon-Shor [[9,1,3]]";
     c._short_name = "9";
     c._n = 9;
-    c._k = 1;
-    c._d = 3;
     // Gauge-operator syndrome extraction needs only two-qubit ancilla
     // states (no verified cat states): 60 cycles per syndrome
     // reproduces the paper's 1.2e-3 s level-1 latency.

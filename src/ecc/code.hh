@@ -61,10 +61,6 @@ class Code
 
     /** Physical qubits per logical qubit (one level). */
     int n() const { return _n; }
-    /** Logical qubits encoded. */
-    int k() const { return _k; }
-    /** Code distance. */
-    int d() const { return _d; }
 
     /** Data ions of a level-L logical qubit: n^L. */
     std::int64_t dataIons(Level level) const;
@@ -151,8 +147,6 @@ class Code
     std::string _name;
     std::string _short_name;
     int _n = 0;
-    int _k = 0;
-    int _d = 0;
     int _l1_cycles_per_syndrome = 0;
     double _serialization_ratio = 0.0;
     double _layout_factor = 0.0;

@@ -92,8 +92,6 @@ class FidelityBudget
      */
     double recommendedLevel1AddFraction() const;
 
-    const Code &code() const { return _code; }
-
   private:
     Code _code;
     iontrap::Params _params;

@@ -37,12 +37,5 @@ qft(int n, bool with_swaps)
     return prog;
 }
 
-std::uint64_t
-qftCphaseCount(int n)
-{
-    const auto nn = static_cast<std::uint64_t>(n);
-    return nn * (nn - 1) / 2;
-}
-
 } // namespace gen
 } // namespace qmh

@@ -22,10 +22,6 @@ namespace gen {
  */
 circuit::Program qft(int n, bool with_swaps = false);
 
-/** Controlled-phase count of the n-qubit QFT: n(n-1)/2. */
-// qmh-lint: allow(test-only-api): the closed-form reference of Qft.GateCountsMatchClosedForm
-std::uint64_t qftCphaseCount(int n);
-
 } // namespace gen
 } // namespace qmh
 

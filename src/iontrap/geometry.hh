@@ -35,9 +35,6 @@ class TrapGrid
   public:
     TrapGrid(int width, int height, const Params &params);
 
-    int width() const { return _width; }
-    int height() const { return _height; }
-
     /** True if @p c lies inside the grid. */
     bool contains(GridCoord c) const;
 
@@ -47,8 +44,6 @@ class TrapGrid
      * and one cooling step at the destination.
      */
     int moveLatencyCycles(GridCoord from, GridCoord to) const;
-
-    const Params &params() const { return _params; }
 
   private:
     int _width;

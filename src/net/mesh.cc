@@ -27,15 +27,6 @@ Mesh::hops(int from, int to) const
 }
 
 double
-Mesh::meanDistance() const
-{
-    // Mean |x1-x2| over a discrete line of s nodes is (s^2-1)/(3s);
-    // the mesh distance is twice that (x and y independent).
-    const double s = _side;
-    return 2.0 * (s * s - 1.0) / (3.0 * s);
-}
-
-double
 Mesh::bisectionLinks() const
 {
     return static_cast<double>(_side);

@@ -20,15 +20,10 @@ class Mesh
     /** @param side nodes per edge (side*side nodes total) */
     explicit Mesh(int side);
 
-    int side() const { return _side; }
     int nodes() const { return _side * _side; }
 
     /** XY-routing hop count between node indices (row-major). */
     int hops(int from, int to) const;
-
-    /** Mean pairwise XY distance of the mesh (closed form: 2s/3). */
-    // qmh-lint: allow(test-only-api): the closed-form reference Mesh.HopsAndMeanDistance checks hops() against
-    double meanDistance() const;
 
     /** Bisection width in links (all-port: 2 directions per link). */
     double bisectionLinks() const;

@@ -45,9 +45,6 @@ class TeleportModel
     /** Qubits per second through one channel. */
     double channelRate() const;
 
-    const ecc::Code &code() const { return _code; }
-    ecc::Level level() const { return _level; }
-
     /** EPR generation + purification rounds, in fundamental cycles. */
     static constexpr int epr_setup_cycles = 24;
 

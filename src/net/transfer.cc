@@ -29,6 +29,13 @@ TransferNetwork::transferTime(const Encoding &src,
            dst_ec_equivalents * dst_code.ecTime(dst.level, _params);
 }
 
+double
+TransferNetwork::level2To1ChannelTime(const ecc::Code &code) const
+{
+    return transferTime({code.kind(), 2}, {code.kind(), 1}) *
+           code.transferChannelCost();
+}
+
 std::vector<std::vector<double>>
 TransferNetwork::latencyMatrix(
     const std::vector<Encoding> &encodings) const

@@ -52,6 +52,14 @@ class TransferNetwork
      */
     double transferTime(const Encoding &src, const Encoding &dst) const;
 
+    /**
+     * Seconds one channel is held moving a logical qubit of @p code
+     * from level 2 (memory) to level 1 (cache): transferTime() times
+     * the code's channel cost. The trace engine and the hierarchy
+     * model both charge this per transfer.
+     */
+    double level2To1ChannelTime(const ecc::Code &code) const;
+
     /** All pairwise latencies over @p encodings (Table 3). */
     std::vector<std::vector<double>>
     latencyMatrix(const std::vector<Encoding> &encodings) const;

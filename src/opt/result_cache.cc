@@ -216,7 +216,15 @@ parseEntry(std::string_view line, std::string &spec_key,
 std::uint64_t
 specSeed(std::uint64_t base_seed, std::string_view canonical_spec)
 {
-    return sweep::keySeed(base_seed, canonical_spec);
+    // FNV-1a 64 over the spec, folded through pointSeed. The constants
+    // are load-bearing: every cache file persists seeds derived here,
+    // so changing the hash invalidates them all.
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    for (const char c : canonical_spec) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001B3ULL;
+    }
+    return sweep::pointSeed(base_seed, hash);
 }
 
 ResultCache::ResultCache(std::uint64_t base_seed,
@@ -287,13 +295,6 @@ ResultCache::open(const std::string &path)
     _backed = true;
     _needs_header = !saw_header;
     return "";
-}
-
-bool
-ResultCache::backed() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _backed;
 }
 
 std::optional<CachedResult>
@@ -380,54 +381,6 @@ ResultCache::storeLocked(const std::string &spec_key,
     if (!_append)
         warn("ResultCache: append to '", _path,
              "' failed; results from this run will not persist");
-}
-
-std::vector<std::string>
-ResultCache::sortedKeys() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::vector<std::string> keys;
-    for (const auto *key : _recency)
-        keys.push_back(*key);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-std::string
-ResultCache::compact()
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (!_backed)
-        return "ResultCache: compact() needs an open backing file";
-    if (_append.is_open())
-        _append.close(); // the rename must swap in a complete file
-
-    std::vector<const std::string *> keys(_recency.begin(),
-                                          _recency.end());
-    std::sort(keys.begin(), keys.end(),
-              [](const auto *a, const auto *b) { return *a < *b; });
-    const std::string tmp = _path + ".compact.tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        out << headerLine(_base_seed) << '\n';
-        for (const auto *key : keys) {
-            const auto &entry = _entries.at(*key);
-            out << entryLine(*key, entry.seed, unpack(*key, entry.packed))
-                << '\n';
-        }
-        out.flush();
-        if (!out)
-            return "ResultCache: cannot write '" + tmp + "'";
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, _path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return "ResultCache: cannot replace '" + _path +
-               "' with its compacted form";
-    }
-    _needs_header = false;
-    return "";
 }
 
 ResultCacheStats

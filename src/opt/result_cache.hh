@@ -14,7 +14,7 @@
  * is the durable copy of every entry.
  *
  * An entry is {seed, packed, recency}: its row is held as one byte
- * string and expanded back into cells only by lookup() and compact().
+ * string and expanded back into cells only by lookup().
  * Each cell is one tag byte (Cell::typeTag()) and its payload:
  *
  *   'd' 'i' 'u'  the 8 raw bytes of the number (NaN payloads, -0.0
@@ -31,7 +31,9 @@
  *
  * The log is JSON-lines: a header naming the format and base seed,
  * then one line per row as (type-tag, exact text) cells, so a
- * replayed row is indistinguishable from a fresh one.
+ * replayed row is indistinguishable from a fresh one. The log is only
+ * appended to: an upsert() adds the replacement line and leaves the
+ * old one, and open() keeps the last line of each key.
  */
 
 #ifndef QMH_OPT_RESULT_CACHE_HH
@@ -56,8 +58,12 @@ namespace qmh {
 namespace opt {
 
 /**
- * Spec-addressed seed (sweep::keySeed): a spec's stream does not
- * depend on which sweep, grid order or round asked for it.
+ * Spec-addressed seed: FNV-1a 64 of @p canonical_spec folded through
+ * sweep::pointSeed(). This is the seeding of every string-addressed
+ * surface (the service's seed_mode="spec", the result store): a row
+ * is a function of (base seed, spec) alone, so a spec's stream does
+ * not depend on which sweep, grid order, round or thread count asked
+ * for it.
  */
 std::uint64_t specSeed(std::uint64_t base_seed,
                        std::string_view canonical_spec);
@@ -112,8 +118,6 @@ class ResultCache
      */
     std::string open(const std::string &path);
 
-    // qmh-lint: allow(test-only-api): the window on whether open() bound the log, read by ResultCache.BackedStoreNeverEvicts
-    bool backed() const;
     std::uint64_t baseSeed() const { return _base_seed; }
 
     /**
@@ -137,22 +141,6 @@ class ResultCache
      */
     void upsert(const std::string &spec_key, std::uint64_t seed,
                 std::span<const sweep::Cell> row);
-
-    /**
-     * Every key in sorted order: the only walk over the entries, so
-     * hash-map layout never leaks into bytes.
-     */
-    // qmh-lint: allow(test-only-api): the only window on the resident key set, read by ResultCache.EvictsTheLeastRecentlyUsedEntry
-    std::vector<std::string> sortedKeys() const;
-
-    /**
-     * Rewrite the log as header plus one line per entry in sorted key
-     * order, via a temp file and an atomic rename. Equal contents give
-     * byte-identical files whatever history built them. Returns "" on
-     * success, else a diagnostic (unbacked store, failed write).
-     */
-    // qmh-lint: allow(test-only-api): the only canonical dump of the whole store, read by ResultCache.CompactIsByteIdenticalAcrossInsertHistories
-    std::string compact();
 
     ResultCacheStats stats() const;
 

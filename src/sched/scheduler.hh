@@ -236,12 +236,6 @@ class IncrementalScheduler
         return _plan.latencyOf(index);
     }
 
-    /** Sum over all instructions of their latency. */
-    std::uint64_t busyBlockSteps() const
-    {
-        return _plan.busyBlockSteps();
-    }
-
   private:
     void pushReady(std::uint32_t index);
     std::uint32_t popReady();

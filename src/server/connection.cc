@@ -14,6 +14,9 @@ namespace {
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr std::size_t kSendBurst = 4; ///< send() attempts per cycle
+/** Parsed-but-unserved request lines a connection holds before it
+ *  stops reading. */
+constexpr std::size_t kMaxPendingLines = 8;
 
 api::Error
 badRequest(std::string message)
@@ -342,7 +345,7 @@ Connection::wantedEvents() const
         return 0;
     short events = 0;
     const std::size_t outstanding = _out.size() - _out_head;
-    if (!_read_closed && _lines.size() < _config.max_pending_lines &&
+    if (!_read_closed && _lines.size() < kMaxPendingLines &&
         outstanding <= _config.max_buffered)
         events |= POLLIN;
     if (outstanding > 0)

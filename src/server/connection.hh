@@ -65,7 +65,6 @@ struct ConnectionConfig
 {
     std::size_t max_line = 1u << 20;      ///< request line cap
     std::size_t max_buffered = 1u << 20;  ///< out high-water mark
-    std::size_t max_pending_lines = 8;    ///< parsed-but-unserved cap
 };
 
 /** What one serve loop contributed: a connection (read after it

@@ -74,9 +74,6 @@ class BankedMemory
         return static_cast<unsigned>(address % _banks.size());
     }
 
-    /** The bank port itself (stats, queue introspection). */
-    const Port &bank(unsigned index) const { return *_banks[index]; }
-
     /**
      * The banks' statistics as one: counts and ticks summed over the
      * banks; peak_queue and peak_in_service the largest any single

@@ -62,10 +62,6 @@ class TokenPool
     /** @param capacity concurrent tokens (must be nonzero) */
     explicit TokenPool(unsigned capacity);
 
-    unsigned capacity() const { return _capacity; }
-    // qmh-lint: allow(test-only-api): the only window on held tokens, read by SimTokenPool.ParkedPortsWakeInParkingOrder
-    unsigned inUse() const { return _in_use; }
-
   private:
     friend class Port;
 
@@ -140,16 +136,6 @@ class Port final : private CompletionSink
      */
     void submit(Tick service, Completion done);
 
-    const std::string &name() const { return _name; }
-    unsigned width() const { return _width; }
-
-    /** Requests waiting to start (bounded buffer + overflow). */
-    std::size_t queued() const { return _count; }
-
-    /** Requests currently holding a server. */
-    // qmh-lint: allow(test-only-api): the only window on busy servers, read by SimPort.TaggedCompletionsReportInServiceOrder
-    unsigned inService() const { return _in_service; }
-
     const Stats &stats() const { return _stats; }
 
     /**
@@ -167,6 +153,9 @@ class Port final : private CompletionSink
     };
 
     friend class TokenPool;
+
+    /** Requests waiting to start (bounded buffer + overflow). */
+    std::size_t queued() const { return _count; }
 
     /** Start as many queued requests as servers/tokens allow. Inline
      *  so the common nothing-to-start case costs no call. */

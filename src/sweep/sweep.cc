@@ -17,19 +17,5 @@ pointSeed(std::uint64_t base_seed, std::size_t index)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-keySeed(std::uint64_t base_seed, std::string_view key)
-{
-    // FNV-1a 64 over the key, folded through pointSeed. The constants
-    // are load-bearing: opt::ResultCache files persist seeds derived
-    // here, so changing the hash invalidates every existing cache.
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (const char c : key) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ULL;
-    }
-    return pointSeed(base_seed, hash);
-}
-
 } // namespace sweep
 } // namespace qmh

@@ -10,9 +10,10 @@
  * so the output is independent of point completion order.
  *
  * Determinism contract: each point receives its own qmh::Random seeded
- * from (base_seed, index) via pointSeed(), or from (base_seed, key)
- * via keySeed(). A table is bit-identical whether the sweep runs on 1
- * thread or N threads.
+ * from (base_seed, index) via pointSeed(), or from (base_seed, spec
+ * string) via opt::specSeed(), which folds through pointSeed(). A
+ * table is bit-identical whether the sweep runs on 1 thread or N
+ * threads.
  */
 
 #ifndef QMH_SWEEP_SWEEP_HH
@@ -20,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "sweep/emit.hh"
 
@@ -42,16 +42,6 @@ struct SweepOptions
  * scheduling.
  */
 std::uint64_t pointSeed(std::uint64_t base_seed, std::size_t index);
-
-/**
- * Deterministic seed for a string-keyed point: FNV-1a 64 of @p key
- * folded through pointSeed(). This is the seeding scheme of every
- * string-addressed surface (opt::specSeed over canonical spec
- * strings, the service's seed_mode="spec", the server's result store):
- * a row is a function of (base seed, key) alone, independent of
- * request order, batching or thread count.
- */
-std::uint64_t keySeed(std::uint64_t base_seed, std::string_view key);
 
 } // namespace sweep
 } // namespace qmh

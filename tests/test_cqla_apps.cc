@@ -25,7 +25,7 @@ TEST(ModExp, Fig8aComputationDominatesCommunication)
     ModExpModel model(ecc::Code::baconShor(), params);
     for (int n : {32, 128, 512, 1024}) {
         const auto blocks =
-            PerformanceModel::paperBlockCounts(n).second;
+            PerformanceModel::paperBlockCounts(n).value().second;
         const auto t = model.totalTimes(n, blocks);
         EXPECT_GT(t.computation_s, t.communication_s)
             << "modexp is computation bound at n=" << n;

@@ -34,7 +34,7 @@ TEST(AreaModel, QlaDominatesCqla)
     const auto steane = ecc::Code::steane();
     for (int n : {32, 256, 1024}) {
         const auto blocks =
-            PerformanceModel::paperBlockCounts(n).first;
+            PerformanceModel::paperBlockCounts(n).value().first;
         EXPECT_GT(area.areaReductionFactor(steane, n, blocks), 3.0);
     }
 }
@@ -208,10 +208,13 @@ TEST(PerformanceModel, GainProductIsProduct)
     EXPECT_GT(row.gain_product_bacon_shor, row.gain_product_steane);
 }
 
-TEST(PerformanceModelDeath, UnknownSizeRejected)
+TEST(PerformanceModel, UnknownSizeHasNoBlockCounts)
 {
-    EXPECT_EXIT(PerformanceModel::paperBlockCounts(77),
-                ::testing::ExitedWithCode(1), "Table 4");
+    EXPECT_FALSE(PerformanceModel::paperBlockCounts(77).has_value());
+    EXPECT_FALSE(HierarchyModel::paperBlocks(77).has_value());
+    EXPECT_EQ(PerformanceModel::paperBlockCounts(64),
+              (std::pair<unsigned, unsigned>{9, 16}));
+    EXPECT_EQ(HierarchyModel::paperBlocks(1024), 100u);
 }
 
 /** One paper cell: its value and the model's band around it, in
@@ -254,7 +257,7 @@ TEST_P(Table5Row, EveryCellWithinItsBand)
     const auto &paper = GetParam();
     const auto row = hier.row(ecc::Code::byKind(paper.code), paper.n,
                               paper.channels,
-                              HierarchyModel::paperBlocks(paper.n));
+                              HierarchyModel::paperBlocks(paper.n).value());
     const auto expect = [](const char *column, double model,
                            PaperCell cell) {
         EXPECT_NEAR(model, cell.value, cell.band_pct / 100.0 * cell.value)
@@ -337,7 +340,8 @@ TEST(HierarchyModel, HeadlineEightXSpeedup)
     HierarchyModel hier(params);
     const auto code = ecc::Code::baconShor();
     const double sA =
-        hier.adderSpeedup(code, 1024, 10, HierarchyModel::paperBlocks(1024));
+        hier.adderSpeedup(code, 1024, 10,
+                          HierarchyModel::paperBlocks(1024).value());
     EXPECT_GT(sA, 7.0);
     EXPECT_LT(sA, 9.5);
 }

@@ -15,8 +15,6 @@ TEST(SteaneCode, BasicParameters)
 {
     const auto c = Code::steane();
     EXPECT_EQ(c.n(), 7);
-    EXPECT_EQ(c.k(), 1);
-    EXPECT_EQ(c.d(), 3);
     EXPECT_EQ(c.shortName(), "7");
 }
 
@@ -24,8 +22,6 @@ TEST(BaconShorCode, BasicParameters)
 {
     const auto c = Code::baconShor();
     EXPECT_EQ(c.n(), 9);
-    EXPECT_EQ(c.k(), 1);
-    EXPECT_EQ(c.d(), 3);
     EXPECT_EQ(c.shortName(), "9");
 }
 

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "qmh_lint/lint.hh"
 
@@ -512,22 +513,35 @@ TEST(LintTree, TheRealTreeIsCleanWithJustifiedSuppressionsOnly)
     namespace fs = std::filesystem;
     const fs::path source_dir(QMH_LINT_SOURCE_DIR);
     std::vector<std::string> named_in;
+    const std::string window = "qmh-lint: allow(test-only-api)";
+    std::size_t windows = 0;
     for (const char *dir : {"src", "bench", "examples", "perfbench", "tools"})
         for (const auto &entry :
              fs::recursive_directory_iterator(source_dir / dir)) {
             if (!entry.is_regular_file())
                 continue;
             std::ifstream in(entry.path(), std::ios::binary);
-            std::ostringstream text;
-            text << in.rdbuf();
-            if (text.str().find("parseServiceRequest(") != std::string::npos)
+            std::ostringstream read;
+            read << in.rdbuf();
+            const std::string text = read.str();
+            if (text.find("parseServiceRequest(") != std::string::npos)
                 named_in.push_back(fs::relative(entry.path(), source_dir)
                                        .generic_string());
+            if (std::string_view(dir) != "src")
+                continue;
+            for (auto at = text.find(window); at != std::string::npos;
+                 at = text.find(window, at + window.size()))
+                ++windows;
         }
     std::sort(named_in.begin(), named_in.end());
     const std::vector<std::string> expect = {
         "perfbench/replay.cc", "src/api/service.cc", "src/api/service.hh"};
     EXPECT_EQ(named_in, expect);
+
+    // A ratchet on the src/ functions kept only for a test: a new one
+    // raises this count and so is a reviewed change. Lower it when a
+    // window goes.
+    EXPECT_LE(windows, 4u);
 }
 
 } // namespace

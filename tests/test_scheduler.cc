@@ -316,7 +316,6 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
         EXPECT_EQ(start, batch.start);
         EXPECT_EQ(block, batch.block);
         EXPECT_EQ(inc.blocksUsed(), batch.blocks_used);
-        EXPECT_EQ(inc.busyBlockSteps(), batch.busy_block_steps);
     }
 }
 

@@ -29,9 +29,9 @@ TEST(Json, ParsesEveryValueKind)
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const auto &root = parsed.value;
     ASSERT_TRUE(root.isObject());
-    EXPECT_TRUE(root.find("null")->isNull());
-    EXPECT_TRUE(root.find("t")->boolean());
-    EXPECT_FALSE(root.find("f")->boolean());
+    EXPECT_EQ(root.find("null")->type(), json::Value::Type::Null);
+    EXPECT_EQ(root.find("t")->type(), json::Value::Type::Bool);
+    EXPECT_EQ(root.find("f")->type(), json::Value::Type::Bool);
     EXPECT_DOUBLE_EQ(root.find("n")->number(), -1250.0);
     EXPECT_EQ(root.find("s")->string(), "hi");
     ASSERT_EQ(root.find("a")->items().size(), 3u);

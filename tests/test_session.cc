@@ -327,7 +327,6 @@ TEST(Session, RowsStreamInIndexOrderWhileRunning)
     const auto specs = montecarloSpecs(8);
     Session session({.threads = 4, .base_seed = 99});
     auto job = session.submit(specs).value();
-    ASSERT_EQ(job.totalPoints(), specs.size());
     ASSERT_EQ(job.columns().back(), "seed");
 
     std::vector<std::vector<sweep::Cell>> streamed;

@@ -55,6 +55,20 @@ class RecordingSink final : public CompletionSink
     const EventQueue &_eq;
 };
 
+/**
+ * Whether @p port, whose pool has one token, starts one more request
+ * at once: true only when that token came back.
+ */
+bool
+tokenIsFree(EventQueue &eq, ClosureSink &fns, Port &port)
+{
+    const auto before = port.stats();
+    fns.after(0, [&]() { port.submit(1, {}); });
+    eq.run();
+    return port.stats().served == before.served + 1 &&
+           port.stats().conflict_stalls == before.conflict_stalls;
+}
+
 TEST(SimPort, UncontendedRequestIsNeverAConflict)
 {
     EventQueue eq;
@@ -81,7 +95,7 @@ TEST(SimPort, UncontendedRequestIsNeverAConflict)
     EXPECT_EQ(port.stats().peak_queue, 0u);
     EXPECT_EQ(port.stats().busy_ticks, 20u);
     EXPECT_DOUBLE_EQ(
-        units::busyFraction(port.stats().busy_ticks, 10, port.width()),
+        units::busyFraction(port.stats().busy_ticks, 10, 2),
         1.0);
 }
 
@@ -164,7 +178,7 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
         expected.push_back(id);
     EXPECT_EQ(order, expected);
     EXPECT_EQ(eq.now(), 140u);
-    EXPECT_EQ(port.queued(), 0u);
+    EXPECT_EQ(port.stats().requests, 14u);
     EXPECT_EQ(port.stats().served, 14u);
     // Every submission after the buffer's two slots filled: ids 3..6
     // at t=0 and all of ids 7..13 at t=35.
@@ -188,7 +202,7 @@ TEST(SimPort, FireAndForgetSubmissionCompletes)
     eq.run();
     EXPECT_EQ(port.stats().served, 1u);
     EXPECT_EQ(eq.now(), 7u);
-    EXPECT_EQ(port.inService(), 0u);
+    EXPECT_EQ(port.stats().requests, 1u);
 }
 
 TEST(SimPort, TaggedCompletionsReportInServiceOrder)
@@ -222,9 +236,9 @@ TEST(SimPort, TaggedCompletionsReportInServiceOrder)
     EXPECT_EQ(port.stats().buffer_overflows, 2u);
     EXPECT_EQ(port.stats().conflict_stalls, 4u);
     EXPECT_EQ(port.stats().stall_ticks, 4u + 14u + 24u + 34u);
+    EXPECT_EQ(port.stats().requests, 4u);
     EXPECT_EQ(holder.stats().served, 1u);
-    EXPECT_EQ(tokens.inUse(), 0u);
-    EXPECT_EQ(port.inService(), 0u);
+    EXPECT_TRUE(tokenIsFree(eq, fns, port));
 }
 
 TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
@@ -233,7 +247,7 @@ TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
     EventQueue eq;
     Port port(eq, "p0", 3, 4);
     EXPECT_DOUBLE_EQ(
-        units::busyFraction(port.stats().busy_ticks, 0, port.width()),
+        units::busyFraction(port.stats().busy_ticks, 0, 3),
         0.0);
     EXPECT_DOUBLE_EQ(port.meanQueue(0), 0.0);
 }
@@ -273,10 +287,10 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
                                                "b1"}));
     // One token fully serializes the four services.
     EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(tokens.inUse(), 0u);
     // The pool, not the ports' own width, caused the waits.
     EXPECT_EQ(a.stats().conflict_stalls + b.stats().conflict_stalls,
               3u);
+    EXPECT_TRUE(tokenIsFree(eq, fns, b));
 }
 
 TEST(SimTokenPool, RepeatedWakesKeepParkingOrder)
@@ -306,7 +320,7 @@ TEST(SimTokenPool, RepeatedWakesKeepParkingOrder)
         expected.push_back(id);
     EXPECT_EQ(sink.ids(), expected);
     EXPECT_EQ(eq.now(), Tick{5 * 3 * kRounds});
-    EXPECT_EQ(tokens.inUse(), 0u);
+    EXPECT_TRUE(tokenIsFree(eq, fns, c));
 }
 
 TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
@@ -354,11 +368,17 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     EXPECT_EQ(memory.bankOf(5), 1u);
     EXPECT_EQ(memory.bankOf(7), 3u);
 
-    fns.at(0, [&]() { memory.request(6, 1, {}); });
+    // 6 and 2 share bank 2, so one waits for the other; 7 is
+    // bank 3's and waits for no one.
+    fns.at(0, [&]() {
+        memory.request(6, 1, {});
+        memory.request(2, 1, {});
+        memory.request(7, 1, {});
+    });
     eq.run();
-    EXPECT_EQ(memory.bank(2).stats().requests, 1u);
-    EXPECT_EQ(memory.stats().requests, 1u);
-    EXPECT_EQ(memory.stats().served, 1u);
+    EXPECT_EQ(memory.stats().requests, 3u);
+    EXPECT_EQ(memory.stats().served, 3u);
+    EXPECT_EQ(memory.stats().conflict_stalls, 1u);
 }
 
 TEST(SimBankedMemory, ServiceTimeIsPerRequestPlusPerLine)

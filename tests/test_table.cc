@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/table.hh"
 #include "sweep/emit.hh"
@@ -12,13 +15,38 @@
 namespace qmh {
 namespace {
 
+std::string
+rendered(const AsciiTable &table)
+{
+    std::ostringstream os;
+    table.print(os);
+    return os.str();
+}
+
+/**
+ * Data rows and columns of a caption-free rendered table: its lines
+ * less the three rules and the header, and the cells between the
+ * '+' corners of its top rule.
+ */
+std::pair<std::size_t, std::size_t>
+renderedShape(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    const auto corners =
+        std::count(lines.front().begin(), lines.front().end(), '+');
+    return {lines.size() - 4, static_cast<std::size_t>(corners - 1)};
+}
+
 TEST(AsciiTable, RendersHeaderAndRows)
 {
     AsciiTable t;
     t.setHeader({"n", "value"});
     t.addRow({"32", "1.5"});
     t.addRow({"1024", "13.4"});
-    const auto text = t.toString();
+    const auto text = rendered(t);
     EXPECT_NE(text.find(" n |"), std::string::npos);
     EXPECT_NE(text.find("1024"), std::string::npos);
     EXPECT_NE(text.find("13.4"), std::string::npos);
@@ -29,7 +57,7 @@ TEST(AsciiTable, ColumnWidthsExpandToContent)
     AsciiTable t;
     t.setHeader({"x"});
     t.addRow({"a-very-long-cell"});
-    const auto text = t.toString();
+    const auto text = rendered(t);
     EXPECT_NE(text.find("a-very-long-cell"), std::string::npos);
 }
 
@@ -39,7 +67,7 @@ TEST(AsciiTable, CaptionPrintedFirst)
     t.setCaption("Table 4");
     t.setHeader({"a"});
     t.addRow({"1"});
-    const auto text = t.toString();
+    const auto text = rendered(t);
     EXPECT_EQ(text.rfind("Table 4", 0), 0u);
 }
 
@@ -47,7 +75,6 @@ TEST(AsciiTable, NumFormatting)
 {
     EXPECT_EQ(AsciiTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(AsciiTable::num(std::uint64_t(42)), "42");
-    EXPECT_EQ(AsciiTable::num(-7), "-7");
 }
 
 TEST(AsciiTable, SciFormatting)
@@ -60,8 +87,8 @@ TEST(AsciiTable, CountsRowsAndColumns)
     AsciiTable t;
     t.setHeader({"a", "b", "c"});
     t.addRow({"1", "2", "3"});
-    EXPECT_EQ(t.columns(), 3u);
-    EXPECT_EQ(t.rows(), 1u);
+    EXPECT_EQ(renderedShape(rendered(t)),
+              (std::pair<std::size_t, std::size_t>{1, 3}));
 }
 
 TEST(Cell, NonFiniteDoublesEmitJsonNull)
@@ -123,9 +150,9 @@ TEST(ResultTable, ToAsciiDropsColumnsAndCapsRows)
     table.addRow({"experiment=cache n=128", 128, 0.5});
     const auto ascii =
         sweep::toAsciiTable(table, 1, {"spec"});
-    EXPECT_EQ(ascii.columns(), 2u);
-    EXPECT_EQ(ascii.rows(), 1u);
-    const auto text = ascii.toString();
+    const auto text = rendered(ascii);
+    EXPECT_EQ(renderedShape(text),
+              (std::pair<std::size_t, std::size_t>{1, 2}));
     EXPECT_EQ(text.find("experiment"), std::string::npos);
     EXPECT_NE(text.find("rate"), std::string::npos);
 }
