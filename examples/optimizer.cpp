@@ -20,6 +20,7 @@
 
 #include "api/experiment.hh"
 #include "cli_util.hh"
+#include "common/table.hh"
 #include "opt/frontier.hh"
 
 namespace {
@@ -257,7 +258,7 @@ main(int argc, char **argv)
                     "validation\n",
                     found.skipped_invalid);
     std::printf("\nbest %s = %s at\n  %s\n\n", options.objective.c_str(),
-                api::formatDouble(found.best_objective).c_str(),
+                formatDoubleShortest(found.best_objective).c_str(),
                 found.best_key.c_str());
     std::printf("top rows by %s:\n", options.objective.c_str());
     sweep::toAsciiTable(found.table, 10, {"spec", "seed"})

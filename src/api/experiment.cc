@@ -8,6 +8,7 @@
 #include "api/prepared.hh"
 #include "api/workload.hh"
 #include "common/logging.hh"
+#include "common/table.hh"
 #include "cqla/hierarchy.hh"
 #include "ecc/montecarlo.hh"
 #include "net/bandwidth.hh"
@@ -21,11 +22,11 @@ namespace {
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 /**
- * A spec key a kind reads. A bounded key's value must lie in
- * [lo, hi] (lo excluded when lo_open). Bounds tighter than the
- * parser's keep a point's cost in check or guard an engine that
- * refuses the value fatally; bounds equal to the parser's catch the
- * same value in a spec built in C++.
+ * A spec key a kind reads. validate() applies the parser's bounds to
+ * every key first (specSet), so a kind lists only bounds tighter than
+ * the parser's: they keep a point's cost in check or guard an engine
+ * that refuses the value fatally. A bounded key's value must lie in
+ * [lo, hi] (lo excluded when lo_open).
  */
 struct Key
 {
@@ -96,8 +97,7 @@ resolveCapacity(const ExperimentSpec &spec, const Workload &workload)
  */
 const KindTable<cqla::Table5Row> hierarchy_table = {
     "hierarchy",
-    {{"machine"}, {"code"}, {"n", 8, 4096}, {"transfers", 1},
-     {"blocks", 1}},
+    {{"machine"}, {"code"}, {"n", 8, 4096}, {"transfers"}, {"blocks"}},
     [](const ExperimentSpec &spec, Random &, const PreparedSlot *) {
         return cqla::HierarchyModel(spec.params())
             .row(ecc::Code::byKind(spec.code), spec.n, spec.transfers,
@@ -112,7 +112,7 @@ const KindTable<cqla::Table5Row> hierarchy_table = {
 /** Quantum cache simulation over a registry workload (Fig. 7). */
 const KindTable<cache::CacheSimResult> cache_table = {
     "cache",
-    {{"workload"}, {"n", 2, 4096}, {"capacity", 0, 1000000},
+    {{"workload"}, {"n", 2, 4096}, {.name = "capacity", .hi = 1000000},
      {"capacity_x", 0, 1000, true}, {"policy"}, {"warm"}},
     [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *slot) {
         const auto simulate = [&](const Workload &workload,
@@ -137,8 +137,8 @@ const KindTable<cache::CacheSimResult> cache_table = {
 /** Superblock perimeter-bandwidth supply/demand (Fig. 6b). */
 const KindTable<net::BandwidthModel> bandwidth_table = {
     "bandwidth",
-    {{"machine"}, {"code"}, {"blocks", 0, 100000}, {"level", 1, 4},
-     {"utilization", 0, 1, true}},
+    {{"machine"}, {"code"}, {.name = "blocks", .hi = 100000},
+     {.name = "level", .hi = 4}, {"utilization", 0, 1, true}},
     [](const ExperimentSpec &spec, Random &, const PreparedSlot *) {
         return net::BandwidthModel(ecc::Code::byKind(spec.code),
                                    spec.level, spec.params());
@@ -162,7 +162,8 @@ struct MonteCarloResult : ecc::McEstimate
 /** Error-correction Monte Carlo vs the analytic model (Table 2). */
 const KindTable<MonteCarloResult> montecarlo_table = {
     "montecarlo",
-    {{"code"}, {"level", 1, 3, false, "cost grows as n^level per trial"},
+    {{"code"},
+     {.name = "level", .hi = 3, .note = "cost grows as n^level per trial"},
      {"p0", 0, 0.25, true}, {"trials", 1, 100000000},
      // ecc::EcMonteCarlo refuses a noise factor below 1 fatally.
      {"noise_factor", 1, 100}},
@@ -191,9 +192,9 @@ struct TraceKindResult : trace::TraceResult
  */
 const KindTable<TraceKindResult> trace_table = {
     "trace",
-    {{"machine"}, {"code"}, {"workload"}, {"n", 2, 4096},
-     {"transfers", 1}, {"blocks", 1}, {"mem_banks", 1}, {"mem_ports", 1},
-     {"mem_buffer", 1}, {"cycles_per_line"}, {"capacity", 0, 1000000},
+    {{"machine"}, {"code"}, {"workload"}, {"n", 2, 4096}, {"transfers"},
+     {"blocks"}, {"mem_banks"}, {"mem_ports"}, {"mem_buffer"},
+     {"cycles_per_line"}, {.name = "capacity", .hi = 1000000},
      {"capacity_x", 0, 1000, true}},
     [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *slot) {
         std::optional<trace::PreparedWorkload> own;
@@ -263,7 +264,7 @@ boundText(double bound)
 {
     if (bound == std::floor(bound) && std::fabs(bound) < 1e15)
         return std::to_string(static_cast<std::int64_t>(bound));
-    return formatDouble(bound);
+    return formatDoubleShortest(bound);
 }
 
 bool
@@ -276,18 +277,22 @@ inRange(const Key &key, double value)
 std::string
 rangeDiagnostic(const Key &key)
 {
-    const auto message = std::string(key.name) + " must be in " +
-                         (key.lo_open ? "(" : "[") + boundText(key.lo) +
-                         ", " + boundText(key.hi) +
-                         (key.hi == kUnbounded ? ")" : "]");
+    const auto range =
+        key.lo == -kUnbounded
+            ? "at most " + boundText(key.hi)
+            : std::string("in ") + (key.lo_open ? "(" : "[") +
+                  boundText(key.lo) + ", " + boundText(key.hi) + "]";
+    const auto message = std::string(key.name) + " must be " + range;
     return key.note ? message + " (" + key.note + ")" : message;
 }
 
 /**
  * validate() of every kind. Only a value that differs from the
  * default can be foreign or out of range — every default lies inside
- * every kind's bounds — and printSpec() emits exactly those, so one
- * pass over its tokens checks both.
+ * the parser's and every kind's bounds — and printSpec() emits exactly
+ * those, so one pass over its tokens checks all three. Each token is
+ * re-parsed by specSet, so a spec that validates also re-parses: its
+ * spec column is a spec parseSpec accepts.
  */
 std::vector<std::string>
 checkKeys(const ExperimentSpec &spec, const std::string &kind,
@@ -300,10 +305,7 @@ checkKeys(const ExperimentSpec &spec, const std::string &kind,
             errors.push_back(kind + ": " + diagnostic);
         generator = findWorkload(spec.workload);
     }
-    if (findKey(keys, "machine"))
-        if (auto diagnostic = machineDiagnostic(spec.machine);
-            !diagnostic.empty())
-            errors.push_back(kind + ": " + diagnostic);
+    ExperimentSpec reparsed;  // specSet's target; only its verdict counts
     const auto printed = printSpec(spec);
     std::string_view rest(printed);
     // Past the first token, experiment=<kind>, which every kind reads.
@@ -315,17 +317,21 @@ checkKeys(const ExperimentSpec &spec, const std::string &kind,
         const auto eq = std::min(token.find('='), token.size());
         const auto name = token.substr(0, eq);
         const auto *key = findKey(keys, name);
-        const auto value =
-            parseDouble(token.substr(std::min(eq + 1, token.size())));
+        const auto text = token.substr(std::min(eq + 1, token.size()));
         const bool generator_reads =
             generator && std::ranges::find(generator->keys, name) !=
                              generator->keys.end();
-        if (!key && !generator_reads)
+        if (!key && !generator_reads) {
             errors.push_back(kind + ": " +
                              unknownNameDiagnostic(kind + " key", name,
                                                    keyNames(keys, generator)));
-        else if (key && value && !inRange(*key, *value))
+        } else if (auto diagnostic = specSet(reparsed, name, text);
+                   !diagnostic.empty()) {
+            errors.push_back(kind + ": " + diagnostic);
+        } else if (const auto value = parseDouble(text);
+                   key && value && !inRange(*key, *value)) {
             errors.push_back(kind + ": " + rangeDiagnostic(*key));
+        }
     }
     return errors;
 }

@@ -46,7 +46,8 @@ class Experiment
     virtual std::string name() const = 0;
 
     /** Diagnostics for out-of-range or inconsistent fields, and for
-     *  non-default fields the kind does not read; empty = ok. */
+     *  non-default fields the kind does not read; empty = ok. A spec
+     *  that validates also re-parses: parseSpec(printSpec(s)) is s. */
     virtual std::vector<std::string> validate() const = 0;
 
     /**
@@ -100,7 +101,7 @@ std::optional<Error> checkExperimentBatch(
  * A runnable batch's trace and cache points that share a circuit also
  * share one job-scoped prepared workload (api/prepared.hh).
  */
-[[nodiscard]] Outcome<std::vector<std::unique_ptr<Experiment>>>
+Outcome<std::vector<std::unique_ptr<Experiment>>>
 validateExperiments(const std::vector<ExperimentSpec> &specs);
 
 } // namespace api

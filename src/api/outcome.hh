@@ -80,8 +80,8 @@ struct Error
  *
  * The class is [[nodiscard]]: silently dropping an Outcome drops the
  * failure with it, so the compiler flags every bare-statement call of
- * an Outcome-returning function (qmh_lint's unchecked-outcome rule is
- * the tree-wide twin of this attribute).
+ * an Outcome-returning function, and the build's -Werror=unused-result
+ * makes that an error. No function needs its own [[nodiscard]].
  */
 template <typename T>
 class [[nodiscard]] Outcome

@@ -95,7 +95,7 @@ struct ServiceRequest
  * (one detail per diagnostic) for specs that fail to parse. Spec
  * *validation* (ranges, workload existence) happens at submit time.
  */
-[[nodiscard]] Outcome<ServiceRequest>
+Outcome<ServiceRequest>
 parseServiceRequest(const std::string &line);
 
 /** One input line of a serve loop, decoded. */

@@ -191,7 +191,7 @@ class Session
      * spec), MixedKinds, BadSeeds. An empty spec list is a valid job
      * that is already finished. Never panics on bad input.
      */
-    [[nodiscard]] Outcome<JobHandle>
+    Outcome<JobHandle>
     submit(const std::vector<ExperimentSpec> &specs,
            SubmitOptions options = {});
 
@@ -201,7 +201,7 @@ class Session
      * column schema; a run() that throws or returns the wrong row
      * width retires the job with an ExecutionFailed failure.
      */
-    [[nodiscard]] Outcome<JobHandle>
+    Outcome<JobHandle>
     submit(std::vector<std::unique_ptr<Experiment>> experiments,
            SubmitOptions options = {});
 

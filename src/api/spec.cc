@@ -103,7 +103,9 @@ codeSpecName(ecc::CodeKind kind)
 // string and cast spec reals to integers (capacity sizing), both of
 // which inf/nan would silently corrupt.
 #define QMH_DOUBLE_FIELD(member)                                        \
-    [](const ExperimentSpec &s) { return formatDouble(s.member); },     \
+    [](const ExperimentSpec &s) {                                       \
+        return formatDoubleShortest(s.member);                          \
+    },                                                                  \
     [](ExperimentSpec &s, std::string_view v) -> std::string {          \
         const auto parsed = parseDouble(v);                             \
         if (!parsed || !std::isfinite(*parsed))                         \
@@ -143,8 +145,8 @@ const FieldDef field_defs[] = {
     {"machine", "technology preset: now | future", SpecKeyKind::Text,
      [](const ExperimentSpec &s) { return s.machine; },
      [](ExperimentSpec &s, std::string_view v) -> std::string {
-         if (auto diagnostic = machineDiagnostic(v); !diagnostic.empty())
-             return diagnostic;
+         if (v != "now" && v != "future")
+             return badValue("machine", v, "now | future");
          s.machine = std::string(v);
          return "";
      }, QMH_DIFFERS(machine)},
@@ -332,14 +334,6 @@ unknownNameDiagnostic(std::string_view what, std::string_view name,
     return message;
 }
 
-std::string
-machineDiagnostic(std::string_view machine)
-{
-    if (machine == "now" || machine == "future")
-        return "";
-    return badValue("machine", machine, "now | future");
-}
-
 iontrap::Params
 ExperimentSpec::params() const
 {
@@ -347,7 +341,7 @@ ExperimentSpec::params() const
         return iontrap::Params::currentTechnology();
     if (machine == "future")
         return iontrap::Params::future();
-    // qmh-lint: allow(typed-errors): unreachable after validate() — every kind that reads the machine checks it with machineDiagnostic
+    // qmh-lint: allow(typed-errors): unreachable after validate() — it re-parses every non-default key, machine included
     qmh_panic("ExperimentSpec: unknown machine preset '", machine, "'");
 }
 
@@ -480,12 +474,6 @@ parseDouble(std::string_view text)
     if (ec != std::errc() || ptr != text.data() + text.size())
         return std::nullopt;
     return value;
-}
-
-std::string
-formatDouble(double v)
-{
-    return formatDoubleShortest(v);
 }
 
 } // namespace api

@@ -64,14 +64,6 @@ std::string unknownNameDiagnostic(std::string_view what,
                                   const std::vector<std::string> &valid);
 
 /**
- * Diagnostic for a technology preset that is not `now` or `future`;
- * empty when @p machine names one. The `machine=` parser and the
- * validate() of every kind that reads the machine share it, so a spec
- * built in C++ with an unknown preset is a typed error too.
- */
-std::string machineDiagnostic(std::string_view machine);
-
-/**
  * One experiment, fully specified. Fields the chosen kind does not
  * read (api::kindKeys) must keep their defaults: Experiment::validate()
  * (experiment.hh) rejects any other value, as it rejects out-of-range
@@ -180,9 +172,6 @@ SpecParseResult parseSpecTokens(const std::vector<std::string> &tokens);
 std::optional<std::int64_t> parseInt(std::string_view text);
 std::optional<std::uint64_t> parseUInt(std::string_view text);
 std::optional<double> parseDouble(std::string_view text);
-
-/** Shortest decimal form that parses back to the same double. */
-std::string formatDouble(double v);
 
 } // namespace api
 } // namespace qmh

@@ -43,9 +43,6 @@ PerformanceModel::adderTiming(int n_bits)
     AdderTiming timing;
     timing.critical_path_steps = schedule.makespan;
     timing.work_steps = schedule.busy_block_steps;
-    timing.toffoli_count =
-        program.gateCount(circuit::GateKind::Toffoli);
-    timing.gate_count = program.size();
     return _timings.emplace(n_bits, timing).first->second;
 }
 

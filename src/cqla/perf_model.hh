@@ -33,8 +33,6 @@ struct AdderTiming
 {
     std::uint64_t critical_path_steps = 0; ///< structural-round CP
     std::uint64_t work_steps = 0;          ///< total block-steps of work
-    std::uint64_t toffoli_count = 0;
-    std::uint64_t gate_count = 0;
 
     /** Work-conserving makespan bound on @p blocks (0 = unlimited). */
     double boundedMakespanSteps(unsigned blocks) const;

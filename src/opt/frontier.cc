@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 
 namespace qmh {
 namespace opt {
@@ -111,7 +112,7 @@ frontierAxisValueText(double value, bool integer_axis)
 {
     if (integer_axis)
         return std::to_string(std::llround(value));
-    return api::formatDouble(value);
+    return formatDoubleShortest(value);
 }
 
 bool
@@ -525,7 +526,6 @@ frontierSearch(api::Session &session,
                 return a.score > b.score;
             return a.key < b.key;
         });
-    outcome.best = best->spec;
     outcome.best_key = best->key;
     outcome.best_objective = best->raw;
     outcome.table.sortRowsByColumn(objective_col, options.maximize);

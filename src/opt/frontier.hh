@@ -84,8 +84,7 @@ struct FrontierOutcome
 {
     /** Every evaluated point (kind columns + "seed"), best first. */
     sweep::ResultTable table{{"spec", "seed"}};
-    api::ExperimentSpec best;
-    std::string best_key;           ///< canonical spec of best
+    std::string best_key;           ///< canonical spec of the best point
     double best_objective = 0.0;    ///< raw objective value of best
     std::size_t evaluated = 0;      ///< unique points evaluated
     std::size_t simulated = 0;      ///< of those, engine executions

@@ -31,7 +31,7 @@ class Client
 {
   public:
     /** Connect to @p host:@p port (Unavailable on refusal). */
-    [[nodiscard]] static api::Outcome<Client> connect(const std::string &host,
+    static api::Outcome<Client> connect(const std::string &host,
                                         std::uint16_t port);
 
     /**
@@ -40,7 +40,7 @@ class Client
      * it arrives (streaming display). Unavailable when the server
      * goes away mid-request.
      */
-    [[nodiscard]] api::Outcome<std::vector<std::string>>
+    api::Outcome<std::vector<std::string>>
     request(const std::string &line,
             const std::function<void(const std::string &)>
                 &on_record = {});
@@ -49,14 +49,14 @@ class Client
      * Convenience: {"op":"shutdown"} with @p id; the server stops
      * once the confirming done record arrives.
      */
-    [[nodiscard]] api::Outcome<std::vector<std::string>>
+    api::Outcome<std::vector<std::string>>
     shutdownServer(const std::string &id = "shutdown");
 
   private:
     explicit Client(Fd socket) : _socket(std::move(socket)) {}
 
     /** Next record line (blocking); Unavailable on EOF/error. */
-    [[nodiscard]] api::Outcome<std::string> nextRecord();
+    api::Outcome<std::string> nextRecord();
 
     Fd _socket;
     json::LineSplitter _splitter;

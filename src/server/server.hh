@@ -87,7 +87,7 @@ class Server
      * refused bind, an unparseable host, an unopenable cache file or
      * a failed wake pipe; never a panic for environment problems.
      */
-    [[nodiscard]] static api::Outcome<std::unique_ptr<Server>>
+    static api::Outcome<std::unique_ptr<Server>>
     create(ServerConfig config);
 
     ~Server();

@@ -103,7 +103,7 @@ IoResult sendSome(int fd, const char *data, std::size_t size);
 class Listener
 {
   public:
-    [[nodiscard]] static api::Outcome<Listener>
+    static api::Outcome<Listener>
     create(const std::string &host, std::uint16_t port,
            int backlog = 64);
 
@@ -139,8 +139,8 @@ class Listener
  * call this). The returned socket stays blocking — Client does
  * lockstep request/response IO.
  */
-[[nodiscard]] api::Outcome<Fd> connectTcp(const std::string &host,
-                                          std::uint16_t port);
+api::Outcome<Fd> connectTcp(const std::string &host,
+                            std::uint16_t port);
 
 } // namespace server
 } // namespace qmh

@@ -1,4 +1,4 @@
-// The other half of the peer-module include cycle.
+// The other half of the undeclared-module include cycle.
 #ifndef FIXTURE_BETA_B_HH
 #define FIXTURE_BETA_B_HH
 #include "alpha/a.hh"

@@ -1,5 +1,5 @@
 // Bottom tier: includes nothing.
-#ifndef FIXTURE_LOW_BASE_HH
-#define FIXTURE_LOW_BASE_HH
+#ifndef FIXTURE_COMMON_BASE_HH
+#define FIXTURE_COMMON_BASE_HH
 namespace fixture { struct Base {}; }
 #endif

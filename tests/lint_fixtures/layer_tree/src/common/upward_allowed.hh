@@ -1,6 +1,6 @@
 // Suppressed upward edge: the justified allow() covers the include.
-#ifndef FIXTURE_LOW_UPWARD_ALLOWED_HH
-#define FIXTURE_LOW_UPWARD_ALLOWED_HH
+#ifndef FIXTURE_COMMON_UPWARD_ALLOWED_HH
+#define FIXTURE_COMMON_UPWARD_ALLOWED_HH
 // qmh-lint: allow(layering): fixture demonstrating a justified exception
-#include "mid/mid.hh"
+#include "circuit/engine.hh"
 #endif

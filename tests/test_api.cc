@@ -12,6 +12,7 @@
 #include "api/grid.hh"
 #include "api/spec.hh"
 #include "api/workload.hh"
+#include "common/table.hh"
 #include "cqla/hierarchy.hh"
 #include "run_table.hh"
 
@@ -80,6 +81,62 @@ TEST(Spec, RoundTripsEveryKind)
         ASSERT_TRUE(parsed.ok());
         EXPECT_TRUE(parsed.spec == spec);
     }
+
+    // A spec built in C++ that validates also re-parses, so its spec
+    // column names the same point: values on both sides of the
+    // parser's bounds, under every kind.
+    using Edit = void (*)(ExperimentSpec &);
+    const Edit edits[] = {
+        [](ExperimentSpec &s) { s.blocks = 0; },
+        [](ExperimentSpec &s) { s.blocks = 100000; },
+        [](ExperimentSpec &s) { s.blocks = 2000000; },
+        [](ExperimentSpec &s) { s.transfers = 100000; },
+        [](ExperimentSpec &s) { s.transfers = 200000; },
+        [](ExperimentSpec &s) { s.mem_banks = 4096; },
+        [](ExperimentSpec &s) { s.mem_banks = 5000; },
+        [](ExperimentSpec &s) { s.cycles_per_line = 1000000000; },
+        [](ExperimentSpec &s) { s.cycles_per_line = 2000000000; },
+        [](ExperimentSpec &s) { s.level = 0; },
+        [](ExperimentSpec &s) { s.level = 3; },
+        [](ExperimentSpec &s) {
+            s.workload = "random";
+            s.n = 8;
+            s.gates = 0;
+        },
+        [](ExperimentSpec &s) {
+            s.workload = "random";
+            s.n = 8;
+            s.gates = 1;
+        },
+        [](ExperimentSpec &s) {
+            s.workload = "modexp";
+            s.n = 16;
+            s.reps = 10000;
+        },
+        [](ExperimentSpec &s) {
+            s.workload = "modexp";
+            s.n = 16;
+            s.reps = 20000;
+        },
+    };
+    int validated = 0;
+    for (const auto kind :
+         {ExperimentKind::Hierarchy, ExperimentKind::Cache,
+          ExperimentKind::Bandwidth, ExperimentKind::MonteCarlo,
+          ExperimentKind::Trace}) {
+        for (const auto edit : edits) {
+            ExperimentSpec spec;
+            spec.kind = kind;
+            edit(spec);
+            if (!makeExperiment(spec)->validate().empty())
+                continue;
+            ++validated;
+            const auto parsed = parseSpec(printSpec(spec));
+            EXPECT_TRUE(parsed.ok()) << printSpec(spec);
+            EXPECT_TRUE(parsed.spec == spec) << printSpec(spec);
+        }
+    }
+    EXPECT_GE(validated, 10);
 }
 
 TEST(Spec, DoubleRoundTripFuzz)
@@ -98,10 +155,10 @@ TEST(Spec, DoubleRoundTripFuzz)
         if (!std::isfinite(value))
             continue;  // the spec layer rejects non-finite values
         ++tested;
-        const auto reparsed = parseDouble(formatDouble(value));
-        ASSERT_TRUE(reparsed.has_value()) << formatDouble(value);
+        const auto reparsed = parseDouble(formatDoubleShortest(value));
+        ASSERT_TRUE(reparsed.has_value()) << formatDoubleShortest(value);
         EXPECT_EQ(std::memcmp(&*reparsed, &value, sizeof(value)), 0)
-            << formatDouble(value);
+            << formatDoubleShortest(value);
 
         ExperimentSpec spec;
         spec.utilization = value;

@@ -127,6 +127,68 @@ TEST(Session, CapacityMultiplierTooLargeToSizeACacheIsRejected)
     }
 }
 
+TEST(Session, ValuesOutsideTheParsersBoundsAreInvalidSpecs)
+{
+    // Specs built in C++ never pass through the parser, so validate()
+    // must apply its bounds: a row whose spec column parseSpec refuses
+    // could not be re-run.
+    const struct
+    {
+        const char *key;
+        ExperimentKind kind;
+        void (*set)(ExperimentSpec &);
+    } cases[] = {
+        {"blocks", ExperimentKind::Bandwidth,
+         [](ExperimentSpec &s) { s.blocks = 0; }},
+        {"gates", ExperimentKind::Trace,
+         [](ExperimentSpec &s) {
+             s.workload = "random";
+             s.n = 8;
+             s.gates = 0;
+         }},
+        {"transfers", ExperimentKind::Trace,
+         [](ExperimentSpec &s) {
+             s.n = 16;
+             s.transfers = 200000;
+         }},
+        {"mem_banks", ExperimentKind::Trace,
+         [](ExperimentSpec &s) {
+             s.n = 16;
+             s.mem_banks = 5000;
+         }},
+        {"blocks", ExperimentKind::Hierarchy,
+         [](ExperimentSpec &s) { s.blocks = 2000000; }},
+        {"cycles_per_line", ExperimentKind::Trace,
+         [](ExperimentSpec &s) {
+             s.n = 16;
+             s.cycles_per_line = 2000000000;
+         }},
+        {"reps", ExperimentKind::Cache,
+         [](ExperimentSpec &s) {
+             s.workload = "modexp";
+             s.n = 16;
+             s.reps = 20000;
+         }},
+    };
+    Session session({.threads = 1});
+    for (const auto &c : cases) {
+        ExperimentSpec spec;
+        spec.kind = c.kind;
+        c.set(spec);
+        const auto text = printSpec(spec);
+        EXPECT_FALSE(parseSpec(text).ok()) << text;
+        const auto submitted =
+            session.submit(std::vector<ExperimentSpec>{spec});
+        ASSERT_FALSE(submitted.ok()) << text;
+        EXPECT_EQ(submitted.error().code, ErrorCode::InvalidSpec) << text;
+        const auto &details = submitted.error().details;
+        ASSERT_EQ(details.size(), 1u) << text;
+        EXPECT_NE(details.front().find(std::string(": ") + c.key + "="),
+                  std::string::npos)
+            << details.front();
+    }
+}
+
 /** A legal non-default value of every spec key but `experiment`. */
 const std::vector<std::pair<std::string, std::string>> &
 nonDefaultValues()

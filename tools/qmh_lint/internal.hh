@@ -2,8 +2,8 @@
  * @file
  * qmh-lint internals: the seam between the per-file engine (lint.cc —
  * scrubber, tokenizer, token rules, fact extraction) and the
- * whole-tree engine (tree.cc — the file walk, layering,
- * unchecked-outcome and the two reach passes).
+ * whole-tree engine (tree.cc — the file walk, layering and the two
+ * reach passes).
  *
  * The unit of work is FileFacts: everything the tree passes need from
  * one file, extracted in a single scrub+tokenize visit. Cross-file
@@ -32,15 +32,6 @@ struct IncludeEdge
     int line = 0;
 };
 
-/** A call discarded as a bare expression-statement: `foo(...);` with
- * no use of the result. Candidates only — the tree pass intersects
- * them with the global Outcome-function index. */
-struct BareCall
-{
-    std::string name;  ///< callee identifier (last of any ::-chain)
-    int line = 0;
-};
-
 /** A function declaration or definition: `<type> [Qual::]*name (`.
  * The line is where its return type begins, so an allow() marker
  * alone on the line above covers a declaration whose name sits on
@@ -49,7 +40,6 @@ struct FunctionDecl
 {
     std::string name;
     int line = 0;
-    bool outcome = false;  ///< declared returning Outcome<...>
 };
 
 /** An `allow(rule)` marker for a whole-tree rule, deferred to the
@@ -75,7 +65,6 @@ struct FileFacts
      * position, sorted and unique: the reach passes' notion of a
      * use. */
     std::vector<std::string> uses;
-    std::vector<BareCall> bare_calls;
     std::vector<TreeSuppression> tree_suppressions;
     /** Line of the first token of code (1 for a file with none): the
      * anchor of an unreachable-module finding. */

@@ -24,7 +24,7 @@ struct RuleInfo
 };
 
 // The contract rules, in documentation order: six per-file token rules
-// followed by the four whole-tree rules (lintTree only). The two meta
+// followed by the three whole-tree rules (lintTree only). The two meta
 // rules (bad-suppression, unused-suppression) guard the suppression
 // mechanism itself and are always on and never suppressible.
 constexpr RuleInfo rule_infos[] = {
@@ -51,13 +51,9 @@ constexpr RuleInfo rule_infos[] = {
      "unique_lock/scoped_lock is live; condition-variable waits ON "
      "the lock are the sanctioned exception"},
     {"layering",
-     "the src/ include graph respects the declared layer policy: no "
+     "the src/ include graph respects the compiled-in layer table: no "
      "upward includes, no forbidden facade-bypass edges, no include "
      "cycles (whole-tree rule; lintTree only)"},
-    {"unchecked-outcome",
-     "a call to a function returning Outcome<...> is never discarded "
-     "as a bare statement — a dropped Outcome drops its failure "
-     "(whole-tree rule; lintTree only)"},
     {"unreachable-module",
      "every src/ module (a header and its same-stem .cc) is reached "
      "through includes from an entry point under examples/, bench/, "
@@ -84,8 +80,8 @@ isContractRule(std::string_view id)
 bool
 isTreeRule(std::string_view id)
 {
-    return id == "layering" || id == "unchecked-outcome" ||
-           id == "unreachable-module" || id == "test-only-api";
+    return id == "layering" || id == "unreachable-module" ||
+           id == "test-only-api";
 }
 
 // ---------------------------------------------------------------------------
@@ -1077,12 +1073,10 @@ opensDeclaration(const std::vector<Token> &tokens, std::size_t head)
 
 /**
  * Function declarations and definitions, shape
- * `<type> [&*const] [Qual::]*name (`, each marked with whether its
- * return type is Outcome<...>. @p is_name gets true at every token
- * that is such a declaration's name, so every other identifier is a
- * use. The unchecked-outcome pass drops names declared both ways
- * somewhere in the tree (a token-level call site cannot type its
- * receiver); the reach passes read what is left as uses.
+ * `<type> [&*const] [Qual::]*name (`. @p is_name gets true at every
+ * token that is such a declaration's name, so every other identifier
+ * is a use: the reach passes read the declarations as the API and the
+ * rest as uses.
  */
 std::vector<detail::FunctionDecl>
 collectDecls(const std::vector<Token> &tokens, std::vector<bool> &is_name)
@@ -1130,89 +1124,16 @@ collectDecls(const std::vector<Token> &tokens, std::vector<bool> &is_name)
                    nonCalleeKeyword(tokens[q].text)) {
             continue;
         }
-        const bool outcome = tokens[head].is("Outcome");
         while (head >= 2 && tokens[head - 1].is("::") &&
                tokens[head - 2].ident())
             head -= 2;
         if (!opensDeclaration(tokens, head))
             continue;  // an expression such as `a * f(x)`
         decls.push_back(
-            {std::string(tokens[i].text), tokens[head].line, outcome});
+            {std::string(tokens[i].text), tokens[head].line});
         is_name[i] = true;
     }
     return decls;
-}
-
-/**
- * Calls discarded as bare expression-statements: the whole statement
- * is `receiver.chain->callee(args);` with the value going nowhere.
- * Records the callee name only — the tree pass decides which names
- * matter by intersecting with the Outcome index.
- */
-std::vector<detail::BareCall>
-collectBareCalls(const std::vector<Token> &tokens)
-{
-    std::vector<detail::BareCall> calls;
-    const std::size_t n = tokens.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!tokens[i].ident() || i + 1 >= n || !tokens[i + 1].is("("))
-            continue;
-        if (nonCalleeKeyword(tokens[i].text))
-            continue;
-        // The call's argument list must be the end of the statement.
-        std::size_t depth = 1;
-        std::size_t j = i + 2;
-        while (j < n && depth > 0) {
-            if (tokens[j].is("("))
-                ++depth;
-            else if (tokens[j].is(")"))
-                --depth;
-            ++j;
-        }
-        if (depth != 0 || j >= n || !tokens[j].is(";"))
-            continue;
-        // Walk back over the receiver chain (obj.member->f(),
-        // ns::f(), chained calls) to the start of the expression.
-        std::size_t p = i;
-        while (p >= 2) {
-            const auto &prev = tokens[p - 1];
-            if (!prev.is(".") && !prev.is("->") && !prev.is("::"))
-                break;
-            if (tokens[p - 2].ident()) {
-                p -= 2;
-                continue;
-            }
-            if (tokens[p - 2].is(")")) {
-                // Hop over a chained call: ... g(...) .f(...)
-                std::size_t q = p - 2;
-                std::size_t d = 1;
-                while (q > 0 && d > 0) {
-                    --q;
-                    if (tokens[q].is(")"))
-                        ++d;
-                    else if (tokens[q].is("("))
-                        --d;
-                }
-                if (d == 0 && q >= 1 && tokens[q - 1].ident()) {
-                    p = q - 1;
-                    continue;
-                }
-            }
-            break;
-        }
-        // Only a value with nowhere to go counts: the chain must
-        // begin a statement (`return f();`, `x = f();`, `int y =
-        // f();` all use the result).
-        const bool statement_start =
-            p == 0 || tokens[p - 1].is(";") || tokens[p - 1].is("{") ||
-            tokens[p - 1].is("}") || tokens[p - 1].is(")") ||
-            tokens[p - 1].is(":") || tokens[p - 1].is("else") ||
-            tokens[p - 1].is("do");
-        if (statement_start)
-            calls.push_back(
-                {std::string(tokens[i].text), tokens[i].line});
-    }
-    return calls;
 }
 
 } // namespace
@@ -1322,7 +1243,6 @@ analyzeText(std::string_view policy_path, std::string_view text,
     std::sort(facts.uses.begin(), facts.uses.end());
     facts.uses.erase(std::unique(facts.uses.begin(), facts.uses.end()),
                      facts.uses.end());
-    facts.bare_calls = collectBareCalls(tokens);
     if (!tokens.empty())
         facts.first_code_line = tokens.front().line;
 

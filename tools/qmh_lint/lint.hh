@@ -35,12 +35,9 @@
  * Whole-tree passes (lintTree only — they need every file's facts):
  *
  *  - layering           the #include graph over the src/ modules
- *                       respects the declared layer policy: no upward
- *                       includes, no forbidden cross-layer skips, no
- *                       include cycles;
- *  - unchecked-outcome  a call to any function the tree declares as
- *                       returning Outcome<...> is never discarded as
- *                       a bare expression-statement;
+ *                       respects the compiled-in layer table: no
+ *                       upward includes, no forbidden cross-layer
+ *                       skips, no include cycles;
  *  - unreachable-module every src/ module (a header and its same-stem
  *                       .cc) is reached through includes from an
  *                       entry point;
@@ -59,6 +56,10 @@
  * The tree engine lints files one after another in sorted-path order,
  * so the report is deterministic, and reports can be emitted as
  * SARIF 2.1.0 for CI code-scanning annotations.
+ *
+ * A discarded api::Outcome is not a lint rule: the class is
+ * [[nodiscard]] and the build compiles with -Werror=unused-result, so
+ * the compiler rejects it in every file it builds.
  *
  * Every rule is heuristic, so each supports inline suppression:
  *
@@ -116,8 +117,8 @@ const char *ruleDescription(std::string_view rule);
  * src/opt/, src/server/ and src/sweep/, no-raw-rand waived inside
  * the sanctioned src/common/random home), so tests can label fixture
  * content into any policy domain. Whole-tree rules (layering,
- * unchecked-outcome, unreachable-module, test-only-api) need every
- * file's facts and only run under lintTree.
+ * unreachable-module, test-only-api) need every file's facts and only
+ * run under lintTree.
  */
 Report lintText(std::string_view policy_path, std::string_view text);
 
@@ -130,42 +131,31 @@ Report lintText(std::string_view policy_path, std::string_view text);
  */
 Report lintFile(const std::string &path);
 
-/** Options for whole-tree analysis. */
-struct TreeOptions
-{
-    /** Layer policy text (see defaultLayerPolicy() for the format);
-     * empty = the built-in policy over the src/ modules. */
-    std::string layer_policy;
-};
-
 /**
- * The built-in layer policy. Format, line by line ('#' comments):
+ * The compiled-in layer policy over the src/ modules, as text ('#'
+ * comments):
  *
  *     layer <module>...    one tier per line, bottom tier first; a
  *                          module may include its own tier and any
  *                          tier below it
- *     forbid <from>: <to>...  ban specific downward skip edges (the
+ *     forbid <from>: <to>...  banned downward skip edges (the
  *                          facade-bypass discipline)
  *
  * Upward includes, forbidden edges and include cycles among the
- * declared modules are "layering" findings.
+ * declared modules are "layering" findings; modules the table does
+ * not declare are out of scope.
  */
-const char *defaultLayerPolicy();
+std::string layerPolicyText();
 
 /**
  * Recursively lint every C++ source under @p roots (.cc/.hh/.cpp/.h):
  * the per-file rules plus the whole-tree passes (layering over the
- * include graph, unchecked-outcome over the Outcome function index,
- * unreachable-module and test-only-api over entry-point reach).
- * Directories named "lint_fixtures" are skipped: fixtures contain
- * intentional violations and are linted explicitly by the self-tests.
- * Files are analyzed in sorted path order, so the report is
- * deterministic.
+ * include graph, unreachable-module and test-only-api over
+ * entry-point reach). Directories named "lint_fixtures" are skipped:
+ * fixtures contain intentional violations and are linted explicitly
+ * by the self-tests. Files are analyzed in sorted path order, so the
+ * report is deterministic.
  */
-Report lintTree(const std::vector<std::string> &roots,
-                const TreeOptions &options);
-
-/** lintTree under the built-in layer policy. */
 Report lintTree(const std::vector<std::string> &roots);
 
 /**

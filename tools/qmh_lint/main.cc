@@ -72,7 +72,7 @@ main(int argc, char **argv)
             return 0;
         }
         if (std::strcmp(argv[i], "--print-layers") == 0) {
-            std::cout << qmh::lint::defaultLayerPolicy();
+            std::cout << qmh::lint::layerPolicyText();
             return 0;
         }
         if (optValue(argv[i], "--format", value)) {

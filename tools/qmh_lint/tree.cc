@@ -2,8 +2,8 @@
  * @file
  * The whole-tree lint engine: one sequential fact-extraction pass
  * over the sorted file list, then the cross-file passes (layering
- * over the module include graph, unchecked-outcome over the Outcome
- * function index, and the two reach passes from the entry points).
+ * over the module include graph against the compiled-in layer table,
+ * and the two reach passes from the entry points).
  *
  * Determinism: files are sorted before analysis, every cross-file
  * pass iterates facts in that order, and the merged diagnostics get
@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "qmh_lint/internal.hh"
@@ -82,99 +81,50 @@ includeModule(const std::string &header)
 // Layer policy
 // ---------------------------------------------------------------------------
 
-struct LayerPolicy
-{
-    std::map<std::string, int> tier;  ///< module -> tier (0 = bottom)
-    std::set<std::pair<std::string, std::string>> forbidden;
-    std::vector<Diagnostic> errors;   ///< parse problems, as findings
+/** The src/ module tiers, bottom first. A module may include its own
+ * tier and any tier below it. */
+const std::vector<std::vector<std::string>> layer_tiers = {
+    {"common"},
+    {"circuit", "sched", "sim", "cache", "iontrap", "gen"},
+    {"cqla", "ecc", "net", "trace"},
+    {"api", "sweep"},
+    {"opt", "server"},
 };
 
-void
-splitWords(const std::string &text, std::vector<std::string> &words)
+/** The engine modules: tiers 1 and 2. */
+const std::vector<std::string> engines = {
+    "circuit", "sched", "sim", "cache", "iontrap",
+    "gen",     "cqla",  "ecc", "net",   "trace"};
+
+/** Downward skips the tiers alone would allow (the facade-bypass
+ * discipline): opt, server and sweep reach the engines only through
+ * the api facade. */
+const std::pair<std::string, std::vector<std::string>> forbid_rows[] = {
+    {"opt", engines},
+    {"server", engines},
+    {"sweep", engines},
+};
+
+/** Tier of @p module, 0 = bottom; -1 for a module the table does not
+ * declare (the policy governs the src/ tree, not arbitrary code). */
+int
+tierOf(const std::string &module)
 {
-    std::istringstream in(text);
-    std::string word;
-    while (in >> word)
-        words.push_back(word);
+    for (std::size_t t = 0; t < layer_tiers.size(); ++t)
+        if (std::ranges::find(layer_tiers[t], module) !=
+            layer_tiers[t].end())
+            return static_cast<int>(t);
+    return -1;
 }
 
-LayerPolicy
-parseLayerPolicy(std::string_view text)
+bool
+isForbidden(const std::string &from, const std::string &to)
 {
-    LayerPolicy policy;
-    int tier_count = 0;
-    int line_no = 0;
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-        auto end = text.find('\n', begin);
-        if (end == std::string_view::npos)
-            end = text.size();
-        std::string line(text.substr(begin, end - begin));
-        ++line_no;
-        const bool last = end == text.size();
-        begin = end + 1;
-
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::vector<std::string> words;
-        splitWords(line, words);
-        auto bad = [&](const std::string &why) {
-            policy.errors.push_back(
-                {"<layer-policy>", line_no, "layering", why,
-                 "policy lines: 'layer <module>...' (bottom tier "
-                 "first) or 'forbid <from>: <to>...'"});
-        };
-        if (words.empty()) {
-            if (last)
-                break;
-            continue;
-        }
-        if (words[0] == "layer") {
-            if (words.size() < 2) {
-                bad("'layer' line declares no modules");
-            } else {
-                for (std::size_t i = 1; i < words.size(); ++i) {
-                    if (!policy.tier.emplace(words[i], tier_count)
-                             .second)
-                        bad("module '" + words[i] +
-                            "' declared in two layers");
-                }
-                ++tier_count;
-            }
-        } else if (words[0] == "forbid") {
-            const auto colon = line.find(':');
-            if (colon == std::string::npos) {
-                bad("'forbid' line needs '<from>: <to>...'");
-            } else {
-                std::vector<std::string> from_words;
-                splitWords(line.substr(6, colon - 6), from_words);
-                std::vector<std::string> to_words;
-                splitWords(line.substr(colon + 1), to_words);
-                if (from_words.size() != 1 || to_words.empty()) {
-                    bad("'forbid' line needs '<from>: <to>...'");
-                } else {
-                    auto declared = [&](const std::string &m) {
-                        if (policy.tier.count(m))
-                            return true;
-                        bad("forbid names undeclared module '" + m +
-                            "'");
-                        return false;
-                    };
-                    if (declared(from_words[0]))
-                        for (const auto &to : to_words)
-                            if (declared(to))
-                                policy.forbidden.emplace(
-                                    from_words[0], to);
-                }
-            }
-        } else {
-            bad("unknown directive '" + words[0] + "'");
-        }
-        if (last)
-            break;
-    }
-    return policy;
+    for (const auto &[row_from, row_to] : forbid_rows)
+        if (row_from == from &&
+            std::ranges::find(row_to, to) != row_to.end())
+            return true;
+    return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,18 +168,6 @@ struct TreeSuppressions
         return hit;
     }
 
-    /** Marks every marker for `rule` as used without matching a
-     * finding. Called when a pass is skipped (broken layer policy):
-     * markers it would have judged are unjudgeable, not stale. */
-    void
-    excuseRule(std::string_view rule)
-    {
-        for (auto &[path, entries] : by_path)
-            for (auto &entry : entries)
-                if (entry.marker.rule == rule)
-                    entry.used = true;
-    }
-
     /** Stale markers become unused-suppression findings, same as the
      * per-file rules. Iterates facts (sorted) for determinism. */
     void
@@ -261,18 +199,10 @@ struct TreeSuppressions
 
 void
 passLayering(const std::vector<detail::FileFacts> &all,
-             const LayerPolicy &policy, TreeSuppressions &suppressions,
+             TreeSuppressions &suppressions,
              std::vector<Diagnostic> &diagnostics)
 {
     constexpr const char *rule = "layering";
-    diagnostics.insert(diagnostics.end(), policy.errors.begin(),
-                       policy.errors.end());
-    if (!policy.errors.empty()) {
-        // A broken policy cannot judge the graph, so it cannot judge
-        // the graph's suppressions either.
-        suppressions.excuseRule(rule);
-        return;
-    }
 
     // Peer (same-tier) edges feed cycle detection. Strictly downward
     // edges cannot close a cycle without an upward edge somewhere,
@@ -286,32 +216,32 @@ passLayering(const std::vector<detail::FileFacts> &all,
 
     for (const auto &facts : all) {
         const auto from = moduleOf(facts.path);
-        const auto from_it = policy.tier.find(from);
-        if (from_it == policy.tier.end())
+        const int from_tier = tierOf(from);
+        if (from_tier < 0)
             continue;
         for (const auto &include : facts.includes) {
             const auto to = includeModule(include.header);
             if (to == from)
                 continue;
-            const auto to_it = policy.tier.find(to);
-            if (to_it == policy.tier.end())
+            const int to_tier = tierOf(to);
+            if (to_tier < 0)
                 continue;
-            if (to_it->second > from_it->second) {
+            if (to_tier > from_tier) {
                 if (!suppressions.covers(facts.path, rule,
                                          include.line))
                     diagnostics.push_back(
                         {facts.path, include.line, rule,
                          "upward dependency: '" + from + "' (tier " +
-                             std::to_string(from_it->second) +
+                             std::to_string(from_tier) +
                              ") includes \"" + include.header +
                              "\" from '" + to + "' (tier " +
-                             std::to_string(to_it->second) + ")",
+                             std::to_string(to_tier) + ")",
                          "a lower layer must not know the one above "
                          "it — move the shared type down or invert "
                          "the dependency"});
                 continue;
             }
-            if (policy.forbidden.count({from, to})) {
+            if (isForbidden(from, to)) {
                 if (!suppressions.covers(facts.path, rule,
                                          include.line))
                     diagnostics.push_back(
@@ -324,7 +254,7 @@ passLayering(const std::vector<detail::FileFacts> &all,
                          "instead of reaching into the engines"});
                 continue;
             }
-            if (to_it->second == from_it->second)
+            if (to_tier == from_tier)
                 peer_edges.emplace(std::make_pair(from, to),
                                    Site{facts.path, include.line});
         }
@@ -371,56 +301,6 @@ passLayering(const std::vector<detail::FileFacts> &all,
     for (const auto &[module, targets] : adjacency)
         if (color[module] == 0)
             dfs(dfs, module);
-}
-
-// ---------------------------------------------------------------------------
-// Pass: unchecked-outcome
-// ---------------------------------------------------------------------------
-
-void
-passUncheckedOutcome(const std::vector<detail::FileFacts> &all,
-                     TreeSuppressions &suppressions,
-                     std::vector<Diagnostic> &diagnostics)
-{
-    constexpr const char *rule = "unchecked-outcome";
-
-    // The index: names declared in src/ modules to return
-    // Outcome<...>, minus any name also declared with another return
-    // type (a token-level call site cannot type its receiver, so
-    // ambiguous names — sim::Port::submit vs Session::submit — are
-    // left to the [[nodiscard]] attribute and the compiler).
-    std::set<std::string> outcome_names;
-    std::set<std::string> plain_names;
-    for (const auto &facts : all) {
-        if (moduleOf(facts.path).empty())
-            continue;
-        for (const auto &decl : facts.decls)
-            (decl.outcome ? outcome_names : plain_names)
-                .insert(decl.name);
-    }
-    std::set<std::string> index;
-    for (const auto &name : outcome_names)
-        if (!plain_names.count(name))
-            index.insert(name);
-
-    for (const auto &facts : all) {
-        if (moduleOf(facts.path).empty())
-            continue;
-        for (const auto &call : facts.bare_calls) {
-            if (!index.count(call.name))
-                continue;
-            if (suppressions.covers(facts.path, rule, call.line))
-                continue;
-            diagnostics.push_back(
-                {facts.path, call.line, rule,
-                 "discards the Outcome<...> returned by '" +
-                     call.name + "' — a dropped Outcome drops its "
-                                 "failure with it",
-                 "check ok()/error() (or bind the value); if the "
-                 "result truly does not matter, suppress with the "
-                 "reason"});
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -667,31 +547,29 @@ passesReach(const std::vector<detail::FileFacts> &all,
 // Public interface
 // ---------------------------------------------------------------------------
 
-const char *
-defaultLayerPolicy()
+std::string
+layerPolicyText()
 {
-    return
+    auto row = [](std::string head, const std::vector<std::string> &modules) {
+        for (const auto &module : modules)
+            head += " " + module;
+        return head + "\n";
+    };
+    std::string text =
         "# qmh architecture layers, bottom tier first. A module may\n"
-        "# include its own tier and any tier below it.\n"
-        "layer common\n"
-        "layer circuit sched sim cache iontrap gen\n"
-        "layer cqla ecc net trace\n"
-        "layer api sweep\n"
-        "layer opt server\n"
-        "# Facade-bypass discipline: the top tier talks to the\n"
-        "# system through api/sweep, never straight into the\n"
-        "# engines.\n"
-        "forbid opt: circuit sched sim cache iontrap gen cqla ecc "
-        "net trace\n"
-        "forbid server: circuit sched sim cache iontrap gen cqla "
-        "ecc net trace\n"
-        "forbid sweep: circuit sched sim cache iontrap gen cqla ecc "
-        "net trace\n";
+        "# include its own tier and any tier below it.\n";
+    for (const auto &tier : layer_tiers)
+        text += row("layer", tier);
+    text += "# Facade-bypass discipline: the top tier talks to the\n"
+            "# system through api/sweep, never straight into the\n"
+            "# engines.\n";
+    for (const auto &[from, to] : forbid_rows)
+        text += row("forbid " + from + ":", to);
+    return text;
 }
 
 Report
-lintTree(const std::vector<std::string> &roots,
-         const TreeOptions &options)
+lintTree(const std::vector<std::string> &roots)
 {
     std::vector<std::string> missing_roots;
     const auto files = collectFiles(roots, missing_roots);
@@ -713,22 +591,12 @@ lintTree(const std::vector<std::string> &roots,
 
     TreeSuppressions suppressions;
     suppressions.collect(all);
-    const auto policy = parseLayerPolicy(
-        options.layer_policy.empty() ? defaultLayerPolicy()
-                                     : options.layer_policy.c_str());
-    passLayering(all, policy, suppressions, report.diagnostics);
-    passUncheckedOutcome(all, suppressions, report.diagnostics);
+    passLayering(all, suppressions, report.diagnostics);
     passesReach(all, suppressions, report.diagnostics);
     suppressions.reportUnused(all, report.diagnostics);
 
     detail::sortUniqueDiagnostics(report.diagnostics);
     return report;
-}
-
-Report
-lintTree(const std::vector<std::string> &roots)
-{
-    return lintTree(roots, TreeOptions{});
 }
 
 } // namespace lint
