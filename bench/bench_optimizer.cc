@@ -80,9 +80,11 @@ printOptimizer()
     // In-memory: the warm pass replays it.
     opt::ResultCache cache(session.baseSeed());
     const auto cold = opt::frontierSearch(
-        session, base, {axis_transfers, axis_blocks}, options, &cache);
+        session, base, {axis_transfers, axis_blocks}, options, &cache)
+                          .value();
     const auto warm = opt::frontierSearch(
-        session, base, {axis_transfers, axis_blocks}, options, &cache);
+        session, base, {axis_transfers, axis_blocks}, options, &cache)
+                          .value();
 
     AsciiTable t;
     t.setCaption("hierarchy design space: transfers x blocks, "
@@ -117,7 +119,7 @@ BM_FrontierSearchCold(benchmark::State &state)
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
             session, base, {axis_transfers, axis_blocks}, options);
-        benchmark::DoNotOptimize(found.best_objective);
+        benchmark::DoNotOptimize(found.value().best_objective);
     }
 }
 BENCHMARK(BM_FrontierSearchCold)->Arg(1)->Arg(4)
@@ -131,12 +133,13 @@ BM_FrontierSearchWarmCache(benchmark::State &state)
     api::Session session({.threads = 2});
     opt::ResultCache cache(session.baseSeed());
     opt::frontierSearch(session, base, {axis_transfers, axis_blocks},
-                        options, &cache);
+                        options, &cache)
+        .value();
     for (auto _ : state) {
         const auto found = opt::frontierSearch(
             session, base, {axis_transfers, axis_blocks}, options,
             &cache);
-        benchmark::DoNotOptimize(found.best_objective);
+        benchmark::DoNotOptimize(found.value().best_objective);
     }
 }
 BENCHMARK(BM_FrontierSearchWarmCache)->Unit(benchmark::kMillisecond);

@@ -96,7 +96,8 @@ printTable5()
     std::printf("\nDesign-space sweep: %zu points on %u threads; "
                 "top configurations by adder speedup:\n",
                 table.rows(), session.threadCount());
-    table.sortRowsByColumnDesc(*table.findColumn("adder_speedup"));
+    table.sortRowsByColumn(*table.findColumn("adder_speedup"),
+                           true);
     sweep::toAsciiTable(table, 5, {"spec", "seed"})
         .print(std::cout);
 

@@ -103,7 +103,7 @@ main(int argc, char **argv)
     if (!table)
         return 1;
     const auto speedup_col = table->findColumn("adder_speedup");
-    table->sortRowsByColumnDesc(*speedup_col);
+    table->sortRowsByColumn(*speedup_col, true);
     std::printf("\nhierarchy rows at %u blocks (top adder speedups):\n",
                 best_blocks);
     sweep::toAsciiTable(*table, 4, {"spec", "seed"}).print(std::cout);

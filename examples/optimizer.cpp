@@ -9,7 +9,8 @@
  * the point budget or lattice resolution is reached. With --cache
  * every evaluated point is memoized to a JSON-lines file keyed by
  * its canonical spec string, so a repeated invocation simulates
- * nothing and replays bit-identical tables.
+ * nothing and replays bit-identical tables. A search that cannot
+ * run prints its typed error and exits 1.
  */
 
 #include <chrono>
@@ -203,13 +204,6 @@ main(int argc, char **argv)
         }
     }
 
-    const auto errors = opt::validateFrontier(base, axes, options);
-    if (!errors.empty()) {
-        for (const auto &error : errors)
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-    }
-
     api::Session session({.threads = threads, .base_seed = seed});
     opt::ResultCache cache(seed);
     if (!cache_path.empty()) {
@@ -240,7 +234,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(seed), options.budget);
     // qmh-lint: allow(no-wallclock): elapsed-seconds display only — never feeds a row, a seed or a cache entry
     const auto start = std::chrono::steady_clock::now();
-    const auto found = opt::frontierSearch(
+    const auto searched = opt::frontierSearch(
         session, base, axes, options,
         cache_path.empty() ? nullptr : &cache);
     const auto elapsed =
@@ -248,6 +242,11 @@ main(int argc, char **argv)
             // qmh-lint: allow(no-wallclock): elapsed-seconds display only — never feeds a row, a seed or a cache entry
             std::chrono::steady_clock::now() - start)
             .count();
+    if (!searched.ok()) {
+        cli::printError(searched.error());
+        return 1;
+    }
+    const auto &found = searched.value();
 
     std::printf("evaluated %zu points in %zu rounds: simulated %zu, "
                 "replayed %zu from cache (%.3f s)\n",

@@ -228,7 +228,7 @@ main(int argc, char **argv)
                          rank_column.c_str());
             return 1;
         }
-        table.sortRowsByColumnDesc(*col);
+        table.sortRowsByColumn(*col, true);
         std::printf("top rows by %s:\n", rank_column.c_str());
     } else {
         std::printf("first rows:\n");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <type_traits>
 
@@ -292,19 +293,21 @@ rangeDiagnostic(const Key &key)
  * the parser's and every kind's bounds — and printSpec() emits exactly
  * those, so one pass over its tokens checks all three. Each token is
  * re-parsed by specSet, so a spec that validates also re-parses: its
- * spec column is a spec parseSpec accepts.
+ * spec column is a spec parseSpec accepts. The workload generator's
+ * preconditions are checked only when every key it reads (workload,
+ * n and its own keys) re-parses, so one fault gets one diagnostic.
  */
 std::vector<std::string>
 checkKeys(const ExperimentSpec &spec, const std::string &kind,
           const std::vector<Key> &keys)
 {
     std::vector<std::string> errors;
-    const WorkloadGenerator *generator = nullptr;
-    if (findKey(keys, "workload")) {
-        for (const auto &diagnostic : workloadDiagnostics(spec))
-            errors.push_back(kind + ": " + diagnostic);
-        generator = findWorkload(spec.workload);
-    }
+    const bool reads_workload = findKey(keys, "workload") != nullptr;
+    const WorkloadGenerator *generator =
+        reads_workload ? findWorkload(spec.workload) : nullptr;
+    // A generator input the parser rejects is one fault with one
+    // diagnostic: the generator's preconditions would restate it.
+    bool generator_input_rejected = false;
     ExperimentSpec reparsed;  // specSet's target; only its verdict counts
     const auto printed = printSpec(spec);
     std::string_view rest(printed);
@@ -328,10 +331,20 @@ checkKeys(const ExperimentSpec &spec, const std::string &kind,
         } else if (auto diagnostic = specSet(reparsed, name, text);
                    !diagnostic.empty()) {
             errors.push_back(kind + ": " + diagnostic);
+            generator_input_rejected |=
+                generator_reads || name == "workload" || name == "n";
         } else if (const auto value = parseDouble(text);
                    key && value && !inRange(*key, *value)) {
             errors.push_back(kind + ": " + rangeDiagnostic(*key));
         }
+    }
+    if (reads_workload && !generator_input_rejected) {
+        auto diagnostics = workloadDiagnostics(spec);
+        for (auto &diagnostic : diagnostics)
+            diagnostic = kind + ": " + diagnostic;
+        errors.insert(errors.begin(),
+                      std::make_move_iterator(diagnostics.begin()),
+                      std::make_move_iterator(diagnostics.end()));
     }
     return errors;
 }

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <unordered_set>
 
+#include "api/prepared.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 
@@ -84,8 +86,8 @@ struct AxisState
 
 struct Candidate
 {
-    api::ExperimentSpec spec;
-    std::string key;
+    std::unique_ptr<api::Experiment> experiment;  ///< validated
+    std::string key;                 ///< canonical spec string
     std::vector<std::size_t> coord;  ///< lattice index per axis
 };
 
@@ -197,62 +199,10 @@ coarseGridPoints(const std::vector<AxisState> &states)
     return total;
 }
 
-/** Build the round-0 candidates in grid order (first axis slowest);
- *  invalid points are skipped and counted. */
-std::vector<Candidate>
-initialCandidates(const api::ExperimentSpec &base,
-                  const std::vector<AxisState> &axes,
-                  std::size_t budget,
-                  std::unordered_set<std::string> &known,
-                  std::size_t &skipped_invalid)
-{
-    const std::size_t total = coarseGridPoints(axes);
-    if (total > max_coarse_points)
-        qmh_panic("frontierSearch: coarse grid exceeds ",
-                  max_coarse_points,
-                  " points (checked in validateFrontier)");
-
-    std::vector<Candidate> batch;
-    for (std::size_t index = 0; index < total; ++index) {
-        if (known.size() >= budget)
-            break;
-        Candidate candidate;
-        candidate.spec = base;
-        candidate.coord.resize(axes.size());
-        std::size_t stride = total;
-        bool ok = true;
-        for (std::size_t a = 0; a < axes.size(); ++a) {
-            const auto &state = axes[a];
-            stride /= state.coarse.size();
-            const std::size_t pick =
-                (index / stride) % state.coarse.size();
-            candidate.coord[a] = state.coarse[pick];
-            const auto error = api::specSet(
-                candidate.spec, state.axis.key,
-                frontierAxisValueText(
-                    state.lattice[candidate.coord[a]],
-                    state.integer));
-            if (!error.empty()) {
-                ok = false;
-                break;
-            }
-        }
-        if (!ok ||
-            !api::makeExperiment(candidate.spec)->validate().empty()) {
-            ++skipped_invalid;
-            continue;
-        }
-        candidate.key = api::printSpec(candidate.spec);
-        if (!known.insert(candidate.key).second)
-            continue;
-        batch.push_back(std::move(candidate));
-    }
-    return batch;
-}
-
-/** Every diagnostic that does not require evaluating the grid. */
+/** Every diagnostic that holds before the axis states are built. */
 std::vector<std::string>
 staticFrontierErrors(const api::ExperimentSpec &base,
+                     const std::vector<std::string> &columns,
                      const std::vector<FrontierAxis> &axes,
                      const FrontierOptions &options)
 {
@@ -300,114 +250,135 @@ staticFrontierErrors(const api::ExperimentSpec &base,
         errors.push_back("frontier: depth must be in [0, 20]");
     if (options.objective.empty()) {
         errors.push_back("frontier: an objective column is required");
-    } else {
-        const auto columns = api::makeExperiment(base)->columns();
-        if (std::find(columns.begin(), columns.end(),
-                      options.objective) == columns.end())
-            errors.push_back("frontier: " +
-                             std::string(api::kindName(base.kind)) +
-                             " experiments have no column '" +
-                             options.objective + "'");
-        else if (options.objective == "spec")
-            errors.push_back("frontier: 'spec' is not a numeric "
-                             "objective");
+    } else if (std::find(columns.begin(), columns.end(),
+                         options.objective) == columns.end()) {
+        errors.push_back("frontier: " +
+                         std::string(api::kindName(base.kind)) +
+                         " experiments have no column '" +
+                         options.objective + "'");
+    } else if (options.objective == "spec") {
+        errors.push_back("frontier: 'spec' is not a numeric objective");
     }
-    if (!errors.empty())
-        return errors;
-    if (coarseGridPoints(buildAxisStates(axes, options.max_depth)) >
-        max_coarse_points)
-        errors.push_back("frontier: the coarse grid exceeds " +
-                         std::to_string(max_coarse_points) +
-                         " points — lower the axis coarse counts");
     return errors;
 }
 
-constexpr const char *no_valid_point_error =
-    "frontier: no point of the coarse grid passes validation — "
-    "adjust the axis ranges or the base spec";
+/** The typed error of a search that cannot start. */
+api::Error
+invalidSearch(std::vector<std::string> details)
+{
+    return {api::ErrorCode::InvalidSpec,
+            std::to_string(details.size()) +
+                " error(s) in the frontier search configuration",
+            std::move(details)};
+}
 
 } // namespace
 
-std::vector<std::string>
-validateFrontier(const api::ExperimentSpec &base,
-                 const std::vector<FrontierAxis> &axes,
-                 const FrontierOptions &options)
-{
-    auto errors = staticFrontierErrors(base, axes, options);
-    if (!errors.empty())
-        return errors;
-
-    // The search can start only if the coarse grid contains at least
-    // one valid point (individual invalid points are skipped).
-    const auto states = buildAxisStates(axes, options.max_depth);
-    std::unordered_set<std::string> known;
-    std::size_t skipped = 0;
-    if (initialCandidates(base, states, options.budget, known, skipped)
-            .empty())
-        errors.push_back(no_valid_point_error);
-    return errors;
-}
-
-FrontierOutcome
+api::Outcome<FrontierOutcome>
 frontierSearch(api::Session &session,
                const api::ExperimentSpec &base,
                const std::vector<FrontierAxis> &axes,
                const FrontierOptions &options, ResultCache *cache)
 {
-    {
-        const auto errors = staticFrontierErrors(base, axes, options);
-        if (!errors.empty())
-            qmh_panic("frontierSearch: ", errors.front());
-    }
-
-    auto states = buildAxisStates(axes, options.max_depth);
-
     const auto columns = api::makeExperiment(base)->columns();
+    if (auto errors = staticFrontierErrors(base, columns, axes, options);
+        !errors.empty())
+        return invalidSearch(std::move(errors));
+    auto states = buildAxisStates(axes, options.max_depth);
+    const std::size_t coarse_points = coarseGridPoints(states);
+    if (coarse_points > max_coarse_points)
+        return invalidSearch({"frontier: the coarse grid exceeds " +
+                              std::to_string(max_coarse_points) +
+                              " points — lower the axis coarse counts"});
+
     const std::size_t objective_col = static_cast<std::size_t>(
         std::find(columns.begin(), columns.end(), options.objective) -
         columns.begin());
-
     auto labelled = columns;
     labelled.emplace_back("seed");
     FrontierOutcome outcome;
     outcome.table = sweep::ResultTable(labelled);
 
+    // Each proposed point is keyed, checked and counted once; the
+    // experiment validated here is the one its round runs.
+    std::unordered_set<std::string> known;
+    std::vector<Candidate> batch;
+    const auto propose = [&](const std::vector<std::size_t> &coord) {
+        auto spec = base;
+        for (std::size_t a = 0; a < states.size(); ++a) {
+            const auto &state = states[a];
+            if (!api::specSet(spec, state.axis.key,
+                              frontierAxisValueText(
+                                  state.lattice[coord[a]], state.integer))
+                     .empty()) {
+                ++outcome.skipped_invalid;
+                return;
+            }
+        }
+        auto key = api::printSpec(spec);
+        if (!known.insert(key).second)
+            return;
+        auto experiment = api::makeExperiment(spec);
+        if (!experiment->validate().empty()) {
+            ++outcome.skipped_invalid;
+            return;
+        }
+        batch.push_back({std::move(experiment), std::move(key), coord});
+    };
+
+    // Round 0: the coarse grid in grid order, first axis slowest.
+    // Skipped points do not consume budget.
+    std::vector<std::size_t> coord(states.size());
+    for (std::size_t index = 0;
+         index < coarse_points && batch.size() < options.budget; ++index) {
+        std::size_t stride = coarse_points;
+        for (std::size_t a = 0; a < states.size(); ++a) {
+            const auto &coarse = states[a].coarse;
+            stride /= coarse.size();
+            coord[a] = coarse[(index / stride) % coarse.size()];
+        }
+        propose(coord);
+    }
+    if (batch.empty())
+        return invalidSearch({"frontier: no point of the coarse grid "
+                              "passes validation — adjust the axis "
+                              "ranges or the base spec"});
+
     struct Eval
     {
-        api::ExperimentSpec spec;
         std::string key;
         std::vector<std::size_t> coord;
         double raw = 0.0;    ///< objective as reported
         double score = 0.0;  ///< sign-adjusted, NaN mapped to -inf
     };
+    // Best first; ties break on the canonical spec string so the
+    // frontier is deterministic.
+    const auto ranks_before = [](const Eval &a, const Eval &b) {
+        if (a.score != b.score)
+            return a.score > b.score;
+        return a.key < b.key;
+    };
     std::vector<Eval> evals;
-    std::unordered_set<std::string> known;
-
-    auto batch = initialCandidates(base, states, options.budget, known,
-                                   outcome.skipped_invalid);
-    if (batch.empty())
-        qmh_panic("frontierSearch: ", no_valid_point_error);
 
     while (!batch.empty()) {
         ++outcome.rounds;
-        std::vector<api::ExperimentSpec> specs;
-        specs.reserve(batch.size());
-        for (const auto &candidate : batch)
-            specs.push_back(candidate.spec);
+        std::vector<std::unique_ptr<api::Experiment>> experiments;
+        experiments.reserve(batch.size());
+        for (auto &candidate : batch)
+            experiments.push_back(std::move(candidate.experiment));
+        api::sharePreparedWorkloads(experiments);
 
         // Stream the round through a cancellable cached job: it hands
         // out at most the budget's remainder (proposal order, so the
         // cut is deterministic on any thread count), and the caller's
-        // observer can end it after any row. Every candidate passed
-        // validate() when it was proposed.
-        CachedJob job(api::validateExperiments(specs).value(),
-                      api::SeedMode::Spec, session.baseSeed(), cache,
+        // observer can end it after any row.
+        CachedJob job(std::move(experiments), api::SeedMode::Spec,
+                      session.baseSeed(), cache,
                       options.budget - evals.size());
         job.start(session);
         bool user_cancelled = false;
         for (std::size_t j = 0; auto row = job.next(); ++j) {
             Eval eval;
-            eval.spec = std::move(batch[j].spec);
             eval.key = std::move(batch[j].key);
             eval.coord = std::move(batch[j].coord);
             const auto number = (*row)[objective_col].asNumber();
@@ -428,9 +399,9 @@ frontierSearch(api::Session &session,
                 break;
             }
         }
-        const auto swept = job.wait();
+        auto swept = job.wait();
         if (swept.failure)
-            qmh_panic("frontierSearch: ", swept.failure->describe());
+            return std::move(*swept.failure);
         outcome.simulated += swept.rows - swept.replayed;
         outcome.cached += swept.replayed;
 
@@ -441,16 +412,12 @@ frontierSearch(api::Session &session,
         if (evals.size() >= options.budget)
             break;
 
-        // Rank everything evaluated so far; ties break on the
-        // canonical spec string so the frontier is deterministic.
         std::vector<std::size_t> order(evals.size());
         for (std::size_t i = 0; i < order.size(); ++i)
             order[i] = i;
         std::sort(order.begin(), order.end(),
-                  [&evals](std::size_t a, std::size_t b) {
-                      if (evals[a].score != evals[b].score)
-                          return evals[a].score > evals[b].score;
-                      return evals[a].key < evals[b].key;
+                  [&](std::size_t a, std::size_t b) {
+                      return ranks_before(evals[a], evals[b]);
                   });
         const std::size_t n_pick =
             options.frontier == 0
@@ -468,10 +435,10 @@ frontierSearch(api::Session &session,
         for (std::size_t p = 0; p < n_pick; ++p) {
             const auto &eval = evals[order[p]];
             for (std::size_t a = 0; a < states.size(); ++a) {
-                auto &state = states[a];
-                const auto here = state.seen.find(eval.coord[a]);
+                const auto &seen = states[a].seen;
+                const auto here = seen.find(eval.coord[a]);
                 std::vector<std::size_t> proposals;
-                if (here != state.seen.begin()) {
+                if (here != seen.begin()) {
                     const std::size_t prev = *std::prev(here);
                     proposals.push_back(prev);
                     if (eval.coord[a] - prev >= 2)
@@ -479,7 +446,7 @@ frontierSearch(api::Session &session,
                             prev + (eval.coord[a] - prev) / 2);
                 }
                 if (const auto next = std::next(here);
-                    next != state.seen.end()) {
+                    next != seen.end()) {
                     if (*next - eval.coord[a] >= 2)
                         proposals.push_back(
                             eval.coord[a] +
@@ -487,47 +454,21 @@ frontierSearch(api::Session &session,
                     proposals.push_back(*next);
                 }
                 for (const std::size_t q : proposals) {
-                    Candidate candidate;
-                    candidate.spec = eval.spec;
-                    candidate.coord = eval.coord;
-                    candidate.coord[a] = q;
-                    const auto error = api::specSet(
-                        candidate.spec, state.axis.key,
-                        frontierAxisValueText(state.lattice[q],
-                                              state.integer));
-                    if (!error.empty()) {
-                        ++outcome.skipped_invalid;
-                        continue;
-                    }
-                    candidate.key = api::printSpec(candidate.spec);
-                    if (known.count(candidate.key))
-                        continue;
-                    if (!api::makeExperiment(candidate.spec)
-                             ->validate()
-                             .empty()) {
-                        ++outcome.skipped_invalid;
-                        known.insert(candidate.key);
-                        continue;
-                    }
-                    known.insert(candidate.key);
-                    batch.push_back(std::move(candidate));
+                    coord = eval.coord;
+                    coord[a] = q;
+                    propose(coord);
                 }
             }
         }
     }
 
     outcome.evaluated = evals.size();
-    if (evals.empty())
-        qmh_panic("frontierSearch: no point was evaluated despite a "
-                  "validated configuration");
-    const auto best = std::min_element(
-        evals.begin(), evals.end(), [](const Eval &a, const Eval &b) {
-            if (a.score != b.score)
-                return a.score > b.score;
-            return a.key < b.key;
-        });
-    outcome.best_key = best->key;
-    outcome.best_objective = best->raw;
+    if (const auto best = std::min_element(evals.begin(), evals.end(),
+                                           ranks_before);
+        best != evals.end()) {
+        outcome.best_key = best->key;
+        outcome.best_objective = best->raw;
+    }
     outcome.table.sortRowsByColumn(objective_col, options.maximize);
     return outcome;
 }

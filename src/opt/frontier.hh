@@ -25,7 +25,11 @@
  * Each round runs as one CachedJob on the caller's api::Session:
  * points are keyed and seeded by canonical spec string, so a
  * ResultCache makes repeated searches incremental and results are
- * bit-identical on 1 or N threads.
+ * bit-identical on 1 or N threads. One call does all the work once:
+ * it checks the configuration, builds each axis lattice and
+ * enumerates the coarse grid a single time, and validates each
+ * candidate when it is proposed; that validated experiment is the
+ * one its round runs.
  */
 
 #ifndef QMH_OPT_FRONTIER_HH
@@ -112,25 +116,14 @@ std::string frontierAxisValueText(double value, bool integer_axis);
 bool frontierAxisIsInteger(const std::string &key);
 
 /**
- * Static diagnostics for a search: unknown / non-numeric axis keys,
- * empty or inverted intervals, degenerate options, oversized coarse
- * grids or lattices, an objective the experiment kind does not emit,
- * or an initial grid with no valid point. Empty means
- * frontierSearch() will run. The no-valid-point check enumerates the
- * coarse grid the same way the search's first round will (both are
- * capped at 100k points), so CLI-style validate-then-run pays that
- * bounded enumeration twice by design.
- */
-std::vector<std::string>
-validateFrontier(const api::ExperimentSpec &base,
-                 const std::vector<FrontierAxis> &axes,
-                 const FrontierOptions &options);
-
-/**
- * Run the adaptive search (panics on validateFrontier diagnostics;
- * call it first for recoverable errors). @p cache may be null, and
- * a store built for another base seed than @p session's is not
- * consulted.
+ * Run the adaptive search. A configuration that cannot run — unknown
+ * or non-numeric axis keys, empty or inverted intervals, degenerate
+ * options, oversized coarse grids or lattices, an objective the
+ * experiment kind does not emit, or a coarse grid with no valid
+ * point — is an api::ErrorCode::InvalidSpec error with one detail per
+ * diagnostic; a point that fails to run returns its job's
+ * ExecutionFailed error. @p cache may be null, and a store built for
+ * another base seed than @p session's is not consulted.
  * Deterministic for a fixed (base spec, axes, options, base seed):
  * the same points are evaluated in the same order on any thread
  * count, and a warm cache changes only simulated/cached counts.
@@ -139,7 +132,7 @@ validateFrontier(const api::ExperimentSpec &base,
  * the budgeted number of rows (in proposal order), instead of
  * simulating the whole round and discarding the excess.
  */
-FrontierOutcome
+api::Outcome<FrontierOutcome>
 frontierSearch(api::Session &session,
                const api::ExperimentSpec &base,
                const std::vector<FrontierAxis> &axes,

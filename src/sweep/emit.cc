@@ -239,12 +239,6 @@ ResultTable::sortRowsByColumn(std::size_t col, bool descending)
 }
 
 void
-ResultTable::sortRowsByColumnDesc(std::size_t col)
-{
-    sortRowsByColumn(col, true);
-}
-
-void
 ResultTable::writeCsv(std::ostream &os) const
 {
     for (std::size_t c = 0; c < _columns.size(); ++c)

@@ -119,9 +119,6 @@ class ResultTable
      */
     void sortRowsByColumn(std::size_t col, bool descending);
 
-    /** sortRowsByColumn(col, true). */
-    void sortRowsByColumnDesc(std::size_t col);
-
     /** CSV with a header line; cells quoted when they need it. */
     void writeCsv(std::ostream &os) const;
 

@@ -333,6 +333,43 @@ TEST(Experiments, ValidateCatchesBadRanges)
     EXPECT_TRUE(makeExperiment(spec)->validate().empty());
 }
 
+TEST(Experiments, OneFaultGetsOneDiagnostic)
+{
+    // A generator input outside the parser's bounds is reported by the
+    // parser alone, not again by the generator's preconditions.
+    ExperimentSpec spec;
+    spec.kind = ExperimentKind::Trace;
+    spec.workload = "random";
+    spec.n = 8;
+    spec.gates = -1;
+    auto diagnostics = makeExperiment(spec)->validate();
+    ASSERT_EQ(diagnostics.size(), 1u);
+    EXPECT_NE(diagnostics[0].find("gates=-1"), std::string::npos)
+        << diagnostics[0];
+
+    spec = ExperimentSpec{};
+    spec.kind = ExperimentKind::Trace;
+    spec.workload = "";
+    diagnostics = makeExperiment(spec)->validate();
+    ASSERT_EQ(diagnostics.size(), 1u);
+    EXPECT_NE(diagnostics[0].find("workload"), std::string::npos)
+        << diagnostics[0];
+
+    // A fault in a key the generator does not read is still reported
+    // beside the generator's own.
+    spec = ExperimentSpec{};
+    spec.kind = ExperimentKind::Trace;
+    spec.workload = "random";
+    spec.n = 2;
+    spec.transfers = 0;
+    diagnostics = makeExperiment(spec)->validate();
+    ASSERT_EQ(diagnostics.size(), 2u);
+    EXPECT_NE(diagnostics[0].find("needs n >= 3"), std::string::npos)
+        << diagnostics[0];
+    EXPECT_NE(diagnostics[1].find("transfers=0"), std::string::npos)
+        << diagnostics[1];
+}
+
 TEST(Experiments, DefaultsPassEveryKindUnderEveryGenerator)
 {
     // validate() range-checks only the keys printSpec emits, the

@@ -282,43 +282,104 @@ TEST(Frontier, LatticeIsTheCoarseGridPlusDyadicMidpoints)
     EXPECT_LE(int_lattice.size(), 15u);
 }
 
+/** The details of @p searched's error; empty (and a failure) when
+ *  the search ran or failed with another code than InvalidSpec. */
+std::vector<std::string>
+invalidSpecDetails(const api::Outcome<FrontierOutcome> &searched)
+{
+    if (searched.ok()) {
+        ADD_FAILURE() << "the search ran";
+        return {};
+    }
+    EXPECT_EQ(searched.error().code, api::ErrorCode::InvalidSpec);
+    return searched.error().details;
+}
+
 TEST(Frontier, ValidationCatchesBadConfigurations)
 {
     const auto base = api::parseSpec("experiment=hierarchy").spec;
     FrontierOptions options;
     options.objective = "adder_speedup";
-    EXPECT_FALSE(validateFrontier(base, {}, options).empty());
-    EXPECT_FALSE(
-        validateFrontier(base, {{"bogus", 0, 1, 3}}, options).empty());
-    EXPECT_FALSE(
-        validateFrontier(base, {{"policy", 0, 1, 3}}, options).empty());
-    EXPECT_FALSE(
-        validateFrontier(base, {{"transfers", 16, 2, 3}}, options)
-            .empty());
+    options.budget = 4;
+    api::Session session({.threads = 2});
+    const auto search = [&](const api::ExperimentSpec &spec,
+                            const std::vector<FrontierAxis> &axes,
+                            const FrontierOptions &with) {
+        return frontierSearch(session, spec, axes, with, nullptr);
+    };
+    using Details = std::vector<std::string>;
+    EXPECT_EQ(invalidSpecDetails(search(base, {}, options)),
+              Details{"frontier: at least one --axis is required"});
+    EXPECT_EQ(
+        invalidSpecDetails(search(base, {{"bogus", 0, 1, 3}}, options)),
+        Details{"frontier: unknown axis key 'bogus'"});
+    EXPECT_EQ(
+        invalidSpecDetails(search(base, {{"policy", 0, 1, 3}}, options)),
+        Details{"frontier: axis 'policy' is not numeric — only "
+                "Int/UInt/Real keys can be refined"});
+    EXPECT_EQ(invalidSpecDetails(
+                  search(base, {{"transfers", 16, 2, 3}}, options)),
+              Details{"frontier: axis 'transfers' needs lo < hi"});
+    // Every coarse point has n < 8, below the hierarchy kind's bound.
+    EXPECT_EQ(
+        invalidSpecDetails(search(base, {{"n", 2, 7, 3}}, options)),
+        Details{"frontier: no point of the coarse grid passes "
+                "validation — adjust the axis ranges or the base spec"});
+    // 65^3 coarse points: rejected before any point is built.
+    EXPECT_EQ(invalidSpecDetails(search(base,
+                                        {{"n", 8, 4096, 65},
+                                         {"transfers", 1, 100, 65},
+                                         {"blocks", 1, 100, 65}},
+                                        options)),
+              Details{"frontier: the coarse grid exceeds 100000 points "
+                      "— lower the axis coarse counts"});
     FrontierOptions bad_objective = options;
     bad_objective.objective = "hit_rate";  // a cache column
-    EXPECT_FALSE(
-        validateFrontier(base, {{"transfers", 2, 16, 3}}, bad_objective)
-            .empty());
+    EXPECT_EQ(invalidSpecDetails(search(
+                  base, {{"transfers", 2, 16, 3}}, bad_objective)),
+              Details{"frontier: hierarchy experiments have no column "
+                      "'hit_rate'"});
     // 64 * 2^20 + 1 lattice values on a real axis: rejected.
     const auto bandwidth = api::parseSpec("experiment=bandwidth").spec;
     FrontierOptions deep;
     deep.objective = "required_draper_qps";
     deep.max_depth = 20;
-    EXPECT_FALSE(
-        validateFrontier(bandwidth, {{"utilization", 0.01, 1.0, 65}},
-                         deep)
-            .empty());
+    deep.budget = 4;
+    EXPECT_EQ(invalidSpecDetails(search(
+                  bandwidth, {{"utilization", 0.01, 1.0, 65}}, deep)),
+              Details{"frontier: axis 'utilization' would materialize "
+                      "more than 262145 lattice values — lower --depth "
+                      "or coarse"});
     // The same depth is fine on an integer axis with a narrow range:
     // the lattice saturates at the integer spacing.
-    EXPECT_TRUE(
-        validateFrontier(bandwidth, {{"blocks", 2, 16, 3}}, deep)
-            .empty());
-    EXPECT_TRUE(validateFrontier(base,
-                                 {{"transfers", 2, 16, 3},
-                                  {"blocks", 4, 64, 3}},
-                                 options)
-                    .empty());
+    const auto narrow = search(bandwidth, {{"blocks", 2, 16, 3}}, deep);
+    ASSERT_TRUE(narrow.ok()) << narrow.error().describe();
+    EXPECT_EQ(narrow.value().evaluated, 4u);
+    const auto two_axes = search(
+        base, {{"transfers", 2, 16, 3}, {"blocks", 4, 64, 3}}, options);
+    ASSERT_TRUE(two_axes.ok()) << two_axes.error().describe();
+    EXPECT_EQ(two_axes.value().evaluated, 4u);
+}
+
+/**
+ * The hierarchy kind needs n >= 8, so the coarse points on n = 2 (one
+ * per transfers value) are skipped and counted; the search runs on the
+ * valid rest and never proposes below the lowest evaluated n.
+ */
+TEST(Frontier, InvalidCandidatesAreSkippedAndCounted)
+{
+    const auto base = api::parseSpec("experiment=hierarchy").spec;
+    FrontierOptions options;
+    options.objective = "adder_speedup";
+    api::Session session({.threads = 2});
+    const auto found =
+        frontierSearch(session, base,
+                       {{"n", 2, 64, 3}, {"transfers", 2, 16, 3}},
+                       options, nullptr)
+            .value();
+    EXPECT_EQ(found.skipped_invalid, 3u);
+    EXPECT_EQ(found.evaluated, 29u);
+    EXPECT_EQ(found.best_key, "experiment=hierarchy n=64 transfers=16");
 }
 
 /**
@@ -366,7 +427,8 @@ TEST(Frontier, ExhaustiveBudgetEqualsBruteForce)
     }
 
     const auto found =
-        frontierSearch(session, base, {util, blocks}, options, nullptr);
+        frontierSearch(session, base, {util, blocks}, options, nullptr)
+            .value();
     EXPECT_EQ(found.evaluated, brute_table.rows());
     EXPECT_EQ(found.simulated, brute_table.rows());
     EXPECT_EQ(found.rounds > 1, true);
@@ -409,7 +471,8 @@ TEST(Frontier, GreedySearchReachesBruteOptimumWithFewerPoints)
             std::max(brute_best, *brute_table.cell(r, obj).asNumber());
 
     const auto found = frontierSearch(session, base, {transfers, blocks},
-                                      options, nullptr);
+                                      options, nullptr)
+                           .value();
     EXPECT_DOUBLE_EQ(found.best_objective, brute_best);
     EXPECT_LT(found.simulated, brute_table.rows());
 }
@@ -436,7 +499,7 @@ TEST(Frontier, ProgressStreamsMonotonicallyAndObservesEveryPoint)
     };
     api::Session session({.threads = 2});
     const auto found =
-        frontierSearch(session, base, axes, options, nullptr);
+        frontierSearch(session, base, axes, options, nullptr).value();
     EXPECT_FALSE(found.cancelled);
     EXPECT_EQ(calls, found.evaluated);
     EXPECT_EQ(last_evaluated, found.evaluated);
@@ -446,7 +509,7 @@ TEST(Frontier, ProgressStreamsMonotonicallyAndObservesEveryPoint)
     FrontierOptions plain = options;
     plain.on_progress = nullptr;
     const auto reference =
-        frontierSearch(session, base, axes, plain, nullptr);
+        frontierSearch(session, base, axes, plain, nullptr).value();
     EXPECT_EQ(csvOf(found.table), csvOf(reference.table));
 }
 
@@ -466,8 +529,10 @@ TEST(Frontier, ProgressCallbackCancelsDeterministically)
     };
     api::Session one({.threads = 1});
     api::Session many({.threads = 4});
-    const auto a = frontierSearch(one, base, axes, options, nullptr);
-    const auto b = frontierSearch(many, base, axes, options, nullptr);
+    const auto a =
+        frontierSearch(one, base, axes, options, nullptr).value();
+    const auto b =
+        frontierSearch(many, base, axes, options, nullptr).value();
     EXPECT_TRUE(a.cancelled);
     EXPECT_TRUE(b.cancelled);
     EXPECT_EQ(a.evaluated, stop_after);
@@ -496,7 +561,7 @@ TEST(Frontier, WarmCacheRerunSimulatesNothingAndMatches)
         ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
         const auto cold =
-            frontierSearch(session, base, axes, options, &cache);
+            frontierSearch(session, base, axes, options, &cache).value();
         EXPECT_GT(cold.simulated, 0u);
         cold_csv = csvOf(cold.table);
         cold_evaluated = cold.evaluated;
@@ -505,7 +570,7 @@ TEST(Frontier, WarmCacheRerunSimulatesNothingAndMatches)
         ResultCache cache(session.baseSeed());
         ASSERT_EQ(cache.open(path), "");
         const auto warm =
-            frontierSearch(session, base, axes, options, &cache);
+            frontierSearch(session, base, axes, options, &cache).value();
         EXPECT_EQ(warm.simulated, 0u);
         EXPECT_EQ(warm.cached, warm.evaluated);
         EXPECT_EQ(warm.evaluated, cold_evaluated);

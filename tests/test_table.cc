@@ -135,7 +135,7 @@ TEST(ResultTable, AccessorsAndDescendingSort)
     EXPECT_EQ(*table.findColumn("score"), 1u);
     EXPECT_FALSE(table.findColumn("missing").has_value());
 
-    table.sortRowsByColumnDesc(1);
+    table.sortRowsByColumn(1, true);
     EXPECT_EQ(table.cell(0, 0).toString(), "high");
     EXPECT_EQ(table.cell(1, 0).toString(), "mid");
     EXPECT_EQ(table.cell(2, 0).toString(), "low");
