@@ -26,7 +26,7 @@ constexpr double kUnbounded = std::numeric_limits<double>::infinity();
  * A spec key a kind reads. validate() applies the parser's bounds to
  * every key first (specSet), so a kind lists only bounds tighter than
  * the parser's: they keep a point's cost in check or guard an engine
- * that refuses the value fatally. A bounded key's value must lie in
+ * check that would fail the point. A bounded key's value must lie in
  * [lo, hi] (lo excluded when lo_open).
  */
 struct Key
@@ -166,7 +166,7 @@ const KindTable<MonteCarloResult> montecarlo_table = {
     {{"code"},
      {.name = "level", .hi = 3, .note = "cost grows as n^level per trial"},
      {"p0", 0, 0.25, true}, {"trials", 1, 100000000},
-     // ecc::EcMonteCarlo refuses a noise factor below 1 fatally.
+     // ecc::EcMonteCarlo refuses a noise factor below 1.
      {"noise_factor", 1, 100}},
     [](const ExperimentSpec &spec, Random &rng, const PreparedSlot *) {
         const ecc::EcMonteCarlo mc(ecc::Code::byKind(spec.code),

@@ -33,8 +33,10 @@ PreparedSlot::runTrace(const trace::PreparedWorkload &prepared,
                        const trace::TraceConfig &config,
                        const ExperimentSpec &spec) const
 {
+    // transfers is restated by atTransfers; mem_buffer changes no run.
     auto key = config;
     key.transfers = 0;
+    key.mem_buffer = 0;
     {
         std::lock_guard<std::mutex> lock(_runs_mutex);
         for (const auto &run : _runs)

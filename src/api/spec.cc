@@ -187,9 +187,9 @@ const FieldDef field_defs[] = {
      SpecKeyKind::Int, QMH_INT_FIELD(mem_banks, 1, 4096)},
     {"mem_ports", "concurrent memory requests in service",
      SpecKeyKind::Int, QMH_INT_FIELD(mem_ports, 1, 4096)},
-    {"mem_buffer", "bounded request-buffer depth per bank",
+    {"mem_buffer", "accepted, no effect (bank queues are unbounded FIFOs)",
      SpecKeyKind::Int, QMH_INT_FIELD(mem_buffer, 1, 65536)},
-    {"cycles_per_line", "extra bank service ticks per line",
+    {"cycles_per_line", "extra bank service ticks per request (one line)",
      SpecKeyKind::Int, QMH_INT_FIELD(cycles_per_line, 0, 1000000000)},
     {"capacity", "cache capacity in qubits (0 = capacity_x * PE)",
      SpecKeyKind::UInt, QMH_U64_FIELD(capacity)},

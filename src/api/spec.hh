@@ -90,8 +90,8 @@ struct ExperimentSpec
     // --- banked level-2 memory (trace kind) ---
     unsigned mem_banks = 8;           ///< memory banks (addr % banks)
     unsigned mem_ports = 4;           ///< concurrent requests served
-    std::uint64_t mem_buffer = 8;     ///< bounded request deque per bank
-    std::uint64_t cycles_per_line = 0;///< extra bank ticks per line
+    std::uint64_t mem_buffer = 8;     ///< no effect: bank queues are FIFOs
+    std::uint64_t cycles_per_line = 0;///< extra bank ticks per request
 
     // --- cache / trace knobs ---
     std::uint64_t capacity = 0;  ///< cached qubits; 0 = capacity_x * PE

@@ -27,16 +27,6 @@ adderDataMask(const gen::AdderLayout &layout, bool mask_data)
     return mask;
 }
 
-/** Adders and the QFT need a register of at least one qubit. */
-std::vector<std::string>
-needsWidth(const ExperimentSpec &spec)
-{
-    if (spec.n >= 1)
-        return {};
-    return {"workload " + spec.workload + " needs n >= 1 (got " +
-            std::to_string(spec.n) + ")"};
-}
-
 /**
  * gen::randomMixed picks up to three distinct operands per gate; the
  * gate bound keeps one point's event-driven cost in check.
@@ -48,9 +38,9 @@ randomPreconditions(const ExperimentSpec &spec)
     if (spec.n < 3)
         errors.push_back("workload random needs n >= 3 (got " +
                          std::to_string(spec.n) + ")");
-    if (spec.gates < 0 || spec.gates > 1000000)
-        errors.push_back("workload random needs gates in [0, 1000000] "
-                         "(got " + std::to_string(spec.gates) + ")");
+    if (spec.gates > 1000000)
+        errors.push_back("workload random needs gates <= 1000000 (got " +
+                         std::to_string(spec.gates) + ")");
     return errors;
 }
 
@@ -119,13 +109,13 @@ buildRandom(const ExperimentSpec &spec, Random &rng)
 
 const std::vector<WorkloadGenerator> registry = {
     {"draper", "logarithmic-depth carry-lookahead adder (paper core)",
-     {"mask_data"}, needsWidth, buildDraper},
+     {"mask_data"}, nullptr, buildDraper},
     {"ripple", "linear-depth ripple-carry adder (baseline)",
-     {"mask_data"}, needsWidth, buildRipple},
+     {"mask_data"}, nullptr, buildRipple},
     {"modexp", "repeated Draper additions (steady-state mod-exp)",
-     {"reps", "mask_data"}, needsWidth, buildModExp},
+     {"reps", "mask_data"}, nullptr, buildModExp},
     {"qft", "quantum Fourier transform with bit-reversal swaps", {},
-     needsWidth, buildQft},
+     nullptr, buildQft},
     {"random", "random mixed logical circuit (seeded per point)",
      {"gates"}, randomPreconditions, buildRandom, true},
 };
@@ -166,6 +156,8 @@ workloadDiagnostics(const ExperimentSpec &spec)
     if (!generator)
         return {unknownNameDiagnostic("workload", spec.workload,
                                       workloadNames())};
+    if (!generator->preconditions)
+        return {};
     return generator->preconditions(spec);
 }
 

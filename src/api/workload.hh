@@ -42,9 +42,10 @@ struct WorkloadGenerator
      */
     std::vector<std::string> keys;
     /**
-     * The generator's preconditions on the spec: one diagnostic per
-     * violated one, empty when build() can run. The single source of
-     * truth for both validate() and every build.
+     * The generator's preconditions beyond the parser's key bounds:
+     * one diagnostic per violated one, empty when build() can run;
+     * null when the parser's bounds are all it needs. The single
+     * source of truth for both validate() and every build.
      */
     std::vector<std::string> (*preconditions)(const ExperimentSpec &spec);
     Workload (*build)(const ExperimentSpec &spec, Random &rng);
@@ -73,11 +74,12 @@ const WorkloadGenerator *findWorkload(std::string_view name);
 std::vector<std::string> workloadDiagnostics(const ExperimentSpec &spec);
 
 /**
- * Build the workload named by @p spec.workload. Checks
- * workloadDiagnostics() first and throws std::invalid_argument on a
- * violation, so an unvalidated spec fails its point (a Session reports
- * ExecutionFailed) instead of reaching a generator's fatal check;
- * validate the spec first for the typed InvalidSpec diagnostic.
+ * Build the workload named by @p spec.workload. Throws
+ * std::invalid_argument on an unknown name, a violated precondition
+ * (workloadDiagnostics()) or a generator's own check (qmh_fatal), so
+ * an unvalidated spec fails its point (a Session reports
+ * ExecutionFailed); validate the spec first for the typed InvalidSpec
+ * diagnostic.
  */
 Workload buildWorkload(const ExperimentSpec &spec, Random &rng);
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace qmh {
 
@@ -15,10 +16,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s\n  @ %s:%d\n", msg.c_str(), file, line);
-    std::exit(1);
+    throw std::invalid_argument(msg);
 }
 
 void

@@ -6,7 +6,11 @@
  *  - panic(): an internal invariant was violated (a simulator bug);
  *    aborts so a debugger or core dump can capture the state.
  *  - fatal(): the simulation cannot continue because of a user error
- *    (bad configuration, invalid argument); exits with status 1.
+ *    (bad configuration, invalid argument); throws
+ *    std::invalid_argument carrying the message, so the caller fails
+ *    instead of the process: a Session reports it as ExecutionFailed
+ *    and the api layer's validate() reports the same preconditions
+ *    as typed InvalidSpec diagnostics before any engine runs.
  *
  * warn() reports a condition that does not stop the simulation; it
  * always prints to stderr.
@@ -24,8 +28,7 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 
 /** Concatenate a mixed argument pack into one string. */
@@ -45,10 +48,9 @@ concat(Args &&...args)
     ::qmh::detail::panicImpl(__FILE__, __LINE__, \
                              ::qmh::detail::concat(__VA_ARGS__))
 
-/** Report an unrecoverable user/configuration error and exit(1). */
+/** Report a user/configuration error: throws std::invalid_argument. */
 #define qmh_fatal(...) \
-    ::qmh::detail::fatalImpl(__FILE__, __LINE__, \
-                             ::qmh::detail::concat(__VA_ARGS__))
+    ::qmh::detail::fatalImpl(::qmh::detail::concat(__VA_ARGS__))
 
 /** Report a suspicious but survivable condition. */
 template <typename... Args>

@@ -299,31 +299,34 @@ frontierSearch(api::Session &session,
     FrontierOutcome outcome;
     outcome.table = sweep::ResultTable(labelled);
 
-    // Each proposed point is keyed, checked and counted once; the
-    // experiment validated here is the one its round runs.
-    std::unordered_set<std::string> known;
+    // Each proposed point is checked and counted once; the
+    // experiment validated here is the one its round runs. A skipped
+    // point's values count as explored, so refinement bisects toward
+    // it and finds the valid values between.
+    std::set<std::vector<std::size_t>> known;
     std::vector<Candidate> batch;
     const auto propose = [&](const std::vector<std::size_t> &coord) {
+        if (!known.insert(coord).second)
+            return;
         auto spec = base;
-        for (std::size_t a = 0; a < states.size(); ++a) {
+        bool valid = true;
+        for (std::size_t a = 0; valid && a < states.size(); ++a) {
             const auto &state = states[a];
-            if (!api::specSet(spec, state.axis.key,
-                              frontierAxisValueText(
-                                  state.lattice[coord[a]], state.integer))
-                     .empty()) {
-                ++outcome.skipped_invalid;
-                return;
-            }
+            valid = api::specSet(spec, state.axis.key,
+                                 frontierAxisValueText(
+                                     state.lattice[coord[a]],
+                                     state.integer))
+                        .empty();
         }
-        auto key = api::printSpec(spec);
-        if (!known.insert(key).second)
-            return;
-        auto experiment = api::makeExperiment(spec);
-        if (!experiment->validate().empty()) {
+        auto experiment = valid ? api::makeExperiment(spec) : nullptr;
+        if (!experiment || !experiment->validate().empty()) {
             ++outcome.skipped_invalid;
+            for (std::size_t a = 0; a < states.size(); ++a)
+                states[a].seen.insert(coord[a]);
             return;
         }
-        batch.push_back({std::move(experiment), std::move(key), coord});
+        batch.push_back({std::move(experiment), api::printSpec(spec),
+                         coord});
     };
 
     // Round 0: the coarse grid in grid order, first axis slowest.

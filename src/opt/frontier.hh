@@ -9,7 +9,8 @@
  * evaluated points by an objective column, and repeatedly refines
  * around the current frontier (the top-ranked points): each round
  * proposes, per frontier point and axis, the adjacent explored
- * values and the midpoints toward them on a fixed dyadic lattice.
+ * values (evaluated or skipped as invalid) and the midpoints toward
+ * them on a fixed dyadic lattice.
  * Refinement stops when the lattice is exhausted (adjacent indices),
  * the point budget is hit, or no new candidate survives validation.
  *
@@ -94,7 +95,7 @@ struct FrontierOutcome
     std::size_t simulated = 0;      ///< of those, engine executions
     std::size_t cached = 0;         ///< of those, cache replays
     std::size_t rounds = 0;
-    std::size_t skipped_invalid = 0; ///< candidates failing validate()
+    std::size_t skipped_invalid = 0; ///< points failing validate(), once each
     bool cancelled = false;          ///< on_progress stopped the search
 };
 

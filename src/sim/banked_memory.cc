@@ -10,28 +10,17 @@ namespace sim {
 
 BankedMemory::BankedMemory(EventQueue &eq,
                            const BankedMemoryConfig &config)
-    : _config(config), _tokens(config.ports)
+    : _service(config.service), _tokens(config.ports)
 {
     if (config.banks == 0)
         qmh_fatal("banked memory must have at least one bank");
-    if (config.cycles_per_request == 0)
+    if (config.service == 0)
         qmh_fatal("banked memory must charge at least one tick per "
                   "request");
     _banks.reserve(config.banks);
     for (unsigned b = 0; b < config.banks; ++b)
         _banks.push_back(std::make_unique<Port>(
-            eq, "bank" + std::to_string(b), /*width=*/1, config.buffer,
-            &_tokens));
-}
-
-void
-BankedMemory::request(std::uint64_t address, unsigned lines,
-                      Completion done)
-{
-    const Tick service = _config.cycles_per_request +
-                         _config.cycles_per_line *
-                             static_cast<Tick>(lines);
-    _banks[bankOf(address)]->submit(service, done);
+            eq, "bank" + std::to_string(b), /*width=*/1, &_tokens));
 }
 
 Port::Stats
@@ -43,7 +32,6 @@ BankedMemory::stats() const
         total.requests += s.requests;
         total.served += s.served;
         total.conflict_stalls += s.conflict_stalls;
-        total.buffer_overflows += s.buffer_overflows;
         total.stall_ticks += s.stall_ticks;
         total.busy_ticks += s.busy_ticks;
         total.peak_queue = std::max(total.peak_queue, s.peak_queue);

@@ -1,25 +1,22 @@
 /**
  * @file
- * Banked memory: per-bank queueing, bounded buffers, a shared port
- * issue-width, and deterministic bank-conflict accounting.
+ * Banked memory: per-bank FIFO queueing, a shared port issue-width,
+ * and deterministic bank-conflict accounting.
  *
  * This is the ported mgsim BankedMemory/ParallelMemory shape on the
  * resource kernel (port.hh): a request for @p address hashes to
  * bank `address % banks`; each bank is a width-1 Port that serves one
- * request at a time for `cycles_per_request + cycles_per_line x
- * lines` ticks out of a bounded request deque. All banks share a
- * TokenPool of `ports` issue tokens — the pin/bus width between the
- * requesters and the banks — so at most `ports` requests are in
- * service at once however many banks exist. Full bank buffers apply
- * deterministic backpressure: the submission waits at the requester
- * and is admitted in strict FIFO order when a slot frees.
+ * request at a time, for `service` ticks each, in submission order.
+ * All banks share a TokenPool of `ports` issue tokens — the pin/bus
+ * width between the requesters and the banks — so at most `ports`
+ * requests are in service at once however many banks exist.
  *
  * Everything above the cache boundary reads its contention truth from
  * here, as one Port::Stats summed over the banks: busy ticks, peak
  * and time-weighted mean queue occupancy, conflict-stall counts
  * (requests whose service start was delayed) and the total stall
- * ticks. A run without contention — enough banks, ports and buffer
- * for the traffic — reports zero conflict stalls, which tests pin.
+ * ticks. A run without contention — enough banks and ports for the
+ * traffic — reports zero conflict stalls, which tests pin.
  */
 
 #ifndef QMH_SIM_BANKED_MEMORY_HH
@@ -39,14 +36,10 @@ struct BankedMemoryConfig
 {
     unsigned banks = 8;    ///< independent banks (address % banks)
     unsigned ports = 4;    ///< concurrent requests in service overall
-    std::size_t buffer = 8;///< bounded request deque per bank
-    /** Base service ticks charged to every request. */
-    Tick cycles_per_request = 1;
-    /** Additional service ticks per line transferred. */
-    Tick cycles_per_line = 0;
+    Tick service = 1;      ///< ticks a bank holds each request (>= 1)
 };
 
-/** Banked memory with bounded per-bank buffers and FIFO arbitration. */
+/** Banked memory with a FIFO per bank and a shared issue width. */
 class BankedMemory
 {
   public:
@@ -56,11 +49,15 @@ class BankedMemory
     BankedMemory &operator=(const BankedMemory &) = delete;
 
     /**
-     * Request @p lines lines at @p address; @p done (a null sink for
+     * Request the line at @p address; @p done (a null sink for
      * fire-and-forget traffic such as writebacks) is told when the
      * owning bank completes the service.
      */
-    void request(std::uint64_t address, unsigned lines, Completion done);
+    void
+    request(std::uint64_t address, Completion done)
+    {
+        _banks[bankOf(address)]->submit(_service, done);
+    }
 
     unsigned banks() const
     {
@@ -89,7 +86,7 @@ class BankedMemory
     double meanQueue(Tick makespan) const;
 
   private:
-    BankedMemoryConfig _config;
+    Tick _service;
     TokenPool _tokens;
     // unique_ptr: Ports pin their address (pending events name the
     // port as their sink), so the vector must never relocate them.

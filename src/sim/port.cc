@@ -65,14 +65,11 @@ TokenPool::enlist(Port &port)
 // ---------------------------------------------------------------------------
 
 Port::Port(EventQueue &eq, std::string name, unsigned width,
-           std::size_t buffer_limit, TokenPool *tokens)
-    : _eq(eq), _name(std::move(name)), _width(width),
-      _buffer_limit(buffer_limit), _tokens(tokens)
+           TokenPool *tokens)
+    : _eq(eq), _name(std::move(name)), _width(width), _tokens(tokens)
 {
     if (width == 0)
         qmh_fatal("port '", _name, "' must have nonzero width");
-    if (buffer_limit == 0)
-        qmh_fatal("port '", _name, "' must have a nonzero buffer limit");
 }
 
 void
@@ -81,7 +78,7 @@ Port::submit(Tick service, Completion done)
     ++_stats.requests;
 
     // Uncontended fast path: nothing queued, a service slot free and
-    // a token in hand — start immediately without the buffer
+    // a token in hand — start immediately without the queue
     // round-trip. Observably identical to queue-then-pump: the
     // request would be popped right back in the same call, with zero
     // wait and zero queue occupancy either way.
@@ -92,10 +89,6 @@ Port::submit(Tick service, Completion done)
     }
 
     noteQueueChange();
-    // Bounded buffer full: the request waits at the requester's side
-    // of the port and is admitted FIFO when a slot frees.
-    if (_count >= _buffer_limit)
-        ++_stats.buffer_overflows;
     pushBack({service, _eq.now(), done});
     startQueued();
     // Peak is measured after the pump so an uncontended request that
@@ -119,8 +112,6 @@ void
 Port::startFront()
 {
     noteQueueChange();
-    // Popping the front frees a buffer slot, which the longest-waiting
-    // overflow request (the next ring entry) takes implicitly.
     const Request request = _ring[_head];
     _head = (_head + 1) & (_ring.size() - 1);
     --_count;

@@ -9,12 +9,8 @@
  * (ParallelMemory/BankedMemory):
  *
  *  - Port: a named service point on one EventQueue. A port has
- *    `width` identical servers and one FIFO of waiting requests, of
- *    which the first `buffer_limit` form the *bounded* request buffer
- *    and the rest the overflow that models backpressure to the
- *    requester: a submission that finds the buffer full waits outside
- *    the resource and is admitted — in strict FIFO order — only when
- *    a slot frees. A request completes to a Completion: a sink and a
+ *    `width` identical servers and one unbounded FIFO of waiting
+ *    requests. A request completes to a Completion: a sink and a
  *    tag, as mgsim's memories complete to an IMemoryCallback and a
  *    MemTag, so a request is plain data. The port is the sink of its
  *    own service-end events, tagged with the request's slot in a
@@ -83,16 +79,14 @@ class TokenPool
 };
 
 /**
- * A service point with @p width identical servers, a bounded request
- * buffer and deterministic FIFO arbitration.
+ * A service point with @p width identical servers, one FIFO of
+ * waiting requests and deterministic arbitration.
  *
  * submit() places a request; when a server (and, if the port shares a
  * TokenPool, a token) is available the request is served for its
  * @p service ticks, then its completion's sink is told its tag.
- * Requests are always served in submission order. A submission that
- * finds the bounded buffer full waits in the overflow queue — the
- * port's backpressure to the requester — and both the
- * occurrence and the waiting time are counted.
+ * Requests are always served in submission order, and the time each
+ * one waits is counted.
  */
 class Port final : private CompletionSink
 {
@@ -104,25 +98,22 @@ class Port final : private CompletionSink
         std::uint64_t served = 0;     ///< completions delivered
         /** Requests whose service start was delayed (> 0 ticks). */
         std::uint64_t conflict_stalls = 0;
-        /** Submissions that found the bounded buffer full. */
-        std::uint64_t buffer_overflows = 0;
         Tick stall_ticks = 0;         ///< total queued waiting time
         Tick busy_ticks = 0;          ///< total server-time held
-        std::size_t peak_queue = 0;   ///< max waiting (buffer+overflow)
+        std::size_t peak_queue = 0;   ///< max requests waiting
         /** Max requests holding a server at once. */
         unsigned peak_in_service = 0;
         double queue_integral = 0.0;  ///< time-weighted queued requests
     };
 
     /**
-     * @param eq           event queue the port runs on
-     * @param name         port name (diagnostics only)
-     * @param width        identical servers (must be nonzero)
-     * @param buffer_limit bounded request-buffer size (must be nonzero)
-     * @param tokens       optional shared issue-width pool
+     * @param eq     event queue the port runs on
+     * @param name   port name (diagnostics only)
+     * @param width  identical servers (must be nonzero)
+     * @param tokens optional shared issue-width pool
      */
     Port(EventQueue &eq, std::string name, unsigned width,
-         std::size_t buffer_limit, TokenPool *tokens = nullptr);
+         TokenPool *tokens = nullptr);
 
     Port(const Port &) = delete;
     Port &operator=(const Port &) = delete;
@@ -154,7 +145,7 @@ class Port final : private CompletionSink
 
     friend class TokenPool;
 
-    /** Requests waiting to start (bounded buffer + overflow). */
+    /** Requests waiting to start. */
     std::size_t queued() const { return _count; }
 
     /** Start as many queued requests as servers/tokens allow. Inline
@@ -176,16 +167,10 @@ class Port final : private CompletionSink
     EventQueue &_eq;
     std::string _name;
     unsigned _width;
-    std::size_t _buffer_limit;
     TokenPool *_tokens;
 
-    /**
-     * Waiting requests as one ring FIFO (power-of-two capacity,
-     * reused across the run). The first min(_count, _buffer_limit)
-     * entries from _head are the bounded buffer and the rest are
-     * backpressured overflow: overflow only exists while the buffer
-     * is full, so buffer-then-overflow is exactly submission order.
-     */
+    /** Waiting requests as one ring FIFO from _head (power-of-two
+     *  capacity, reused across the run). */
     std::vector<Request> _ring;
     std::size_t _head = 0;
     std::size_t _count = 0;

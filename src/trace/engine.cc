@@ -170,10 +170,10 @@ struct EngineCtx final : sim::CompletionSink
         cache.accessInto(inst, evicted);
         // Evicted qubits write back through their owning bank:
         // fire-and-forget traffic that still occupies bank time and
-        // competes with fills for ports and buffer slots.
+        // competes with fills for ports and bank queues.
         for (const auto victim : evicted) {
             ++writebacks;
-            memory.request(victim.value(), 1, {});
+            memory.request(victim.value(), {});
         }
         if (missing.empty()) {
             beginCompute(index);
@@ -183,7 +183,7 @@ struct EngineCtx final : sim::CompletionSink
         // Fill: the owning bank serves the line, then the wire
         // carries it to level 1.
         for (const auto qubit : missing)
-            memory.request(qubit.value(), 1, {this, tagOf(index, Bank)});
+            memory.request(qubit.value(), {this, tagOf(index, Bank)});
     }
 
     void
@@ -293,18 +293,16 @@ runTrace(const PreparedWorkload &prepared, const TraceConfig &config,
         units::secondsToTicks(net.level2To1ChannelTime(code));
 
     sim::EventQueue eq;
-    // The counted code-transfer channels: one server per channel,
-    // 64 transfers buffered before backpressure.
-    sim::Port wire(eq, "wire", config.transfers, 64);
-    sim::BankedMemoryConfig mem_config;
-    mem_config.banks = config.mem_banks;
-    mem_config.ports = config.mem_ports;
-    mem_config.buffer = config.mem_buffer;
-    // The bank holds the line for the transfer latency before the
-    // wire takes over (never zero: a bank request charges real time).
-    mem_config.cycles_per_request = std::max<Tick>(1, per_transfer);
-    mem_config.cycles_per_line = config.cycles_per_line;
-    sim::BankedMemory memory(eq, mem_config);
+    // The counted code-transfer channels: one server per channel.
+    sim::Port wire(eq, "wire", config.transfers);
+    // The bank holds the line for the transfer latency (never zero: a
+    // bank request charges real time) plus the per-line ticks before
+    // the wire takes over.
+    sim::BankedMemory memory(
+        eq, {.banks = config.mem_banks,
+             .ports = config.mem_ports,
+             .service = std::max<Tick>(1, per_transfer) +
+                        config.cycles_per_line});
     cache::CacheState cache(config.capacity, workload.cacheable,
                             static_cast<std::size_t>(program.qubitCount()));
     sched::IncrementalScheduler scheduler(prepared.plan(), config.blocks);

@@ -13,13 +13,13 @@
  *  - every issued instruction's cacheable operands are looked up in
  *    the level-1 qubit cache (cache::CacheState, LRU); hits proceed,
  *    misses are served by the banked level-2 memory
- *    (sim::BankedMemory — the qubit hashes to a bank, bounded
- *    per-bank buffers, a shared port issue-width, deterministic FIFO
- *    arbitration) and then pull the qubit through the counted
- *    code-transfer channels (one sim::Port, a server per channel) at
- *    the Table-3 transfer latency of the configured code. Qubits
- *    evicted by a fill write back through the same banks as
- *    fire-and-forget traffic;
+ *    (sim::BankedMemory — the qubit hashes to a bank, a FIFO per
+ *    bank, a shared port issue-width, deterministic arbitration;
+ *    each request is one line) and then pull the qubit through the
+ *    counted code-transfer channels (one sim::Port, a server per
+ *    channel) at the Table-3 transfer latency of the configured
+ *    code. Qubits evicted by a fill write back through the same
+ *    banks as fire-and-forget traffic;
  *  - once all operands are resident the gate computes for its
  *    gate-step latency at the level-1 step time, then releases its
  *    block and readies its dependents.
@@ -72,9 +72,10 @@ struct TraceConfig
     unsigned mem_banks = 8;
     /** Concurrent memory requests in service across all banks. */
     unsigned mem_ports = 4;
-    /** Bounded request-buffer depth per bank (backpressure beyond). */
+    /** Accepted and ignored: every bank queue is an unbounded FIFO,
+     *  so no depth changes a result (kept for callers that set it). */
     std::size_t mem_buffer = 8;
-    /** Extra bank service ticks per line transferred. */
+    /** Extra bank service ticks added to every request (one line). */
     Tick cycles_per_line = 0;
     /** Per-gate-kind latencies in gate-steps. */
     sched::LatencyModel latency{};
@@ -141,8 +142,8 @@ struct TraceResult
  * dependency DAG, the scheduler's read-only plan under one latency
  * model and the flat-baseline makespan of each requested block count.
  * Immutable once built, so every point of a sweep over the same
- * circuit can share one instance across threads. Panics on a
- * malformed workload (mask size mismatch).
+ * circuit can share one instance across threads. Throws
+ * std::invalid_argument on a malformed workload (mask size mismatch).
  */
 class PreparedWorkload
 {
@@ -175,8 +176,8 @@ class PreparedWorkload
  * text-format circuit — the engine only sees the instruction DAG.
  * config.latency must be the latency model @p prepared was built
  * under. A block count without a prepared flat baseline is scheduled
- * on the spot. Panics on zero capacity or channels; validate specs at
- * the api layer for recoverable diagnostics.
+ * on the spot. Throws std::invalid_argument on zero capacity or
+ * channels; validate specs at the api layer for typed diagnostics.
  */
 TraceResult runTrace(const PreparedWorkload &prepared,
                      const TraceConfig &config,

@@ -14,5 +14,7 @@ fixtureTypedErrors(int value)
         exit(1);                         // line 14
     if (value > 50)
         std::abort();                    // line 16
+    if (value == 7)
+        qmh_fatal("seven is invalid");   // line 18
     return value;
 }

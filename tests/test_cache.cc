@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cache/cache_sim.hh"
 #include "gen/draper.hh"
 
@@ -429,8 +431,8 @@ TEST(CacheSimDeath, ZeroCapacityRejected)
 {
     Program p("x", 1);
     p.x(QubitId(0));
-    EXPECT_EXIT(simulateCache(p, 0, FetchPolicy::InOrder),
-                ::testing::ExitedWithCode(1), "capacity");
+    EXPECT_THROW(simulateCache(p, 0, FetchPolicy::InOrder),
+                 std::invalid_argument);
 }
 
 TEST(CacheSimDeath, BadMaskSizeRejected)
@@ -438,8 +440,8 @@ TEST(CacheSimDeath, BadMaskSizeRejected)
     Program p("x", 2);
     p.x(QubitId(0));
     std::vector<bool> mask = {true};
-    EXPECT_EXIT(simulateCache(p, 2, FetchPolicy::InOrder, false, mask),
-                ::testing::ExitedWithCode(1), "mask");
+    EXPECT_THROW(simulateCache(p, 2, FetchPolicy::InOrder, false, mask),
+                 std::invalid_argument);
 }
 
 } // namespace

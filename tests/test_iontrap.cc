@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "iontrap/geometry.hh"
 #include "iontrap/params.hh"
 
@@ -105,8 +107,7 @@ TEST(TrapGrid, Manhattan)
 TEST(TrapGridDeath, RejectsBadDimensions)
 {
     const auto p = Params::future();
-    EXPECT_EXIT(TrapGrid(0, 5, p), ::testing::ExitedWithCode(1),
-                "positive");
+    EXPECT_THROW(TrapGrid(0, 5, p), std::invalid_argument);
 }
 
 } // namespace

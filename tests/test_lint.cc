@@ -199,11 +199,12 @@ TEST(LintTypedErrors, FiresOnlyInsideTheApiDomain)
     const auto api = lintText("src/api/fixture.cc", text);
     const Findings expect = {
         {10, "typed-errors"}, {12, "typed-errors"},
-        {14, "typed-errors"}, {16, "typed-errors"}};
+        {14, "typed-errors"}, {16, "typed-errors"},
+        {18, "typed-errors"}};
     EXPECT_EQ(findings(api), expect);
 
-    // The same text outside src/api/ is policy-clean: qmh_panic IS
-    // the documented failure mode for invariant violations there.
+    // The same text outside src/api/ is policy-clean: qmh_panic and
+    // qmh_fatal ARE the documented failure modes there.
     const auto engine = lintText("src/cqla/fixture.cc", text);
     EXPECT_TRUE(engine.clean()) << engine.diagnostics[0].format();
 }

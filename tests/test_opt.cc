@@ -363,8 +363,9 @@ TEST(Frontier, ValidationCatchesBadConfigurations)
 
 /**
  * The hierarchy kind needs n >= 8, so the coarse points on n = 2 (one
- * per transfers value) are skipped and counted; the search runs on the
- * valid rest and never proposes below the lowest evaluated n.
+ * per transfers value) are skipped and counted once each; the search
+ * runs on the valid rest, and refinement bisects toward n = 2 as it
+ * does toward an evaluated value.
  */
 TEST(Frontier, InvalidCandidatesAreSkippedAndCounted)
 {
@@ -378,8 +379,36 @@ TEST(Frontier, InvalidCandidatesAreSkippedAndCounted)
                        options, nullptr)
             .value();
     EXPECT_EQ(found.skipped_invalid, 3u);
-    EXPECT_EQ(found.evaluated, 29u);
+    EXPECT_EQ(found.evaluated, 31u);
     EXPECT_EQ(found.best_key, "experiment=hierarchy n=64 transfers=16");
+}
+
+/**
+ * An invalid coarse endpoint must not hide the valid values next to
+ * it: over n = 2:64 the coarse grid evaluates only n = 33 and 64, and
+ * the search still reaches n in [8, 32] by bisecting toward n = 2.
+ */
+TEST(Frontier, RefinementReachesValidValuesNextToASkippedEndpoint)
+{
+    const auto base = api::parseSpec("experiment=hierarchy").spec;
+    FrontierOptions options;
+    options.objective = "adder_speedup";
+    api::Session session({.threads = 2});
+    const auto found =
+        frontierSearch(session, base, {{"n", 2, 64, 3}}, options,
+                       nullptr)
+            .value();
+    EXPECT_EQ(found.skipped_invalid, 1u);
+    const auto n = found.table.findColumn("n");
+    ASSERT_TRUE(n.has_value());
+    bool reached = false;
+    for (std::size_t r = 0; r < found.table.rows(); ++r) {
+        const auto value = found.table.cell(r, *n).asNumber().value();
+        EXPECT_GE(value, 8.0);
+        reached |= value <= 32.0;
+    }
+    EXPECT_TRUE(reached) << found.table.rows() << " point(s), none "
+                         << "with n in [8, 32]";
 }
 
 /**

@@ -267,8 +267,9 @@ TEST(PreparedWorkload, ReusedRunsMatchDirectRunTrace)
 {
     // Grids wide enough to reach both sides of the reuse rule: one
     // channel (always binds on a miss), counts past every peak, single
-    // banks and ports, tiny buffers, per-line bank costs and caches
-    // from a quarter to twice the working set.
+    // banks and ports, two buffer depths (which must share runs),
+    // per-line bank costs and caches from a quarter to twice the
+    // working set.
     for (const auto &generator : workloadRegistry()) {
         if (generator.seeded)
             continue;
@@ -428,6 +429,12 @@ TEST(PreparedWorkload, UnbuildableSpecThrowsInsteadOfExiting)
     EXPECT_FALSE(workloadDiagnostics(spec).empty());
     spec.n = 3;
     EXPECT_TRUE(workloadDiagnostics(spec).empty());
+    // No generator precondition covers n < 1: validate() rejects it
+    // with the parser's bound, and the generator's own check throws.
+    spec.workload = "draper";
+    spec.n = 0;
+    EXPECT_THROW(buildWorkload(spec, rng), std::invalid_argument);
+    EXPECT_FALSE(makeExperiment(spec)->validate().empty());
 }
 
 } // namespace

@@ -17,6 +17,8 @@
 #include "api/service.hh"
 #include "api/session.hh"
 #include "api/workload.hh"
+#include "ecc/code.hh"
+#include "ecc/montecarlo.hh"
 #include "run_table.hh"
 #include "server/connection.hh"
 
@@ -722,6 +724,48 @@ TEST(Session, WrongRowWidthIsAnExecutionFailure)
     ASSERT_TRUE(result.failure.has_value());
     EXPECT_EQ(result.failure->code, ErrorCode::ExecutionFailed);
     EXPECT_EQ(result.completed, 0u);
+}
+
+TEST(Session, EngineFatalCheckIsAnExecutionFailure)
+{
+    // An experiment that passes validate() but builds an engine whose
+    // own check refuses the input: the engine throws, the job ends
+    // ExecutionFailed, and the session keeps serving jobs.
+    class BadNoiseFactor final : public Experiment
+    {
+      public:
+        BadNoiseFactor() : Experiment(ExperimentSpec{}) {}
+        std::string name() const override { return "bad-noise"; }
+        std::vector<std::string> validate() const override
+        {
+            return {};
+        }
+        std::vector<std::string> columns() const override
+        {
+            return {"spec"};
+        }
+        std::vector<sweep::Cell> run(Random &) const override
+        {
+            const ecc::EcMonteCarlo mc(ecc::Code::steane(), 0.5);
+            return {printSpec(_spec)};
+        }
+    };
+
+    Session session({.threads = 1});
+    std::vector<std::unique_ptr<Experiment>> experiments;
+    experiments.push_back(std::make_unique<BadNoiseFactor>());
+    auto submitted = session.submit(std::move(experiments));
+    ASSERT_TRUE(submitted.ok());
+    const auto result = submitted.value().wait();
+    ASSERT_TRUE(result.failure.has_value());
+    EXPECT_EQ(result.failure->code, ErrorCode::ExecutionFailed);
+    EXPECT_NE(result.failure->message.find("ec_noise_factor"),
+              std::string::npos)
+        << result.failure->message;
+    EXPECT_EQ(result.completed, 0u);
+
+    auto next = session.submit(montecarloSpecs(2)).value();
+    EXPECT_EQ(next.wait().completed, 2u);
 }
 
 TEST(Session, ExplicitSeedsDriveThePointStreams)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Resource-kernel tests: Port arbitration determinism, TokenPool
- * FIFO wake order, bounded-buffer backpressure, the banked memory's
+ * FIFO wake order, the waiting FIFO's order, the banked memory's
  * conflict accounting and summed stats, and the division guards on
  * every utilization and mean-queue report.
  */
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ TEST(SimPort, UncontendedRequestIsNeverAConflict)
 {
     EventQueue eq;
     ClosureSink fns(eq);
-    Port port(eq, "p0", /*width=*/2, /*buffer_limit=*/4);
+    Port port(eq, "p0", /*width=*/2);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -89,7 +90,6 @@ TEST(SimPort, UncontendedRequestIsNeverAConflict)
     EXPECT_EQ(port.stats().served, 2u);
     EXPECT_EQ(port.stats().conflict_stalls, 0u);
     EXPECT_EQ(port.stats().stall_ticks, 0u);
-    EXPECT_EQ(port.stats().buffer_overflows, 0u);
     // Both requests went straight into service: the queue never held
     // a waiting request, so peak occupancy is zero by construction.
     EXPECT_EQ(port.stats().peak_queue, 0u);
@@ -107,7 +107,7 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     // order, nothing to vary between runs or hosts.
     EventQueue eq;
     ClosureSink fns(eq);
-    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/8);
+    Port port(eq, "p0", /*width=*/1);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -127,41 +127,17 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     EXPECT_GT(port.meanQueue(40), 0.0);
 }
 
-TEST(SimPort, BoundedBufferBackpressuresFifo)
-{
-    EventQueue eq;
-    ClosureSink fns(eq);
-    // Width 1, buffer 1: the third same-tick submission finds the
-    // buffer full and waits in the overflow queue.
-    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/1);
-
-    RecordingSink sink(eq);
-    fns.at(0, [&]() {
-        for (int id = 0; id < 3; ++id)
-            port.submit(5, sink(id));
-    });
-    eq.run();
-    const auto order = sink.ids();
-
-    // Backpressure must not reorder: service is submission order even
-    // across the buffer/overflow boundary.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(port.stats().buffer_overflows, 1u);
-    EXPECT_EQ(port.stats().served, 3u);
-    EXPECT_EQ(eq.now(), 15u);
-}
-
 TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
 {
-    // Width 1, buffer 2, 10-tick services. Seven submissions at t=0
-    // queue six requests; by t=35 three have started, so the next
-    // seven submissions wrap around the waiting FIFO's storage and
-    // outgrow it while wrapped. Service must stay submission order
-    // across the buffer/overflow boundary, the wrap and the growth,
-    // and every statistic must come out exact.
+    // Width 1, 10-tick services. Seven submissions at t=0 queue six
+    // requests; by t=35 three have started, so the next seven
+    // submissions wrap around the waiting FIFO's storage and outgrow
+    // it while wrapped. Service must stay submission order across
+    // the wrap and the growth, and every statistic must come out
+    // exact.
     EventQueue eq;
     ClosureSink fns(eq);
-    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/2);
+    Port port(eq, "p0", /*width=*/1);
 
     RecordingSink sink(eq);
     const auto submitIds = [&](int first, int last) {
@@ -180,9 +156,6 @@ TEST(SimPort, WaitingFifoWrapsAndGrowsWithoutReordering)
     EXPECT_EQ(eq.now(), 140u);
     EXPECT_EQ(port.stats().requests, 14u);
     EXPECT_EQ(port.stats().served, 14u);
-    // Every submission after the buffer's two slots filled: ids 3..6
-    // at t=0 and all of ids 7..13 at t=35.
-    EXPECT_EQ(port.stats().buffer_overflows, 11u);
     // Ten waiting right after the t=35 burst.
     EXPECT_EQ(port.stats().peak_queue, 10u);
     EXPECT_EQ(port.stats().conflict_stalls, 13u);
@@ -197,7 +170,7 @@ TEST(SimPort, FireAndForgetSubmissionCompletes)
 {
     EventQueue eq;
     ClosureSink fns(eq);
-    Port port(eq, "p0", 1, 4);
+    Port port(eq, "p0", 1);
     fns.at(0, [&]() { port.submit(7, {}); });
     eq.run();
     EXPECT_EQ(port.stats().served, 1u);
@@ -208,16 +181,15 @@ TEST(SimPort, FireAndForgetSubmissionCompletes)
 TEST(SimPort, TaggedCompletionsReportInServiceOrder)
 {
     // A width-1 port behind a one-token pool that another port holds
-    // first: every request waits, the buffer overflows, and the sink
-    // still hears each tag unchanged, in submission order, at the
-    // exact tick its service ends. The null-sink request in the
-    // middle reports to nobody but is served and charged like the
-    // rest.
+    // first: every request waits, and the sink still hears each tag
+    // unchanged, in submission order, at the exact tick its service
+    // ends. The null-sink request in the middle reports to nobody but
+    // is served and charged like the rest.
     EventQueue eq;
     ClosureSink fns(eq);
     TokenPool tokens(1);
-    Port holder(eq, "holder", 1, 8, &tokens);
-    Port port(eq, "p0", /*width=*/1, /*buffer_limit=*/2, &tokens);
+    Port holder(eq, "holder", 1, &tokens);
+    Port port(eq, "p0", /*width=*/1, &tokens);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -233,7 +205,6 @@ TEST(SimPort, TaggedCompletionsReportInServiceOrder)
     EXPECT_EQ(sink.ticks, (std::vector<Tick>{14, 24, 44}));
     EXPECT_EQ(port.stats().served, 4u);
     EXPECT_EQ(port.stats().busy_ticks, 40u);
-    EXPECT_EQ(port.stats().buffer_overflows, 2u);
     EXPECT_EQ(port.stats().conflict_stalls, 4u);
     EXPECT_EQ(port.stats().stall_ticks, 4u + 14u + 24u + 34u);
     EXPECT_EQ(port.stats().requests, 4u);
@@ -245,7 +216,7 @@ TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
 {
     // A port that never ran reports 0, not a division by zero.
     EventQueue eq;
-    Port port(eq, "p0", 3, 4);
+    Port port(eq, "p0", 3);
     EXPECT_DOUBLE_EQ(
         units::busyFraction(port.stats().busy_ticks, 0, 3),
         0.0);
@@ -254,10 +225,10 @@ TEST(SimPort, UtilizationAndMeanQueueGuardZeroMakespan)
 
 TEST(SimPortDeath, ZeroWidthOrBufferIsFatal)
 {
+    // qmh_fatal throws: a malformed port or pool fails its caller.
     EventQueue eq;
-    EXPECT_DEATH(Port(eq, "p0", 0, 4), "nonzero width");
-    EXPECT_DEATH(Port(eq, "p0", 1, 0), "nonzero buffer limit");
-    EXPECT_DEATH(TokenPool(0), "nonzero capacity");
+    EXPECT_THROW(Port(eq, "p0", 0), std::invalid_argument);
+    EXPECT_THROW(TokenPool(0), std::invalid_argument);
 }
 
 TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
@@ -267,8 +238,8 @@ TEST(SimTokenPool, ParkedPortsWakeInParkingOrder)
     EventQueue eq;
     ClosureSink fns(eq);
     TokenPool tokens(1);
-    Port a(eq, "a", 1, 8, &tokens);
-    Port b(eq, "b", 1, 8, &tokens);
+    Port a(eq, "a", 1, &tokens);
+    Port b(eq, "b", 1, &tokens);
 
     const std::string names[] = {"a0", "b0", "a1", "b1"};
     RecordingSink sink(eq);
@@ -301,9 +272,9 @@ TEST(SimTokenPool, RepeatedWakesKeepParkingOrder)
     EventQueue eq;
     ClosureSink fns(eq);
     TokenPool tokens(1);
-    Port a(eq, "a", 1, 8, &tokens);
-    Port b(eq, "b", 1, 8, &tokens);
-    Port c(eq, "c", 1, 8, &tokens);
+    Port a(eq, "a", 1, &tokens);
+    Port b(eq, "b", 1, &tokens);
+    Port c(eq, "c", 1, &tokens);
 
     RecordingSink sink(eq);
     constexpr int kRounds = 6;
@@ -330,7 +301,7 @@ TEST(SimPort, PeakInServiceCountsServersHeldAtOnce)
     // past the width stops at the width while the rest queue.
     EventQueue eq;
     ClosureSink fns(eq);
-    Port port(eq, "p0", /*width=*/4, /*buffer_limit=*/8);
+    Port port(eq, "p0", /*width=*/4);
 
     RecordingSink sink(eq);
     fns.at(0, [&]() {
@@ -371,9 +342,9 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     // 6 and 2 share bank 2, so one waits for the other; 7 is
     // bank 3's and waits for no one.
     fns.at(0, [&]() {
-        memory.request(6, 1, {});
-        memory.request(2, 1, {});
-        memory.request(7, 1, {});
+        memory.request(6, {});
+        memory.request(2, {});
+        memory.request(7, {});
     });
     eq.run();
     EXPECT_EQ(memory.stats().requests, 3u);
@@ -381,19 +352,24 @@ TEST(SimBankedMemory, AddressesHashToBanksByModulo)
     EXPECT_EQ(memory.stats().conflict_stalls, 1u);
 }
 
-TEST(SimBankedMemory, ServiceTimeIsPerRequestPlusPerLine)
+TEST(SimBankedMemory, EveryRequestHoldsItsBankForTheServiceTicks)
 {
+    // One service count per request: two requests to one bank end at
+    // 7 and 14, and the bank is charged 7 ticks for each.
     EventQueue eq;
     ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 2;
-    config.cycles_per_request = 10;
-    config.cycles_per_line = 3;
+    config.service = 7;
     BankedMemory memory(eq, config);
-    fns.at(0, [&]() { memory.request(1, 4, {}); });
+    RecordingSink sink(eq);
+    fns.at(0, [&]() {
+        memory.request(1, sink(0));
+        memory.request(3, sink(1));
+    });
     eq.run();
-    EXPECT_EQ(eq.now(), 22u);  // 10 + 3 * 4
-    EXPECT_EQ(memory.stats().busy_ticks, 22u);
+    EXPECT_EQ(sink.ticks, (std::vector<Tick>{7, 14}));
+    EXPECT_EQ(memory.stats().busy_ticks, 14u);
 }
 
 TEST(SimBankedMemory, ConflictsAreZeroWithoutContention)
@@ -405,11 +381,11 @@ TEST(SimBankedMemory, ConflictsAreZeroWithoutContention)
     BankedMemoryConfig config;
     config.banks = 4;
     config.ports = 4;
-    config.cycles_per_request = 10;
+    config.service = 10;
     BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
-            memory.request(address, 1, {});
+            memory.request(address, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 10u);
@@ -430,11 +406,11 @@ TEST(SimBankedMemory, SingleBankSinglePortSerializesAndCounts)
     BankedMemoryConfig config;
     config.banks = 1;
     config.ports = 1;
-    config.cycles_per_request = 10;
+    config.service = 10;
     BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 4; ++address)
-            memory.request(address, 1, {});
+            memory.request(address, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 40u);
@@ -442,7 +418,6 @@ TEST(SimBankedMemory, SingleBankSinglePortSerializesAndCounts)
     EXPECT_EQ(memory.stats().stall_ticks, 60u);  // 10 + 20 + 30
     EXPECT_EQ(memory.stats().peak_queue, 3u);
     EXPECT_GT(memory.meanQueue(40), 0.0);
-    EXPECT_EQ(memory.stats().buffer_overflows, 0u);
 }
 
 TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
@@ -454,11 +429,11 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
     BankedMemoryConfig config;
     config.banks = 8;
     config.ports = 2;
-    config.cycles_per_request = 10;
+    config.service = 10;
     BankedMemory memory(eq, config);
     fns.at(0, [&]() {
         for (std::uint64_t address = 0; address < 8; ++address)
-            memory.request(address, 1, {});
+            memory.request(address, {});
     });
     eq.run();
     EXPECT_EQ(eq.now(), 40u);  // ceil(8 / 2) waves of 10
@@ -469,26 +444,26 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
     EXPECT_EQ(memory.stats().peak_queue, 1u);
 }
 
-TEST(SimBankedMemory, FullBankBufferBackpressures)
+TEST(SimBankedMemory, OneBankServesRequestsInSubmissionOrder)
 {
+    // Five same-tick requests to one bank wait in its FIFO and are
+    // served in submission order, one every 5 ticks.
     EventQueue eq;
     ClosureSink fns(eq);
     BankedMemoryConfig config;
     config.banks = 1;
     config.ports = 1;
-    config.buffer = 2;
-    config.cycles_per_request = 5;
+    config.service = 5;
     BankedMemory memory(eq, config);
     RecordingSink sink(eq);
     fns.at(0, [&]() {
         for (int id = 0; id < 5; ++id)
-            memory.request(0, 1, sink(id));
+            memory.request(0, sink(id));
     });
     eq.run();
     const auto order = sink.ids();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    // In service + 2 buffered; the remaining 2 overflowed.
-    EXPECT_EQ(memory.stats().buffer_overflows, 2u);
+    EXPECT_EQ(sink.ticks, (std::vector<Tick>{5, 10, 15, 20, 25}));
     EXPECT_EQ(memory.stats().served, 5u);
 }
 
@@ -504,15 +479,14 @@ TEST(SimBankedMemory, ReportsGuardZeroMakespan)
 
 TEST(SimBankedMemoryDeath, MalformedConfigIsFatal)
 {
+    // qmh_fatal throws: a malformed memory fails its caller.
     EventQueue eq;
     BankedMemoryConfig no_banks;
     no_banks.banks = 0;
-    EXPECT_DEATH(BankedMemory(eq, no_banks),
-                 "at least one bank");
+    EXPECT_THROW(BankedMemory(eq, no_banks), std::invalid_argument);
     BankedMemoryConfig free_service;
-    free_service.cycles_per_request = 0;
-    EXPECT_DEATH(BankedMemory(eq, free_service),
-                 "at least one tick per request");
+    free_service.service = 0;
+    EXPECT_THROW(BankedMemory(eq, free_service), std::invalid_argument);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "api/experiment.hh"
 #include "api/grid.hh"
@@ -392,6 +393,48 @@ TEST(TraceMemory, BankContentionSlowsTheRunAndIsCounted)
     EXPECT_LT(fast.bank_conflicts, slow.bank_conflicts);
 }
 
+TEST(TraceMemory, BufferDepthChangesNoColumn)
+{
+    // Every bank queues its requests in one unbounded FIFO, so
+    // mem_buffer is accepted with no effect: on a contended grid (one
+    // port, one or two banks, queued transfers, per-line bank ticks)
+    // every cell but the spec is the same at depths 1, 8 and 65536.
+    const auto tableAt = [](const std::string &depth) {
+        api::SpecGrid grid;
+        grid.base = api::parseSpec("experiment=trace n=16 blocks=8 "
+                                   "capacity=16 mem_ports=1 mem_buffer=" +
+                                   depth)
+                        .spec;
+        grid.axis("workload", {"draper", "modexp", "random"});
+        grid.axis("mem_banks", {"1", "2"});
+        grid.axis("transfers", {"1", "2"});
+        grid.axis("cycles_per_line", {"0", "3"});
+        return tests::runTable(grid.expand(),
+                               {.threads = 2, .base_seed = 3});
+    };
+    const auto reference = tableAt("1");
+    ASSERT_EQ(reference.rows(), 24u);
+    const auto conflicts = reference.findColumn("bank_conflicts");
+    ASSERT_TRUE(conflicts.has_value());
+    double total_conflicts = 0.0;
+    for (std::size_t r = 0; r < reference.rows(); ++r)
+        total_conflicts +=
+            reference.cell(r, *conflicts).asNumber().value_or(0.0);
+    EXPECT_GT(total_conflicts, 0.0) << "the grid must contend";
+
+    for (const char *depth : {"8", "65536"}) {
+        const auto table = tableAt(depth);
+        ASSERT_EQ(table.rows(), reference.rows());
+        ASSERT_EQ(table.columnNames(), reference.columnNames());
+        for (std::size_t r = 0; r < table.rows(); ++r)
+            for (std::size_t c = 1; c < table.columnNames().size(); ++c)
+                EXPECT_EQ(table.cell(r, c).toString(),
+                          reference.cell(r, c).toString())
+                    << "mem_buffer=" << depth << " row " << r << " "
+                    << table.columnNames()[c];
+    }
+}
+
 TEST(TraceMemoryApi, MemoryKnobsAndColumnsFlowThroughTheSpec)
 {
     // One spec string drives every surface: the mem_* knobs must
@@ -583,14 +626,12 @@ TEST(TraceEngineDeath, MalformedConfigPanics)
     const auto workload = draperWorkload(16);
     TraceConfig config;
     config.capacity = 0;
-    EXPECT_DEATH(
-        runTrace(workload, config, iontrap::Params::future()),
-        "capacity must be nonzero");
+    EXPECT_THROW(runTrace(workload, config, iontrap::Params::future()),
+                 std::invalid_argument);
     config.capacity = 8;
     config.transfers = 0;
-    EXPECT_DEATH(
-        runTrace(workload, config, iontrap::Params::future()),
-        "at least one transfer channel");
+    EXPECT_THROW(runTrace(workload, config, iontrap::Params::future()),
+                 std::invalid_argument);
 }
 
 } // namespace

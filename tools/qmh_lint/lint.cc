@@ -40,7 +40,7 @@ constexpr RuleInfo rule_infos[] = {
      "snapshot"},
     {"typed-errors",
      "src/api and src/server request paths return Outcome; "
-     "throw/exit/qmh_panic are reserved for internal invariant "
+     "throw/exit/qmh_panic/qmh_fatal are reserved for internal invariant "
      "violations"},
     {"banned-headers",
      "headers that exist to break the other rules (<ctime>, <random>, "
@@ -811,11 +811,11 @@ ruleTypedErrors(const std::string &file,
                  "typed, streamable failure"});
             continue;
         }
-        if (t.is("qmh_panic") && i + 1 < tokens.size() &&
-            tokens[i + 1].is("(")) {
+        if (inSet(t.text, {"qmh_panic", "qmh_fatal"}) &&
+            i + 1 < tokens.size() && tokens[i + 1].is("(")) {
             diagnostics.push_back(
                 {file, t.line, rule,
-                 "qmh_panic in the typed-error domain",
+                 std::string(t.text) + " in the typed-error domain",
                  "request paths return Outcome; keep panics for "
                  "internal invariants and suppress with the reason"});
             continue;
